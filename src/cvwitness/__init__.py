@@ -14,10 +14,12 @@ from .covariance import (
     partial_transpose_bob,
     partition,
     schur_complement,
+    schur_factor,
     split_standard,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
     symplectic_form,
+    symplectic_spectra,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
     validate_bona_fide,

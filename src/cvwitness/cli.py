@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, split_standard, standard_form_reduce_two_mode
-from .criteria import (
-    CorrelationVerdict,
-    certify,
-    default_tolerance,
-    _standardize,
-)
+from .covariance import CovarianceMatrix, NotStandardFormError, schur_factor, split_standard
+from .covariance import standard_form_reduce_two_mode
+from .criteria import CorrelationVerdict, certify, resolve_tolerance
 from .optimize import (
     FUNCTIONALS,
     GridSpec,
@@ -163,10 +159,8 @@ def _build_parser() -> _Parser:
     cert = sub.add_parser("certify", help="certify a covariance-matrix file")
     cert.add_argument("path")
     cert.add_argument("--tol", type=float, default=None)
-    cert.add_argument("--seed", type=int, default=0)
     cert.add_argument("--format", choices=("json", "csv"), default="json")
     cert.add_argument("--out", type=str, default=None)
-    _add_optimizer_flags(cert)
 
     sweep = sub.add_parser("sweep", help="certify along a parameter range")
     sweep.add_argument("kind", choices=GeneratorSpec.KINDS)
@@ -192,29 +186,15 @@ def _build_parser() -> _Parser:
     orc.add_argument("--tol", type=float, default=None)
     orc.add_argument("--seed", type=int, default=0)
     orc.add_argument("--out", type=str, default=None)
-    _add_optimizer_flags(orc)
-
-    return parser
-
-
-def _add_optimizer_flags(sub) -> None:
     defaults = OptimizerConfig()
-    sub.add_argument("--opt-tol", type=float, default=defaults.tol)
-    sub.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    sub.add_argument("--max-restarts", type=int, default=defaults.max_restarts)
-    sub.add_argument(
+    orc.add_argument("--opt-tol", type=float, default=defaults.tol)
+    orc.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    orc.add_argument("--max-restarts", type=int, default=defaults.max_restarts)
+    orc.add_argument(
         "--positivity-floor", type=float, default=defaults.positivity_floor
     )
 
-
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        tol=args.opt_tol,
-        max_iters=args.max_iters,
-        max_restarts=args.max_restarts,
-        positivity_floor=args.positivity_floor,
-        rng_seed=args.seed,
-    )
+    return parser
 
 
 def _cmd_gen(args) -> int:
@@ -233,16 +213,15 @@ def _cmd_gen(args) -> int:
 
 def _cmd_certify(args) -> int:
     cm = CovarianceMatrix.load(args.path)
-    tol = args.tol if args.tol is not None else default_tolerance()
+    tol = resolve_tolerance(args.tol, "--tol")
     start = time.perf_counter()
     verdict = certify(cm, tol=tol)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    config = {"tol": tol, "optimizer": _optimizer_config(args).to_dict()}
     report = Report(
         input_descriptor=args.path,
         verdict=verdict,
         timing_ms=elapsed_ms,
-        config=config,
+        config={"tol": tol},
     )
     if args.format == "csv":
         _emit(_report_csv(report), args.out)
@@ -265,7 +244,7 @@ def _cmd_sweep(args) -> int:
         print("--range needs at least one step", file=sys.stderr)
         return EXIT_USAGE
     values = np.linspace(lo, hi, steps)
-    tol = args.tol if args.tol is not None else default_tolerance()
+    tol = resolve_tolerance(args.tol, "--tol")
     base = {"r": args.r, "nbar": args.nbar, "side": args.side, "seed": args.seed}
     if args.n_alice is not None:
         base["n_alice"] = args.n_alice
@@ -305,29 +284,45 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _closed_form_for(sf, functional, std_cm) -> float | None:
+def _standardize(cm: CovarianceMatrix, tol: float):
+    """The standard form the oracle's functionals are defined on; a
+    two-mode CM that is not in it is first reduced by local symplectics."""
+    try:
+        return split_standard(cm, tol=tol)
+    except NotStandardFormError:
+        if cm.n_modes != 2:
+            raise
+    _, s = standard_form_reduce_two_mode(cm, tol=tol)
+    return split_standard(CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=cm.n_alice), tol=tol)
+
+
+def _closed_form_for(sf, functional, cm, tol) -> float | None:
     if functional in ("sep_plus", "sep_minus"):
         if sf.n_modes != 2:
             return None
-        params, _ = standard_form_reduce_two_mode(std_cm)
+        params, _ = standard_form_reduce_two_mode(cm, tol=tol)
         return min_separability_sum_two_mode(
             params, "plus" if functional == "sep_plus" else "minus"
         )
     if functional == "steer_ab":
         return min_steering_sum_ab(sf)
     if sf.n_modes == 2:
-        det_full = np.linalg.det(sf.vq) * np.linalg.det(sf.vp)
-        det_bob = sf.vq[-1, -1] * sf.vp[-1, -1]
-        return float(2.0 * np.sqrt(det_full / det_bob))
+        # 2 sqrt(det V / det V_B) = 2 prod(diag L_kk) with V / V_B = L_kk L_kk^T
+        return float(2.0 * np.prod(np.diag(schur_factor(cm, "B"))))
     return None
 
 
 def _cmd_oracle(args) -> int:
     cm = CovarianceMatrix.load(args.path)
-    tol = args.tol if args.tol is not None else default_tolerance()
-    std = _standardize(cm, tol=tol)
-    sf = split_standard(std, tol=tol)
-    config = _optimizer_config(args)
+    tol = resolve_tolerance(args.tol, "--tol")
+    sf = _standardize(cm, tol)
+    config = OptimizerConfig(
+        tol=args.opt_tol,
+        max_iters=args.max_iters,
+        max_restarts=args.max_restarts,
+        positivity_floor=args.positivity_floor,
+        rng_seed=args.seed,
+    )
     if args.functional in ("sep_plus", "sep_minus"):
         numeric = min_separability_sum_numeric(
             sf, "plus" if args.functional == "sep_plus" else "minus", config
@@ -339,7 +334,7 @@ def _cmd_oracle(args) -> int:
     brute = brute_force_min(
         sf, args.functional, GridSpec(samples=args.samples, seed=args.seed)
     )
-    closed = _closed_form_for(sf, args.functional, std)
+    closed = _closed_form_for(sf, args.functional, cm, tol)
 
     gap_brute = abs(numeric.value - brute)
     ok_brute = bool(gap_brute <= args.oracle_tol)

@@ -33,9 +33,11 @@ __all__ = [
     "local_direct_sum",
     "validate_bona_fide",
     "symplectic_eigenvalues",
+    "symplectic_spectra",
     "partial_transpose_bob",
     "split_standard",
     "partition",
+    "schur_factor",
     "schur_complement",
     "aitken_factorize",
     "standard_form_reduce_two_mode",
@@ -216,8 +218,7 @@ class StandardForm:
             scale = max(np.abs(blk).max(), 1.0)
             if np.abs(blk - blk.T).max() > _SYMMETRY_RTOL * scale:
                 raise ValueError(f"{name} block is not symmetric")
-            if np.linalg.eigvalsh(blk).min() <= 0:
-                raise np.linalg.LinAlgError(f"{name} block is not positive definite")
+            np.linalg.cholesky(blk)  # LinAlgError unless positive definite
 
     @property
     def n_modes(self) -> int:
@@ -293,7 +294,6 @@ class ValidationReport:
     symmetric: bool
     positive_definite: bool
     rs_ur_satisfied: bool
-    min_eigenvalue: float
     min_rs_eigenvalue: float
     tol: float
 
@@ -313,7 +313,8 @@ def validate_bona_fide(V, tol: float = DEFAULT_TOL) -> ValidationReport:
     relation V + (i/2) J >= 0 for a candidate covariance matrix.
 
     Accepts a CovarianceMatrix or a raw 2n x 2n array in interleaved
-    ordering. The RS check uses eigenvalues of the Hermitian matrix
+    ordering. V is positive definite when its Cholesky factorization
+    succeeds. The RS check uses eigenvalues of the Hermitian matrix
     V + (i/2) J, which is meaningful even for singular V; boundary
     states (pure Gaussians) sit exactly at zero, hence the tolerance.
     """
@@ -326,44 +327,49 @@ def validate_bona_fide(V, tol: float = DEFAULT_TOL) -> ValidationReport:
     scale = max(np.abs(m).max(), 1.0)
     symmetric = bool(np.abs(m - m.T).max() <= _SYMMETRY_RTOL * scale)
     sym = 0.5 * (m + m.T)
-    min_eig = float(np.linalg.eigvalsh(sym).min())
-    positive_definite = bool(min_eig > tol)
-    herm = sym + 0.5j * symplectic_form(n)
-    min_rs = float(np.linalg.eigvalsh(herm).min())
-    rs_ok = bool(min_rs >= -tol)
+    try:
+        np.linalg.cholesky(sym)
+        positive_definite = True
+    except np.linalg.LinAlgError:
+        positive_definite = False
+    min_rs = float(np.linalg.eigvalsh(sym + 0.5j * symplectic_form(n)).min())
     return ValidationReport(
         symmetric=symmetric,
         positive_definite=positive_definite,
-        rs_ur_satisfied=rs_ok,
-        min_eigenvalue=min_eig,
+        rs_ur_satisfied=bool(min_rs >= -tol),
         min_rs_eigenvalue=min_rs,
         tol=float(tol),
     )
 
 
-def symplectic_eigenvalues(V) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite CM, descending.
+def _spectrum(low: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """Descending upper half of the eigenvalues +-nu of the Hermitian
+    matrix i L^T form L, which is similar to i form (L L^T)."""
+    n = low.shape[0] // 2
+    return np.linalg.eigvalsh(1j * (low.T @ form @ low))[n:][::-1]
 
-    The n values are the moduli of the (purely imaginary, paired)
-    eigenvalues of i J V. A bona fide CM has all values >= 1/2.
+
+def symplectic_eigenvalues(V) -> np.ndarray:
+    """Symplectic spectrum of a positive-definite CM, descending, from
+    its Cholesky factor V = L L^T (LinAlgError if V is not positive
+    definite). A bona fide CM has all values >= 1/2.
     """
     m = _as_matrix(V)
-    n = m.shape[0] // 2
-    if np.linalg.eigvalsh(0.5 * (m + m.T)).min() <= 0:
-        raise np.linalg.LinAlgError("matrix is not positive definite")
-    w = np.linalg.eigvals(symplectic_form(n) @ m)
-    scale = np.abs(w).max()
-    # eigenvalues of JV come in pairs +-i*nu; their real parts must vanish
-    if np.abs(w.real).max() > 1e-9 * max(scale, 1.0):
-        raise np.linalg.LinAlgError(
-            "eigenvalues of J V are not purely imaginary; matrix is too far "
-            "from a valid covariance matrix"
-        )
-    mods = np.sort(np.abs(w))[::-1]
-    pairs = mods[::2]
-    if np.abs(mods[::2] - mods[1::2]).max() > 1e-9 * max(scale, 1.0):
-        raise np.linalg.LinAlgError("symplectic spectrum does not pair up")
-    return pairs
+    return _spectrum(np.linalg.cholesky(m), symplectic_form(m.shape[0] // 2))
+
+
+def symplectic_spectra(V) -> tuple[np.ndarray, np.ndarray]:
+    """Symplectic spectra, descending, of a bipartite CM and of its
+    partial transpose P V P = (P L)(P L)^T, P = diag(1, ..., 1, -1),
+    both from one Cholesky factor V = L L^T."""
+    if not isinstance(V, CovarianceMatrix):
+        V = CovarianceMatrix(V)
+    V.require_bipartite()
+    low = np.linalg.cholesky(V.matrix)
+    form = symplectic_form(V.n_modes)
+    pt_form = form.copy()
+    pt_form[-2:, -2:] *= -1.0
+    return _spectrum(low, form), _spectrum(low, pt_form)
 
 
 def partial_transpose_bob(V: CovarianceMatrix) -> CovarianceMatrix:
@@ -413,9 +419,21 @@ def partition(V: CovarianceMatrix) -> Partition:
     return Partition(alice=m[:k, :k], bob=m[k:, k:], cross=m[:k, k:])
 
 
-def _require_pd_block(blk: np.ndarray, name: str) -> None:
-    if np.linalg.eigvalsh(blk).min() <= 0:
-        raise np.linalg.LinAlgError(f"{name} block is not positive definite")
+def schur_factor(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
+    """Cholesky factor L_kk of the Schur complement V / V_X = L_kk L_kk^T:
+    the trailing block of the factor of V with the eliminated party X
+    first. So V / V_X is positive definite by construction, and
+    det V / det V_X = prod(diag L_kk)^2."""
+    if not isinstance(V, CovarianceMatrix):
+        V = CovarianceMatrix(V)
+    V.require_bipartite()
+    k = 2 * V.n_alice
+    if over == "A":
+        return np.linalg.cholesky(V.matrix)[k:, k:]
+    if over == "B":
+        order = np.r_[k : k + 2, :k]
+        return np.linalg.cholesky(V.matrix[np.ix_(order, order)])[2:, 2:]
+    raise ValueError(f"over must be 'A' or 'B', got {over!r}")
 
 
 def schur_complement(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
@@ -425,28 +443,20 @@ def schur_complement(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
     over="A" eliminates Alice and returns V_B - C^T V_A^-1 C (2 x 2).
     The determinant identity det(V / V_X) = det V / det V_X holds.
     """
-    part = partition(V)
-    if over == "B":
-        _require_pd_block(part.bob, "Bob")
-        return part.alice - part.cross @ np.linalg.solve(part.bob, part.cross.T)
-    if over == "A":
-        _require_pd_block(part.alice, "Alice")
-        return part.bob - part.cross.T @ np.linalg.solve(part.alice, part.cross)
-    raise ValueError(f"over must be 'A' or 'B', got {over!r}")
+    low = schur_factor(V, over)
+    return low @ low.T
 
 
 def aitken_factorize(V: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
     """LDU-style congruence V = T D T^T with unimodular upper-triangular
     T = [[I, C V_B^-1], [0, I]] and D = (V/V_B) direct-sum V_B."""
     part = partition(V)
-    _require_pd_block(part.bob, "Bob")
     k = part.alice.shape[0]
     n = k + 2
-    schur = part.alice - part.cross @ np.linalg.solve(part.bob, part.cross.T)
     T = np.eye(n)
     T[:k, k:] = np.linalg.solve(part.bob, part.cross.T).T
     D = np.zeros((n, n))
-    D[:k, :k] = schur
+    D[:k, :k] = schur_complement(V, "B")
     D[k:, k:] = part.bob
     return T, D
 

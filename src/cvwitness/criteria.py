@@ -1,15 +1,15 @@
 """Certified verdicts from covariance-matrix analysis: physicality,
 PPT/separability, and one-way steerability in both directions.
 
-`certify` accepts a standard-form CM with Alice holding N modes and Bob
-the last one (a two-mode CM that is not in standard form is reduced
-automatically; verdicts are invariant under such local operations). The
-A->B steering call uses the determinant ratio det V / det V_A against
-1/4, which is exactly equivalent to the matrix condition when Bob holds
-one mode; both are computed and any disagreement outside the tolerance
-dead band raises, as an internal self-check. The B->A call uses the
-Schur-complement matrix condition, which is strictly stronger than its
-determinant counterpart when N > 1.
+`certify` accepts any CM with Alice holding N modes and Bob the last
+one, in standard form or not: it reads only local symplectic invariants
+(Simon, PRL 84, 2726, 2000; Wiseman, Jones and Doherty, PRL 98, 140402,
+2007), all from Cholesky factors of V. The A->B steering call uses the determinant ratio det V / det V_A
+against 1/4, which is exactly equivalent to the matrix condition when
+Bob holds one mode; both are computed and any disagreement outside the
+tolerance dead band raises, as an internal self-check. The B->A call
+uses the Schur-complement matrix condition, which is strictly stronger
+than its determinant counterpart when N > 1.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ import numpy as np
 
 from .covariance import (
     CovarianceMatrix,
-    NotStandardFormError,
     TwoModeStandardParams,
-    partial_transpose_bob,
-    split_standard,
-    standard_form_reduce_two_mode,
     symplectic_eigenvalues,
+    symplectic_spectra,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
     validate_bona_fide,
@@ -42,6 +39,7 @@ __all__ = [
     "find_one_way_example",
     "sign_rule_holds",
     "default_tolerance",
+    "resolve_tolerance",
 ]
 
 GAUSSIAN_SEPARABLE_VALUES = ("yes", "no", "undecided")
@@ -58,13 +56,22 @@ class OneWayExampleNotFound(LookupError):
 
 def default_tolerance() -> float:
     """Verdict tolerance: 1e-9 unless overridden by CVW_DEFAULT_TOL."""
-    raw = os.environ.get("CVW_DEFAULT_TOL")
-    if raw is None:
-        return 1e-9
+    raw = os.environ.get("CVW_DEFAULT_TOL", "1e-9")
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ValueError(f"CVW_DEFAULT_TOL is not a number: {raw!r}") from exc
+    return resolve_tolerance(tol, "CVW_DEFAULT_TOL")
+
+
+def resolve_tolerance(tol: float | None, source: str = "tol") -> float:
+    """``tol``, or ``default_tolerance()`` when it is None; a NaN,
+    infinite or negative tolerance raises ValueError naming ``source``."""
+    if tol is None:
+        return default_tolerance()
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{source} must be a finite number >= 0, got {tol!r}")
+    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -118,20 +125,6 @@ class CorrelationVerdict:
         )
 
 
-def _standardize(V: CovarianceMatrix, tol: float) -> CovarianceMatrix:
-    """Return a standard-form CM certifying the same state (two-mode
-    inputs are reduced by local symplectics; larger inputs must already
-    be standard)."""
-    try:
-        split_standard(V, tol=tol)
-        return V
-    except NotStandardFormError:
-        if V.n_modes == 2:
-            _, s_local = standard_form_reduce_two_mode(V)
-            return CovarianceMatrix(s_local @ V.matrix @ s_local.T, n_alice=V.n_alice)
-        raise
-
-
 def certify(
     V: CovarianceMatrix,
     tol: float | None = None,
@@ -141,21 +134,33 @@ def certify(
     directions for a bipartite (N vs 1)-mode covariance matrix.
 
     Args:
-        V: covariance matrix, Bob = last mode. Must be in standard form
-            unless it has exactly two modes.
-        tol: threshold dead band for all comparisons (default 1e-9).
+        V: covariance matrix, Bob = last mode, in standard form or not.
+        tol: threshold dead band for all comparisons, finite and >= 0
+            (default 1e-9, or CVW_DEFAULT_TOL).
         assume_gaussian: whether separability sufficiency for the
             Gaussian state with this CM may be claimed.
+
+    A CM whose Cholesky factorization fails is refused as non-physical.
     """
-    if tol is None:
-        tol = default_tolerance()
+    tol = resolve_tolerance(tol)
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     V.require_bipartite()
 
     report = validate_bona_fide(V, tol=tol)
     witnesses: dict = {"min_rs_eig": report.min_rs_eigenvalue}
-    if not report.bona_fide:
+    physical = report.bona_fide
+    if physical:
+        try:
+            nu, nu_pt = symplectic_spectra(V)
+            ab = check_unsteerable_ab(V, tol=tol)
+            ba = check_unsteerable_ba(V, tol=tol)
+            schur_nu_min = float(symplectic_eigenvalues(ba.schur).min())
+        except np.linalg.LinAlgError:
+            # a factor of V with Bob first, or of V / V_B, failed: V is
+            # not numerically positive definite
+            physical = False
+    if not physical:
         return CorrelationVerdict(
             physical=False,
             ppt=None,
@@ -166,23 +171,18 @@ def certify(
             witnesses=witnesses,
         )
 
-    std = _standardize(V, tol=tol)
-    sf = split_standard(std, tol=tol)
-
-    nu_min = float(symplectic_eigenvalues(std).min())
-    nu_min_pt = float(symplectic_eigenvalues(partial_transpose_bob(std)).min())
+    nu_min = float(nu.min())
+    nu_min_pt = float(nu_pt.min())
     ppt = bool(nu_min_pt >= 0.5 - tol)
 
-    # minima of the two separability sums; for a standard-form CM these are
-    # twice the smallest symplectic eigenvalue of the partial transpose
-    # (plus variant) and of the CM itself (minus variant)
+    # 2 nu~ and 2 nu are local invariants; whenever V has a standard form
+    # they are the minima of the two separability sums there
     sep_plus_min = 2.0 * nu_min_pt
     sep_minus_min = 2.0 * nu_min
     separable_ok = bool(
         sep_plus_min >= 1.0 - tol and sep_minus_min >= 1.0 - tol
     )
 
-    ab = check_unsteerable_ab(std, tol=tol)
     steer_ab_min = 2.0 * np.sqrt(ab.det_ratio)
     det_says_steerable = bool(ab.det_ratio < 0.25 - tol)
     matrix_says_steerable = not ab.matrix_ok
@@ -194,10 +194,8 @@ def certify(
         )
     steerable_a_to_b = det_says_steerable
 
-    ba = check_unsteerable_ba(std, tol=tol)
     steerable_b_to_a = not ba.matrix_ok
     ba_marginal = abs(ba.min_rs_eigenvalue) <= tol
-    schur_nu_min = float(symplectic_eigenvalues(ba.schur).min())
 
     if not ppt:
         gaussian_separable = "no"

@@ -36,8 +36,7 @@ from .covariance import (
     CovarianceMatrix,
     StandardForm,
     TwoModeStandardParams,
-    partition,
-    schur_complement,
+    schur_factor,
     symplectic_form,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
@@ -307,8 +306,6 @@ def min_steering_sum_ab_numeric(
     vpa = sf.vp[:n_a, :n_a]
     cq = sf.vq[:n_a, -1]
     cp = sf.vp[:n_a, -1]
-    if np.linalg.eigvalsh(vqa).min() <= 0 or np.linalg.eigvalsh(vpa).min() <= 0:
-        raise np.linalg.LinAlgError("Alice block is not positive definite")
     alpha = np.append(np.linalg.solve(vqa, cq), 1.0)
     beta = np.append(-np.linalg.solve(vpa, cp), 1.0)
     qbar = variance_q(sf.vq, alpha)
@@ -339,17 +336,13 @@ def min_steering_sum_ba_numeric(
 
 
 def _direction_check(V: CovarianceMatrix, over: str, tol: float) -> UnsteerabilityCheck:
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
-    schur = schur_complement(V, over=over)
-    n_kept = schur.shape[0] // 2
-    herm = schur + 0.5j * symplectic_form(n_kept)
-    min_eig = float(np.linalg.eigvalsh(herm).min())
+    low = schur_factor(V, over=over)
+    schur = low @ low.T
+    n_kept = low.shape[0] // 2
+    min_eig = float(np.linalg.eigvalsh(schur + 0.5j * symplectic_form(n_kept)).min())
     matrix_ok = bool(min_eig >= -tol)
-    part = partition(V)
-    eliminated = part.bob if over == "B" else part.alice
-    det_ratio = float(np.linalg.det(V.matrix) / np.linalg.det(eliminated))
+    # det V / det V_X = det(V / V_X) = prod(diag L_kk)^2
+    det_ratio = float(np.prod(np.diag(low)) ** 2)
     det_ok = bool(det_ratio >= 4.0 ** (-n_kept) - tol)
     return UnsteerabilityCheck(
         matrix_ok=matrix_ok,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cvwitness import CovarianceMatrix, random_standard, thermal, tmsv
-from cvwitness.covariance import local_direct_sum, one_mode_rotation
+from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze
 
 
 def pytest_configure(config):
@@ -44,3 +44,13 @@ def rotated(cm: CovarianceMatrix, thetas) -> CovarianceMatrix:
     s = local_direct_sum([one_mode_rotation(t) for t in thetas])
     n_alice = cm.n_alice if cm.n_modes >= 2 else None
     return CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=n_alice)
+
+
+def rotated_and_squeezed(cm: CovarianceMatrix, rng) -> CovarianceMatrix:
+    """Conjugate a CM by a random phase rotation times a squeeze
+    (|z| <= 1) on each mode, which moves it off standard form."""
+    s = local_direct_sum(
+        [one_mode_rotation(rng.uniform(0, np.pi)) @ one_mode_squeeze(rng.uniform(-1, 1))
+         for _ in range(cm.n_modes)]
+    )
+    return CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=cm.n_alice)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from cvwitness import CovarianceMatrix, random_standard, tmsv, vacuum
+from cvwitness import CovarianceMatrix, certify, random_standard, tmsv, vacuum
 from cvwitness.cli import main, render_json
-from conftest import rotated
+from conftest import rotated, rotated_and_squeezed
 
 
 def run(capsys, *argv):
@@ -97,12 +97,17 @@ class TestCertify:
         code, _, err = run(capsys, "certify", str(path))
         assert code == 1
 
-    def test_non_standard_multimode_exit_1(self, capsys, tmp_path):
-        cm = rotated(random_standard(3, seed=4), [0.4, 0.0, 0.0])
-        path = write_cm(tmp_path, cm)
-        code, _, err = run(capsys, "certify", path)
-        assert code == 1
-        assert "standard form" in err
+    def test_non_standard_multimode_matches_parent(self, capsys, tmp_path, rng):
+        # verdicts are local invariants: no standard form is needed
+        for n in (3, 4, 5):
+            parent = random_standard(n, seed=4)
+            path = write_cm(tmp_path, rotated_and_squeezed(parent, rng))
+            code, out, _ = run(capsys, "certify", path)
+            assert code == 0
+            got = json.loads(out)["verdict"]
+            want = certify(parent).to_dict()
+            for flag in ("physical", "ppt", "steerable_a_to_b", "steerable_b_to_a"):
+                assert got[flag] == want[flag]
 
     def test_two_mode_rotated_auto_reduces(self, capsys, tmp_path):
         cm = rotated(tmsv(0.5), [0.7, 1.1])
@@ -114,8 +119,8 @@ class TestCertify:
 
     def test_byte_identical_reports_up_to_timing(self, capsys, tmp_path):
         path = write_cm(tmp_path, tmsv(0.3))
-        _, out1, _ = run(capsys, "certify", path, "--seed", "5")
-        _, out2, _ = run(capsys, "certify", path, "--seed", "5")
+        _, out1, _ = run(capsys, "certify", path)
+        _, out2, _ = run(capsys, "certify", path)
         strip = lambda s: [l for l in s.splitlines() if '"timing_ms"' not in l]
         assert strip(out1) == strip(out2)
 
@@ -146,13 +151,29 @@ class TestCertify:
         assert verdict["steerable_a_to_b"] is False
         assert verdict["steerable_b_to_a"] is False
 
-    def test_optimizer_flags_echoed(self, capsys, tmp_path):
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_flag_exit_1(self, capsys, tmp_path, bad):
         path = write_cm(tmp_path, tmsv(0.5))
-        _, out, _ = run(capsys, "certify", path, "--max-restarts", "3",
-                        "--positivity-floor", "1e-8")
-        opt = json.loads(out)["config"]["optimizer"]
-        assert opt["max_restarts"] == 3
-        assert opt["positivity_floor"] == 1e-8
+        code, out, err = run(capsys, "certify", path, f"--tol={bad}")
+        assert code == 1
+        assert out == "" and "--tol" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_bad_tol_env_exit_1(self, capsys, tmp_path, monkeypatch, bad):
+        path = write_cm(tmp_path, tmsv(0.5))
+        monkeypatch.setenv("CVW_DEFAULT_TOL", bad)
+        code, out, err = run(capsys, "certify", path)
+        assert code == 1
+        assert out == "" and "CVW_DEFAULT_TOL" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--opt-tol", "--max-iters", "--max-restarts", "--positivity-floor", "--seed"]
+    )
+    def test_optimizer_flags_rejected(self, capsys, tmp_path, flag):
+        # certify runs no optimizer, so it takes no optimizer flags
+        path = write_cm(tmp_path, tmsv(0.5))
+        code, _, _ = run(capsys, "certify", path, flag, "3")
+        assert code == 1
 
     def test_report_round_trip(self, capsys, tmp_path):
         from cvwitness.cli import Report
@@ -255,6 +276,15 @@ class TestOracle:
         )
         assert code == 0
         assert json.loads(out)["agreement_closed_form"] is True
+
+    def test_optimizer_flags_echoed(self, capsys, tmp_path):
+        path = write_cm(tmp_path, tmsv(0.5))
+        _, out, _ = run(capsys, "oracle", path, "--functional", "steer_ab",
+                        "--samples", "1000", "--max-restarts", "3",
+                        "--positivity-floor", "1e-8")
+        opt = json.loads(out)["config"]["optimizer"]
+        assert opt["max_restarts"] == 3
+        assert opt["positivity_floor"] == 1e-8
 
     def test_disagreement_exit_3(self, capsys, tmp_path):
         path = write_cm(tmp_path, random_standard(3, seed=3))

@@ -14,10 +14,12 @@ from cvwitness import (
     random_standard,
     random_two_mode_params,
     schur_complement,
+    schur_factor,
     split_standard,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
     symplectic_form,
+    symplectic_spectra,
     thermal,
     tmsv,
     two_mode_symplectic_pair,
@@ -116,6 +118,12 @@ class TestValidateBonaFide:
         with pytest.raises(ValueError):
             validate_bona_fide(np.eye(3))
 
+    def test_positive_definite_is_cholesky(self):
+        # no absolute band: a heavily squeezed TMSV is positive definite
+        # although its smallest eigenvalue is far below 1e-9
+        assert validate_bona_fide(tmsv(10.0)).positive_definite
+        assert not validate_bona_fide(np.diag([1.0, 1.0, 0.0, 1.0])).positive_definite
+
 
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
@@ -146,6 +154,33 @@ class TestSymplecticEigenvalues:
             got_pt = symplectic_eigenvalues(partial_transpose_bob(cm))
             want_pt = two_mode_symplectic_pair_pt(params)[::-1]
             np.testing.assert_allclose(got_pt, want_pt, atol=1e-10)
+
+
+class TestSymplecticSpectra:
+    def test_matches_separate_spectra(self):
+        for seed in range(20):
+            cm = random_standard(2 + seed % 4, seed=seed)
+            nu, nu_pt = symplectic_spectra(cm)
+            np.testing.assert_allclose(nu, symplectic_eigenvalues(cm), rtol=1e-12)
+            np.testing.assert_allclose(
+                nu_pt, symplectic_eigenvalues(partial_transpose_bob(cm)), rtol=1e-10
+            )
+
+    def test_tmsv_spectra(self):
+        # errors scale as eps * cond(V) = eps * exp(4r)
+        r = 5.0
+        nu, nu_pt = symplectic_spectra(tmsv(r))
+        np.testing.assert_allclose(nu, [0.5, 0.5], rtol=1e-5)
+        np.testing.assert_allclose(nu_pt, [np.exp(2 * r) / 2, np.exp(-2 * r) / 2], rtol=1e-5)
+
+    def test_heavy_squeezing_does_not_raise(self):
+        # one factor of V serves both spectra up to r = 10
+        nu, nu_pt = symplectic_spectra(tmsv(10.0))
+        assert nu_pt.min() < 0.5
+
+    def test_requires_bipartite(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            symplectic_spectra(vacuum(1))
 
 
 class TestPartialTranspose:
@@ -216,6 +251,31 @@ class TestPartition:
             assert np.array_equal(rebuilt, cm.matrix)
             assert part.bob.shape == (2, 2)
             assert part.cross.shape == (k, 2)
+
+
+class TestSchurFactor:
+    def test_lower_triangular_factor_of_complement(self):
+        for seed in range(20):
+            cm = random_standard(2 + seed % 3, seed=seed)
+            part = partition(cm)
+            for over, block in (("B", part.bob), ("A", part.alice)):
+                low = schur_factor(cm, over)
+                np.testing.assert_array_equal(low, np.tril(low))
+                assert np.diag(low).min() > 0
+                np.testing.assert_allclose(low @ low.T, schur_complement(cm, over), atol=1e-12)
+                ratio = np.linalg.det(cm.matrix) / np.linalg.det(block)
+                assert np.prod(np.diag(low)) ** 2 == pytest.approx(ratio, rel=1e-12)
+
+    def test_tmsv_complement(self):
+        r = 3.0
+        low = schur_factor(tmsv(r), "B")
+        np.testing.assert_allclose(low @ low.T, np.eye(2) / (2 * np.cosh(2 * r)), rtol=1e-9)
+
+    def test_positive_definite_by_construction(self):
+        # at r = 10 the complement I / (2 cosh 20) is lost to rounding,
+        # but unlike a solve-based complement it stays positive definite
+        low = schur_factor(tmsv(10.0), "B")
+        assert np.diag(low).min() > 0
 
 
 class TestSchurComplement:

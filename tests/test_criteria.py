@@ -21,7 +21,7 @@ from cvwitness import (
     validate_bona_fide,
 )
 from cvwitness.criteria import default_tolerance
-from conftest import product_cm, rotated
+from conftest import product_cm, rotated, rotated_and_squeezed
 
 
 class TestCertifyReferenceStates:
@@ -75,10 +75,24 @@ class TestCertifyReferenceStates:
         with pytest.raises(ValueError, match="bipartite"):
             certify(vacuum(1))
 
-    def test_multimode_non_standard_rejected(self):
-        cm = rotated(random_standard(3, seed=4), [0.3, 0.0, 0.0])
-        with pytest.raises(Exception, match="standard form"):
-            certify(cm)
+    def test_multimode_non_standard_certified(self, rng):
+        # every reported quantity is a local invariant, so a CM moved off
+        # standard form gets its standard-form parent's verdict
+        for n in (3, 4, 5):
+            for seed in range(4):
+                parent = random_standard(n, seed=seed)
+                ref = certify(parent)
+                v = certify(rotated_and_squeezed(parent, rng))
+                assert v.physical
+                assert (v.ppt, v.steerable_a_to_b, v.steerable_b_to_a) == (
+                    ref.ppt,
+                    ref.steerable_a_to_b,
+                    ref.steerable_b_to_a,
+                )
+                # min eig(V + iJ/2) is the one witness that is not invariant
+                for key, val in ref.witnesses.items():
+                    if key != "min_rs_eig":
+                        assert v.witnesses[key] == pytest.approx(val, rel=1e-8)
 
 
 class TestCertifyInvariances:
@@ -205,6 +219,47 @@ class TestSignRule:
         for seed in range(100):
             params = random_two_mode_params(seed=seed, min_abs_d=1e-6)
             assert sign_rule_holds(params)
+
+
+class TestHeavySqueezing:
+    """Pure TMSV is physical for every r; certify must never raise on it."""
+
+    R_VALUES = [round(0.05 * k, 2) for k in range(241)] + [7.9717, 8.195, 8.32]
+
+    def test_never_raises(self):
+        for r in self.R_VALUES:
+            certify(tmsv(r))
+
+    def test_r10_certified(self):
+        v = certify(tmsv(10.0))
+        assert v.physical
+        assert v.ppt is False
+        assert v.steerable_a_to_b and v.steerable_b_to_a
+
+    @pytest.mark.parametrize("r", [11.0, 12.0])
+    def test_beyond_factorization_refused(self, r):
+        v = certify(tmsv(r))
+        assert not v.physical
+        assert set(v.witnesses) == {"min_rs_eig"}
+
+    @pytest.mark.xfail(strict=True, reason="absolute 1e-9 RS band; ROADMAP item 4")
+    def test_rs_band_at_7_6398(self):
+        assert certify(tmsv(7.6398)).physical
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_certify_rejects_bad_tol(bad):
+    with pytest.raises(ValueError, match="tol"):
+        certify(tmsv(0.5), tol=bad)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+def test_default_tolerance_rejects_bad_env(monkeypatch, bad):
+    monkeypatch.setenv("CVW_DEFAULT_TOL", bad)
+    with pytest.raises(ValueError, match="CVW_DEFAULT_TOL"):
+        default_tolerance()
+    with pytest.raises(ValueError, match="CVW_DEFAULT_TOL"):
+        certify(tmsv(0.5))
 
 
 def test_default_tolerance_env_override(monkeypatch):

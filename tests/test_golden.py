@@ -1,0 +1,35 @@
+"""Verdicts on the frozen golden corpus (``tests/data/golden.json``, made
+by ``tests/data/freeze_golden.py``) must not change: identical flags,
+identical witness keys, and witnesses within max(1e-12, 64 eps cond(V))
+relative, the accuracy of a symplectic spectrum of an ill-conditioned CM.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cvwitness import CovarianceMatrix, certify
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
+FLAGS = (
+    "physical",
+    "ppt",
+    "separable_necessary_met",
+    "gaussian_separable",
+    "steerable_a_to_b",
+    "steerable_b_to_a",
+)
+
+
+@pytest.mark.parametrize("entry", GOLDEN["entries"], ids=lambda e: e["label"])
+def test_golden_verdict(entry):
+    cm = CovarianceMatrix.from_dict(entry["cm"])
+    want = entry["verdict"]
+    got = certify(cm, tol=GOLDEN["tol"]).to_dict()
+    assert {k: got[k] for k in FLAGS} == {k: want[k] for k in FLAGS}
+    assert list(got["witnesses"]) == list(want["witnesses"])
+    bound = max(1e-12, 64 * np.finfo(float).eps * np.linalg.cond(cm.matrix))
+    for key, value in want["witnesses"].items():
+        assert abs(got["witnesses"][key] - value) <= bound * abs(value), key
