@@ -197,6 +197,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: main() may run many times in one interpreter
+_PARSER = _build_parser()
+
+
 def _cmd_gen(args) -> int:
     params = {"r": args.r, "side": args.side, "seed": args.seed}
     if args.kind == "thermal":
@@ -315,6 +319,8 @@ def _closed_form_for(sf, functional, cm, tol) -> float | None:
 def _cmd_oracle(args) -> int:
     cm = CovarianceMatrix.load(args.path)
     tol = resolve_tolerance(args.tol, "--tol")
+    oracle_tol = resolve_tolerance(args.oracle_tol, "--oracle-tol")
+    closed_form_tol = resolve_tolerance(args.closed_form_tol, "--closed-form-tol")
     sf = _standardize(cm, tol)
     config = OptimizerConfig(
         tol=args.opt_tol,
@@ -337,10 +343,10 @@ def _cmd_oracle(args) -> int:
     closed = _closed_form_for(sf, args.functional, cm, tol)
 
     gap_brute = abs(numeric.value - brute)
-    ok_brute = bool(gap_brute <= args.oracle_tol)
+    ok_brute = bool(gap_brute <= oracle_tol)
     ok_closed = None
     if closed is not None:
-        ok_closed = bool(abs(numeric.value - closed) <= args.closed_form_tol)
+        ok_closed = bool(abs(numeric.value - closed) <= closed_form_tol)
 
     record = {
         "input_descriptor": args.path,
@@ -356,7 +362,7 @@ def _cmd_oracle(args) -> int:
         "samples": args.samples,
         "config": {
             "tol": tol,
-            "oracle_tol": args.oracle_tol,
+            "oracle_tol": oracle_tol,
             "optimizer": config.to_dict(),
         },
     }
@@ -367,9 +373,8 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -27,6 +27,7 @@ two variances equal, which any true extremum must satisfy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,13 +63,27 @@ __all__ = [
 FUNCTIONALS = ("sep_plus", "sep_minus", "steer_ab", "steer_ba")
 
 
+def _require_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of the alternating minimizer; invalid values raise
+    ValueError on construction."""
+
     tol: float = 1e-10
     max_iters: int = 500
     max_restarts: int = 8
     positivity_floor: float = 1e-10
     rng_seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+        _require_int("max_iters", self.max_iters, 1)
+        _require_int("max_restarts", self.max_restarts, 0)
 
     def to_dict(self) -> dict:
         return {
@@ -108,8 +123,8 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 3:
-            raise ValueError("need at least 3 samples")
+        _require_int("samples", self.samples, 3)
+        _require_int("seed", self.seed, 0)
 
 
 class UnsteerabilityCheck(NamedTuple):
@@ -372,22 +387,9 @@ def check_unsteerable_ab(V: CovarianceMatrix, tol: float = 1e-9) -> Unsteerabili
     return _direction_check(V, "A", tol)
 
 
-def _batch_values(A, B, mq, mp):
-    qa = np.einsum("ij,jk,ik->i", A, mq, A)
-    pb = np.einsum("ij,jk,ik->i", B, mp, B)
-    return qa + pb
-
-
-def _batch_gauge(A, B, functional):
-    if functional in ("sep_plus", "sep_minus"):
-        return np.einsum("ij,ij->i", A, B)
-    if functional == "steer_ab":
-        return A[:, -1] * B[:, -1]
-    return np.einsum("ij,ij->i", A[:, :-1], B[:, :-1])
-
-
-# brute-force search tuning: batch size, chain count, success-driven step
-# adaptation bounds, and the share of always-global exploration draws
+# brute-force search tuning: draws per chain and round, chain count,
+# success-driven step adaptation bounds, and the share of always-global
+# exploration draws
 _BATCH = 128
 _CHAINS = 4
 _GLOBAL_FRACTION = 0.2
@@ -410,65 +412,57 @@ def brute_force_min(
     """Randomized search oracle for the normalized-sum minima.
 
     Derivative-free seeded sampling of the gauge surface (signs free;
-    draws with non-positive gauge denominators are rejected). Draws are
-    made in coordinates whitened by the two quadratic forms, so the
-    search is insensitive to their conditioning; several independent
-    chains keep incumbent best points and adapt their perturbation
-    scale by growing it on success and shrinking it on failure, with
-    occasional heavy-tailed moves. The result upper-bounds the true
-    minimum, is deterministic per seed, and never increases when the
-    sample budget grows with the same seed (a larger budget replays the
-    smaller run's draws first).
+    draws with non-positive gauge denominators are rejected), in
+    coordinates z = (z_a, z_b) whitened by the two quadratic forms, where
+    a draw's value is (|z_a|^2 + |z_b|^2) / (z_a' G z_b) with
+    G = Mq^(-1/2) W Mp^(-1/2). Each round draws 128 points for each of 4
+    chains; a chain perturbs its incumbent by a success-adapted step (the
+    last chain with heavy-tailed noise) and keeps a share of global draws.
+    The result upper-bounds the true minimum, is deterministic per seed,
+    and never increases when the budget grows with the same seed: rounds
+    are drawn at full size and the last one masks out the draws past the
+    budget (chain-major), so a larger budget replays the smaller run and
+    scores a superset of its draws.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
     spec = grid or GridSpec()
-    mq, mp, _ = _functional_forms(sf, functional)
+    mq, mp, w = _functional_forms(sf, functional)
     n = sf.n_modes
-    white_q = _inv_sqrt_spd(mq)
-    white_p = _inv_sqrt_spd(mp)
+    gauge = _inv_sqrt_spd(mq) @ w @ _inv_sqrt_spd(mp)
     rng = np.random.default_rng(spec.seed)
+    shape = (_CHAINS, _BATCH, 2 * n)
+    chains = np.arange(_CHAINS)
     best = np.full(_CHAINS, np.inf)
-    incumbent = [None] * _CHAINS  # gauge-normalized, in whitened coordinates
+    incumbent = np.zeros((_CHAINS, 2 * n))  # gauge-normalized
     step = np.ones(_CHAINS)
-    drawn = 0
-    batch_index = 0
-    while drawn < spec.samples:
-        chain = batch_index % _CHAINS
-        nb = min(_BATCH, spec.samples - drawn)
-        z = rng.standard_normal((nb, 2 * n))
+    for start in range(0, spec.samples, _CHAINS * _BATCH):
+        # one normal block: a global row keeps its draw as a fresh point,
+        # a local row moves its chain's incumbent by step times the draw
+        z = rng.standard_normal(shape)
+        local = (rng.random(shape[:2]) >= _GLOBAL_FRACTION) & np.isfinite(best)[:, None]
+        # the last chain moves with clipped Cauchy noise instead, heavy-
+        # tailed jumps that escape shallow basins
+        heavy = np.clip(rng.standard_cauchy(shape[1:]), -50.0, 50.0)
+        np.copyto(z[-1], heavy, where=local[-1, :, None])
         # a share of the fresh draws gets a per-component log-uniform
         # stretch so lopsided weight vectors stay reachable
-        stretch = rng.random(nb) < 0.3
+        stretch = (rng.random(shape[:2]) < 0.3) & ~local
         z[stretch] *= np.exp(rng.uniform(-1.5, 1.5, size=(int(stretch.sum()), 2 * n)))
-        inc = incumbent[chain]
-        if inc is not None:
-            local = ~(rng.random(nb) < _GLOBAL_FRACTION)
-            n_local = int(local.sum())
-            if batch_index % 4 == 3:
-                # occasional heavy-tailed moves to escape shallow basins
-                noise = np.clip(rng.standard_cauchy((n_local, 2 * n)), -50.0, 50.0)
-            else:
-                noise = rng.standard_normal((n_local, 2 * n))
-            z[local] = inc[None, :] + step[chain] * noise
-        drawn += nb
-        batch_index += 1
-        A = z[:, :n] @ white_q.T
-        B = z[:, n:] @ white_p.T
-        den = _batch_gauge(A, B, functional)
+        np.copyto(z, incumbent[:, None, :] + step[:, None, None] * z, where=local[..., None])
+        flat = z.reshape(-1, 2 * n)
+        den = np.einsum("ki,ki->k", flat[:, :n] @ gauge, flat[:, n:])
         ok = den > 1e-12
-        if not np.any(ok):
-            step[chain] = max(step[chain] * _STEP_SHRINK, _STEP_MIN)
-            continue
-        norm = 1.0 / np.sqrt(den[ok])
-        A = A[ok] * norm[:, None]
-        B = B[ok] * norm[:, None]
-        vals = _batch_values(A, B, mq, mp)
-        i = int(np.argmin(vals))
-        if vals[i] < best[chain]:
-            best[chain] = float(vals[i])
-            incumbent[chain] = z[ok][i] * norm[i]
-            step[chain] = min(step[chain] * _STEP_GROW, _STEP_MAX)
-        else:
-            step[chain] = max(step[chain] * _STEP_SHRINK, _STEP_MIN)
+        ok[spec.samples - start :] = False  # draws past the budget
+        vals = np.full(den.shape, np.inf)
+        np.divide(np.einsum("ki,ki->k", flat, flat), den, out=vals, where=ok)
+        pick = vals.reshape(_CHAINS, _BATCH).argmin(axis=1) + chains * _BATCH
+        won = vals[pick] < best
+        best[won] = vals[pick[won]]
+        incumbent[won] = flat[pick[won]] / np.sqrt(den[pick[won]])[:, None]
+        step = np.where(
+            won,
+            np.minimum(step * _STEP_GROW, _STEP_MAX),
+            np.maximum(step * _STEP_SHRINK, _STEP_MIN),
+        )
     return float(best.min())

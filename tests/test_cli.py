@@ -286,6 +286,31 @@ class TestOracle:
         assert opt["max_restarts"] == 3
         assert opt["positivity_floor"] == 1e-8
 
+    @pytest.mark.parametrize(
+        "flag, bad",
+        [("--oracle-tol", "nan"), ("--oracle-tol", "-1"), ("--closed-form-tol", "nan")],
+    )
+    def test_bad_oracle_tolerance_exit_1(self, capsys, tmp_path, flag, bad):
+        # such a tolerance used to fail every comparison and exit 3
+        path = write_cm(tmp_path, tmsv(0.5))
+        code, out, err = run(
+            capsys, "oracle", path, "--functional", "steer_ab",
+            "--samples", "1000", f"{flag}={bad}",
+        )
+        assert code == 1
+        assert out == "" and flag in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-restarts=-3", "--max-iters=0", "--opt-tol=nan", "--opt-tol=0"]
+    )
+    def test_bad_optimizer_config_exit_1(self, capsys, tmp_path, flag):
+        path = write_cm(tmp_path, tmsv(0.5))
+        code, out, err = run(
+            capsys, "oracle", path, "--functional", "steer_ba", "--samples", "1000", flag
+        )
+        assert code == 1
+        assert out == "" and "error:" in err
+
     def test_disagreement_exit_3(self, capsys, tmp_path):
         path = write_cm(tmp_path, random_standard(3, seed=3))
         code, out, _ = run(
@@ -294,6 +319,27 @@ class TestOracle:
         )
         assert code == 3
         assert json.loads(out)["agreement_numeric_brute"] is False
+
+
+def test_repeated_main_calls_reproduce_output(capsys, tmp_path):
+    # one parser serves every main() call in a process; no call may leak
+    # state into the next
+    path = write_cm(tmp_path, tmsv(0.5))
+    calls = [
+        ["certify", path],
+        ["sweep", "noisy_tmsv", "--r", "0.7", "--param", "nbar", "--range", "0,1,5"],
+        ["oracle", path, "--functional", "steer_ba", "--samples", "20000", "--seed", "3"],
+        ["certify", path, "--opt-tol", "3"],
+    ]
+    strip = lambda s: [l for l in s.splitlines() if '"timing_ms"' not in l]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 1]
+    for _ in range(2):
+        for argv, (code, out, err) in zip(calls, first):
+            again = run(capsys, *argv)
+            assert again[0] == code
+            assert strip(again[1]) == strip(out)
+            assert again[2] == err
 
 
 def test_render_json_deterministic_17_digits():

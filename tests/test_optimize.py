@@ -293,6 +293,81 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="functional"):
             brute_force_min(sf, "sep_both", GridSpec(samples=100))
 
+    @pytest.mark.parametrize("functional", ["sep_plus", "sep_minus", "steer_ab", "steer_ba"])
+    def test_monotone_across_round_boundaries(self, functional):
+        # a round is 4 chains x 128 draws; budgets that end inside a round
+        # mask its tail and must still never beat a larger budget
+        sf = split_standard(random_standard(3, seed=11))
+        prev = np.inf
+        for samples in (511, 512, 513, 100_000, 100_001):
+            got = brute_force_min(sf, functional, GridSpec(samples, seed=5))
+            assert got <= prev
+            prev = got
+
+    def test_tiny_budget(self):
+        sf = split_standard(tmsv(0.5))
+        for functional in ("sep_plus", "sep_minus", "steer_ab", "steer_ba"):
+            got = brute_force_min(sf, functional, GridSpec(samples=3, seed=0))
+            closed = {
+                "sep_plus": np.exp(-1.0),
+                "sep_minus": 1.0,
+                "steer_ab": 1 / np.cosh(1.0),
+                "steer_ba": 1 / np.cosh(1.0),
+            }[functional]
+            assert got == np.inf or got >= closed - 1e-9
+
+    def test_oracle_record_byte_identical(self, capsys, tmp_path):
+        from cvwitness.cli import main
+
+        path = tmp_path / "cm.json"
+        random_standard(3, seed=2).save(path)
+        argv = ["oracle", str(path), "--functional", "sep_minus", "--samples", "5000", "--seed", "9"]
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert '"brute_force_min"' in runs[0][1]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"samples": 1000.5},
+            {"samples": True},
+            {"samples": "1000"},
+            {"seed": 1.0},
+            {"seed": False},
+        ],
+    )
+    def test_grid_rejects_non_integers(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(**kwargs)
+
+
+class TestOptimizerConfig:
+    def test_defaults_valid(self):
+        cfg = OptimizerConfig(max_restarts=0, max_iters=1, tol=1e-300)
+        assert cfg.to_dict()["max_restarts"] == 0
+
+    def test_rejects_negative_restarts(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            OptimizerConfig(max_restarts=-3)
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_rejects_max_iters_below_one(self, iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimizerConfig(max_iters=iters)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1e-10])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            OptimizerConfig(tol=tol)
+
+    @pytest.mark.parametrize("kwargs", [{"max_iters": 2.5}, {"max_restarts": True}])
+    def test_rejects_non_integer_counts(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            OptimizerConfig(**kwargs)
+
 
 class TestOracleSandwich:
     def test_numeric_below_brute_above_closed(self):
