@@ -15,6 +15,8 @@ from .covariance import (
     partition,
     schur_complement,
     schur_factor,
+    StackWitnesses,
+    stack_witnesses,
     split_standard,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
@@ -29,6 +31,7 @@ from .criteria import (
     OneWayExampleNotFound,
     VerdictConsistencyError,
     certify,
+    certify_many,
     find_one_way_example,
     sign_rule_holds,
 )

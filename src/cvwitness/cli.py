@@ -21,7 +21,7 @@ import numpy as np
 
 from .covariance import CovarianceMatrix, NotStandardFormError, schur_factor, split_standard
 from .covariance import standard_form_reduce_two_mode
-from .criteria import CorrelationVerdict, certify, resolve_tolerance
+from .criteria import CorrelationVerdict, certify, certify_many, resolve_tolerance
 from .optimize import (
     FUNCTIONALS,
     GridSpec,
@@ -247,11 +247,26 @@ def _cmd_sweep(args) -> int:
     if steps < 1:
         print("--range needs at least one step", file=sys.stderr)
         return EXIT_USAGE
+    reads = GeneratorSpec.NUMERIC_PARAMS[args.kind]
+    if args.param not in reads:
+        names = ", ".join(reads) if reads else "no parameter"
+        print(f"{args.kind} does not read {args.param!r}; it reads {names}", file=sys.stderr)
+        return EXIT_USAGE
     values = np.linspace(lo, hi, steps)
+    if args.param == "seed" and not np.array_equal(values, np.round(values)):
+        print(f"--range {args.value_range!r} gives seeds that are not integers", file=sys.stderr)
+        return EXIT_USAGE
     tol = resolve_tolerance(args.tol, "--tol")
     base = {"r": args.r, "nbar": args.nbar, "side": args.side, "seed": args.seed}
     if args.n_alice is not None:
         base["n_alice"] = args.n_alice
+
+    cms = []
+    for value in values:
+        params = dict(base)
+        params[args.param] = int(value) if args.param == "seed" else float(value)
+        cms.append(GeneratorSpec(kind=args.kind, n_modes=args.n, params=params).build())
+    verdicts = certify_many(cms, tol=tol)
 
     header = [
         args.param,
@@ -264,11 +279,7 @@ def _cmd_sweep(args) -> int:
     ]
     lines = [",".join(header)]
     previous: dict | None = None
-    for value in values:
-        params = dict(base)
-        params[args.param] = int(value) if args.param == "seed" else float(value)
-        cm = GeneratorSpec(kind=args.kind, n_modes=args.n, params=params).build()
-        verdict = certify(cm, tol=tol)
+    for value, verdict in zip(values, verdicts):
         vd = verdict.to_dict()
         wit = vd["witnesses"]
         row = [format(float(value), _FLOAT_DIGITS)]

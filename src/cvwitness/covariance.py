@@ -13,6 +13,7 @@ exactly the last mode.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,6 +40,8 @@ __all__ = [
     "partition",
     "schur_factor",
     "schur_complement",
+    "StackWitnesses",
+    "stack_witnesses",
     "aitken_factorize",
     "standard_form_reduce_two_mode",
     "two_mode_symplectic_pair",
@@ -445,6 +448,96 @@ def schur_complement(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
     """
     low = schur_factor(V, over)
     return low @ low.T
+
+
+class StackWitnesses(NamedTuple):
+    """Per-member witnesses of a stack of k bipartite CMs, each a (k,)
+    array. A member whose factorization failed has ``factored`` False
+    and zeros everywhere but ``min_rs_eig``."""
+
+    factored: np.ndarray
+    min_rs_eig: np.ndarray  # smallest eigenvalue of V + (i/2) J
+    nu_min: np.ndarray  # smallest symplectic eigenvalue of V
+    nu_min_pt: np.ndarray  # ... and of its partial transpose
+    det_ratio_ab: np.ndarray  # det V / det V_A
+    rs_ab: np.ndarray  # smallest eigenvalue of V/V_A + (i/2) J_B
+    det_ratio_ba: np.ndarray  # det V / det V_B
+    rs_ba: np.ndarray  # smallest eigenvalue of V/V_B + (i/2) J_A
+    schur_nu_min: np.ndarray  # smallest symplectic eigenvalue of V/V_B
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_constants(n_modes: int):
+    """(i/2) J, the forms J and P J P stacked, J_A, (i/2) J_A, (i/2) J_B
+    and the index order with Bob's mode first, for n_modes modes."""
+    j = symplectic_form(n_modes)
+    pt = j.copy()
+    pt[-2:, -2:] *= -1.0
+    k = 2 * n_modes - 2
+    out = (0.5j * j, np.stack([j, pt]), j[:k, :k], 0.5j * j[:k, :k], 0.5j * j[k:, k:],
+           np.r_[k : k + 2, :k])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _gram(low: np.ndarray) -> np.ndarray:
+    return low @ np.swapaxes(low, -1, -2)
+
+
+def stack_witnesses(v: np.ndarray) -> StackWitnesses:
+    """Every certification witness of a stack of bipartite CMs, shape
+    (k, 2n, 2n) with Bob holding the last mode, from two batched
+    Cholesky factorizations and three batched Hermitian eigensolves.
+
+    The factor V = L L^T is the positive-definiteness check, gives both
+    symplectic spectra through i L^T J L and i L^T (P J P) L, and its
+    trailing 2x2 block is the factor of V/V_A. The factor of V with
+    Bob's mode first has the factor L_kk of V/V_B as its trailing block,
+    whose spectrum is that of i L_kk^T J_A L_kk. When a batched
+    factorization fails, the stack is split in halves until each failing
+    member stands alone as a stack of one, so a failure marks only its
+    own member and costs O(log k) extra batched calls.
+    """
+    k, dim, _ = v.shape
+    n = dim // 2
+    rs_shift, forms, j_a, rs_shift_a, rs_shift_b, bob_first = _stack_constants(n)
+    try:
+        low = np.linalg.cholesky(v)
+        low_ba = np.linalg.cholesky(v[:, bob_first[:, None], bob_first])[:, 2:, 2:]
+    except np.linalg.LinAlgError:
+        if k > 1:
+            halves = (stack_witnesses(v[: k // 2]), stack_witnesses(v[k // 2 :]))
+            return StackWitnesses(*map(np.concatenate, zip(*halves)))
+        zero = np.zeros(1)
+        rs = np.linalg.eigvalsh(v + rs_shift)[:, 0]
+        return StackWitnesses(np.zeros(1, dtype=bool), rs, *[zero] * 7)
+    low_t = np.swapaxes(low, -1, -2)
+    spectra = 1j * (low_t[:, None] @ forms @ low[:, None])
+    eig = np.linalg.eigvalsh(np.concatenate([v + rs_shift, spectra.reshape(2 * k, dim, dim)]))
+    nus = eig[k:, n].reshape(k, 2)
+    low_ab = low[:, -2:, -2:]
+    rs_ab = np.linalg.eigvalsh(_gram(low_ab) + rs_shift_b)[:, 0]
+    low_ba_t = np.swapaxes(low_ba, -1, -2)
+    eig_ba = np.linalg.eigvalsh(
+        np.concatenate([_gram(low_ba) + rs_shift_a, 1j * (low_ba_t @ j_a @ low_ba)])
+    )
+
+    def det_ratio(low_kk):
+        # det V / det V_X = det(V / V_X) = prod(diag L_kk)^2
+        return np.prod(np.diagonal(low_kk, axis1=1, axis2=2), axis=1) ** 2
+
+    return StackWitnesses(
+        factored=np.ones(k, dtype=bool),
+        min_rs_eig=eig[:k, 0],
+        nu_min=nus[:, 0],
+        nu_min_pt=nus[:, 1],
+        det_ratio_ab=det_ratio(low_ab),
+        rs_ab=rs_ab,
+        det_ratio_ba=det_ratio(low_ba),
+        rs_ba=eig_ba[:k, 0],
+        schur_nu_min=eig_ba[k:, n - 1],
+    )
 
 
 def aitken_factorize(V: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -4,8 +4,10 @@ PPT/separability, and one-way steerability in both directions.
 `certify` accepts any CM with Alice holding N modes and Bob the last
 one, in standard form or not: it reads only local symplectic invariants
 (Simon, PRL 84, 2726, 2000; Wiseman, Jones and Doherty, PRL 98, 140402,
-2007), all from Cholesky factors of V. The A->B steering call uses the determinant ratio det V / det V_A
-against 1/4, which is exactly equivalent to the matrix condition when
+2007), all from Cholesky factors of V, for a whole stack of CMs at
+once (``certify_many``; ``certify`` is its stack of one). The A->B
+steering call uses the determinant ratio det V / det V_A against 1/4,
+which is exactly equivalent to the matrix condition when
 Bob holds one mode; both are computed and any disagreement outside the
 tolerance dead band raises, as an internal self-check. The B->A call
 uses the Schur-complement matrix condition, which is strictly stronger
@@ -22,13 +24,10 @@ import numpy as np
 from .covariance import (
     CovarianceMatrix,
     TwoModeStandardParams,
-    symplectic_eigenvalues,
-    symplectic_spectra,
+    stack_witnesses,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
-    validate_bona_fide,
 )
-from .optimize import check_unsteerable_ab, check_unsteerable_ba
 from .states import noisy_tmsv
 
 __all__ = [
@@ -36,6 +35,7 @@ __all__ = [
     "VerdictConsistencyError",
     "OneWayExampleNotFound",
     "certify",
+    "certify_many",
     "find_one_way_example",
     "sign_rule_holds",
     "default_tolerance",
@@ -125,13 +125,28 @@ class CorrelationVerdict:
         )
 
 
+_WITNESS_KEYS = (
+    "min_rs_eig",
+    "min_symplectic_eig",
+    "min_symplectic_eig_pt",
+    "sep_sum_plus_min",
+    "sep_sum_minus_min",
+    "steer_sum_ab_min",
+    "det_ratio_ab",
+    "det_ratio_ba",
+    "schur_min_symplectic_eig",
+)
+_MARGINAL_KEYS = ("marginal_ppt", "marginal_ab", "marginal_ba")
+
+
 def certify(
     V: CovarianceMatrix,
     tol: float | None = None,
     assume_gaussian: bool = True,
 ) -> CorrelationVerdict:
     """Certify physicality, separability conditions and both steering
-    directions for a bipartite (N vs 1)-mode covariance matrix.
+    directions for a bipartite (N vs 1)-mode covariance matrix: the
+    verdict ``certify_many`` gives it as a stack of one.
 
     Args:
         V: covariance matrix, Bob = last mode, in standard form or not.
@@ -142,101 +157,99 @@ def certify(
 
     A CM whose Cholesky factorization fails is refused as non-physical.
     """
+    return certify_many([V], tol=tol, assume_gaussian=assume_gaussian)[0]
+
+
+def certify_many(
+    cms,
+    tol: float | None = None,
+    assume_gaussian: bool = True,
+) -> list[CorrelationVerdict]:
+    """Certify a stack of bipartite CMs with the same number of modes,
+    given as a sequence of CMs or as an array of shape (k, 2n, 2n); one
+    verdict per member, each the one ``certify`` gives it alone.
+
+    The witnesses of the whole stack come from one batched kernel
+    (``covariance.stack_witnesses``), and the flags from array
+    comparisons on them. A member whose factorization fails is refused
+    as non-physical without affecting the others.
+    """
     tol = resolve_tolerance(tol)
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
+    cms = [cm if isinstance(cm, CovarianceMatrix) else CovarianceMatrix(cm) for cm in cms]
+    if not cms:
+        return []
+    for cm in cms:
+        cm.require_bipartite()
+    if len({cm.n_modes for cm in cms}) > 1:
+        raise ValueError("certify_many needs CMs with the same number of modes")
+    w = stack_witnesses(np.stack([cm.matrix for cm in cms]))
 
-    report = validate_bona_fide(V, tol=tol)
-    witnesses: dict = {"min_rs_eig": report.min_rs_eigenvalue}
-    physical = report.bona_fide
-    if physical:
-        try:
-            nu, nu_pt = symplectic_spectra(V)
-            ab = check_unsteerable_ab(V, tol=tol)
-            ba = check_unsteerable_ba(V, tol=tol)
-            schur_nu_min = float(symplectic_eigenvalues(ba.schur).min())
-        except np.linalg.LinAlgError:
-            # a factor of V with Bob first, or of V / V_B, failed: V is
-            # not numerically positive definite
-            physical = False
-    if not physical:
-        return CorrelationVerdict(
-            physical=False,
-            ppt=None,
-            separable_necessary_met=None,
-            gaussian_separable="undecided",
-            steerable_a_to_b=None,
-            steerable_b_to_a=None,
-            witnesses=witnesses,
-        )
-
-    nu_min = float(nu.min())
-    nu_min_pt = float(nu_pt.min())
-    ppt = bool(nu_min_pt >= 0.5 - tol)
-
+    physical = w.factored & (w.min_rs_eig >= -tol)
+    ppt = w.nu_min_pt >= 0.5 - tol
     # 2 nu~ and 2 nu are local invariants; whenever V has a standard form
     # they are the minima of the two separability sums there
-    sep_plus_min = 2.0 * nu_min_pt
-    sep_minus_min = 2.0 * nu_min
-    separable_ok = bool(
-        sep_plus_min >= 1.0 - tol and sep_minus_min >= 1.0 - tol
-    )
+    sep_plus_min = 2.0 * w.nu_min_pt
+    sep_minus_min = 2.0 * w.nu_min
+    separable_ok = (sep_plus_min >= 1.0 - tol) & (sep_minus_min >= 1.0 - tol)
 
-    steer_ab_min = 2.0 * np.sqrt(ab.det_ratio)
-    det_says_steerable = bool(ab.det_ratio < 0.25 - tol)
-    matrix_says_steerable = not ab.matrix_ok
-    ab_marginal = abs(ab.det_ratio - 0.25) <= tol or abs(ab.min_rs_eigenvalue) <= tol
-    if not ab_marginal and det_says_steerable != matrix_says_steerable:
+    steerable_ab = w.det_ratio_ab < 0.25 - tol
+    matrix_steerable_ab = w.rs_ab < -tol
+    marginal_ab = (np.abs(w.det_ratio_ab - 0.25) <= tol) | (np.abs(w.rs_ab) <= tol)
+    disagree = physical & ~marginal_ab & (steerable_ab != matrix_steerable_ab)
+    if disagree.any():
+        i = int(disagree.argmax())
         raise VerdictConsistencyError(
-            f"A->B determinant and matrix forms disagree: "
-            f"det ratio {ab.det_ratio!r} vs min eigenvalue {ab.min_rs_eigenvalue!r}"
+            f"A->B determinant and matrix forms disagree on member {i} of the stack: "
+            f"det ratio {w.det_ratio_ab[i]!r} vs min eigenvalue {w.rs_ab[i]!r}"
         )
-    steerable_a_to_b = det_says_steerable
-
-    steerable_b_to_a = not ba.matrix_ok
-    ba_marginal = abs(ba.min_rs_eigenvalue) <= tol
-
-    if not ppt:
-        gaussian_separable = "no"
-    elif assume_gaussian:
-        gaussian_separable = "yes"
-    else:
-        gaussian_separable = "undecided"
-
-    if (steerable_a_to_b or steerable_b_to_a) and gaussian_separable == "yes":
+    steerable_ba = w.rs_ba < -tol
+    marginal_ba = np.abs(w.rs_ba) <= tol
+    if assume_gaussian and (physical & ppt & (steerable_ab | steerable_ba)).any():
         raise VerdictConsistencyError(
             "steering flag raised on a PPT (hence separable) Gaussian state"
         )
+    marginal_ppt = np.abs(w.nu_min_pt - 0.5) <= tol
 
-    witnesses.update(
-        {
-            "min_symplectic_eig": nu_min,
-            "min_symplectic_eig_pt": nu_min_pt,
-            "sep_sum_plus_min": sep_plus_min,
-            "sep_sum_minus_min": sep_minus_min,
-            "steer_sum_ab_min": float(steer_ab_min),
-            "det_ratio_ab": float(ab.det_ratio),
-            "det_ratio_ba": float(ba.det_ratio),
-            "schur_min_symplectic_eig": schur_nu_min,
-        }
-    )
-    if abs(nu_min_pt - 0.5) <= tol:
-        witnesses["marginal_ppt"] = 1.0
-    if ab_marginal:
-        witnesses["marginal_ab"] = 1.0
-    if ba_marginal:
-        witnesses["marginal_ba"] = 1.0
-
-    return CorrelationVerdict(
-        physical=True,
-        ppt=ppt,
-        separable_necessary_met=separable_ok,
-        gaussian_separable=gaussian_separable,
-        steerable_a_to_b=steerable_a_to_b,
-        steerable_b_to_a=steerable_b_to_a,
-        witnesses=witnesses,
-    )
+    witnesses = np.stack(
+        [w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus_min, sep_minus_min,
+         2.0 * np.sqrt(w.det_ratio_ab), w.det_ratio_ab, w.det_ratio_ba, w.schur_nu_min],
+        axis=1,
+    ).tolist()
+    flags = np.stack(
+        [physical, ppt, separable_ok, steerable_ab, steerable_ba,
+         marginal_ppt, marginal_ab, marginal_ba],
+        axis=1,
+    ).tolist()
+    separable_if_ppt = "yes" if assume_gaussian else "undecided"
+    verdicts = []
+    for values, (phys, pt, sep_ok, ab, ba, *marginals) in zip(witnesses, flags):
+        if not phys:
+            verdicts.append(
+                CorrelationVerdict(
+                    physical=False,
+                    ppt=None,
+                    separable_necessary_met=None,
+                    gaussian_separable="undecided",
+                    steerable_a_to_b=None,
+                    steerable_b_to_a=None,
+                    witnesses={"min_rs_eig": values[0]},
+                )
+            )
+            continue
+        wit = dict(zip(_WITNESS_KEYS, values))
+        wit.update((key, 1.0) for key, on in zip(_MARGINAL_KEYS, marginals) if on)
+        verdicts.append(
+            CorrelationVerdict(
+                physical=True,
+                ppt=pt,
+                separable_necessary_met=sep_ok,
+                gaussian_separable=separable_if_ppt if pt else "no",
+                steerable_a_to_b=ab,
+                steerable_b_to_a=ba,
+                witnesses=wit,
+            )
+        )
+    return verdicts
 
 
 _R_GRID = (0.3, 0.5, 0.7, 1.0)
@@ -253,20 +266,24 @@ def find_one_way_example(
     """Search noise-added two-mode squeezed states for a one-way steerable
     example (steerable in exactly one direction).
 
-    Scans a grid of squeezing and one-sided thermal noise; widens the
-    grid once before giving up. The returned CM is always bona fide.
+    Certifies a grid of squeezing and one-sided thermal noise as one
+    stack and returns its first one-way member in (r, nbar, side) order;
+    widens the grid once before giving up. The returned CM is always
+    bona fide.
     """
     grids = [(r_values or _R_GRID, nbar_values or _NBAR_GRID)]
     if r_values is None and nbar_values is None:
         grids.append((_R_GRID_WIDE, _NBAR_GRID_WIDE))
     for rs, nbars in grids:
-        for r in rs:
-            for nbar in nbars:
-                for side in ("A", "B"):
-                    cm = noisy_tmsv(r, nbar, side=side)
-                    verdict = certify(cm, tol=tol)
-                    if verdict.steerable_a_to_b != verdict.steerable_b_to_a:
-                        return cm
+        cms = [
+            noisy_tmsv(r, nbar, side=side)
+            for r in rs
+            for nbar in nbars
+            for side in ("A", "B")
+        ]
+        for cm, verdict in zip(cms, certify_many(cms, tol=tol)):
+            if verdict.steerable_a_to_b != verdict.steerable_b_to_a:
+                return cm
     raise OneWayExampleNotFound(
         "no one-way steerable state on the searched noisy-TMSV grid"
     )

@@ -84,6 +84,11 @@ class OptimizerConfig:
             raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
         _require_int("max_iters", self.max_iters, 1)
         _require_int("max_restarts", self.max_restarts, 0)
+        # a NaN floor would silently clear every boundary_flag
+        if not (math.isfinite(self.positivity_floor) and self.positivity_floor >= 0.0):
+            raise ValueError(
+                f"positivity_floor must be a finite number >= 0, got {self.positivity_floor!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -249,7 +254,14 @@ def _minimize_gauge_ratio(
         if a0 @ w @ b0 < 0:
             b0 = -b0
         val, a, b, iters, conv = _alternate(mq, mp, w, a0, b0, cfg.max_iters, stop_tol)
-        if best is None or val < best[0]:
+        # a later start wins only by more than the stopping tolerance, or
+        # by converging where the incumbent did not: a tie in the last
+        # digits must not trade the incumbent's point for another one
+        if (
+            best is None
+            or val + stop_tol * max(1.0, abs(val)) < best[0]
+            or (conv and not best[4])
+        ):
             best = (val, a, b, iters, conv)
     val, a, b, iters, conv = best
     if not np.isfinite(val):

@@ -174,6 +174,14 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     KINDS = ("vacuum", "thermal", "tmsv", "noisy_tmsv", "random_standard")
+    # the numeric parameters each kind reads, the ones a sweep may vary
+    NUMERIC_PARAMS = {
+        "vacuum": (),
+        "thermal": ("nbar",),
+        "tmsv": ("r",),
+        "noisy_tmsv": ("r", "nbar"),
+        "random_standard": ("seed",),
+    }
 
     def __post_init__(self):
         if self.kind not in self.KINDS:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvwitness import CovarianceMatrix, certify, random_standard, tmsv, vacuum
+from cvwitness import cli
 from cvwitness.cli import main, render_json
 from conftest import rotated, rotated_and_squeezed
 
@@ -234,6 +235,42 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "0;1;5")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "kind, param, reads",
+        [("tmsv", "foo", "r"), ("tmsv", "nbar", "r"), ("noisy_tmsv", "seed", "r, nbar"),
+         ("random_standard", "r", "seed"), ("thermal", "r", "nbar"),
+         ("vacuum", "r", "no parameter")],
+    )
+    def test_ignored_param_exit_1(self, capsys, kind, param, reads):
+        # such a sweep used to print identical rows and exit 0
+        code, out, err = run(capsys, "sweep", kind, "--param", param, "--range", "0,1,3")
+        assert code == 1
+        assert out == "" and f"reads {reads}" in err
+
+    def test_non_integer_seed_range_exit_1(self, capsys):
+        # rows used to show seed 3.3333333333333335 beside the verdict of seed 3
+        code, out, err = run(
+            capsys, "sweep", "random_standard", "--param", "seed", "--range", "0,10,4"
+        )
+        assert code == 1
+        assert out == "" and "not integers" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tmsv", "--param", "r", "--range", "0,12,25"],
+         ["noisy_tmsv", "--r", "0.7", "--param", "nbar", "--range", "0,1,21"],
+         ["random_standard", "--n", "4", "--param", "seed", "--range", "0,9,10"]],
+    )
+    def test_csv_matches_one_at_a_time(self, capsys, monkeypatch, argv):
+        code, batched, _ = run(capsys, "sweep", *argv)
+        assert code == 0
+        monkeypatch.setattr(
+            cli, "certify_many", lambda cms, tol: [certify(cm, tol=tol) for cm in cms]
+        )
+        code, single, _ = run(capsys, "sweep", *argv)
+        assert code == 0
+        assert batched == single
+
 
 class TestOracle:
     def test_tmsv_steer_ab_agreement(self, capsys, tmp_path):
@@ -310,6 +347,15 @@ class TestOracle:
         )
         assert code == 1
         assert out == "" and "error:" in err
+
+    def test_nan_positivity_floor_exit_1(self, capsys, tmp_path):
+        path = write_cm(tmp_path, tmsv(0.5))
+        code, out, err = run(
+            capsys, "oracle", path, "--functional", "sep_minus", "--samples", "1000",
+            "--positivity-floor", "nan",
+        )
+        assert code == 1
+        assert out == "" and "positivity_floor" in err
 
     def test_disagreement_exit_3(self, capsys, tmp_path):
         path = write_cm(tmp_path, random_standard(3, seed=3))

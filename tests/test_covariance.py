@@ -16,6 +16,7 @@ from cvwitness import (
     schur_complement,
     schur_factor,
     split_standard,
+    stack_witnesses,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
     symplectic_form,
@@ -181,6 +182,31 @@ class TestSymplecticSpectra:
     def test_requires_bipartite(self):
         with pytest.raises(ValueError, match="bipartite"):
             symplectic_spectra(vacuum(1))
+
+
+class TestStackWitnesses:
+    def test_matches_single_cm_primitives(self, assorted_cms):
+        for n in (2, 3, 4):
+            cms = [cm for cm in assorted_cms if cm.n_modes == n]
+            w = stack_witnesses(np.stack([cm.matrix for cm in cms]))
+            assert w.factored.all()
+            for i, cm in enumerate(cms):
+                nu, nu_pt = symplectic_spectra(cm)
+                low_ab = schur_factor(cm, "A")
+                low_ba = schur_factor(cm, "B")
+                got = [w.nu_min[i], w.nu_min_pt[i], w.det_ratio_ab[i], w.det_ratio_ba[i],
+                       w.schur_nu_min[i], w.min_rs_eig[i]]
+                want = [nu.min(), nu_pt.min(), np.prod(np.diag(low_ab)) ** 2,
+                        np.prod(np.diag(low_ba)) ** 2,
+                        symplectic_eigenvalues(low_ba @ low_ba.T).min(),
+                        validate_bona_fide(cm).min_rs_eigenvalue]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_failed_factor_marks_only_its_member(self):
+        w = stack_witnesses(np.stack([tmsv(0.5).matrix, tmsv(11.0).matrix]))
+        assert w.factored.tolist() == [True, False]
+        assert w.nu_min[1] == 0.0
+        assert w.min_rs_eig[1] == validate_bona_fide(tmsv(11.0)).min_rs_eigenvalue
 
 
 class TestPartialTranspose:

@@ -1,3 +1,7 @@
+import json
+from collections import defaultdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from cvwitness import (
     OneWayExampleNotFound,
     TwoModeStandardParams,
     certify,
+    certify_many,
     find_one_way_example,
     min_separability_sum_numeric,
     noisy_tmsv,
@@ -192,6 +197,69 @@ class TestOneWayExample:
     def test_not_found_on_hopeless_grid(self):
         with pytest.raises(OneWayExampleNotFound):
             find_one_way_example(r_values=[0.0], nbar_values=[0.0])
+
+    def test_first_in_scan_order(self):
+        # the stacked grid keeps the (r, nbar, side) scan order
+        rs, nbars = [0.3, 0.7], [0.1, 0.2, 0.35, 0.4]
+        first = next(
+            noisy_tmsv(r, nbar, side)
+            for r in rs
+            for nbar in nbars
+            for side in ("A", "B")
+            if (v := certify(noisy_tmsv(r, nbar, side))).steerable_a_to_b
+            != v.steerable_b_to_a
+        )
+        got = find_one_way_example(r_values=rs, nbar_values=nbars)
+        np.testing.assert_array_equal(got.matrix, first.matrix)
+
+
+class TestCertifyMany:
+    """The batched kernel gives every member exactly the verdict it gets
+    alone (``certify`` is the stack of one)."""
+
+    def test_golden_groups_match_single(self):
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "golden.json").read_text()
+        )
+        groups = defaultdict(list)
+        for entry in golden["entries"]:
+            cm = CovarianceMatrix.from_dict(entry["cm"])
+            groups[cm.n_modes].append(cm)
+        assert len(groups) > 1
+        for cms in groups.values():
+            many = certify_many(cms, tol=golden["tol"])
+            for cm, verdict in zip(cms, many, strict=True):
+                assert verdict.to_dict() == certify(cm, tol=golden["tol"]).to_dict()
+
+    def test_mixed_stack_failures_stay_local(self):
+        # non-physical, factorization failure, and heavy squeezing in one stack
+        cms = [CovarianceMatrix(0.25 * np.eye(4)), tmsv(11.0), tmsv(10.0)]
+        many = certify_many(cms)
+        assert [v.physical for v in many] == [False, False, True]
+        for cm, verdict in zip(cms, many):
+            assert verdict.to_dict() == certify(cm).to_dict()
+
+    def test_array_stack_input(self):
+        cms = [random_standard(3, seed=s) for s in range(5)]
+        stack = np.stack([cm.matrix for cm in cms])
+        from_array = [v.to_dict() for v in certify_many(stack, tol=1e-9)]
+        assert from_array == [v.to_dict() for v in certify_many(cms, tol=1e-9)]
+
+    def test_assume_gaussian_applies_to_every_member(self):
+        cms = [vacuum(2), tmsv(0.5)]
+        got = [v.gaussian_separable for v in certify_many(cms, assume_gaussian=False)]
+        assert got == ["undecided", "no"]
+
+    def test_empty_stack(self):
+        assert certify_many([]) == []
+
+    def test_mixed_mode_counts_rejected(self):
+        with pytest.raises(ValueError, match="same number of modes"):
+            certify_many([vacuum(2), vacuum(3)])
+
+    def test_bad_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            certify_many([vacuum(2)], tol=float("nan"))
 
 
 class TestSignRule:

@@ -134,6 +134,15 @@ class TestSeparabilityNumeric:
             assert plus == pytest.approx(2 * nu_pt, abs=1e-8)
             assert minus == pytest.approx(2 * nu, abs=1e-8)
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_restart_tie_keeps_equal_weights(self, sign):
+        # a random restart once beat the all-ones start by one ulp and
+        # reported a point outside the positive orthant
+        res = min_separability_sum_numeric(split_standard(vacuum(3)), sign)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert not res.boundary_flag
+        np.testing.assert_allclose(res.argmin_alpha, np.full(3, 3 ** -0.5), rtol=1e-9)
+
     def test_boundary_flag_reports_orthant_exit(self):
         # product state: the cross weights vanish at the minimum
         sf = split_standard(product_cm(1.0, 0.7))
@@ -362,6 +371,12 @@ class TestOptimizerConfig:
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             OptimizerConfig(tol=tol)
+
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -1e-10])
+    def test_rejects_bad_positivity_floor(self, floor):
+        # a NaN floor used to clear boundary_flag on every input
+        with pytest.raises(ValueError, match="positivity_floor"):
+            OptimizerConfig(positivity_floor=floor)
 
     @pytest.mark.parametrize("kwargs", [{"max_iters": 2.5}, {"max_restarts": True}])
     def test_rejects_non_integer_counts(self, kwargs):
