@@ -365,6 +365,8 @@ def _cmd_oracle(args) -> int:
         "numeric_min": numeric.value,
         "numeric_converged": numeric.converged,
         "numeric_boundary_flag": numeric.boundary_flag,
+        "numeric_iterations": numeric.iterations,
+        "numeric_restarts": numeric.restarts_used,
         "brute_force_min": brute,
         "closed_form": closed,
         "numeric_vs_brute": gap_brute,

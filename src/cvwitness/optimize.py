@@ -178,60 +178,105 @@ def _functional_forms(sf: StandardForm, functional: str):
     return mq, mp, _gauge_matrix(sf.n_modes, functional)
 
 
-def _rebalance(a, b, q, p):
-    s = (p / q) ** 0.25
-    return a * s, b / s
+# row-wise kernels of the stacked alternation. Matmul over (s, 1, n) rows
+# and a solve batched over (s, n, 1) right-hand sides give each row the
+# bits of the one-vector product or solve; a (s, n) matmul or a solve with
+# s right-hand-side columns does not, and would let one start's iteration
+# count depend on the other starts in its stack.
+
+
+def _rowdot(x, y):
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _rowmul(x, m):
+    """Each row of x times m."""
+    return (x[:, None, :] @ m)[:, 0]
+
+
+def _rowsolve(m, x):
+    """Each row of x solved against m."""
+    return np.linalg.solve(m, x[:, :, None])[:, :, 0]
 
 
 def _alternate(mq, mp, w, a0, b0, max_iters, stop_tol):
     """Accelerated alternating minimization of (a'Mq a + b'Mp b) on the
-    gauge surface a'Wb = 1. Returns (value, a, b, iterations, converged)."""
-    a = np.asarray(a0, dtype=float).copy()
-    b = np.asarray(b0, dtype=float).copy()
-    den = a @ w @ b
-    if abs(den) < 1e-300:
-        return np.inf, a, b, 0, False
-    scale = np.sqrt(abs(den))
-    a /= scale
-    b *= np.sign(den) / scale
-    prev_b = None
-    val = np.inf
+    gauge surface a'Wb = 1, run on a (s, n) stack of starts at once.
+
+    Each half-step is one solve over every live start. A start leaves the
+    stack when it converges or degenerates (a vanishing gauge or
+    half-step denominator, reported as value inf and not converged) and
+    keeps what the one-start iteration would have returned. Returns
+    (value, a, b, iterations, converged), each with the stack's leading
+    axis.
+    """
+    a = np.array(a0, dtype=float, ndmin=2)
+    b = np.array(b0, dtype=float, ndmin=2)
+    value = np.full(len(a), np.inf)
+    iterations = np.zeros(len(a), dtype=int)
+    converged = np.zeros(len(a), dtype=bool)
+    den = _rowdot(_rowmul(a, w), b)
+    idx = np.flatnonzero(np.abs(den) >= 1e-300)
+    scale = np.sqrt(np.abs(den[idx]))
+    # the live starts, row j being start idx[j]
+    A = a[idx] / scale[:, None]
+    B = b[idx] * (np.sign(den[idx]) / scale)[:, None]
+    prev_b = B  # first read by the Aitken step at k = 11
+    val = np.full(idx.size, np.inf)
     for k in range(max_iters):
-        u = w @ b
-        x = np.linalg.solve(mq, u)
-        du = u @ x
-        if abs(du) < 1e-300:
-            return np.inf, a, b, k, False
-        a = x / du
-        v = w.T @ a
-        y = np.linalg.solve(mp, v)
-        dv = v @ y
-        if abs(dv) < 1e-300:
-            return np.inf, a, b, k, False
-        bn = y / dv
-        if prev_b is not None and k % 12 == 11:
+        if idx.size == 0:
+            break
+        U = _rowmul(B, w.T)
+        X = _rowsolve(mq, U)
+        du = _rowdot(U, X)
+        out = np.abs(du) < 1e-300
+        if out.any():
+            # a degenerate start keeps the point it has reached
+            gone = idx[out]
+            a[gone], b[gone], iterations[gone] = A[out], B[out], k
+            idx, A, B, prev_b, val, X, du = (x[~out] for x in (idx, A, B, prev_b, val, X, du))
+        A = X / du[:, None]
+        V = _rowmul(A, w)
+        Y = _rowsolve(mp, V)
+        dv = _rowdot(V, Y)
+        out = np.abs(dv) < 1e-300
+        if out.any():
+            gone = idx[out]
+            a[gone], b[gone], iterations[gone] = A[out], B[out], k
+            idx, A, B, prev_b, val, Y, dv = (x[~out] for x in (idx, A, B, prev_b, val, Y, dv))
+        bn = Y / dv[:, None]
+        if k % 12 == 11:
             # Aitken vector extrapolation: the alternation converges like a
             # power iteration, slowly when the spectrum is near-degenerate
-            d1 = bn - b
-            d0 = b - prev_b
-            nrm = d0 @ d0
-            if nrm > 0:
-                rho = (d1 @ d0) / nrm
-                if 0.0 < rho < 0.9999:
-                    cand = bn + d1 * (rho / (1.0 - rho))
-                    gauge = a @ w @ cand
-                    if abs(gauge) > 1e-12:
-                        bn = cand / gauge
-        prev_b = b
-        b = bn
-        q = a @ mq @ a
-        p = b @ mp @ b
-        a, b = _rebalance(a, b, q, p)
+            d1 = bn - B
+            d0 = B - prev_b
+            nrm = _rowdot(d0, d0)
+            rows = np.flatnonzero(nrm > 0)
+            rho = _rowdot(d1[rows], d0[rows]) / nrm[rows]
+            fit = (0.0 < rho) & (rho < 0.9999)
+            rows, rho = rows[fit], rho[fit]
+            cand = bn[rows] + d1[rows] * (rho / (1.0 - rho))[:, None]
+            gauge = _rowdot(_rowmul(A[rows], w), cand)
+            take = np.abs(gauge) > 1e-12
+            bn[rows[take]] = cand[take] / gauge[take, None]
+        prev_b = B
+        q = _rowdot(_rowmul(A, mq), A)
+        p = _rowdot(_rowmul(bn, mp), bn)
+        # rebalance: equal variances, which any true extremum satisfies
+        r = ((p / q) ** 0.25)[:, None]
+        A, B = A * r, bn / r
         new = 2.0 * np.sqrt(q * p)
-        if k > 3 and abs(val - new) < stop_tol * max(1.0, abs(new)):
-            return new, a, b, k + 1, True
+        if k > 3:
+            done = np.abs(val - new) < stop_tol * np.maximum(1.0, np.abs(new))
+            if done.any():
+                gone = idx[done]
+                a[gone], b[gone], value[gone] = A[done], B[done], new[done]
+                iterations[gone], converged[gone] = k + 1, True
+                idx, A, B, prev_b, new = (x[~done] for x in (idx, A, B, prev_b, new))
         val = new
-    return val, a, b, max_iters, False
+    # the starts still in the stack ran out of iterations
+    a[idx], b[idx], value[idx], iterations[idx] = A, B, val, max_iters
+    return value, a, b, iterations, converged
 
 
 def _minimize_gauge_ratio(
@@ -242,28 +287,26 @@ def _minimize_gauge_ratio(
     n = sf.n_modes
     rng = np.random.default_rng(cfg.rng_seed)
     stop_tol = min(cfg.tol, 1e-12) * 0.1
-    best = None
     starts = max(cfg.max_restarts, 1)
-    for s in range(starts):
-        if s == 0:
-            a0 = np.ones(n)
-            b0 = np.ones(n)
-        else:
-            a0 = rng.standard_normal(n)
-            b0 = rng.standard_normal(n)
-        if a0 @ w @ b0 < 0:
-            b0 = -b0
-        val, a, b, iters, conv = _alternate(mq, mp, w, a0, b0, cfg.max_iters, stop_tol)
+    # all-ones first, then a0 and b0 drawn per restart
+    a0 = np.ones((starts, n))
+    b0 = np.ones((starts, n))
+    draws = rng.standard_normal((starts - 1, 2, n))
+    a0[1:], b0[1:] = draws[:, 0], draws[:, 1]
+    b0[_rowdot(_rowmul(a0, w), b0) < 0] *= -1.0
+    vals, a_all, b_all, iters_all, conv_all = _alternate(
+        mq, mp, w, a0, b0, cfg.max_iters, stop_tol
+    )
+    best = 0
+    for s in range(1, starts):
         # a later start wins only by more than the stopping tolerance, or
         # by converging where the incumbent did not: a tie in the last
         # digits must not trade the incumbent's point for another one
-        if (
-            best is None
-            or val + stop_tol * max(1.0, abs(val)) < best[0]
-            or (conv and not best[4])
+        if vals[s] + stop_tol * max(1.0, abs(vals[s])) < vals[best] or (
+            conv_all[s] and not conv_all[best]
         ):
-            best = (val, a, b, iters, conv)
-    val, a, b, iters, conv = best
+            best = s
+    val, a, b, iters, conv = vals[best], a_all[best], b_all[best], iters_all[best], conv_all[best]
     if not np.isfinite(val):
         raise np.linalg.LinAlgError("minimization degenerated on every start")
     # canonical sign: overall negation of both vectors leaves the sum fixed

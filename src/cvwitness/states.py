@@ -48,17 +48,30 @@ def thermal(nbar) -> CovarianceMatrix:
     return CovarianceMatrix(np.diag(np.repeat(nbar + 0.5, 2)))
 
 
+def _tmsv_matrix(r: float) -> np.ndarray:
+    """Interleaved TMSV matrix: b = cosh(2r)/2 on the diagonal, c = sinh(2r)/2
+    between the two q's and -c between the two p's."""
+    if r < 0:
+        raise ValueError("squeezing parameter must be >= 0")
+    b = np.cosh(2 * r) / 2
+    c = np.sinh(2 * r) / 2
+    return np.array(
+        [
+            [b, 0.0, c, 0.0],
+            [0.0, b, 0.0, -c],
+            [c, 0.0, b, 0.0],
+            [0.0, -c, 0.0, b],
+        ]
+    )
+
+
 def tmsv(r: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum CM with squeezing parameter r >= 0.
 
     Standard form with b1 = b2 = cosh(2r)/2, c = -d = sinh(2r)/2; the
     state is pure (det V = 1/16) for every r.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter must be >= 0")
-    b = np.cosh(2 * r) / 2
-    c = np.sinh(2 * r) / 2
-    return TwoModeStandardParams(b1=b, b2=b, c=c, d=-c).to_covariance_matrix()
+    return CovarianceMatrix(_tmsv_matrix(r))
 
 
 def noisy_tmsv(r: float, nbar: float, side: str = "A") -> CovarianceMatrix:
@@ -78,9 +91,10 @@ def noisy_tmsv(r: float, nbar: float, side: str = "A") -> CovarianceMatrix:
         raise ValueError("noise occupation must be >= 0")
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    m = tmsv(r).matrix.copy()
+    m = _tmsv_matrix(r)
     k = 0 if side == "A" else 2
-    m[k : k + 2, k : k + 2] += nbar * np.eye(2)
+    m[k, k] += nbar
+    m[k + 1, k + 1] += nbar
     return CovarianceMatrix(m)
 
 

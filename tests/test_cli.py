@@ -1,12 +1,24 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvwitness import CovarianceMatrix, certify, random_standard, tmsv, vacuum
+from cvwitness import (
+    CovarianceMatrix,
+    OptimizerConfig,
+    certify,
+    min_steering_sum_ba_numeric,
+    random_standard,
+    split_standard,
+    tmsv,
+    vacuum,
+)
 from cvwitness import cli
 from cvwitness.cli import main, render_json
 from conftest import rotated, rotated_and_squeezed
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -271,6 +283,17 @@ class TestSweep:
         assert code == 0
         assert batched == single
 
+    def test_generator_sweeps_byte_identical(self, capsys):
+        # CSVs written when tmsv built a TwoModeStandardParams and
+        # noisy_tmsv copied tmsv's matrix; building each matrix in one
+        # array must not move a digit
+        frozen = json.loads((DATA / "generator_sweeps.json").read_text())
+        assert len(frozen) == 5
+        for case in frozen:
+            code, out, _ = run(capsys, "sweep", *case["argv"])
+            assert code == 0
+            assert out == case["csv"], case["argv"]
+
 
 class TestOracle:
     def test_tmsv_steer_ab_agreement(self, capsys, tmp_path):
@@ -313,6 +336,25 @@ class TestOracle:
         )
         assert code == 0
         assert json.loads(out)["agreement_closed_form"] is True
+
+    def test_minimizer_counts_recorded(self, capsys, tmp_path):
+        cm = random_standard(3, seed=7)
+        path = write_cm(tmp_path, cm)
+        # a small budget: the sampler's agreement is not what is tested
+        argv = ["oracle", path, "--functional", "steer_ba", "--samples", "2000",
+                "--oracle-tol", "1", "--max-restarts", "5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv)[1] == out
+        rec = json.loads(out)
+        keys = list(rec)
+        i = keys.index("numeric_boundary_flag")
+        assert keys[i + 1 : i + 3] == ["numeric_iterations", "numeric_restarts"]
+        want = min_steering_sum_ba_numeric(
+            split_standard(cm), OptimizerConfig(max_restarts=5)
+        )
+        assert rec["numeric_iterations"] == want.iterations > 0
+        assert rec["numeric_restarts"] == 5
 
     def test_optimizer_flags_echoed(self, capsys, tmp_path):
         path = write_cm(tmp_path, tmsv(0.5))

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import defaultdict
 from pathlib import Path
@@ -114,6 +115,23 @@ class TestCertifyInvariances:
             )
             for key, val in ref.witnesses.items():
                 assert v.witnesses[key] == pytest.approx(val, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_alice_mode_permutation_invariance(self, n):
+        # relabelling Alice's modes is a local symplectic on her side
+        flags = ("physical", "ppt", "separable_necessary_met", "gaussian_separable",
+                 "steerable_a_to_b", "steerable_b_to_a")
+        for seed in range(4):
+            cm = random_standard(n, seed=seed)
+            want = certify(cm).to_dict()
+            for perm in itertools.permutations(range(n - 1)):
+                modes = np.array(perm + (n - 1,))
+                idx = np.stack([2 * modes, 2 * modes + 1], axis=1).ravel()
+                got = certify(CovarianceMatrix(cm.matrix[np.ix_(idx, idx)])).to_dict()
+                assert {k: got[k] for k in flags} == {k: want[k] for k in flags}, perm
+                assert list(got["witnesses"]) == list(want["witnesses"])
+                for key, value in want["witnesses"].items():
+                    assert got["witnesses"][key] == pytest.approx(value, rel=1e-10), (perm, key)
 
     def test_steering_implies_entanglement(self):
         # never a steering flag on a PPT (separable Gaussian) verdict

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from cvwitness import (
     variance_q,
 )
 from cvwitness.covariance import StandardForm
+from cvwitness.optimize import _alternate, _functional_forms
 from conftest import product_cm
 
 VACUUM_PARAMS = TwoModeStandardParams(0.5, 0.5, 0.0, 0.0)
@@ -148,6 +151,82 @@ class TestSeparabilityNumeric:
         sf = split_standard(product_cm(1.0, 0.7))
         res = min_separability_sum_numeric(sf, "minus")
         assert res.boundary_flag
+
+
+def _random_starts(sf, functional, count, seed):
+    """The forms of a functional and count random starts, each with a
+    positive gauge a0' W b0, as the minimizer's restarts have."""
+    mq, mp, w = _functional_forms(sf, functional)
+    rng = np.random.default_rng(seed)
+    a0 = rng.standard_normal((count, sf.n_modes))
+    b0 = rng.standard_normal((count, sf.n_modes))
+    b0[np.einsum("ki,ij,kj->k", a0, w, b0) < 0] *= -1.0
+    return mq, mp, w, a0, b0
+
+
+class TestStackedAlternation:
+    STOP_TOL = 1e-13  # what the default OptimizerConfig gives
+
+    @pytest.mark.parametrize("max_iters", [500, 12])
+    def test_rows_match_stack_of_one(self, max_iters):
+        # at 12 iterations some starts converge and some run out, so rows
+        # leave the stack at different times
+        outcomes, exits = set(), set()
+        for n, functional, seed in itertools.product(
+            (2, 3, 5), ("sep_plus", "sep_minus", "steer_ba"), range(4)
+        ):
+            sf = split_standard(random_standard(n, seed=seed))
+            mq, mp, w, a0, b0 = _random_starts(sf, functional, 8, seed)
+            val, a, b, iters, conv = _alternate(mq, mp, w, a0, b0, max_iters, self.STOP_TOL)
+            assert val.shape == iters.shape == conv.shape == (8,)
+            assert a.shape == b.shape == (8, n)
+            for i in range(8):
+                one = _alternate(mq, mp, w, a0[i], b0[i], max_iters, self.STOP_TOL)
+                assert one[0][0] == pytest.approx(val[i], rel=1e-12)
+                assert (one[3][0], one[4][0]) == (iters[i], conv[i])
+            outcomes.update(conv.tolist())
+            exits.add(len(set(iters.tolist())))
+        assert max(exits) > 1
+        if max_iters == 12:
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "functional, a_bad, b_bad",
+        [
+            ("sep_minus", [1.0, -1.0, 0.0], [1.0, 1.0, 0.0]),
+            ("steer_ba", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_degenerate_start_leaves_others_unchanged(self, functional, a_bad, b_bad):
+        # a0' W b0 = 0: the start cannot be put on the gauge surface
+        sf = split_standard(random_standard(3, seed=2))
+        mq, mp, w, a0, b0 = _random_starts(sf, functional, 8, 1)
+        alone = _alternate(mq, mp, w, a0, b0, 500, self.STOP_TOL)
+        a0x = np.insert(a0, 3, a_bad, axis=0)
+        b0x = np.insert(b0, 3, b_bad, axis=0)
+        got = _alternate(mq, mp, w, a0x, b0x, 500, self.STOP_TOL)
+        val, a, b, iters, conv = got
+        assert val[3] == np.inf and not conv[3] and iters[3] == 0
+        np.testing.assert_array_equal(a[3], a_bad)
+        np.testing.assert_array_equal(b[3], b_bad)
+        others = np.arange(9) != 3
+        for column, want in zip(got, alone):
+            np.testing.assert_array_equal(column[others], want)
+        assert conv[others].all()
+
+    @pytest.mark.parametrize("restarts", [0, 1])
+    def test_single_start_is_all_ones(self, restarts):
+        sf = split_standard(random_standard(3, seed=5))
+        mq, mp, w = _functional_forms(sf, "sep_minus")
+        val, a, b, iters, conv = _alternate(
+            mq, mp, w, np.ones(3), np.ones(3), 500, self.STOP_TOL
+        )
+        res = min_separability_sum_numeric(sf, "minus", OptimizerConfig(max_restarts=restarts))
+        assert res.restarts_used == 1
+        assert (res.value, res.iterations, res.converged) == (val[0], iters[0], conv[0])
+        sign = 1.0 if a[0].sum() >= 0 else -1.0
+        np.testing.assert_array_equal(res.argmin_alpha, sign * a[0])
+        np.testing.assert_array_equal(res.argmin_beta, sign * b[0])
 
 
 class TestSteeringAbClosedForm:
