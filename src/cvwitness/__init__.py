@@ -25,6 +25,7 @@ from .covariance import (
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
     validate_bona_fide,
+    validate_stack,
 )
 from .criteria import (
     CorrelationVerdict,

@@ -33,6 +33,7 @@ __all__ = [
     "one_mode_squeeze",
     "local_direct_sum",
     "validate_bona_fide",
+    "validate_stack",
     "symplectic_eigenvalues",
     "symplectic_spectra",
     "partial_transpose_bob",
@@ -112,6 +113,37 @@ def _block_to_interleaved_perm(n_modes: int) -> np.ndarray:
     return perm
 
 
+def _validated(m: np.ndarray, member: str) -> np.ndarray:
+    """The symmetrized stack 0.5 (m + m^T) of a float stack m of shape
+    (k, d, d), after checking that d = 2n >= 2 and that each member is
+    finite and symmetric to _SYMMETRY_RTOL relative to max(|m_i|, 1).
+    Errors name the first failing member i as ``member.format(i)``."""
+    size = m.shape[-1]
+    if size % 2 != 0 or size < 2:
+        raise ValueError(f"covariance matrix must be 2n x 2n, got size {size}")
+    if not np.isfinite(m).all():
+        i = int(np.isfinite(m).all(axis=(1, 2)).argmin())
+        raise ValueError(f"{member.format(i)} has non-finite entries")
+    m_t = m.transpose(0, 2, 1)
+    scale = np.abs(m).max(axis=(1, 2)).clip(1.0)
+    asymmetric = np.abs(m - m_t).max(axis=(1, 2)) > _SYMMETRY_RTOL * scale
+    if asymmetric.any():
+        raise ValueError(f"{member.format(int(asymmetric.argmax()))} is not symmetric")
+    return 0.5 * (m + m_t)
+
+
+def validate_stack(stack) -> np.ndarray:
+    """Validate a stack of candidate CMs of shape (k, 2n, 2n) in
+    interleaved ordering, as ``CovarianceMatrix`` validates one, and
+    return its symmetrized float copy. A ValueError names the expected
+    shape, or the index of the first member that is not finite or not
+    symmetric."""
+    m = np.asarray(stack, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of CMs of shape (k, 2n, 2n), got shape {m.shape}")
+    return _validated(m, "member {} of the stack")
+
+
 class CovarianceMatrix:
     """Real symmetric 2n x 2n matrix of quadrature second moments.
 
@@ -121,23 +153,17 @@ class CovarianceMatrix:
     """
 
     def __init__(self, matrix, n_alice: int | None = None, ordering: str = "interleaved"):
-        m = np.array(matrix, dtype=float)
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance matrix must be square, got shape {m.shape}")
-        if m.shape[0] % 2 != 0 or m.shape[0] < 2:
-            raise ValueError(f"covariance matrix must be 2n x 2n, got size {m.shape[0]}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance matrix has non-finite entries")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.T).max() > _SYMMETRY_RTOL * scale:
-            raise ValueError("covariance matrix is not symmetric")
+        m = _validated(m[None], "covariance matrix")[0]
         if ordering not in ORDERINGS:
             raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
         n = m.shape[0] // 2
         if ordering == "block":
             perm = _block_to_interleaved_perm(n)
             m = m[np.ix_(perm, perm)]
-        self.matrix = 0.5 * (m + m.T)
+        self.matrix = m
         self.n_modes = n
         if n_alice is None:
             n_alice = n - 1 if n >= 2 else 0

@@ -27,8 +27,9 @@ from .covariance import (
     stack_witnesses,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
+    validate_stack,
 )
-from .states import noisy_tmsv
+from .states import GeneratorSpec
 
 __all__ = [
     "CorrelationVerdict",
@@ -169,20 +170,35 @@ def certify_many(
     given as a sequence of CMs or as an array of shape (k, 2n, 2n); one
     verdict per member, each the one ``certify`` gives it alone.
 
+    An array is validated once as a whole (``covariance.validate_stack``:
+    shape, finiteness and symmetry, with errors naming the member), and
+    its members, which carry no partition, are read with Bob holding the
+    last mode. Members of a sequence are wrapped in ``CovarianceMatrix``
+    unless they are one already.
+
     The witnesses of the whole stack come from one batched kernel
     (``covariance.stack_witnesses``), and the flags from array
     comparisons on them. A member whose factorization fails is refused
     as non-physical without affecting the others.
     """
     tol = resolve_tolerance(tol)
-    cms = [cm if isinstance(cm, CovarianceMatrix) else CovarianceMatrix(cm) for cm in cms]
-    if not cms:
+    if isinstance(cms, np.ndarray):
+        v = validate_stack(cms)
+        if v.shape[1] < 4:
+            raise ValueError(
+                "certify_many needs bipartite CMs with Bob holding exactly the last mode, "
+                f"got {v.shape[1] // 2}-mode members"
+            )
+    else:
+        cms = [cm if isinstance(cm, CovarianceMatrix) else CovarianceMatrix(cm) for cm in cms]
+        for cm in cms:
+            cm.require_bipartite()
+        if len({cm.n_modes for cm in cms}) > 1:
+            raise ValueError("certify_many needs CMs with the same number of modes")
+        v = np.array([cm.matrix for cm in cms])
+    if not len(v):
         return []
-    for cm in cms:
-        cm.require_bipartite()
-    if len({cm.n_modes for cm in cms}) > 1:
-        raise ValueError("certify_many needs CMs with the same number of modes")
-    w = stack_witnesses(np.stack([cm.matrix for cm in cms]))
+    w = stack_witnesses(v)
 
     physical = w.factored & (w.min_rs_eig >= -tol)
     ppt = w.nu_min_pt >= 0.5 - tol
@@ -266,8 +282,9 @@ def find_one_way_example(
     """Search noise-added two-mode squeezed states for a one-way steerable
     example (steerable in exactly one direction).
 
-    Certifies a grid of squeezing and one-sided thermal noise as one
-    stack and returns its first one-way member in (r, nbar, side) order;
+    Builds and certifies a grid of squeezing and one-sided thermal noise
+    as one array and returns its first one-way member in (r, nbar, side)
+    order;
     widens the grid once before giving up. The returned CM is always
     bona fide.
     """
@@ -275,15 +292,16 @@ def find_one_way_example(
     if r_values is None and nbar_values is None:
         grids.append((_R_GRID_WIDE, _NBAR_GRID_WIDE))
     for rs, nbars in grids:
-        cms = [
-            noisy_tmsv(r, nbar, side=side)
+        # (r, side, nbar) blocks of noisy_tmsv(r, nbar, side), reordered to (r, nbar, side)
+        blocks = np.array([
+            [GeneratorSpec("noisy_tmsv", params={"r": r, "side": side}).build_stack("nbar", nbars)
+             for side in ("A", "B")]
             for r in rs
-            for nbar in nbars
-            for side in ("A", "B")
-        ]
-        for cm, verdict in zip(cms, certify_many(cms, tol=tol)):
+        ])
+        stack = blocks.swapaxes(1, 2).reshape(-1, 4, 4)
+        for m, verdict in zip(stack, certify_many(stack, tol=tol)):
             if verdict.steerable_a_to_b != verdict.steerable_b_to_a:
-                return cm
+                return CovarianceMatrix(m)
     raise OneWayExampleNotFound(
         "no one-way steerable state on the searched noisy-TMSV grid"
     )

@@ -1,8 +1,13 @@
 """Reference and randomized bona fide covariance matrices in standard form.
 
-All generators use the hbar = 1, vacuum-variance-1/2 convention and return
-``CovarianceMatrix`` objects in interleaved ordering. Randomized generators
-are deterministic per seed (numpy PCG64).
+All generators use the hbar = 1, vacuum-variance-1/2 convention and work
+in interleaved ordering. Each kind has one stack builder that fills a
+(k, 2n, 2n) float array for a whole parameter range with array
+operations (``GeneratorSpec.build_stack``); the scalar generators
+(``vacuum``, ``thermal``, ``tmsv``, ``noisy_tmsv``, ``random_standard``)
+and ``GeneratorSpec.build`` are its stack of one wrapped in a
+``CovarianceMatrix``, so a row of a stack equals the scalar result bit
+for bit. Randomized generators are deterministic per seed (numpy PCG64).
 """
 
 from __future__ import annotations
@@ -24,11 +29,86 @@ __all__ = [
 ]
 
 
-def vacuum(n_modes: int = 2) -> CovarianceMatrix:
-    """Vacuum CM (1/2) * identity; every symplectic eigenvalue is 1/2."""
+def _vacuum_stack(n_modes: int, k: int) -> np.ndarray:
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    return CovarianceMatrix(0.5 * np.eye(2 * n_modes))
+    return np.broadcast_to(0.5 * np.eye(2 * n_modes), (k, 2 * n_modes, 2 * n_modes)).copy()
+
+
+def _thermal_stack(nbar: np.ndarray) -> np.ndarray:
+    """Diagonal CMs, one per row of nbar (k, n): mode-j variances
+    nbar[i, j] + 1/2."""
+    if nbar.ndim != 2 or nbar.shape[1] < 1:
+        raise ValueError("nbar must be a non-empty 1-D sequence")
+    if (nbar < 0).any():
+        raise ValueError("mean occupations must be non-negative")
+    k, n = nbar.shape
+    m = np.zeros((k, 2 * n, 2 * n))
+    diag = np.arange(2 * n)
+    m[:, diag, diag] = np.repeat(nbar + 0.5, 2, axis=1)
+    return m
+
+
+def _tmsv_stack(r: np.ndarray, nbar=0.0, side: str = "A") -> np.ndarray:
+    """Interleaved TMSV matrices, one per entry of r (k,): b = cosh(2r)/2
+    on the diagonal, c = sinh(2r)/2 between the two q's and -c between
+    the two p's, with nbar (scalar or (k,)) added to the diagonal of
+    ``side``'s block."""
+    nbar = np.asarray(nbar, dtype=float)
+    if (nbar < 0).any():
+        raise ValueError("noise occupation must be >= 0")
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if (r < 0).any():
+        raise ValueError("squeezing parameter must be >= 0")
+    b = np.cosh(2 * r) / 2
+    c = np.sinh(2 * r) / 2
+    m = np.zeros((r.size, 4, 4))
+    diag = np.arange(4)
+    m[:, diag, diag] = b[:, None]
+    m[:, 0, 2] = m[:, 2, 0] = c
+    m[:, 1, 3] = m[:, 3, 1] = -c
+    noisy = diag[:2] if side == "A" else diag[2:]
+    m[:, noisy, noisy] += nbar[..., None]
+    return m
+
+
+def _random_standard_stack(n_modes: int, seeds, max_tries: int = 100) -> np.ndarray:
+    """``random_standard`` for each seed, in interleaved ordering.
+
+    Each seed's generator draws nu and then S_q candidates in the order
+    the one-seed construction does; one batched ``cond`` checks every
+    pending candidate and only the rejected seeds draw again. Then
+    V_q = S_q D S_q^T and V_p = S_p D S_p^T with S_p = S_q^-T, from one
+    batched ``inv``.
+    """
+    if n_modes < 2:
+        raise ValueError("n_modes must be >= 2")
+    n = n_modes
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    nu = np.array([rng.uniform(0.5, 3.0, size=n) for rng in rngs]).reshape(-1, n)
+    sq = np.array([rng.standard_normal((n, n)) for rng in rngs]).reshape(-1, n, n)
+    pending = np.arange(len(rngs))
+    for _ in range(max_tries):
+        pending = pending[~(np.linalg.cond(sq[pending]) < 50)]
+        if not pending.size:
+            break
+        for i in pending:
+            sq[i] = rngs[i].standard_normal((n, n))
+    else:
+        raise RuntimeError(f"no well-conditioned S_q found in {max_tries} draws")
+    d = nu[:, :, None] * np.eye(n)
+    sp = np.swapaxes(np.linalg.inv(sq), 1, 2)
+    m = np.zeros((len(rngs), 2 * n, 2 * n))
+    m[:, ::2, ::2] = sq @ d @ np.swapaxes(sq, 1, 2)
+    m[:, 1::2, 1::2] = sp @ d @ np.swapaxes(sp, 1, 2)
+    # the symmetrization CovarianceMatrix applies, so a row is its matrix
+    return 0.5 * (m + np.swapaxes(m, 1, 2))
+
+
+def vacuum(n_modes: int = 2) -> CovarianceMatrix:
+    """Vacuum CM (1/2) * identity; every symplectic eigenvalue is 1/2."""
+    return CovarianceMatrix(_vacuum_stack(n_modes, 1)[0])
 
 
 def thermal(nbar) -> CovarianceMatrix:
@@ -41,28 +121,7 @@ def thermal(nbar) -> CovarianceMatrix:
         Diagonal CM with mode-k variances nbar_k + 1/2.
     """
     nbar = np.atleast_1d(np.asarray(nbar, dtype=float))
-    if nbar.ndim != 1 or nbar.size < 1:
-        raise ValueError("nbar must be a non-empty 1-D sequence")
-    if np.any(nbar < 0):
-        raise ValueError("mean occupations must be non-negative")
-    return CovarianceMatrix(np.diag(np.repeat(nbar + 0.5, 2)))
-
-
-def _tmsv_matrix(r: float) -> np.ndarray:
-    """Interleaved TMSV matrix: b = cosh(2r)/2 on the diagonal, c = sinh(2r)/2
-    between the two q's and -c between the two p's."""
-    if r < 0:
-        raise ValueError("squeezing parameter must be >= 0")
-    b = np.cosh(2 * r) / 2
-    c = np.sinh(2 * r) / 2
-    return np.array(
-        [
-            [b, 0.0, c, 0.0],
-            [0.0, b, 0.0, -c],
-            [c, 0.0, b, 0.0],
-            [0.0, -c, 0.0, b],
-        ]
-    )
+    return CovarianceMatrix(_thermal_stack(nbar[None])[0])
 
 
 def tmsv(r: float) -> CovarianceMatrix:
@@ -71,7 +130,7 @@ def tmsv(r: float) -> CovarianceMatrix:
     Standard form with b1 = b2 = cosh(2r)/2, c = -d = sinh(2r)/2; the
     state is pure (det V = 1/16) for every r.
     """
-    return CovarianceMatrix(_tmsv_matrix(r))
+    return CovarianceMatrix(_tmsv_stack(np.array([r], dtype=float))[0])
 
 
 def noisy_tmsv(r: float, nbar: float, side: str = "A") -> CovarianceMatrix:
@@ -87,15 +146,7 @@ def noisy_tmsv(r: float, nbar: float, side: str = "A") -> CovarianceMatrix:
     Adding classical noise preserves physicality, so the output is bona
     fide for all parameter values.
     """
-    if nbar < 0:
-        raise ValueError("noise occupation must be >= 0")
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    m = _tmsv_matrix(r)
-    k = 0 if side == "A" else 2
-    m[k, k] += nbar
-    m[k + 1, k + 1] += nbar
-    return CovarianceMatrix(m)
+    return CovarianceMatrix(_tmsv_stack(np.array([r], dtype=float), nbar, side)[0])
 
 
 def random_standard(
@@ -115,24 +166,9 @@ def random_standard(
         seed: RNG seed.
         max_tries: resampling budget for the condition-number rejection.
     """
-    if n_modes < 2:
-        raise ValueError("n_modes must be >= 2")
-    rng = np.random.default_rng(seed)
-    nu = rng.uniform(0.5, 3.0, size=n_modes)
-    for _ in range(max_tries):
-        sq = rng.standard_normal((n_modes, n_modes))
-        if np.linalg.cond(sq) < 50:
-            break
-    else:
-        raise RuntimeError(f"no well-conditioned S_q found in {max_tries} draws")
-    d = np.diag(nu)
-    vq = sq @ d @ sq.T
-    sp = np.linalg.inv(sq).T
-    vp = sp @ d @ sp.T
-    full = np.zeros((2 * n_modes, 2 * n_modes))
-    full[:n_modes, :n_modes] = vq
-    full[n_modes:, n_modes:] = vp
-    return CovarianceMatrix(full, n_alice=n_alice, ordering="block")
+    return CovarianceMatrix(
+        _random_standard_stack(n_modes, [seed], max_tries)[0], n_alice=n_alice
+    )
 
 
 def random_two_mode_params(
@@ -181,6 +217,8 @@ class GeneratorSpec:
 
     ``kind`` is one of vacuum, thermal, tmsv, noisy_tmsv, random_standard;
     ``params`` holds the generator arguments (r, nbar, side, seed, ...).
+    A thermal ``nbar`` is one occupation for every mode or a list of
+    exactly ``n_modes`` of them.
     """
 
     kind: str
@@ -202,27 +240,67 @@ class GeneratorSpec:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
 
     def build(self) -> CovarianceMatrix:
-        p = self.params
-        if self.kind == "vacuum":
-            return vacuum(self.n_modes)
-        if self.kind == "thermal":
-            nbar = p.get("nbar", 0.0)
-            if np.isscalar(nbar):
-                nbar = [float(nbar)] * self.n_modes
-            return thermal(nbar)
-        if self.kind == "tmsv":
-            return tmsv(float(p.get("r", 0.0)))
-        if self.kind == "noisy_tmsv":
-            return noisy_tmsv(
-                float(p.get("r", 0.0)),
-                float(p.get("nbar", 0.0)),
-                side=p.get("side", "A"),
+        """The CM this spec describes: the stack of one of its kind's
+        stack builder. Only ``random_standard`` reads ``n_alice``."""
+        n_alice = self.params.get("n_alice") if self.kind == "random_standard" else None
+        return CovarianceMatrix(self._stack({}, 1)[0], n_alice=n_alice)
+
+    def build_stack(self, param: str, values) -> np.ndarray:
+        """The CMs this spec describes with ``param`` set to each of
+        ``values`` in turn, as a (k, 2n, 2n) interleaved float array with
+        Bob holding the last mode: the array ``certify_many`` reads. Row
+        i equals ``build()`` of the spec with ``param = values[i]`` bit
+        for bit.
+
+        Raises ValueError when the kind does not read ``param``, when a
+        seed is not an integer, or when ``n_alice`` gives Bob more than
+        the last mode, which an array cannot carry.
+        """
+        reads = self.NUMERIC_PARAMS[self.kind]
+        if param not in reads:
+            names = ", ".join(reads) if reads else "no parameter"
+            raise ValueError(f"{self.kind} does not read {param!r}; it reads {names}")
+        n_alice = self.params.get("n_alice")
+        if self.kind == "random_standard" and n_alice not in (None, self.n_modes - 1):
+            raise ValueError(
+                "a stack row is a bipartite CM with Bob holding exactly the last mode "
+                f"(n_alice = {self.n_modes - 1}), got n_alice = {n_alice}"
             )
-        return random_standard(
-            self.n_modes,
-            n_alice=p.get("n_alice"),
-            seed=int(p.get("seed", 0)),
-        )
+        if param == "seed":
+            values = list(values)
+            bad = [v for v in values if not float(v).is_integer()]
+            if bad:
+                raise ValueError(f"seed values are not integers: {bad[0]!r}")
+            values = [int(v) for v in values]
+        else:
+            values = np.asarray(values, dtype=float)
+        return self._stack({param: values}, len(values))
+
+    def _stack(self, varied: dict, k: int) -> np.ndarray:
+        """k CMs from ``params`` with the (k,)-long entries of ``varied``
+        in place of the fixed values."""
+        p = {**self.params, **varied}
+
+        def column(name):
+            return np.broadcast_to(np.asarray(p.get(name, 0.0), dtype=float), (k,))
+
+        if self.kind == "vacuum":
+            return _vacuum_stack(self.n_modes, k)
+        if self.kind == "thermal":
+            nbar = np.asarray(p.get("nbar", 0.0), dtype=float)
+            if "nbar" in varied:
+                nbar = nbar[:, None]
+            elif nbar.ndim == 1 and nbar.size != self.n_modes:
+                raise ValueError(
+                    f"thermal got {nbar.size} occupations for {self.n_modes} modes"
+                )
+            return _thermal_stack(np.broadcast_to(nbar, (k, self.n_modes)))
+        if self.kind == "tmsv":
+            return _tmsv_stack(column("r"))
+        if self.kind == "noisy_tmsv":
+            return _tmsv_stack(column("r"), column("nbar"), side=p.get("side", "A"))
+        seeds = p["seed"] if "seed" in varied else [int(p.get("seed", 0))]
+        return _random_standard_stack(self.n_modes, seeds)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n_modes": self.n_modes, "params": dict(self.params)}

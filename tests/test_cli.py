@@ -54,6 +54,25 @@ class TestGen:
         m = np.asarray(json.loads(out)["matrix"])
         np.testing.assert_allclose(np.diag(m), [1.0, 1.0, 0.75, 0.75])
 
+    def test_thermal_list_must_match_n(self, capsys):
+        # used to write a 2-mode CM and exit 0
+        code, out, err = run(capsys, "gen", "thermal", "--n", "3", "--nbar", "0.5,0.25")
+        assert code == 1
+        assert out == "" and "2 occupations for 3 modes" in err
+        code, out, _ = run(capsys, "gen", "thermal", "--n", "3", "--nbar", "0.5,0.25,0")
+        assert code == 0
+        assert np.array_equal(
+            np.diag(json.loads(out)["matrix"]), [1.0, 1.0, 0.75, 0.75, 0.5, 0.5]
+        )
+
+    def test_thermal_single_nbar_fills_n_modes(self, capsys):
+        code, out, _ = run(capsys, "gen", "thermal", "--n", "3", "--nbar", "0.5")
+        assert code == 0
+        assert np.array_equal(np.diag(json.loads(out)["matrix"]), [1.0] * 6)
+        code, out, _ = run(capsys, "gen", "thermal", "--nbar", "0.5")
+        assert code == 0
+        assert json.loads(out)["n_modes"] == 1
+
     def test_random_standard_seeded(self, capsys):
         code, out1, _ = run(capsys, "gen", "random_standard", "--n", "3", "--seed", "7")
         code2, out2, _ = run(capsys, "gen", "random_standard", "--n", "3", "--seed", "7")
@@ -259,6 +278,15 @@ class TestSweep:
         assert code == 1
         assert out == "" and f"reads {reads}" in err
 
+    def test_alice_partition_exit_1(self, capsys):
+        # the stack read by certify_many has Bob on the last mode only
+        code, out, err = run(
+            capsys, "sweep", "random_standard", "--n", "4", "--n-alice", "2",
+            "--param", "seed", "--range", "0,3,4",
+        )
+        assert code == 1
+        assert out == "" and "bipartite CM with Bob holding exactly the last mode" in err
+
     def test_non_integer_seed_range_exit_1(self, capsys):
         # rows used to show seed 3.3333333333333335 beside the verdict of seed 3
         code, out, err = run(
@@ -284,11 +312,11 @@ class TestSweep:
         assert batched == single
 
     def test_generator_sweeps_byte_identical(self, capsys):
-        # CSVs written when tmsv built a TwoModeStandardParams and
-        # noisy_tmsv copied tmsv's matrix; building each matrix in one
-        # array must not move a digit
+        # CSVs written by tests/data/freeze_sweeps.py when each row was
+        # built and validated alone; building the rows as one stack must
+        # not move a digit
         frozen = json.loads((DATA / "generator_sweeps.json").read_text())
-        assert len(frozen) == 5
+        assert len(frozen) == 9
         for case in frozen:
             code, out, _ = run(capsys, "sweep", *case["argv"])
             assert code == 0

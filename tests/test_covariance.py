@@ -27,6 +27,7 @@ from cvwitness import (
     two_mode_symplectic_pair_pt,
     vacuum,
     validate_bona_fide,
+    validate_stack,
 )
 from conftest import product_cm, rotated
 
@@ -55,6 +56,13 @@ class TestCovarianceMatrix:
     def test_rejects_bad_n_alice(self):
         with pytest.raises(ValueError, match="n_alice"):
             CovarianceMatrix(np.eye(4), n_alice=2)
+
+    def test_matrix_is_symmetrized_copy(self):
+        m = np.eye(4)
+        m[0, 1] = 1e-14
+        cm = CovarianceMatrix(m)
+        assert cm.matrix[0, 1] == cm.matrix[1, 0] == 0.5e-14
+        assert m[0, 1] == 1e-14 and m[1, 0] == 0.0
 
     def test_block_ordering_round_trip(self, rng):
         v = random_standard(3, seed=5)
@@ -467,3 +475,49 @@ class TestGlobalInvariants:
     def test_symplectic_form_squares_to_minus_one(self):
         j = symplectic_form(3)
         np.testing.assert_allclose(j @ j, -np.eye(6))
+
+
+class TestValidateStack:
+    """The one validator: an array stack at once, and CovarianceMatrix as
+    its stack of one."""
+
+    def test_returns_symmetrized_copy_equal_to_members(self):
+        stack = np.stack([random_standard(3, seed=s).matrix for s in range(4)])
+        stack[2, 0, 1] += 1e-15
+        got = validate_stack(stack)
+        assert got is not stack and stack[2, 0, 1] != stack[2, 1, 0]
+        for member, row in zip(stack, got, strict=True):
+            assert np.array_equal(row, CovarianceMatrix(member).matrix)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 4, 6), (1, 2, 4, 4)])
+    def test_rejects_shape_naming_the_expected_one(self, shape):
+        with pytest.raises(ValueError, match=r"\(k, 2n, 2n\)"):
+            validate_stack(np.zeros(shape))
+
+    def test_rejects_odd_size(self):
+        with pytest.raises(ValueError, match="2n x 2n"):
+            validate_stack(np.zeros((2, 3, 3)))
+
+    def test_non_finite_member_named(self):
+        stack = np.stack([np.eye(4)] * 5)
+        stack[3, 2, 2] = np.inf
+        stack[4, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="member 3 of the stack has non-finite"):
+            validate_stack(stack)
+
+    def test_asymmetric_member_named(self):
+        stack = np.stack([np.eye(4)] * 5)
+        stack[1, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match="member 1 of the stack is not symmetric"):
+            validate_stack(stack)
+
+    def test_symmetry_tolerance_is_relative_per_member(self):
+        # 1e-9 off-diagonal is within 1e-12 of a member of scale 1e6 only
+        stack = np.stack([np.eye(4), 1e6 * np.eye(4)])
+        stack[:, 0, 1] = 5e-7
+        with pytest.raises(ValueError, match="member 0 "):
+            validate_stack(stack)
+        validate_stack(stack[1:])
+
+    def test_empty_stack(self):
+        assert validate_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)

@@ -248,6 +248,9 @@ class TestCertifyMany:
             many = certify_many(cms, tol=golden["tol"])
             for cm, verdict in zip(cms, many, strict=True):
                 assert verdict.to_dict() == certify(cm, tol=golden["tol"]).to_dict()
+            # the array path gives the list path's verdicts
+            from_array = certify_many(np.stack([cm.matrix for cm in cms]), tol=golden["tol"])
+            assert [v.to_dict() for v in from_array] == [v.to_dict() for v in many]
 
     def test_mixed_stack_failures_stay_local(self):
         # non-physical, factorization failure, and heavy squeezing in one stack
@@ -262,6 +265,40 @@ class TestCertifyMany:
         stack = np.stack([cm.matrix for cm in cms])
         from_array = [v.to_dict() for v in certify_many(stack, tol=1e-9)]
         assert from_array == [v.to_dict() for v in certify_many(cms, tol=1e-9)]
+
+    def test_array_is_not_wrapped_member_by_member(self, monkeypatch):
+        stack = np.stack([random_standard(3, seed=s).matrix for s in range(5)])
+        expected = [v.to_dict() for v in certify_many(stack)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("CovarianceMatrix built on the array path")
+
+        monkeypatch.setattr(CovarianceMatrix, "__init__", refuse)
+        assert [v.to_dict() for v in certify_many(stack)] == expected
+
+    def test_single_matrix_array_names_stack_shape(self):
+        # used to iterate the rows: "must be square, got shape (4,)"
+        with pytest.raises(ValueError, match=r"\(k, 2n, 2n\), got shape \(4, 4\)"):
+            certify_many(tmsv(0.5).matrix)
+
+    def test_empty_array_stack(self):
+        assert certify_many(np.zeros((0, 4, 4))) == []
+
+    def test_non_finite_array_member_named(self):
+        stack = np.stack([tmsv(0.5).matrix] * 4)
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="member 2 of the stack has non-finite"):
+            certify_many(stack)
+
+    def test_asymmetric_array_member_named(self):
+        stack = np.stack([tmsv(0.5).matrix] * 4)
+        stack[3, 0, 2] += 1e-6
+        with pytest.raises(ValueError, match="member 3 of the stack is not symmetric"):
+            certify_many(stack)
+
+    def test_one_mode_array_rejected(self):
+        with pytest.raises(ValueError, match="bipartite"):
+            certify_many(np.stack([0.5 * np.eye(2)] * 2))
 
     def test_assume_gaussian_applies_to_every_member(self):
         cms = [vacuum(2), tmsv(0.5)]

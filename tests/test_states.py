@@ -167,6 +167,73 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="kind"):
             GeneratorSpec("squeezed_cat", 2)
 
+    def test_thermal_list_must_match_mode_count(self):
+        # a 2-value list used to give a 2-mode CM for n_modes = 3
+        with pytest.raises(ValueError, match="2 occupations for 3 modes"):
+            GeneratorSpec("thermal", 3, {"nbar": [0.5, 0.25]}).build()
+        got = GeneratorSpec("thermal", 3, {"nbar": [0.5, 0.25, 0.0]}).build()
+        assert np.array_equal(got.matrix, thermal([0.5, 0.25, 0.0]).matrix)
+
+
+class TestStacks:
+    """Every generator is the stack of one of its kind's stack builder, so
+    a row of ``build_stack`` equals the scalar generator bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_standard_rows(self, n):
+        # for every n, some of these seeds have their first S_q rejected
+        # (1 at n = 2, 10 at n = 8), so redrawing seeds is covered
+        seeds = range(40)
+        stack = GeneratorSpec("random_standard", n).build_stack("seed", seeds)
+        assert stack.shape == (40, 2 * n, 2 * n)
+        for seed, row in zip(seeds, stack, strict=True):
+            assert np.array_equal(row, random_standard(n, seed=seed).matrix)
+
+    def test_tmsv_and_noisy_tmsv_rows(self):
+        rs = np.linspace(0.0, 12.0, 61)
+        stack = GeneratorSpec("tmsv").build_stack("r", rs)
+        for r, row in zip(rs, stack, strict=True):
+            assert np.array_equal(row, tmsv(float(r)).matrix)
+        nbars = np.linspace(0.0, 6.0, 31)
+        for side in "AB":
+            spec = GeneratorSpec("noisy_tmsv", params={"r": 1.3, "nbar": 0.2, "side": side})
+            for row, nbar in zip(spec.build_stack("nbar", nbars), nbars, strict=True):
+                assert np.array_equal(row, noisy_tmsv(1.3, float(nbar), side).matrix)
+            for row, r in zip(spec.build_stack("r", rs), rs, strict=True):
+                assert np.array_equal(row, noisy_tmsv(float(r), 0.2, side).matrix)
+
+    def test_thermal_and_vacuum(self):
+        nbars = np.linspace(0.0, 2.0, 11)
+        stack = GeneratorSpec("thermal", 3).build_stack("nbar", nbars)
+        for nbar, row in zip(nbars, stack, strict=True):
+            assert np.array_equal(row, thermal([nbar] * 3).matrix)
+        assert np.array_equal(GeneratorSpec("vacuum", 3).build().matrix, 0.5 * np.eye(6))
+
+    def test_build_is_the_stack_of_one(self):
+        specs = [
+            GeneratorSpec("tmsv", 2, {"r": 0.9}),
+            GeneratorSpec("noisy_tmsv", 2, {"r": 0.4, "nbar": 3.0, "side": "B"}),
+            GeneratorSpec("thermal", 2, {"nbar": 0.3}),
+            GeneratorSpec("random_standard", 5, {"seed": 17}),
+        ]
+        for spec, param in zip(specs, ("r", "nbar", "nbar", "seed")):
+            row = spec.build_stack(param, [spec.params[param]])[0]
+            assert np.array_equal(row, spec.build().matrix)
+
+    def test_rejects_alice_partition_an_array_cannot_carry(self):
+        spec = GeneratorSpec("random_standard", 4, {"n_alice": 2})
+        with pytest.raises(ValueError, match="bipartite CM with Bob holding exactly"):
+            spec.build_stack("seed", [0, 1])
+        assert spec.build().n_alice == 2
+
+    def test_out_of_range_values_rejected(self):
+        with pytest.raises(ValueError, match="squeezing"):
+            GeneratorSpec("tmsv").build_stack("r", [0.5, -0.1])
+        with pytest.raises(ValueError, match="noise"):
+            GeneratorSpec("noisy_tmsv").build_stack("nbar", [0.5, -0.1])
+        with pytest.raises(ValueError, match="non-negative"):
+            GeneratorSpec("thermal", 2).build_stack("nbar", [0.5, -0.1])
+
 
 def test_every_generator_output_is_bona_fide(assorted_cms):
     for cm in assorted_cms:
