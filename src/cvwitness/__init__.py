@@ -52,7 +52,6 @@ from .observables import (
 from .optimize import (
     GridSpec,
     MinimizationResult,
-    OptimizerConfig,
     UnsteerabilityCheck,
     brute_force_min,
     check_unsteerable_ab,

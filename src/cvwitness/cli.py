@@ -19,17 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, NotStandardFormError, schur_factor, split_standard
+from .covariance import CovarianceMatrix, NotStandardFormError, split_standard
 from .covariance import standard_form_reduce_two_mode
 from .criteria import CorrelationVerdict, certify, certify_many, resolve_tolerance
 from .optimize import (
     FUNCTIONALS,
     GridSpec,
-    OptimizerConfig,
     brute_force_min,
     min_separability_sum_numeric,
-    min_separability_sum_two_mode,
-    min_steering_sum_ab,
     min_steering_sum_ab_numeric,
     min_steering_sum_ba_numeric,
 )
@@ -189,13 +186,6 @@ def _build_parser() -> _Parser:
     orc.add_argument("--tol", type=float, default=None)
     orc.add_argument("--seed", type=int, default=0)
     orc.add_argument("--out", type=str, default=None)
-    defaults = OptimizerConfig()
-    orc.add_argument("--opt-tol", type=float, default=defaults.tol)
-    orc.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    orc.add_argument("--max-restarts", type=int, default=defaults.max_restarts)
-    orc.add_argument(
-        "--positivity-floor", type=float, default=defaults.positivity_floor
-    )
 
     return parser
 
@@ -305,20 +295,16 @@ def _standardize(cm: CovarianceMatrix, tol: float):
     return split_standard(CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=cm.n_alice), tol=tol)
 
 
-def _closed_form_for(sf, functional, cm, tol) -> float | None:
-    if functional in ("sep_plus", "sep_minus"):
-        if sf.n_modes != 2:
-            return None
-        params, _ = standard_form_reduce_two_mode(cm, tol=tol)
-        return min_separability_sum_two_mode(
-            params, "plus" if functional == "sep_plus" else "minus"
-        )
-    if functional == "steer_ab":
-        return min_steering_sum_ab(sf)
-    if sf.n_modes == 2:
-        # 2 sqrt(det V / det V_B) = 2 prod(diag L_kk) with V / V_B = L_kk L_kk^T
-        return float(2.0 * np.prod(np.diag(schur_factor(cm, "B"))))
-    return None
+# each functional's minimum as a certify witness: twice the smallest
+# symplectic eigenvalue of the partial transpose, of V and of V / V_B for
+# sep_plus, sep_minus and steer_ba, and 2 sqrt(det V / det V_A) for
+# steer_ab (Simon 2000; Wiseman, Jones and Doherty 2007)
+_CLOSED_FORMS = {
+    "sep_plus": ("sep_sum_plus_min", 1.0),
+    "sep_minus": ("sep_sum_minus_min", 1.0),
+    "steer_ab": ("steer_sum_ab_min", 1.0),
+    "steer_ba": ("schur_min_symplectic_eig", 2.0),
+}
 
 
 def _cmd_oracle(args) -> int:
@@ -326,32 +312,33 @@ def _cmd_oracle(args) -> int:
     tol = resolve_tolerance(args.tol, "--tol")
     oracle_tol = resolve_tolerance(args.oracle_tol, "--oracle-tol")
     closed_form_tol = resolve_tolerance(args.closed_form_tol, "--closed-form-tol")
+    verdict = certify(cm, tol=tol)
+    if not verdict.physical:
+        print(
+            f"error: {args.path} is not a physical CM "
+            f"(min_rs_eig {verdict.witnesses['min_rs_eig']!r})",
+            file=sys.stderr,
+        )
+        return EXIT_NONPHYSICAL
+    # local invariants, so the minima of the standard form read off cm
+    key, factor = _CLOSED_FORMS[args.functional]
+    closed = factor * verdict.witnesses[key]
     sf = _standardize(cm, tol)
-    config = OptimizerConfig(
-        tol=args.opt_tol,
-        max_iters=args.max_iters,
-        max_restarts=args.max_restarts,
-        positivity_floor=args.positivity_floor,
-        rng_seed=args.seed,
-    )
     if args.functional in ("sep_plus", "sep_minus"):
         numeric = min_separability_sum_numeric(
-            sf, "plus" if args.functional == "sep_plus" else "minus", config
+            sf, "plus" if args.functional == "sep_plus" else "minus"
         )
     elif args.functional == "steer_ab":
-        numeric = min_steering_sum_ab_numeric(sf, config)
+        numeric = min_steering_sum_ab_numeric(sf)
     else:
-        numeric = min_steering_sum_ba_numeric(sf, config)
+        numeric = min_steering_sum_ba_numeric(sf)
     brute = brute_force_min(
         sf, args.functional, GridSpec(samples=args.samples, seed=args.seed)
     )
-    closed = _closed_form_for(sf, args.functional, cm, tol)
 
     gap_brute = abs(numeric.value - brute)
     ok_brute = bool(gap_brute <= oracle_tol)
-    ok_closed = None
-    if closed is not None:
-        ok_closed = bool(abs(numeric.value - closed) <= closed_form_tol)
+    ok_closed = bool(abs(numeric.value - closed) <= closed_form_tol)
 
     record = {
         "input_descriptor": args.path,
@@ -367,14 +354,10 @@ def _cmd_oracle(args) -> int:
         "agreement_numeric_brute": ok_brute,
         "agreement_closed_form": ok_closed,
         "samples": args.samples,
-        "config": {
-            "tol": tol,
-            "oracle_tol": oracle_tol,
-            "optimizer": config.to_dict(),
-        },
+        "config": {"tol": tol, "oracle_tol": oracle_tol},
     }
     _emit(render_json(record) + "\n", args.out)
-    if not ok_brute or ok_closed is False:
+    if not (ok_brute and ok_closed):
         return EXIT_ORACLE_DISAGREEMENT
     return EXIT_OK
 

@@ -1,10 +1,14 @@
 """Extremal normalized uncertainty sums.
 
-Closed forms exist for the two-mode separability minima (twice the
-smallest symplectic eigenvalue of the CM or of its partial transpose)
-and for the Alice-to-Bob steering minimum 2*sqrt(det V / det V_A). The
-numeric minimizers recover these independently and extend to cases with
-no closed form (Alice with several modes).
+On a standard-form CM every minimum has a closed form in local
+invariants, which ``criteria.certify`` reports for any number of Alice
+modes: twice the smallest symplectic eigenvalue of the partial
+transpose (plus separability sum), of the CM (minus sum) and of the
+Schur complement V/V_B (B->A steering sum), and 2*sqrt(det V / det V_A)
+(A->B). This module evaluates the two-mode separability forms and the
+A->B form directly; the numeric minimizers recover all four
+independently, with the weights that attain them, and the sampling
+oracle bounds them from above.
 
 All three normalized sums share the shape
 
@@ -22,12 +26,15 @@ Each half-step of the alternating scheme is an exact linear solve, the
 pair of half-steps is an inverse power iteration on the stationarity
 eigenproblem, and periodic Aitken extrapolation accelerates the
 near-degenerate cases. A scale rebalance after every sweep keeps the
-two variances equal, which any true extremum must satisfy.
+two variances equal, which any true extremum must satisfy. The solver
+has no settings: it runs 8 starts (all-ones, then 7 drawn from seed 0)
+of at most 500 sweeps each, stops a start when its value moves by less
+than 1e-13 times max(1, value), and flags a weight at or below 1e-10 as
+leaving the positive orthant.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,7 +53,6 @@ from .observables import _check_sign, _signed_forms, variance_p, variance_q
 
 __all__ = [
     "FUNCTIONALS",
-    "OptimizerConfig",
     "MinimizationResult",
     "GridSpec",
     "UnsteerabilityCheck",
@@ -66,38 +72,6 @@ FUNCTIONALS = ("sep_plus", "sep_minus", "steer_ab", "steer_ba")
 def _require_int(name: str, value, low: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of the alternating minimizer; invalid values raise
-    ValueError on construction."""
-
-    tol: float = 1e-10
-    max_iters: int = 500
-    max_restarts: int = 8
-    positivity_floor: float = 1e-10
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
-        _require_int("max_iters", self.max_iters, 1)
-        _require_int("max_restarts", self.max_restarts, 0)
-        # a NaN floor would silently clear every boundary_flag
-        if not (math.isfinite(self.positivity_floor) and self.positivity_floor >= 0.0):
-            raise ValueError(
-                f"positivity_floor must be a finite number >= 0, got {self.positivity_floor!r}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "max_iters": self.max_iters,
-            "max_restarts": self.max_restarts,
-            "positivity_floor": self.positivity_floor,
-            "rng_seed": self.rng_seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -279,30 +253,39 @@ def _alternate(mq, mp, w, a0, b0, max_iters, stop_tol):
     return value, a, b, iterations, converged
 
 
-def _minimize_gauge_ratio(
-    sf: StandardForm, functional: str, config: OptimizerConfig | None
-) -> MinimizationResult:
-    cfg = config or OptimizerConfig()
+# the alternating solver's fixed settings: the relative change of the
+# value that stops a start, the sweeps one start may run, the number of
+# starts and the seed of the random ones, and the weight at or below
+# which a minimizer counts as outside the positive orthant
+_STOP_TOL = 1e-13
+_MAX_ITERS = 500
+_STARTS = 8
+_START_SEED = 0
+_POSITIVITY_FLOOR = 1e-10
+
+
+def _outside_orthant(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(min(a.min(), b.min()) <= _POSITIVITY_FLOOR)
+
+
+def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
     mq, mp, w = _functional_forms(sf, functional)
     n = sf.n_modes
-    rng = np.random.default_rng(cfg.rng_seed)
-    stop_tol = min(cfg.tol, 1e-12) * 0.1
-    starts = max(cfg.max_restarts, 1)
     # all-ones first, then a0 and b0 drawn per restart
-    a0 = np.ones((starts, n))
-    b0 = np.ones((starts, n))
-    draws = rng.standard_normal((starts - 1, 2, n))
+    a0 = np.ones((_STARTS, n))
+    b0 = np.ones((_STARTS, n))
+    draws = np.random.default_rng(_START_SEED).standard_normal((_STARTS - 1, 2, n))
     a0[1:], b0[1:] = draws[:, 0], draws[:, 1]
     b0[_rowdot(_rowmul(a0, w), b0) < 0] *= -1.0
     vals, a_all, b_all, iters_all, conv_all = _alternate(
-        mq, mp, w, a0, b0, cfg.max_iters, stop_tol
+        mq, mp, w, a0, b0, _MAX_ITERS, _STOP_TOL
     )
     best = 0
-    for s in range(1, starts):
+    for s in range(1, _STARTS):
         # a later start wins only by more than the stopping tolerance, or
         # by converging where the incumbent did not: a tie in the last
         # digits must not trade the incumbent's point for another one
-        if vals[s] + stop_tol * max(1.0, abs(vals[s])) < vals[best] or (
+        if vals[s] + _STOP_TOL * max(1.0, abs(vals[s])) < vals[best] or (
             conv_all[s] and not conv_all[best]
         ):
             best = s
@@ -312,22 +295,18 @@ def _minimize_gauge_ratio(
     # canonical sign: overall negation of both vectors leaves the sum fixed
     if a.sum() < 0:
         a, b = -a, -b
-    floor = cfg.positivity_floor
-    boundary = bool(min(a.min(), b.min()) <= floor)
     return MinimizationResult(
         value=float(val),
         argmin_alpha=a,
         argmin_beta=b,
         converged=bool(conv),
-        boundary_flag=boundary,
+        boundary_flag=_outside_orthant(a, b),
         iterations=int(iters),
-        restarts_used=starts,
+        restarts_used=_STARTS,
     )
 
 
-def min_separability_sum_numeric(
-    sf: StandardForm, sign: str, config: OptimizerConfig | None = None
-) -> MinimizationResult:
+def min_separability_sum_numeric(sf: StandardForm, sign: str) -> MinimizationResult:
     """Minimize the separability sum over the weights numerically.
 
     For a two-mode input the value reproduces the closed form of
@@ -335,7 +314,7 @@ def min_separability_sum_numeric(
     variances agree (the extremum balance condition).
     """
     _check_sign(sign)
-    return _minimize_gauge_ratio(sf, "sep_plus" if sign == "plus" else "sep_minus", config)
+    return _minimize_gauge_ratio(sf, "sep_plus" if sign == "plus" else "sep_minus")
 
 
 def _logdet_pd(m: np.ndarray, name: str) -> float:
@@ -358,9 +337,7 @@ def min_steering_sum_ab(sf: StandardForm) -> float:
     return float(2.0 * np.exp(0.5 * (log_num - log_den)))
 
 
-def min_steering_sum_ab_numeric(
-    sf: StandardForm, config: OptimizerConfig | None = None
-) -> MinimizationResult:
+def min_steering_sum_ab_numeric(sf: StandardForm) -> MinimizationResult:
     """Minimize the A->B steering sum by its stationarity structure.
 
     With Bob's weights fixed to 1, the stationary Alice weights solve one
@@ -368,7 +345,6 @@ def min_steering_sum_ab_numeric(
     eps * Qbar + Pbar / eps of the single scale eps = alpha_B / beta_B,
     minimized in log space at eps_m = sqrt(Pbar / Qbar).
     """
-    cfg = config or OptimizerConfig()
     n_a = sf.n_alice
     if n_a < 1:
         raise ValueError("need a bipartite standard form")
@@ -384,25 +360,21 @@ def min_steering_sum_ab_numeric(
     root = np.sqrt(eps_m)
     alpha, beta = alpha * root, beta / root
     value = variance_q(sf.vq, alpha) + variance_p(sf.vp, beta, "plus")
-    floor = cfg.positivity_floor
-    boundary = bool(min(alpha.min(), beta.min()) <= floor)
     return MinimizationResult(
         value=float(value),
         argmin_alpha=alpha,
         argmin_beta=beta,
         converged=True,
-        boundary_flag=boundary,
+        boundary_flag=_outside_orthant(alpha, beta),
         iterations=1,
         restarts_used=0,
     )
 
 
-def min_steering_sum_ba_numeric(
-    sf: StandardForm, config: OptimizerConfig | None = None
-) -> MinimizationResult:
+def min_steering_sum_ba_numeric(sf: StandardForm) -> MinimizationResult:
     """Minimize the B->A steering sum numerically (stationarity in Bob's
     weights reduces the problem to Alice's block; no general closed form)."""
-    return _minimize_gauge_ratio(sf, "steer_ba", config)
+    return _minimize_gauge_ratio(sf, "steer_ba")
 
 
 def _direction_check(V: CovarianceMatrix, over: str, tol: float) -> UnsteerabilityCheck:

@@ -218,7 +218,9 @@ class GeneratorSpec:
     ``kind`` is one of vacuum, thermal, tmsv, noisy_tmsv, random_standard;
     ``params`` holds the generator arguments (r, nbar, side, seed, ...).
     A thermal ``nbar`` is one occupation for every mode or a list of
-    exactly ``n_modes`` of them.
+    exactly ``n_modes`` of them. ``tmsv`` and ``noisy_tmsv`` are 2-mode
+    states with Alice holding one mode, and reject any other ``n_modes``
+    or ``n_alice``.
     """
 
     kind: str
@@ -238,6 +240,13 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
+        if self.kind in ("tmsv", "noisy_tmsv"):
+            if self.n_modes != 2:
+                raise ValueError(f"{self.kind} is a 2-mode state, got n_modes = {self.n_modes}")
+            if self.params.get("n_alice") not in (None, 1):
+                raise ValueError(
+                    f"{self.kind} gives Alice one mode, got n_alice = {self.params['n_alice']}"
+                )
 
     def build(self) -> CovarianceMatrix:
         """The CM this spec describes: the stack of one of its kind's

@@ -6,7 +6,6 @@ import pytest
 
 from cvwitness import (
     CovarianceMatrix,
-    OptimizerConfig,
     certify,
     min_steering_sum_ba_numeric,
     random_standard,
@@ -16,6 +15,7 @@ from cvwitness import (
 )
 from cvwitness import cli
 from cvwitness.cli import main, render_json
+from cvwitness.optimize import FUNCTIONALS
 from conftest import rotated, rotated_and_squeezed
 
 DATA = Path(__file__).parent / "data"
@@ -31,6 +31,18 @@ def write_cm(tmp_path, cm, name="cm.json"):
     path = tmp_path / name
     cm.save(path)
     return str(path)
+
+
+def standard_cm(nu, seed=0):
+    """Standard-form CM with V_q = S_q D S_q^T and V_p = S_q^-T D S_q^-1
+    for D = diag(nu): its symplectic spectrum is nu, physical or not."""
+    n = len(nu)
+    sq = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
+    sp = np.linalg.inv(sq).T
+    v = np.zeros((2 * n, 2 * n))
+    v[:n, :n] = sq @ np.diag(nu) @ sq.T
+    v[n:, n:] = sp @ np.diag(nu) @ sp.T
+    return CovarianceMatrix(v, ordering="block")
 
 
 class TestGen:
@@ -82,6 +94,16 @@ class TestGen:
     def test_unknown_kind_usage_error(self, capsys):
         code, _, _ = run(capsys, "gen", "cat_state")
         assert code == 1
+
+    @pytest.mark.parametrize("kind", ["tmsv", "noisy_tmsv"])
+    @pytest.mark.parametrize("flags", [["--n", "5"], ["--n-alice", "2"]], ids=["n", "n-alice"])
+    def test_two_mode_kind_rejects_other_partition(self, capsys, kind, flags):
+        # used to write a 2-mode CM and exit 0
+        code, out, err = run(capsys, "gen", kind, *flags)
+        assert code == 1
+        assert out == "" and "error:" in err and kind in err
+        code, out, _ = run(capsys, "gen", kind, "--n", "2", "--n-alice", "1")
+        assert code == 0 and json.loads(out)["n_modes"] == 2
 
 
 class TestCertify:
@@ -202,7 +224,8 @@ class TestCertify:
         "flag", ["--opt-tol", "--max-iters", "--max-restarts", "--positivity-floor", "--seed"]
     )
     def test_optimizer_flags_rejected(self, capsys, tmp_path, flag):
-        # certify runs no optimizer, so it takes no optimizer flags
+        # no command takes the deleted minimizer settings, and --seed seeds
+        # the oracle's sampler, which certify does not run
         path = write_cm(tmp_path, tmsv(0.5))
         code, _, _ = run(capsys, "certify", path, flag, "3")
         assert code == 1
@@ -234,6 +257,20 @@ class TestSweep:
         # annotated as a crossing
         crossings = [line.split(",")[-1] for line in lines[1:]]
         assert any("ppt" in c for c in crossings)
+
+    @pytest.mark.parametrize("kind", ["tmsv", "noisy_tmsv"])
+    def test_two_mode_kind_rejects_other_partition(self, capsys, kind):
+        # used to print 2-mode rows and exit 0
+        code, out, err = run(
+            capsys, "sweep", kind, "--n", "4", "--n-alice", "9", "--param", "r", "--range", "0,1,2"
+        )
+        assert code == 1
+        assert out == "" and "error:" in err and "n_modes = 4" in err
+        code, out, err = run(
+            capsys, "sweep", kind, "--n-alice", "9", "--param", "r", "--range", "0,1,2"
+        )
+        assert code == 1
+        assert out == "" and "n_alice = 9" in err
 
     def test_single_step(self, capsys):
         code, out, _ = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "0.5,0.9,1")
@@ -355,7 +392,49 @@ class TestOracle:
         rec = json.loads(out)
         assert rec["agreement_numeric_brute"] is True
         assert rec["numeric_vs_brute"] < 1e-3
-        assert rec["closed_form"] is None
+        # was null for every n >= 3
+        assert rec["agreement_closed_form"] is True
+        assert rec["closed_form"] == pytest.approx(rec["numeric_min"], abs=1e-12)
+
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_multimode_closed_form_every_functional(self, capsys, tmp_path, n, functional):
+        # a small budget: the sampler's agreement is not what is tested
+        path = write_cm(tmp_path, random_standard(n, seed=11))
+        code, out, _ = run(
+            capsys, "oracle", path, "--functional", functional,
+            "--samples", "2000", "--oracle-tol", "1",
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["closed_form"] is not None
+        assert rec["agreement_closed_form"] is True
+
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_two_mode_off_standard_form_matches_standard(self, capsys, tmp_path, functional):
+        # the closed form is read off the CM as given, the minimizer runs
+        # on the standard form the oracle reduces it to
+        cm = random_standard(2, seed=3)
+        moved = rotated_and_squeezed(cm, np.random.default_rng(8))
+        argv = ["--functional", functional, "--samples", "2000", "--oracle-tol", "1"]
+        code, out, _ = run(capsys, "oracle", write_cm(tmp_path, cm, "std.json"), *argv)
+        code_moved, out_moved, _ = run(capsys, "oracle", write_cm(tmp_path, moved), *argv)
+        assert code == code_moved == 0
+        rec, rec_moved = json.loads(out), json.loads(out_moved)
+        assert rec_moved["closed_form"] == pytest.approx(rec["closed_form"], abs=1e-12)
+        assert rec_moved["numeric_min"] == pytest.approx(rec["numeric_min"], abs=1e-9)
+        assert rec_moved["agreement_closed_form"] is True
+
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    @pytest.mark.parametrize("nu", [(0.3, 1.0), (1.4, 0.3, 1.0)])
+    def test_non_physical_exit_2(self, capsys, tmp_path, monkeypatch, nu, functional):
+        # a 3-mode input used to get a normal-looking record and exit 0, a
+        # 2-mode one exit 1 after the minimizer had run
+        monkeypatch.setattr(cli, "_standardize", lambda cm, tol: pytest.fail("minimized"))
+        path = write_cm(tmp_path, standard_cm(nu, seed=2))
+        code, out, err = run(capsys, "oracle", path, "--functional", functional)
+        assert code == 2
+        assert out == "" and "error:" in err and "not a physical CM" in err
 
     def test_steer_ba_two_mode_closed_form(self, capsys, tmp_path):
         path = write_cm(tmp_path, tmsv(0.4))
@@ -370,7 +449,7 @@ class TestOracle:
         path = write_cm(tmp_path, cm)
         # a small budget: the sampler's agreement is not what is tested
         argv = ["oracle", path, "--functional", "steer_ba", "--samples", "2000",
-                "--oracle-tol", "1", "--max-restarts", "5"]
+                "--oracle-tol", "1"]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert run(capsys, *argv)[1] == out
@@ -378,20 +457,9 @@ class TestOracle:
         keys = list(rec)
         i = keys.index("numeric_boundary_flag")
         assert keys[i + 1 : i + 3] == ["numeric_iterations", "numeric_restarts"]
-        want = min_steering_sum_ba_numeric(
-            split_standard(cm), OptimizerConfig(max_restarts=5)
-        )
+        want = min_steering_sum_ba_numeric(split_standard(cm))
         assert rec["numeric_iterations"] == want.iterations > 0
-        assert rec["numeric_restarts"] == 5
-
-    def test_optimizer_flags_echoed(self, capsys, tmp_path):
-        path = write_cm(tmp_path, tmsv(0.5))
-        _, out, _ = run(capsys, "oracle", path, "--functional", "steer_ab",
-                        "--samples", "1000", "--max-restarts", "3",
-                        "--positivity-floor", "1e-8")
-        opt = json.loads(out)["config"]["optimizer"]
-        assert opt["max_restarts"] == 3
-        assert opt["positivity_floor"] == 1e-8
+        assert rec["numeric_restarts"] == 8
 
     @pytest.mark.parametrize(
         "flag, bad",
@@ -406,26 +474,6 @@ class TestOracle:
         )
         assert code == 1
         assert out == "" and flag in err
-
-    @pytest.mark.parametrize(
-        "flag", ["--max-restarts=-3", "--max-iters=0", "--opt-tol=nan", "--opt-tol=0"]
-    )
-    def test_bad_optimizer_config_exit_1(self, capsys, tmp_path, flag):
-        path = write_cm(tmp_path, tmsv(0.5))
-        code, out, err = run(
-            capsys, "oracle", path, "--functional", "steer_ba", "--samples", "1000", flag
-        )
-        assert code == 1
-        assert out == "" and "error:" in err
-
-    def test_nan_positivity_floor_exit_1(self, capsys, tmp_path):
-        path = write_cm(tmp_path, tmsv(0.5))
-        code, out, err = run(
-            capsys, "oracle", path, "--functional", "sep_minus", "--samples", "1000",
-            "--positivity-floor", "nan",
-        )
-        assert code == 1
-        assert out == "" and "positivity_floor" in err
 
     def test_disagreement_exit_3(self, capsys, tmp_path):
         path = write_cm(tmp_path, random_standard(3, seed=3))
@@ -445,7 +493,7 @@ def test_repeated_main_calls_reproduce_output(capsys, tmp_path):
         ["certify", path],
         ["sweep", "noisy_tmsv", "--r", "0.7", "--param", "nbar", "--range", "0,1,5"],
         ["oracle", path, "--functional", "steer_ba", "--samples", "20000", "--seed", "3"],
-        ["certify", path, "--opt-tol", "3"],
+        ["certify", path, "--samples", "3"],
     ]
     strip = lambda s: [l for l in s.splitlines() if '"timing_ms"' not in l]
     first = [run(capsys, *argv) for argv in calls]
