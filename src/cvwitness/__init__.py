@@ -30,11 +30,13 @@ from .covariance import (
 from .criteria import (
     CorrelationVerdict,
     OneWayExampleNotFound,
+    StackVerdicts,
     VerdictConsistencyError,
     certify,
     certify_many,
     find_one_way_example,
     sign_rule_holds,
+    stack_verdicts,
 )
 from .observables import (
     EprWeights,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .covariance import CovarianceMatrix, NotStandardFormError, split_standard
 from .covariance import standard_form_reduce_two_mode
-from .criteria import CorrelationVerdict, certify, certify_many, resolve_tolerance
+from .criteria import WITNESS_KEYS, CorrelationVerdict, certify, resolve_tolerance, stack_verdicts
 from .optimize import (
     FUNCTIONALS,
     GridSpec,
@@ -231,7 +231,13 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if verdict.physical else EXIT_NONPHYSICAL
 
 
+_SWEEP_WITNESSES = ("min_symplectic_eig_pt", "steer_sum_ab_min", "det_ratio_ab")
 _SWEEP_FLAGS = ("ppt", "steerable_a_to_b", "steerable_b_to_a")
+# a row's crossings cell, indexed by the bits of the flags that flipped there
+_CROSSINGS = [
+    ";".join(key for i, key in enumerate(_SWEEP_FLAGS) if bits >> i & 1) for bits in range(8)
+]
+_BOOL = ("false", "true")
 
 
 def _cmd_sweep(args) -> int:
@@ -250,35 +256,27 @@ def _cmd_sweep(args) -> int:
         params["n_alice"] = args.n_alice
     spec = GeneratorSpec(kind=args.kind, n_modes=args.n, params=params)
     values = np.linspace(lo, hi, steps)
-    verdicts = certify_many(spec.build_stack(args.param, values), tol=tol)
+    sv = stack_verdicts(spec.build_stack(args.param, values), tol=tol)
 
-    header = [
-        args.param,
-        "min_symplectic_eig_pt",
-        "steer_sum_ab_min",
-        "det_ratio_ab",
-        "physical",
-        *_SWEEP_FLAGS,
-        "crossings",
-    ]
-    lines = [",".join(header)]
-    previous: dict | None = None
-    for value, verdict in zip(values, verdicts):
-        vd = verdict.to_dict()
-        wit = vd["witnesses"]
-        row = [format(float(value), _FLOAT_DIGITS)]
-        for key in ("min_symplectic_eig_pt", "steer_sum_ab_min", "det_ratio_ab"):
-            row.append("" if key not in wit else format(wit[key], _FLOAT_DIGITS))
-        row.append(_render_scalar(vd["physical"]))
-        flags = {k: vd[k] for k in _SWEEP_FLAGS}
-        for key in _SWEEP_FLAGS:
-            row.append("" if flags[key] is None else _render_scalar(flags[key]))
-        crossed = []
-        if previous is not None:
-            crossed = [k for k in _SWEEP_FLAGS if previous[k] != flags[k]]
-        row.append(";".join(crossed))
-        previous = flags
-        lines.append(",".join(row))
+    # a non-physical row has no flags (2 here, None in a verdict), so a
+    # flag crosses where physical flips or where it flips between two
+    # physical rows
+    flags = np.stack([sv.ppt, sv.steerable_ab, sv.steerable_ba], axis=1)
+    flags = np.where(sv.physical[:, None], flags, 2)
+    crossed = [0, *(flags[1:] != flags[:-1]).dot((1, 2, 4)).tolist()]
+    wit = sv.witnesses[:, [WITNESS_KEYS.index(key) for key in _SWEEP_WITNESSES]]
+
+    lines = [",".join([args.param, *_SWEEP_WITNESSES, "physical", *_SWEEP_FLAGS, "crossings"])]
+    for x, ok, (pt_min, ab_min, det), (pt, ab, ba), c in zip(
+        values.tolist(), sv.physical.tolist(), wit.tolist(), flags.tolist(), crossed
+    ):
+        if ok:
+            lines.append(
+                f"{x:{_FLOAT_DIGITS}},{pt_min:{_FLOAT_DIGITS}},{ab_min:{_FLOAT_DIGITS}},"
+                f"{det:{_FLOAT_DIGITS}},true,{_BOOL[pt]},{_BOOL[ab]},{_BOOL[ba]},{_CROSSINGS[c]}"
+            )
+        else:
+            lines.append(f"{x:{_FLOAT_DIGITS}},,,,false,,,,{_CROSSINGS[c]}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

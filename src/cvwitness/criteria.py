@@ -5,19 +5,22 @@ PPT/separability, and one-way steerability in both directions.
 one, in standard form or not: it reads only local symplectic invariants
 (Simon, PRL 84, 2726, 2000; Wiseman, Jones and Doherty, PRL 98, 140402,
 2007), all from Cholesky factors of V, for a whole stack of CMs at
-once (``certify_many``; ``certify`` is its stack of one). The A->B
-steering call uses the determinant ratio det V / det V_A against 1/4,
-which is exactly equivalent to the matrix condition when
-Bob holds one mode; both are computed and any disagreement outside the
-tolerance dead band raises, as an internal self-check. The B->A call
-uses the Schur-complement matrix condition, which is strictly stronger
-than its determinant counterpart when N > 1.
+once: ``stack_verdicts`` returns the flags and witnesses as arrays,
+``certify_many`` turns them into one verdict per member, and
+``certify`` is its stack of one. The A->B steering call uses the
+determinant ratio det V / det V_A against 1/4, which is exactly
+equivalent to the matrix condition when Bob holds one mode; both are
+computed and any disagreement outside the tolerance dead band raises,
+as an internal self-check. The B->A call uses the Schur-complement
+matrix condition, which is strictly stronger than its determinant
+counterpart when N > 1.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,9 @@ __all__ = [
     "OneWayExampleNotFound",
     "certify",
     "certify_many",
+    "stack_verdicts",
+    "StackVerdicts",
+    "WITNESS_KEYS",
     "find_one_way_example",
     "sign_rule_holds",
     "default_tolerance",
@@ -126,7 +132,7 @@ class CorrelationVerdict:
         )
 
 
-_WITNESS_KEYS = (
+WITNESS_KEYS = (
     "min_rs_eig",
     "min_symplectic_eig",
     "min_symplectic_eig_pt",
@@ -161,14 +167,36 @@ def certify(
     return certify_many([V], tol=tol, assume_gaussian=assume_gaussian)[0]
 
 
-def certify_many(
+class StackVerdicts(NamedTuple):
+    """The verdicts of a stack of k CMs as arrays: eight (k,) bool flag
+    and marker arrays and the (k, 9) witnesses in ``WITNESS_KEYS``
+    order.
+
+    Only ``physical`` and the ``min_rs_eig`` column mean anything for a
+    non-physical member: its other flags and witnesses are whatever the
+    kernel left there (zeroed witnesses read as steerable A->B), so
+    every consumer masks them by ``physical``.
+    """
+
+    physical: np.ndarray
+    ppt: np.ndarray
+    separable_ok: np.ndarray
+    steerable_ab: np.ndarray
+    steerable_ba: np.ndarray
+    marginal_ppt: np.ndarray
+    marginal_ab: np.ndarray
+    marginal_ba: np.ndarray
+    witnesses: np.ndarray
+
+
+def stack_verdicts(
     cms,
     tol: float | None = None,
     assume_gaussian: bool = True,
-) -> list[CorrelationVerdict]:
-    """Certify a stack of bipartite CMs with the same number of modes,
-    given as a sequence of CMs or as an array of shape (k, 2n, 2n); one
-    verdict per member, each the one ``certify`` gives it alone.
+) -> StackVerdicts:
+    """Flags, markers and witnesses of a stack of bipartite CMs with the
+    same number of modes, given as a sequence of CMs or as an array of
+    shape (k, 2n, 2n), with no verdict object per member.
 
     An array is validated once as a whole (``covariance.validate_stack``:
     shape, finiteness and symmetry, with errors naming the member), and
@@ -179,14 +207,15 @@ def certify_many(
     The witnesses of the whole stack come from one batched kernel
     (``covariance.stack_witnesses``), and the flags from array
     comparisons on them. A member whose factorization fails is refused
-    as non-physical without affecting the others.
+    as non-physical without affecting the others. Both self-checks
+    look at physical members only and raise ``VerdictConsistencyError``.
     """
     tol = resolve_tolerance(tol)
     if isinstance(cms, np.ndarray):
         v = validate_stack(cms)
         if v.shape[1] < 4:
             raise ValueError(
-                "certify_many needs bipartite CMs with Bob holding exactly the last mode, "
+                "certification needs bipartite CMs with Bob holding exactly the last mode, "
                 f"got {v.shape[1] // 2}-mode members"
             )
     else:
@@ -194,10 +223,11 @@ def certify_many(
         for cm in cms:
             cm.require_bipartite()
         if len({cm.n_modes for cm in cms}) > 1:
-            raise ValueError("certify_many needs CMs with the same number of modes")
+            raise ValueError("certification needs CMs with the same number of modes")
         v = np.array([cm.matrix for cm in cms])
     if not len(v):
-        return []
+        none = np.zeros(0, dtype=bool)
+        return StackVerdicts(*[none] * 8, np.zeros((0, len(WITNESS_KEYS))))
     w = stack_witnesses(v)
 
     physical = w.factored & (w.min_rs_eig >= -tol)
@@ -230,15 +260,29 @@ def certify_many(
         [w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus_min, sep_minus_min,
          2.0 * np.sqrt(w.det_ratio_ab), w.det_ratio_ab, w.det_ratio_ba, w.schur_nu_min],
         axis=1,
-    ).tolist()
-    flags = np.stack(
-        [physical, ppt, separable_ok, steerable_ab, steerable_ba,
-         marginal_ppt, marginal_ab, marginal_ba],
-        axis=1,
-    ).tolist()
+    )
+    return StackVerdicts(physical, ppt, separable_ok, steerable_ab, steerable_ba,
+                         marginal_ppt, marginal_ab, marginal_ba, witnesses)
+
+
+def certify_many(
+    cms,
+    tol: float | None = None,
+    assume_gaussian: bool = True,
+) -> list[CorrelationVerdict]:
+    """Certify a stack of bipartite CMs with the same number of modes,
+    given as a sequence of CMs or as an array of shape (k, 2n, 2n); one
+    verdict per member, each the one ``certify`` gives it alone.
+
+    The flags and witnesses are ``stack_verdicts``'s, turned into one
+    ``CorrelationVerdict`` per member; a non-physical member keeps only
+    its ``min_rs_eig`` witness and every other flag is None.
+    """
+    sv = stack_verdicts(cms, tol=tol, assume_gaussian=assume_gaussian)
+    flags = np.stack(sv[:8], axis=1).tolist()
     separable_if_ppt = "yes" if assume_gaussian else "undecided"
     verdicts = []
-    for values, (phys, pt, sep_ok, ab, ba, *marginals) in zip(witnesses, flags):
+    for values, (phys, pt, sep_ok, ab, ba, *marginals) in zip(sv.witnesses.tolist(), flags):
         if not phys:
             verdicts.append(
                 CorrelationVerdict(
@@ -252,7 +296,7 @@ def certify_many(
                 )
             )
             continue
-        wit = dict(zip(_WITNESS_KEYS, values))
+        wit = dict(zip(WITNESS_KEYS, values))
         wit.update((key, 1.0) for key, on in zip(_MARGINAL_KEYS, marginals) if on)
         verdicts.append(
             CorrelationVerdict(
@@ -283,10 +327,9 @@ def find_one_way_example(
     example (steerable in exactly one direction).
 
     Builds and certifies a grid of squeezing and one-sided thermal noise
-    as one array and returns its first one-way member in (r, nbar, side)
-    order;
-    widens the grid once before giving up. The returned CM is always
-    bona fide.
+    as one array and returns its first physical one-way member in
+    (r, nbar, side) order; widens the grid once before giving up. The
+    returned CM is always bona fide.
     """
     grids = [(r_values or _R_GRID, nbar_values or _NBAR_GRID)]
     if r_values is None and nbar_values is None:
@@ -299,9 +342,10 @@ def find_one_way_example(
             for r in rs
         ])
         stack = blocks.swapaxes(1, 2).reshape(-1, 4, 4)
-        for m, verdict in zip(stack, certify_many(stack, tol=tol)):
-            if verdict.steerable_a_to_b != verdict.steerable_b_to_a:
-                return CovarianceMatrix(m)
+        sv = stack_verdicts(stack, tol=tol)
+        one_way = sv.physical & (sv.steerable_ab != sv.steerable_ba)
+        if one_way.any():
+            return CovarianceMatrix(stack[one_way.argmax()])
     raise OneWayExampleNotFound(
         "no one-way steerable state on the searched noisy-TMSV grid"
     )

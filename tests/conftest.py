@@ -46,11 +46,11 @@ def rotated(cm: CovarianceMatrix, thetas) -> CovarianceMatrix:
     return CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=n_alice)
 
 
-def rotated_and_squeezed(cm: CovarianceMatrix, rng) -> CovarianceMatrix:
+def rotated_and_squeezed(cm: CovarianceMatrix, rng, max_z: float = 1.0) -> CovarianceMatrix:
     """Conjugate a CM by a random phase rotation times a squeeze
-    (|z| <= 1) on each mode, which moves it off standard form."""
+    (|z| <= max_z) on each mode, which moves it off standard form."""
     s = local_direct_sum(
-        [one_mode_rotation(rng.uniform(0, np.pi)) @ one_mode_squeeze(rng.uniform(-1, 1))
+        [one_mode_rotation(rng.uniform(0, np.pi)) @ one_mode_squeeze(rng.uniform(-max_z, max_z))
          for _ in range(cm.n_modes)]
     )
     return CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=cm.n_alice)

@@ -6,6 +6,7 @@ import pytest
 
 from cvwitness import (
     CovarianceMatrix,
+    GeneratorSpec,
     certify,
     min_steering_sum_ba_numeric,
     random_standard,
@@ -336,17 +337,40 @@ class TestSweep:
         "argv",
         [["tmsv", "--param", "r", "--range", "0,12,25"],
          ["noisy_tmsv", "--r", "0.7", "--param", "nbar", "--range", "0,1,21"],
-         ["random_standard", "--n", "4", "--param", "seed", "--range", "0,9,10"]],
+         ["random_standard", "--n", "4", "--param", "seed", "--range", "0,9,10"],
+         ["tmsv", "--param", "r", "--range", "9.8,10,21"]],
     )
-    def test_csv_matches_one_at_a_time(self, capsys, monkeypatch, argv):
+    def test_csv_matches_one_at_a_time(self, capsys, argv):
+        # the CSV rendered here from certify(cm) of each row's own CM:
+        # empty witness and flag cells on a non-physical row, and a crossing
+        # wherever a flag differs from the row above, None != bool included.
+        # tmsv up to r = 12 crosses into non-physical rows; on 9.8..10, rows
+        # refused by the RS band sit next to rows whose factor fails, and
+        # their unprinted flags differ
         code, batched, _ = run(capsys, "sweep", *argv)
         assert code == 0
-        monkeypatch.setattr(
-            cli, "certify_many", lambda cms, tol: [certify(cm, tol=tol) for cm in cms]
-        )
-        code, single, _ = run(capsys, "sweep", *argv)
-        assert code == 0
-        assert batched == single
+        args = cli._PARSER.parse_args(["sweep", *argv])
+        lo, hi, steps = args.value_range.split(",")
+        keys = ("min_symplectic_eig_pt", "steer_sum_ab_min", "det_ratio_ab")
+        flag_keys = ("ppt", "steerable_a_to_b", "steerable_b_to_a")
+        lines = [",".join([args.param, *keys, "physical", *flag_keys, "crossings"])]
+        previous = None
+        for value in np.linspace(float(lo), float(hi), int(steps)):
+            params = {"r": args.r, "nbar": args.nbar, "side": args.side, "seed": args.seed}
+            params[args.param] = int(value) if args.param == "seed" else value
+            v = certify(GeneratorSpec(args.kind, args.n, params).build()).to_dict()
+            flags = [v[key] for key in flag_keys]
+            cells = [format(float(value), ".17g")]
+            cells += [format(v["witnesses"][key], ".17g") if v["physical"] else "" for key in keys]
+            cells.append("true" if v["physical"] else "false")
+            cells += ["" if flag is None else str(flag).lower() for flag in flags]
+            crossed = [] if previous is None else [
+                key for key, was, now in zip(flag_keys, previous, flags) if was != now
+            ]
+            cells.append(";".join(crossed))
+            previous = flags
+            lines.append(",".join(cells))
+        assert batched == "\n".join(lines) + "\n"
 
     def test_generator_sweeps_byte_identical(self, capsys):
         # CSVs written by tests/data/freeze_sweeps.py when each row was

@@ -19,6 +19,7 @@ from cvwitness import (
     random_two_mode_params,
     sign_rule_holds,
     split_standard,
+    stack_verdicts,
     thermal,
     tmsv,
     two_mode_symplectic_pair,
@@ -26,7 +27,7 @@ from cvwitness import (
     vacuum,
     validate_bona_fide,
 )
-from cvwitness.criteria import default_tolerance
+from cvwitness.criteria import WITNESS_KEYS, default_tolerance
 from conftest import product_cm, rotated, rotated_and_squeezed
 
 
@@ -170,6 +171,22 @@ class TestCertifyInvariances:
                 continue
             assert v.steerable_b_to_a == (det_ratio_ba < 0.25)
 
+    def test_flags_invariant_under_local_rotation_and_squeeze(self):
+        # noisy TMSV on a grid up to r = 5, each under 4 random local
+        # rotation-and-squeeze symplectics with |z| <= 2
+        rng = np.random.default_rng(20240811)
+        base = [
+            noisy_tmsv(r, nbar, side)
+            for r in np.round(0.1 * np.arange(51), 1)
+            for nbar in (0.0, 0.3, 2.0)
+            for side in ("A", "B")
+        ]
+        moved = [rotated_and_squeezed(cm, rng, max_z=2.0) for cm in base for _ in range(4)]
+        want, got = stack_verdicts(base), stack_verdicts(moved)
+        assert want.physical.all()
+        for name in ("physical", "ppt", "steerable_ab", "steerable_ba"):
+            np.testing.assert_array_equal(getattr(got, name), np.repeat(getattr(want, name), 4), name)
+
     def test_marginal_dead_band(self):
         # a state sitting exactly on the A->B threshold gets a marginal
         # marker instead of a flag flip
@@ -215,6 +232,16 @@ class TestOneWayExample:
     def test_not_found_on_hopeless_grid(self):
         with pytest.raises(OneWayExampleNotFound):
             find_one_way_example(r_values=[0.0], nbar_values=[0.0])
+
+    def test_non_physical_member_never_reported(self):
+        # tmsv(11)'s factorization fails, and its zeroed witnesses read as
+        # steerable A->B but not B->A: one-way, were it not masked
+        grid = np.stack([noisy_tmsv(11.0, 0.0, side).matrix for side in ("A", "B")])
+        sv = stack_verdicts(grid)
+        assert not sv.physical.any()
+        assert (sv.steerable_ab != sv.steerable_ba).all()
+        with pytest.raises(OneWayExampleNotFound):
+            find_one_way_example(r_values=[11.0], nbar_values=[0.0])
 
     def test_first_in_scan_order(self):
         # the stacked grid keeps the (r, nbar, side) scan order
@@ -315,6 +342,44 @@ class TestCertifyMany:
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
             certify_many([vacuum(2)], tol=float("nan"))
+
+
+class TestStackVerdicts:
+    """The flag and witness arrays are certify's verdict, bit for bit,
+    wherever the verdict has a value."""
+
+    def test_golden_corpus_matches_certify(self):
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "golden.json").read_text()
+        )
+        tol = golden["tol"]
+        groups = defaultdict(list)
+        for entry in golden["entries"]:
+            cm = CovarianceMatrix.from_dict(entry["cm"])
+            groups[cm.n_modes].append(cm)
+        seen = set()
+        for cms in groups.values():
+            sv = stack_verdicts(np.stack([cm.matrix for cm in cms]), tol=tol)
+            for i, cm in enumerate(cms):
+                v = certify(cm, tol=tol)
+                seen.add(v.physical)
+                assert sv.physical[i] == v.physical
+                if not v.physical:
+                    assert sv.witnesses[i, 0] == v.witnesses["min_rs_eig"]
+                    continue
+                assert [sv.ppt[i], sv.separable_ok[i], sv.steerable_ab[i], sv.steerable_ba[i]] == [
+                    v.ppt, v.separable_necessary_met, v.steerable_a_to_b, v.steerable_b_to_a
+                ]
+                assert [sv.marginal_ppt[i], sv.marginal_ab[i], sv.marginal_ba[i]] == [
+                    key in v.witnesses for key in ("marginal_ppt", "marginal_ab", "marginal_ba")
+                ]
+                assert sv.witnesses[i].tolist() == [v.witnesses[key] for key in WITNESS_KEYS]
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 4, 4))])
+    def test_empty_stack(self, empty):
+        sv = stack_verdicts(empty)
+        assert sv.physical.shape == (0,) and sv.witnesses.shape == (0, len(WITNESS_KEYS))
 
 
 class TestSignRule:
