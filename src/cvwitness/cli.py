@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -50,13 +51,14 @@ def _render_scalar(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return format(float(x), _FLOAT_DIGITS)
+        # JSON has no inf or nan
+        return format(float(x), _FLOAT_DIGITS) if math.isfinite(x) else "null"
     return json.dumps(str(x))
 
 
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON rendering: insertion-ordered keys, floats at 17
-    significant digits."""
+    significant digits, and null for a non-finite float."""
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):

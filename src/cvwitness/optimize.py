@@ -415,11 +415,14 @@ def check_unsteerable_ab(V: CovarianceMatrix, tol: float = 1e-9) -> Unsteerabili
 
 
 # brute-force search tuning: draws per chain and round, chain count,
-# success-driven step adaptation bounds, and the share of always-global
-# exploration draws
+# rounds per block of random numbers, success-driven step adaptation
+# bounds, the share of always-global exploration draws and the share of
+# those that get stretched
 _BATCH = 128
 _CHAINS = 4
+_BLOCK = 4
 _GLOBAL_FRACTION = 0.2
+_STRETCH_FRACTION = 0.3
 _STEP_GROW = 1.2
 _STEP_SHRINK = 0.82
 _STEP_MIN = 1e-7
@@ -442,14 +445,23 @@ def brute_force_min(
     draws with non-positive gauge denominators are rejected), in
     coordinates z = (z_a, z_b) whitened by the two quadratic forms, where
     a draw's value is (|z_a|^2 + |z_b|^2) / (z_a' G z_b) with
-    G = Mq^(-1/2) W Mp^(-1/2). Each round draws 128 points for each of 4
-    chains; a chain perturbs its incumbent by a success-adapted step (the
-    last chain with heavy-tailed noise) and keeps a share of global draws.
-    The result upper-bounds the true minimum, is deterministic per seed,
-    and never increases when the budget grows with the same seed: rounds
-    are drawn at full size and the last one masks out the draws past the
-    budget (chain-major), so a larger budget replays the smaller run and
-    scores a superset of its draws.
+    G = Mq^(-1/2) W Mp^(-1/2). Each round scores 128 points for each of
+    4 chains; a chain perturbs its incumbent by a success-adapted step
+    (the last chain with heavy-tailed noise) and keeps a share of global
+    draws. A chain with no incumbent yet scores its would-be local rows
+    as fresh points (unstretched; for the last chain, heavy-tailed).
+
+    The random numbers come in blocks of _BLOCK rounds, three calls per
+    block: one normal block for the chains plus one extra chain, whose
+    ratio with the last chain's draws is the heavy-tailed noise (a ratio
+    of two standard normals is standard Cauchy); one uniform per row
+    that decides both global-or-local and stretched-or-not; and the
+    stretch factors. The result upper-bounds the true minimum, is
+    deterministic per seed, and never increases when the budget grows
+    with the same seed: blocks are drawn at full size, the round that
+    crosses the budget masks out the draws past it (chain-major) and
+    the block's later rounds go unscored, so a larger budget replays
+    the smaller run and scores a superset of its draws.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
@@ -458,38 +470,51 @@ def brute_force_min(
     n = sf.n_modes
     gauge = _inv_sqrt_spd(mq) @ w @ _inv_sqrt_spd(mp)
     rng = np.random.default_rng(spec.seed)
-    shape = (_CHAINS, _BATCH, 2 * n)
+    rows = _CHAINS * _BATCH
     chains = np.arange(_CHAINS)
     best = np.full(_CHAINS, np.inf)
     incumbent = np.zeros((_CHAINS, 2 * n))  # gauge-normalized
     step = np.ones(_CHAINS)
-    for start in range(0, spec.samples, _CHAINS * _BATCH):
-        # one normal block: a global row keeps its draw as a fresh point,
-        # a local row moves its chain's incumbent by step times the draw
-        z = rng.standard_normal(shape)
-        local = (rng.random(shape[:2]) >= _GLOBAL_FRACTION) & np.isfinite(best)[:, None]
-        # the last chain moves with clipped Cauchy noise instead, heavy-
-        # tailed jumps that escape shallow basins
-        heavy = np.clip(rng.standard_cauchy(shape[1:]), -50.0, 50.0)
-        np.copyto(z[-1], heavy, where=local[-1, :, None])
-        # a share of the fresh draws gets a per-component log-uniform
-        # stretch so lopsided weight vectors stay reachable
-        stretch = (rng.random(shape[:2]) < 0.3) & ~local
-        z[stretch] *= np.exp(rng.uniform(-1.5, 1.5, size=(int(stretch.sum()), 2 * n)))
-        np.copyto(z, incumbent[:, None, :] + step[:, None, None] * z, where=local[..., None])
-        flat = z.reshape(-1, 2 * n)
-        den = np.einsum("ki,ki->k", flat[:, :n] @ gauge, flat[:, n:])
-        ok = den > 1e-12
-        ok[spec.samples - start :] = False  # draws past the budget
-        vals = np.full(den.shape, np.inf)
-        np.divide(np.einsum("ki,ki->k", flat, flat), den, out=vals, where=ok)
-        pick = vals.reshape(_CHAINS, _BATCH).argmin(axis=1) + chains * _BATCH
-        won = vals[pick] < best
-        best[won] = vals[pick[won]]
-        incumbent[won] = flat[pick[won]] / np.sqrt(den[pick[won]])[:, None]
-        step = np.where(
-            won,
-            np.minimum(step * _STEP_GROW, _STEP_MAX),
-            np.maximum(step * _STEP_SHRINK, _STEP_MIN),
-        )
+    for block in range(0, spec.samples, _BLOCK * rows):
+        # one normal block for the chains plus one extra chain; the last
+        # chain's local rows move by its draws over the extra chain's, a
+        # standard Cauchy variate (clipped), heavy-tailed jumps that escape
+        # shallow basins
+        z = rng.standard_normal((_BLOCK, _CHAINS + 1, _BATCH, 2 * n))
+        # one uniform per row decides both: global below the global share,
+        # and stretched below the stretched share of that
+        u = rng.random((_BLOCK, _CHAINS, _BATCH))
+        local = u >= _GLOBAL_FRACTION
+        heavy = np.clip(z[:, -2] / z[:, -1], -50.0, 50.0)
+        np.copyto(z[:, -2], heavy, where=local[:, -1, :, None])
+        # a stretched draw gets a per-component log-uniform factor so
+        # lopsided weight vectors stay reachable
+        stretch = u < _GLOBAL_FRACTION * _STRETCH_FRACTION
+        draws = z[:, :-1]
+        draws[stretch] *= np.exp(rng.uniform(-1.5, 1.5, size=(int(stretch.sum()), 2 * n)))
+        for r in range(_BLOCK):
+            start = block + r * rows
+            if start >= spec.samples:
+                break
+            # a local row moves its chain's incumbent by step times its
+            # draw; a global row, or any row of a chain with no incumbent
+            # yet, is scored as a fresh point
+            zr = draws[r]
+            move = local[r] & np.isfinite(best)[:, None]
+            np.copyto(zr, incumbent[:, None, :] + step[:, None, None] * zr, where=move[..., None])
+            flat = zr.reshape(-1, 2 * n)
+            den = np.einsum("ki,ki->k", flat[:, :n] @ gauge, flat[:, n:])
+            ok = den > 1e-12
+            ok[spec.samples - start :] = False  # draws past the budget
+            vals = np.full(den.shape, np.inf)
+            np.divide(np.einsum("ki,ki->k", flat, flat), den, out=vals, where=ok)
+            pick = vals.reshape(_CHAINS, _BATCH).argmin(axis=1) + chains * _BATCH
+            won = vals[pick] < best
+            best[won] = vals[pick[won]]
+            incumbent[won] = flat[pick[won]] / np.sqrt(den[pick[won]])[:, None]
+            step = np.where(
+                won,
+                np.minimum(step * _STEP_GROW, _STEP_MAX),
+                np.maximum(step * _STEP_SHRINK, _STEP_MIN),
+            )
     return float(best.min())

@@ -508,6 +508,18 @@ class TestOracle:
         assert code == 3
         assert json.loads(out)["agreement_numeric_brute"] is False
 
+    def test_no_accepted_draw_writes_null(self, capsys, tmp_path, monkeypatch):
+        # a budget that scores no accepted draw leaves the oracle at inf,
+        # which JSON cannot hold
+        monkeypatch.setattr(cli, "brute_force_min", lambda *args: np.inf)
+        path = write_cm(tmp_path, tmsv(0.5))
+        code, out, _ = run(capsys, "oracle", path, "--functional", "sep_plus", "--samples", "3")
+        assert code == 3
+        rec = json.loads(out)
+        assert rec["brute_force_min"] is None
+        assert rec["numeric_vs_brute"] is None
+        assert rec["agreement_numeric_brute"] is False
+
 
 def test_repeated_main_calls_reproduce_output(capsys, tmp_path):
     # one parser serves every main() call in a process; no call may leak
@@ -535,3 +547,9 @@ def test_render_json_deterministic_17_digits():
     assert '"a": 0.33333333333333331' in text
     assert '"d": 2.2204460492503131e-16' in text
     assert text == render_json(json.loads(text.replace("null", "null")))  # stable
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, np.float64(np.inf)])
+def test_render_json_non_finite_is_null(value):
+    text = render_json({"x": value, "y": [value, 1.5]})
+    assert json.loads(text) == {"x": None, "y": [None, 1.5]}

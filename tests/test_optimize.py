@@ -9,6 +9,7 @@ from cvwitness import (
     GridSpec,
     TwoModeStandardParams,
     brute_force_min,
+    certify,
     check_unsteerable_ab,
     check_unsteerable_ba,
     min_separability_sum_numeric,
@@ -30,8 +31,19 @@ from cvwitness import (
     variance_p,
     variance_q,
 )
+from cvwitness.cli import _CLOSED_FORMS
 from cvwitness.covariance import StandardForm
-from cvwitness.optimize import _MAX_ITERS, _STARTS, _STOP_TOL, _alternate, _functional_forms
+from cvwitness.optimize import (
+    _BATCH,
+    _BLOCK,
+    _CHAINS,
+    _MAX_ITERS,
+    _STARTS,
+    _STOP_TOL,
+    FUNCTIONALS,
+    _alternate,
+    _functional_forms,
+)
 from conftest import product_cm
 
 VACUUM_PARAMS = TwoModeStandardParams(0.5, 0.5, 0.0, 0.0)
@@ -381,11 +393,19 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("functional", ["sep_plus", "sep_minus", "steer_ab", "steer_ba"])
     def test_monotone_across_round_boundaries(self, functional):
-        # a round is 4 chains x 128 draws; budgets that end inside a round
-        # mask its tail and must still never beat a larger budget
+        # a round is 4 chains x 128 draws and a block is _BLOCK rounds;
+        # budgets that end inside a round mask its tail, budgets that end
+        # inside a block leave its later rounds unscored, and neither may
+        # beat a larger budget
         sf = split_standard(random_standard(3, seed=11))
+        block = _BLOCK * _CHAINS * _BATCH
         prev = np.inf
-        for samples in (511, 512, 513, 100_000, 100_001):
+        for samples in (
+            511, 512, 513,
+            block - 1, block, block + 1,
+            2 * block - 1, 2 * block + 1,
+            100_000, 100_001,
+        ):
             got = brute_force_min(sf, functional, GridSpec(samples, seed=5))
             assert got <= prev
             prev = got
@@ -431,6 +451,20 @@ class TestBruteForce:
 
 
 class TestOracleSandwich:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_budget_within_oracle_tol_of_closed_form(self, n, seed):
+        # the oracle bounds every minimum from above and, at its default
+        # budget, lands within the default --oracle-tol of it
+        cm = random_standard(n, seed=seed)
+        witnesses = certify(cm).witnesses
+        sf = split_standard(cm)
+        for functional in FUNCTIONALS:
+            key, factor = _CLOSED_FORMS[functional]
+            closed = factor * witnesses[key]
+            brute = brute_force_min(sf, functional)
+            assert closed - 1e-9 <= brute <= closed + 1e-3, (functional, brute, closed)
+
     def test_numeric_below_brute_above_closed(self):
         for seed in range(8):
             n = 2 + seed % 2
