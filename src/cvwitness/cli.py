@@ -12,6 +12,8 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -119,7 +121,10 @@ def _report_csv(report: Report) -> str:
         cells.append(format(float(val), _FLOAT_DIGITS))
     head.append("timing_ms")
     cells.append(format(report.timing_ms, _FLOAT_DIGITS))
-    return ",".join(head) + "\n" + ",".join(cells) + "\n"
+    # quotes a cell only when it holds a comma, quote or line break
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([head, cells])
+    return buf.getvalue()
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -135,7 +140,7 @@ class _Parser(argparse.ArgumentParser):
     # non-physical inputs, so remap to 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> _Parser:
@@ -148,7 +153,6 @@ def _build_parser() -> _Parser:
         "--n", type=int, default=None,
         help="number of modes (default 2; for thermal, the number of --nbar values)",
     )
-    gen.add_argument("--n-alice", type=int, default=None)
     gen.add_argument("--r", type=float, default=0.5, help="squeezing parameter")
     gen.add_argument(
         "--nbar", type=str, default="0",
@@ -171,7 +175,6 @@ def _build_parser() -> _Parser:
         "--range", required=True, dest="value_range", metavar="LO,HI,STEPS"
     )
     sweep.add_argument("--n", type=int, default=2)
-    sweep.add_argument("--n-alice", type=int, default=None)
     sweep.add_argument("--r", type=float, default=0.5)
     sweep.add_argument("--nbar", type=float, default=0.0)
     sweep.add_argument("--side", choices=("A", "B"), default="A")
@@ -206,8 +209,6 @@ def _cmd_gen(args) -> int:
         params["nbar"] = nbar if len(nbar) > 1 else nbar[0]
     else:
         params["nbar"] = float(args.nbar)
-    if args.n_alice is not None:
-        params["n_alice"] = args.n_alice
     spec = GeneratorSpec(kind=args.kind, n_modes=n_modes, params=params)
     cm = spec.build()
     _emit(render_json(cm.to_dict()) + "\n", args.out)
@@ -254,8 +255,6 @@ def _cmd_sweep(args) -> int:
         return EXIT_USAGE
     tol = resolve_tolerance(args.tol, "--tol")
     params = {"r": args.r, "nbar": args.nbar, "side": args.side, "seed": args.seed}
-    if args.n_alice is not None:
-        params["n_alice"] = args.n_alice
     spec = GeneratorSpec(kind=args.kind, n_modes=args.n, params=params)
     values = np.linspace(lo, hi, steps)
     sv = stack_verdicts(spec.build_stack(args.param, values), tol=tol)
@@ -292,7 +291,7 @@ def _standardize(cm: CovarianceMatrix, tol: float):
         if cm.n_modes != 2:
             raise
     _, s = standard_form_reduce_two_mode(cm, tol=tol)
-    return split_standard(CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=cm.n_alice), tol=tol)
+    return split_standard(CovarianceMatrix(s @ cm.matrix @ s.T), tol=tol)
 
 
 # each functional's minimum as a certify witness: twice the smallest

@@ -7,7 +7,7 @@ covariance matrix V satisfies V + (i/2) J >= 0, and det V >= 2**(-2n).
 Matrices are stored mode-interleaved (q1, p1, q2, p2, ...); the block
 ordering (q1..qn, p1..pn) is accepted on input and available as a view.
 
-In bipartite use, Alice holds the first ``n_alice`` modes and Bob holds
+In bipartite use, Alice holds the first n - 1 modes and Bob holds
 exactly the last mode.
 """
 
@@ -152,7 +152,7 @@ class CovarianceMatrix:
     data instead.
     """
 
-    def __init__(self, matrix, n_alice: int | None = None, ordering: str = "interleaved"):
+    def __init__(self, matrix, ordering: str = "interleaved"):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance matrix must be square, got shape {m.shape}")
@@ -165,12 +165,11 @@ class CovarianceMatrix:
             m = m[np.ix_(perm, perm)]
         self.matrix = m
         self.n_modes = n
-        if n_alice is None:
-            n_alice = n - 1 if n >= 2 else 0
-        n_alice = int(n_alice)
-        if n >= 2 and not 1 <= n_alice <= n - 1:
-            raise ValueError(f"n_alice must lie in [1, {n - 1}], got {n_alice}")
-        self.n_alice = n_alice
+
+    @property
+    def n_alice(self) -> int:
+        """Alice's mode count: every mode but Bob's, the last one."""
+        return self.n_modes - 1
 
     @property
     def block_matrix(self) -> np.ndarray:
@@ -179,10 +178,8 @@ class CovarianceMatrix:
         return self.matrix[np.ix_(perm, perm)]
 
     def require_bipartite(self) -> None:
-        if self.n_modes < 2 or self.n_alice != self.n_modes - 1:
-            raise ValueError(
-                "operation needs a bipartite CM with Bob holding exactly the last mode"
-            )
+        if self.n_modes < 2:
+            raise ValueError("operation needs a bipartite CM of two or more modes")
 
     def to_dict(self) -> dict:
         return {
@@ -196,19 +193,25 @@ class CovarianceMatrix:
     def from_dict(cls, data: dict) -> "CovarianceMatrix":
         try:
             matrix = data["matrix"]
-            n_modes = int(data["n_modes"])
+            n_modes = data["n_modes"]
             ordering = data.get("ordering", "interleaved")
             n_alice = data.get("n_alice")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed covariance-matrix record: {exc}") from exc
+        if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)):
+            raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
+        n_modes = int(n_modes)
         m = np.asarray(matrix, dtype=float)
         if m.shape != (2 * n_modes, 2 * n_modes):
             raise ValueError(
                 f"matrix shape {m.shape} inconsistent with n_modes={n_modes}"
             )
-        if n_alice in (None, 0):
-            n_alice = None
-        return cls(m, n_alice=n_alice, ordering=ordering)
+        # absent, null and 0 read as unset
+        if n_alice not in (None, 0, n_modes - 1):
+            raise ValueError(
+                f"n_alice must be {n_modes - 1}, as Bob holds the last mode, got {n_alice!r}"
+            )
+        return cls(m, ordering=ordering)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -221,10 +224,7 @@ class CovarianceMatrix:
             return cls.from_dict(json.load(fh))
 
     def __repr__(self) -> str:
-        return (
-            f"CovarianceMatrix(n_modes={self.n_modes}, n_alice={self.n_alice}, "
-            f"matrix={self.matrix!r})"
-        )
+        return f"CovarianceMatrix(n_modes={self.n_modes}, matrix={self.matrix!r})"
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,8 @@ class StandardForm:
 
     vq: np.ndarray
     vp: np.ndarray
-    n_alice: int
+    # Bob holds the last mode; kept for callers that pass n_modes - 1 (bench/workloads.py)
+    n_alice: int | None = None
 
     def __post_init__(self):
         vq = np.asarray(self.vq, dtype=float)
@@ -243,6 +244,12 @@ class StandardForm:
         object.__setattr__(self, "vp", vp)
         if vq.shape != vp.shape or vq.ndim != 2 or vq.shape[0] != vq.shape[1]:
             raise ValueError("vq and vp must be square matrices of equal size")
+        if self.n_alice not in (None, self.n_modes - 1):
+            raise ValueError(
+                f"n_alice must be {self.n_modes - 1}, as Bob holds the last mode, "
+                f"got {self.n_alice!r}"
+            )
+        object.__setattr__(self, "n_alice", self.n_modes - 1)
         for name, blk in (("vq", vq), ("vp", vp)):
             scale = max(np.abs(blk).max(), 1.0)
             if np.abs(blk - blk.T).max() > _SYMMETRY_RTOL * scale:
@@ -258,8 +265,7 @@ class StandardForm:
         full = np.zeros((2 * n, 2 * n))
         full[:n, :n] = self.vq
         full[n:, n:] = self.vp
-        n_alice = self.n_alice if n >= 2 else None
-        return CovarianceMatrix(full, n_alice=n_alice, ordering="block")
+        return CovarianceMatrix(full, ordering="block")
 
 
 class Partition(NamedTuple):
@@ -290,7 +296,7 @@ class TwoModeStandardParams:
         if not self.c >= abs(self.d) - slack:
             raise ValueError(f"need c >= |d|, got c={self.c}, d={self.d}")
 
-    def to_covariance_matrix(self, n_alice: int = 1) -> CovarianceMatrix:
+    def to_covariance_matrix(self) -> CovarianceMatrix:
         b1, b2, c, d = self.b1, self.b2, self.c, self.d
         m = np.array(
             [
@@ -300,14 +306,13 @@ class TwoModeStandardParams:
                 [0.0, d, 0.0, b2],
             ]
         )
-        return CovarianceMatrix(m, n_alice=n_alice)
+        return CovarianceMatrix(m)
 
     def to_standard_form(self) -> StandardForm:
         b1, b2, c, d = self.b1, self.b2, self.c, self.d
         return StandardForm(
             vq=np.array([[b1, c], [c, b2]]),
             vp=np.array([[b1, d], [d, b2]]),
-            n_alice=1,
         )
 
 
@@ -406,12 +411,10 @@ def partial_transpose_bob(V: CovarianceMatrix) -> CovarianceMatrix:
     transpose with respect to the last mode). Involutive."""
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
-    if V.n_modes < 2:
-        raise ValueError("partial transposition needs a bipartite CM")
+    V.require_bipartite()
     signs = np.ones(2 * V.n_modes)
     signs[-1] = -1.0
-    flipped = V.matrix * np.outer(signs, signs)
-    return CovarianceMatrix(flipped, n_alice=V.n_alice)
+    return CovarianceMatrix(V.matrix * np.outer(signs, signs))
 
 
 def split_standard(V, tol: float = DEFAULT_TOL) -> StandardForm:
@@ -429,12 +432,7 @@ def split_standard(V, tol: float = DEFAULT_TOL) -> StandardForm:
     worst = np.abs(qp).max()
     if worst > tol:
         raise NotStandardFormError(worst, tol)
-    n_alice = V.n_alice if n >= 2 else 0
-    return StandardForm(
-        vq=V.matrix[np.ix_(qi, qi)],
-        vp=V.matrix[np.ix_(pi, pi)],
-        n_alice=n_alice,
-    )
+    return StandardForm(vq=V.matrix[np.ix_(qi, qi)], vp=V.matrix[np.ix_(pi, pi)])
 
 
 def partition(V: CovarianceMatrix) -> Partition:
@@ -443,7 +441,7 @@ def partition(V: CovarianceMatrix) -> Partition:
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     V.require_bipartite()
-    k = 2 * V.n_alice
+    k = 2 * V.n_modes - 2
     m = V.matrix
     return Partition(alice=m[:k, :k], bob=m[k:, k:], cross=m[:k, k:])
 
@@ -456,7 +454,7 @@ def schur_factor(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     V.require_bipartite()
-    k = 2 * V.n_alice
+    k = 2 * V.n_modes - 2
     if over == "A":
         return np.linalg.cholesky(V.matrix)[k:, k:]
     if over == "B":

@@ -200,8 +200,8 @@ def stack_verdicts(
 
     An array is validated once as a whole (``covariance.validate_stack``:
     shape, finiteness and symmetry, with errors naming the member), and
-    its members, which carry no partition, are read with Bob holding the
-    last mode. Members of a sequence are wrapped in ``CovarianceMatrix``
+    its members are read, as every CM is, with Bob holding the last
+    mode. Members of a sequence are wrapped in ``CovarianceMatrix``
     unless they are one already.
 
     The witnesses of the whole stack come from one batched kernel
@@ -215,7 +215,7 @@ def stack_verdicts(
         v = validate_stack(cms)
         if v.shape[1] < 4:
             raise ValueError(
-                "certification needs bipartite CMs with Bob holding exactly the last mode, "
+                "certification needs bipartite CMs of two or more modes, "
                 f"got {v.shape[1] // 2}-mode members"
             )
     else:

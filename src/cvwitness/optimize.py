@@ -327,7 +327,7 @@ def _logdet_pd(m: np.ndarray, name: str) -> float:
 def min_steering_sum_ab(sf: StandardForm) -> float:
     """Closed-form minimum of the A->B steering sum: 2 sqrt(det V / det V_A),
     evaluated through the position/momentum block determinants."""
-    n_a = sf.n_alice
+    n_a = sf.n_modes - 1
     if n_a < 1:
         raise ValueError("need a bipartite standard form")
     log_num = _logdet_pd(sf.vq, "vq") + _logdet_pd(sf.vp, "vp")
@@ -345,7 +345,7 @@ def min_steering_sum_ab_numeric(sf: StandardForm) -> MinimizationResult:
     eps * Qbar + Pbar / eps of the single scale eps = alpha_B / beta_B,
     minimized in log space at eps_m = sqrt(Pbar / Qbar).
     """
-    n_a = sf.n_alice
+    n_a = sf.n_modes - 1
     if n_a < 1:
         raise ValueError("need a bipartite standard form")
     vqa = sf.vq[:n_a, :n_a]

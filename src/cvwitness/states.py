@@ -73,7 +73,11 @@ def _tmsv_stack(r: np.ndarray, nbar=0.0, side: str = "A") -> np.ndarray:
     return m
 
 
-def _random_standard_stack(n_modes: int, seeds, max_tries: int = 100) -> np.ndarray:
+# resampling budget of random_standard's condition-number rejection
+_MAX_TRIES = 100
+
+
+def _random_standard_stack(n_modes: int, seeds) -> np.ndarray:
     """``random_standard`` for each seed, in interleaved ordering.
 
     Each seed's generator draws nu and then S_q candidates in the order
@@ -89,14 +93,14 @@ def _random_standard_stack(n_modes: int, seeds, max_tries: int = 100) -> np.ndar
     nu = np.array([rng.uniform(0.5, 3.0, size=n) for rng in rngs]).reshape(-1, n)
     sq = np.array([rng.standard_normal((n, n)) for rng in rngs]).reshape(-1, n, n)
     pending = np.arange(len(rngs))
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         pending = pending[~(np.linalg.cond(sq[pending]) < 50)]
         if not pending.size:
             break
         for i in pending:
             sq[i] = rngs[i].standard_normal((n, n))
     else:
-        raise RuntimeError(f"no well-conditioned S_q found in {max_tries} draws")
+        raise RuntimeError(f"no well-conditioned S_q found in {_MAX_TRIES} draws")
     d = nu[:, :, None] * np.eye(n)
     sp = np.swapaxes(np.linalg.inv(sq), 1, 2)
     m = np.zeros((len(rngs), 2 * n, 2 * n))
@@ -149,9 +153,7 @@ def noisy_tmsv(r: float, nbar: float, side: str = "A") -> CovarianceMatrix:
     return CovarianceMatrix(_tmsv_stack(np.array([r], dtype=float), nbar, side)[0])
 
 
-def random_standard(
-    n_modes: int, n_alice: int | None = None, seed: int = 0, max_tries: int = 100
-) -> CovarianceMatrix:
+def random_standard(n_modes: int, seed: int = 0) -> CovarianceMatrix:
     """Random bona fide standard-form CM, deterministic per seed.
 
     Builds V = S (D (+) D) S^T in block ordering with D = diag(nu_1..nu_n),
@@ -162,13 +164,9 @@ def random_standard(
 
     Args:
         n_modes: total number of modes, >= 2.
-        n_alice: Alice's mode count; defaults to n_modes - 1.
         seed: RNG seed.
-        max_tries: resampling budget for the condition-number rejection.
     """
-    return CovarianceMatrix(
-        _random_standard_stack(n_modes, [seed], max_tries)[0], n_alice=n_alice
-    )
+    return CovarianceMatrix(_random_standard_stack(n_modes, [seed])[0])
 
 
 def random_two_mode_params(
@@ -219,8 +217,8 @@ class GeneratorSpec:
     ``params`` holds the generator arguments (r, nbar, side, seed, ...).
     A thermal ``nbar`` is one occupation for every mode or a list of
     exactly ``n_modes`` of them. ``tmsv`` and ``noisy_tmsv`` are 2-mode
-    states with Alice holding one mode, and reject any other ``n_modes``
-    or ``n_alice``.
+    states and reject any other ``n_modes``. Bob holds the last mode, so
+    a ``params["n_alice"]`` other than ``n_modes - 1`` is rejected.
     """
 
     kind: str
@@ -240,19 +238,18 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
-        if self.kind in ("tmsv", "noisy_tmsv"):
-            if self.n_modes != 2:
-                raise ValueError(f"{self.kind} is a 2-mode state, got n_modes = {self.n_modes}")
-            if self.params.get("n_alice") not in (None, 1):
-                raise ValueError(
-                    f"{self.kind} gives Alice one mode, got n_alice = {self.params['n_alice']}"
-                )
+        if self.kind in ("tmsv", "noisy_tmsv") and self.n_modes != 2:
+            raise ValueError(f"{self.kind} is a 2-mode state, got n_modes = {self.n_modes}")
+        n_alice = self.params.get("n_alice")
+        if n_alice not in (None, self.n_modes - 1):
+            raise ValueError(
+                f"n_alice must be {self.n_modes - 1}, as Bob holds the last mode, got {n_alice!r}"
+            )
 
     def build(self) -> CovarianceMatrix:
         """The CM this spec describes: the stack of one of its kind's
-        stack builder. Only ``random_standard`` reads ``n_alice``."""
-        n_alice = self.params.get("n_alice") if self.kind == "random_standard" else None
-        return CovarianceMatrix(self._stack({}, 1)[0], n_alice=n_alice)
+        stack builder."""
+        return CovarianceMatrix(self._stack({}, 1)[0])
 
     def build_stack(self, param: str, values) -> np.ndarray:
         """The CMs this spec describes with ``param`` set to each of
@@ -261,20 +258,13 @@ class GeneratorSpec:
         i equals ``build()`` of the spec with ``param = values[i]`` bit
         for bit.
 
-        Raises ValueError when the kind does not read ``param``, when a
-        seed is not an integer, or when ``n_alice`` gives Bob more than
-        the last mode, which an array cannot carry.
+        Raises ValueError when the kind does not read ``param`` or when a
+        seed is not an integer.
         """
         reads = self.NUMERIC_PARAMS[self.kind]
         if param not in reads:
             names = ", ".join(reads) if reads else "no parameter"
             raise ValueError(f"{self.kind} does not read {param!r}; it reads {names}")
-        n_alice = self.params.get("n_alice")
-        if self.kind == "random_standard" and n_alice not in (None, self.n_modes - 1):
-            raise ValueError(
-                "a stack row is a bipartite CM with Bob holding exactly the last mode "
-                f"(n_alice = {self.n_modes - 1}), got n_alice = {n_alice}"
-            )
         if param == "seed":
             values = list(values)
             bad = [v for v in values if not float(v).is_integer()]

@@ -42,8 +42,7 @@ def product_cm(b1: float, b2: float) -> CovarianceMatrix:
 def rotated(cm: CovarianceMatrix, thetas) -> CovarianceMatrix:
     """Conjugate a CM by per-mode phase rotations (a local symplectic)."""
     s = local_direct_sum([one_mode_rotation(t) for t in thetas])
-    n_alice = cm.n_alice if cm.n_modes >= 2 else None
-    return CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=n_alice)
+    return CovarianceMatrix(s @ cm.matrix @ s.T)
 
 
 def rotated_and_squeezed(cm: CovarianceMatrix, rng, max_z: float = 1.0) -> CovarianceMatrix:
@@ -53,4 +52,4 @@ def rotated_and_squeezed(cm: CovarianceMatrix, rng, max_z: float = 1.0) -> Covar
         [one_mode_rotation(rng.uniform(0, np.pi)) @ one_mode_squeeze(rng.uniform(-max_z, max_z))
          for _ in range(cm.n_modes)]
     )
-    return CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=cm.n_alice)
+    return CovarianceMatrix(s @ cm.matrix @ s.T)

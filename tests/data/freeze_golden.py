@@ -47,7 +47,7 @@ def _off_standard(cm: CovarianceMatrix, rng) -> CovarianceMatrix:
         [one_mode_rotation(rng.uniform(0.0, np.pi)) @ one_mode_squeeze(rng.uniform(-1.0, 1.0))
          for _ in range(cm.n_modes)]
     )
-    return CovarianceMatrix(s @ cm.matrix @ s.T, n_alice=cm.n_alice)
+    return CovarianceMatrix(s @ cm.matrix @ s.T)
 
 
 def corpus() -> list[tuple[str, CovarianceMatrix]]:

@@ -235,7 +235,7 @@ def test_criterion_8_ba_strictness():
     m = np.zeros((6, 6))
     m[:2, :2] = 2 * b * np.eye(2)
     m[2:, 2:] = tmsv(r).matrix
-    stored = CovarianceMatrix(m, n_alice=2)
+    stored = CovarianceMatrix(m)
     assert validate_bona_fide(stored).bona_fide
     chk = check_unsteerable_ba(stored, tol=1e-9)
     assert chk.det_ok and not chk.matrix_ok

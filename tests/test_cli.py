@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -97,14 +99,22 @@ class TestGen:
         assert code == 1
 
     @pytest.mark.parametrize("kind", ["tmsv", "noisy_tmsv"])
-    @pytest.mark.parametrize("flags", [["--n", "5"], ["--n-alice", "2"]], ids=["n", "n-alice"])
+    @pytest.mark.parametrize("flags", [["--n", "5"]], ids=["n"])
     def test_two_mode_kind_rejects_other_partition(self, capsys, kind, flags):
         # used to write a 2-mode CM and exit 0
         code, out, err = run(capsys, "gen", kind, *flags)
         assert code == 1
         assert out == "" and "error:" in err and kind in err
-        code, out, _ = run(capsys, "gen", kind, "--n", "2", "--n-alice", "1")
+        code, out, _ = run(capsys, "gen", kind, "--n", "2")
         assert code == 0 and json.loads(out)["n_modes"] == 2
+
+    def test_n_alice_flag_usage_error(self, capsys):
+        # Bob holds the last mode: the partition is no option
+        code, out, err = run(capsys, "gen", "random_standard", "--n", "3", "--n-alice", "1")
+        assert code == 1
+        assert out == "" and "unrecognized arguments: --n-alice" in err
+        code, out, _ = run(capsys, "gen", "random_standard", "--n", "3")
+        assert code == 0 and json.loads(out)["n_alice"] == 2
 
 
 class TestCertify:
@@ -152,6 +162,15 @@ class TestCertify:
         code, _, err = run(capsys, "certify", str(path))
         assert code == 1
 
+    def test_other_partition_exit_1(self, capsys, tmp_path):
+        record = random_standard(3, seed=1).to_dict()
+        record["n_alice"] = 1
+        path = tmp_path / "alice1.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run(capsys, "certify", str(path))
+        assert code == 1
+        assert out == "" and "n_alice" in err
+
     def test_non_standard_multimode_matches_parent(self, capsys, tmp_path, rng):
         # verdicts are local invariants: no standard form is needed
         for n in (3, 4, 5):
@@ -189,6 +208,17 @@ class TestCertify:
         assert cols["ppt"] == "false"
         assert float(cols["det_ratio_ab"]) == pytest.approx(0.104994, abs=1e-6)
         assert "." in cols["det_ratio_ab"] and "," not in cols["det_ratio_ab"]
+
+    @pytest.mark.parametrize("name", ['a,b.json', 'say "hi".json'])
+    def test_csv_quotes_descriptor(self, capsys, tmp_path, name):
+        # a comma in the path used to give the row one cell more than the header
+        path = write_cm(tmp_path, tmsv(0.5), name=name)
+        code, out, _ = run(capsys, "certify", path, "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(header) == len(row)
+        assert row[header.index("input_descriptor")] == path
+        assert row[header.index("ppt")] == "false"
 
     def test_tol_flag_and_env(self, capsys, tmp_path, monkeypatch):
         path = write_cm(tmp_path, tmsv(0.5))
@@ -263,15 +293,10 @@ class TestSweep:
     def test_two_mode_kind_rejects_other_partition(self, capsys, kind):
         # used to print 2-mode rows and exit 0
         code, out, err = run(
-            capsys, "sweep", kind, "--n", "4", "--n-alice", "9", "--param", "r", "--range", "0,1,2"
+            capsys, "sweep", kind, "--n", "4", "--param", "r", "--range", "0,1,2"
         )
         assert code == 1
         assert out == "" and "error:" in err and "n_modes = 4" in err
-        code, out, err = run(
-            capsys, "sweep", kind, "--n-alice", "9", "--param", "r", "--range", "0,1,2"
-        )
-        assert code == 1
-        assert out == "" and "n_alice = 9" in err
 
     def test_single_step(self, capsys):
         code, out, _ = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "0.5,0.9,1")
@@ -317,13 +342,13 @@ class TestSweep:
         assert out == "" and f"reads {reads}" in err
 
     def test_alice_partition_exit_1(self, capsys):
-        # the stack read by certify_many has Bob on the last mode only
+        # Bob holds the last mode: the partition is no option
         code, out, err = run(
             capsys, "sweep", "random_standard", "--n", "4", "--n-alice", "2",
             "--param", "seed", "--range", "0,3,4",
         )
         assert code == 1
-        assert out == "" and "bipartite CM with Bob holding exactly the last mode" in err
+        assert out == "" and "unrecognized arguments: --n-alice" in err
 
     def test_non_integer_seed_range_exit_1(self, capsys):
         # rows used to show seed 3.3333333333333335 beside the verdict of seed 3
@@ -408,7 +433,7 @@ class TestOracle:
             assert rec[key] == pytest.approx(1.0, abs=1e-4)
 
     def test_random_standard_sep_plus(self, capsys, tmp_path):
-        path = write_cm(tmp_path, random_standard(3, n_alice=2, seed=7))
+        path = write_cm(tmp_path, random_standard(3, seed=7))
         code, out, _ = run(
             capsys, "oracle", path, "--functional", "sep_plus", "--samples", "100000"
         )

@@ -6,6 +6,7 @@ import pytest
 from cvwitness import (
     CovarianceMatrix,
     NotStandardFormError,
+    StandardForm,
     TwoModeStandardParams,
     aitken_factorize,
     gaussian_purity,
@@ -54,8 +55,32 @@ class TestCovarianceMatrix:
             CovarianceMatrix(m)
 
     def test_rejects_bad_n_alice(self):
+        # Bob holds the last mode; a record may say so, or say nothing
+        record = random_standard(3, seed=2).to_dict()
+        assert record["n_alice"] == 2
+        for n_alice in (None, 0, 2):
+            record["n_alice"] = n_alice
+            assert CovarianceMatrix.from_dict(record).n_alice == 2
+        del record["n_alice"]
+        assert CovarianceMatrix.from_dict(record).n_alice == 2
+        for n_alice in (1, 3, -1, "2"):
+            record["n_alice"] = n_alice
+            with pytest.raises(ValueError, match="n_alice"):
+                CovarianceMatrix.from_dict(record)
+
+    @pytest.mark.parametrize("n_modes", [2.9, True, 2.0, "2", None])
+    def test_rejects_non_integer_n_modes(self, n_modes):
+        # 2.9 used to read as 2 and true as 1
+        record = tmsv(0.3).to_dict()
+        record["n_modes"] = n_modes
+        with pytest.raises(ValueError, match="n_modes"):
+            CovarianceMatrix.from_dict(record)
+
+    def test_standard_form_partition_is_checked(self):
+        vq, vp = np.eye(3), np.eye(3)
+        assert StandardForm(vq, vp).n_alice == StandardForm(vq, vp, n_alice=2).n_alice == 2
         with pytest.raises(ValueError, match="n_alice"):
-            CovarianceMatrix(np.eye(4), n_alice=2)
+            StandardForm(vq, vp, n_alice=1)
 
     def test_matrix_is_symmetrized_copy(self):
         m = np.eye(4)

@@ -110,7 +110,7 @@ class TestUncertaintySum:
         assert got.satisfied
 
     def test_sub_vacuum_violates_minus(self):
-        sf = StandardForm(0.25 * np.eye(2), 0.25 * np.eye(2), n_alice=1)
+        sf = StandardForm(0.25 * np.eye(2), 0.25 * np.eye(2))
         got = uncertainty_sum_check(sf, EprWeights([1, 1], [1, 1]), "minus")
         assert got.lhs == pytest.approx(1.0)
         assert got.rhs == pytest.approx(2.0)
@@ -188,7 +188,7 @@ class TestNormalizedSums:
 
     def test_product_cm_ba_limit(self):
         b1, b2 = 1.4, 0.9
-        sf = StandardForm(np.diag([b1, b2]), np.diag([b1, b2]), n_alice=1)
+        sf = StandardForm(np.diag([b1, b2]), np.diag([b1, b2]))
         w = EprWeights([1.0, 1e-8], [1.0, 1e-8])
         assert steering_sum_ba(sf, w) == pytest.approx(2 * b1, abs=1e-12)
 
@@ -238,7 +238,7 @@ class TestNormalizedSums:
             vp = np.zeros((n, n))
             vp[:-1, :-1] = alice.vp
             vp[-1, -1] = bob
-            sf = StandardForm(vq, vp, n_alice=n - 1)
+            sf = StandardForm(vq, vp)
             for _ in range(20):
                 w = random_weights(rng, n)
                 for sign in ("plus", "minus"):

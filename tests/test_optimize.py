@@ -342,7 +342,7 @@ class TestUnsteerabilityChecks:
         m = np.zeros((6, 6))
         m[:2, :2] = nu1 * np.eye(2)
         m[2:, 2:] = tmsv(r).matrix
-        cm = CovarianceMatrix(m, n_alice=2)
+        cm = CovarianceMatrix(m)
         chk = check_unsteerable_ba(cm)
         assert chk.det_ok
         assert not chk.matrix_ok

@@ -114,9 +114,8 @@ class TestRandomStandard:
             det_blocks = np.linalg.det(sf.vq) * np.linalg.det(sf.vp)
             assert abs(det_v - det_blocks) / abs(det_v) < 1e-12
 
-    def test_n_alice_plumbs_through(self):
-        cm = random_standard(4, n_alice=3, seed=2)
-        assert cm.n_alice == 3
+    def test_needs_two_modes(self):
+        assert random_standard(4, seed=2).n_alice == 3
         with pytest.raises(ValueError):
             random_standard(1, seed=0)
 
@@ -221,10 +220,13 @@ class TestStacks:
             assert np.array_equal(row, spec.build().matrix)
 
     def test_rejects_alice_partition_an_array_cannot_carry(self):
-        spec = GeneratorSpec("random_standard", 4, {"n_alice": 2})
-        with pytest.raises(ValueError, match="bipartite CM with Bob holding exactly"):
-            spec.build_stack("seed", [0, 1])
-        assert spec.build().n_alice == 2
+        # a serialized spec may still name the partition, but only Bob on the last mode
+        for kind in ("random_standard", "vacuum", "thermal"):
+            with pytest.raises(ValueError, match="n_alice must be 3"):
+                GeneratorSpec(kind, 4, {"n_alice": 2})
+            spec = GeneratorSpec(kind, 4, {"n_alice": 3, "seed": 1})
+            want = GeneratorSpec(kind, 4, {"seed": 1}).build().matrix
+            assert np.array_equal(spec.build().matrix, want)
 
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError, match="squeezing"):
