@@ -446,22 +446,20 @@ def brute_force_min(
     coordinates z = (z_a, z_b) whitened by the two quadratic forms, where
     a draw's value is (|z_a|^2 + |z_b|^2) / (z_a' G z_b) with
     G = Mq^(-1/2) W Mp^(-1/2). Each round scores 128 points for each of
-    4 chains; a chain perturbs its incumbent by a success-adapted step
-    (the last chain with heavy-tailed noise) and keeps a share of global
-    draws. A chain with no incumbent yet scores its would-be local rows
-    as fresh points (unstretched; for the last chain, heavy-tailed).
+    4 identical chains; a chain perturbs its incumbent by a
+    success-adapted step times Gaussian noise and keeps a share of
+    global draws. A chain with no incumbent yet scores its would-be local
+    rows as fresh points (unstretched).
 
-    The random numbers come in blocks of _BLOCK rounds, three calls per
-    block: one normal block for the chains plus one extra chain, whose
-    ratio with the last chain's draws is the heavy-tailed noise (a ratio
-    of two standard normals is standard Cauchy); one uniform per row
-    that decides both global-or-local and stretched-or-not; and the
-    stretch factors. The result upper-bounds the true minimum, is
-    deterministic per seed, and never increases when the budget grows
-    with the same seed: blocks are drawn at full size, the round that
-    crosses the budget masks out the draws past it (chain-major) and
-    the block's later rounds go unscored, so a larger budget replays
-    the smaller run and scores a superset of its draws.
+    The random numbers come from SFC64 in blocks of _BLOCK rounds, three
+    calls per block: the normals for the chains, one uniform per row that
+    decides both global-or-local and stretched-or-not, and the stretch
+    factors. The result upper-bounds the true minimum, is deterministic
+    per seed, and never increases when the budget grows with the same
+    seed: blocks are drawn at full size, the round that crosses the
+    budget masks out the draws past it (chain-major) and the block's
+    later rounds go unscored, so a larger budget replays the smaller run
+    and scores a superset of its draws.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
@@ -469,28 +467,21 @@ def brute_force_min(
     mq, mp, w = _functional_forms(sf, functional)
     n = sf.n_modes
     gauge = _inv_sqrt_spd(mq) @ w @ _inv_sqrt_spd(mp)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.Generator(np.random.SFC64(spec.seed))
     rows = _CHAINS * _BATCH
     chains = np.arange(_CHAINS)
     best = np.full(_CHAINS, np.inf)
     incumbent = np.zeros((_CHAINS, 2 * n))  # gauge-normalized
     step = np.ones(_CHAINS)
     for block in range(0, spec.samples, _BLOCK * rows):
-        # one normal block for the chains plus one extra chain; the last
-        # chain's local rows move by its draws over the extra chain's, a
-        # standard Cauchy variate (clipped), heavy-tailed jumps that escape
-        # shallow basins
-        z = rng.standard_normal((_BLOCK, _CHAINS + 1, _BATCH, 2 * n))
+        draws = rng.standard_normal((_BLOCK, _CHAINS, _BATCH, 2 * n))
         # one uniform per row decides both: global below the global share,
         # and stretched below the stretched share of that
         u = rng.random((_BLOCK, _CHAINS, _BATCH))
         local = u >= _GLOBAL_FRACTION
-        heavy = np.clip(z[:, -2] / z[:, -1], -50.0, 50.0)
-        np.copyto(z[:, -2], heavy, where=local[:, -1, :, None])
         # a stretched draw gets a per-component log-uniform factor so
         # lopsided weight vectors stay reachable
         stretch = u < _GLOBAL_FRACTION * _STRETCH_FRACTION
-        draws = z[:, :-1]
         draws[stretch] *= np.exp(rng.uniform(-1.5, 1.5, size=(int(stretch.sum()), 2 * n)))
         for r in range(_BLOCK):
             start = block + r * rows

@@ -238,6 +238,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
+        if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, (int, np.integer)):
+            raise ValueError(f"n_modes must be an integer, got {self.n_modes!r}")
         if self.kind in ("tmsv", "noisy_tmsv") and self.n_modes != 2:
             raise ValueError(f"{self.kind} is a 2-mode state, got n_modes = {self.n_modes}")
         n_alice = self.params.get("n_alice")
@@ -308,6 +310,6 @@ class GeneratorSpec:
     def from_dict(cls, data: dict) -> "GeneratorSpec":
         return cls(
             kind=data["kind"],
-            n_modes=int(data.get("n_modes", 2)),
+            n_modes=data.get("n_modes", 2),
             params=dict(data.get("params", {})),
         )

@@ -533,6 +533,20 @@ class TestOracle:
         assert code == 3
         assert json.loads(out)["agreement_numeric_brute"] is False
 
+    @pytest.mark.parametrize("n, cm_seed, seed", [(6, 160, 22), (8, 169, 21)])
+    def test_sampler_reaches_sep_minus_minimum(self, capsys, tmp_path, n, cm_seed, seed):
+        # the sampler used to land 2.94e-3 and 1.35e-3 above the minimum
+        # here and exit 3, with the minimizer on the closed form to 1e-13
+        path = write_cm(tmp_path, random_standard(n, seed=cm_seed))
+        code, out, _ = run(
+            capsys, "oracle", path, "--functional", "sep_minus", "--seed", str(seed)
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["agreement_numeric_brute"] is True
+        assert rec["agreement_closed_form"] is True
+        assert rec["closed_form"] - 1e-9 <= rec["brute_force_min"] <= rec["closed_form"] + 1e-3
+
     def test_no_accepted_draw_writes_null(self, capsys, tmp_path, monkeypatch):
         # a budget that scores no accepted draw leaves the oracle at inf,
         # which JSON cannot hold

@@ -166,6 +166,15 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="kind"):
             GeneratorSpec("squeezed_cat", 2)
 
+    @pytest.mark.parametrize("n_modes", [2.9, True, 2.0, "2", None])
+    def test_from_dict_rejects_non_integer_n_modes(self, n_modes):
+        # 2.9 used to build a 2-mode state
+        with pytest.raises(ValueError, match="n_modes"):
+            GeneratorSpec.from_dict({"kind": "vacuum", "n_modes": n_modes})
+
+    def test_from_dict_n_modes_defaults_to_two(self):
+        assert GeneratorSpec.from_dict({"kind": "vacuum"}).n_modes == 2
+
     def test_thermal_list_must_match_mode_count(self):
         # a 2-value list used to give a 2-mode CM for n_modes = 3
         with pytest.raises(ValueError, match="2 occupations for 3 modes"):
