@@ -21,7 +21,6 @@ from .covariance import (
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
     symplectic_form,
-    symplectic_spectra,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
     validate_bona_fide,

@@ -5,8 +5,7 @@ Exit codes are stable API: 0 success, 1 usage or I/O error, 2 physically
 invalid input, 3 oracle disagreement. Reports are emitted as JSON with
 numbers formatted to 17 significant digits in a fixed field order, so a
 given input, flag set and seed reproduces the same bytes (the timing_ms
-field is the one exception). CVW_DEFAULT_TOL overrides the default
-tolerance.
+field is the one exception).
 """
 
 from __future__ import annotations

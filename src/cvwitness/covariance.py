@@ -35,7 +35,6 @@ __all__ = [
     "validate_bona_fide",
     "validate_stack",
     "symplectic_eigenvalues",
-    "symplectic_spectra",
     "partial_transpose_bob",
     "split_standard",
     "partition",
@@ -376,34 +375,17 @@ def validate_bona_fide(V, tol: float = DEFAULT_TOL) -> ValidationReport:
     )
 
 
-def _spectrum(low: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """Descending upper half of the eigenvalues +-nu of the Hermitian
-    matrix i L^T form L, which is similar to i form (L L^T)."""
-    n = low.shape[0] // 2
-    return np.linalg.eigvalsh(1j * (low.T @ form @ low))[n:][::-1]
-
-
 def symplectic_eigenvalues(V) -> np.ndarray:
     """Symplectic spectrum of a positive-definite CM, descending, from
     its Cholesky factor V = L L^T (LinAlgError if V is not positive
-    definite). A bona fide CM has all values >= 1/2.
+    definite): the upper half of the eigenvalues +-nu of the Hermitian
+    matrix i L^T J L, which is similar to i J V. A bona fide CM has all
+    values >= 1/2.
     """
     m = _as_matrix(V)
-    return _spectrum(np.linalg.cholesky(m), symplectic_form(m.shape[0] // 2))
-
-
-def symplectic_spectra(V) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic spectra, descending, of a bipartite CM and of its
-    partial transpose P V P = (P L)(P L)^T, P = diag(1, ..., 1, -1),
-    both from one Cholesky factor V = L L^T."""
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
-    low = np.linalg.cholesky(V.matrix)
-    form = symplectic_form(V.n_modes)
-    pt_form = form.copy()
-    pt_form[-2:, -2:] *= -1.0
-    return _spectrum(low, form), _spectrum(low, pt_form)
+    n = m.shape[0] // 2
+    low = np.linalg.cholesky(m)
+    return np.linalg.eigvalsh(1j * (low.T @ symplectic_form(n) @ low))[n:][::-1]
 
 
 def partial_transpose_bob(V: CovarianceMatrix) -> CovarianceMatrix:

@@ -18,13 +18,13 @@ counterpart when N > 1.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .covariance import (
+    DEFAULT_TOL,
     CovarianceMatrix,
     TwoModeStandardParams,
     stack_witnesses,
@@ -45,7 +45,6 @@ __all__ = [
     "WITNESS_KEYS",
     "find_one_way_example",
     "sign_rule_holds",
-    "default_tolerance",
     "resolve_tolerance",
 ]
 
@@ -61,21 +60,11 @@ class OneWayExampleNotFound(LookupError):
     """No one-way steerable state found on the searched parameter grid."""
 
 
-def default_tolerance() -> float:
-    """Verdict tolerance: 1e-9 unless overridden by CVW_DEFAULT_TOL."""
-    raw = os.environ.get("CVW_DEFAULT_TOL", "1e-9")
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"CVW_DEFAULT_TOL is not a number: {raw!r}") from exc
-    return resolve_tolerance(tol, "CVW_DEFAULT_TOL")
-
-
 def resolve_tolerance(tol: float | None, source: str = "tol") -> float:
-    """``tol``, or ``default_tolerance()`` when it is None; a NaN,
+    """``tol``, or ``covariance.DEFAULT_TOL`` when it is None; a NaN,
     infinite or negative tolerance raises ValueError naming ``source``."""
     if tol is None:
-        return default_tolerance()
+        return DEFAULT_TOL
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"{source} must be a finite number >= 0, got {tol!r}")
     return float(tol)
@@ -158,7 +147,7 @@ def certify(
     Args:
         V: covariance matrix, Bob = last mode, in standard form or not.
         tol: threshold dead band for all comparisons, finite and >= 0
-            (default 1e-9, or CVW_DEFAULT_TOL).
+            (default ``covariance.DEFAULT_TOL``, 1e-9).
         assume_gaussian: whether separability sufficiency for the
             Gaussian state with this CM may be claimed.
 

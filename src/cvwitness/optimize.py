@@ -6,21 +6,22 @@ modes: twice the smallest symplectic eigenvalue of the partial
 transpose (plus separability sum), of the CM (minus sum) and of the
 Schur complement V/V_B (B->A steering sum), and 2*sqrt(det V / det V_A)
 (A->B). This module evaluates the two-mode separability forms and the
-A->B form directly; the numeric minimizers recover all four
+A->B form directly; one numeric solver recovers all four minima
 independently, with the weights that attain them, and the sampling
 oracle bounds them from above.
 
-All three normalized sums share the shape
+All four normalized sums share the shape
 
     (a' Mq a + b' Mp b) / (a' W b)
 
 for a gauge bilinear form W (identity for separability, a rank-one
-corner for A->B, Alice's diagonal for B->A). Minimization runs on the
-gauge surface a' W b = 1 without sign restrictions: the stationary
-points there reproduce the closed forms, whereas restricting weights to
-the positive orthant provably loses them on covariance matrices whose
-cross correlations have unfavorable signs (the reported minimizer makes
-this visible through ``boundary_flag``).
+corner for A->B, Alice's diagonal for B->A), and one gauge solver
+minimizes every functional. Minimization runs on the gauge surface
+a' W b = 1 without sign restrictions: the stationary points there
+reproduce the closed forms, whereas restricting weights to the positive
+orthant provably loses them on covariance matrices whose cross
+correlations have unfavorable signs (the reported minimizer makes this
+visible through ``boundary_flag``).
 
 Each half-step of the alternating scheme is an exact linear solve, the
 pair of half-steps is an inverse power iteration on the stationarity
@@ -42,14 +43,15 @@ import numpy as np
 
 from .covariance import (
     CovarianceMatrix,
+    DEFAULT_TOL,
     StandardForm,
     TwoModeStandardParams,
     schur_factor,
-    symplectic_form,
+    stack_witnesses,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
 )
-from .observables import _check_sign, _signed_forms, variance_p, variance_q
+from .observables import _check_sign, _signed_forms
 
 __all__ = [
     "FUNCTIONALS",
@@ -112,7 +114,9 @@ class UnsteerabilityCheck(NamedTuple):
     ``matrix_ok`` is the Schur-complement physicality condition (exact);
     ``det_ok`` is the determinant-ratio condition, which the matrix
     condition implies but which is strictly weaker for a multimode
-    Alice. ``min_rs_eigenvalue`` witnesses the matrix test margin.
+    Alice. ``min_rs_eigenvalue`` witnesses the matrix test margin. The
+    witnesses are ``certify``'s, and a CM that ``certify`` cannot factor
+    raises LinAlgError.
     """
 
     matrix_ok: bool
@@ -264,10 +268,6 @@ _START_SEED = 0
 _POSITIVITY_FLOOR = 1e-10
 
 
-def _outside_orthant(a: np.ndarray, b: np.ndarray) -> bool:
-    return bool(min(a.min(), b.min()) <= _POSITIVITY_FLOOR)
-
-
 def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
     mq, mp, w = _functional_forms(sf, functional)
     n = sf.n_modes
@@ -300,7 +300,7 @@ def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResu
         argmin_alpha=a,
         argmin_beta=b,
         converged=bool(conv),
-        boundary_flag=_outside_orthant(a, b),
+        boundary_flag=bool(min(a.min(), b.min()) <= _POSITIVITY_FLOOR),
         iterations=int(iters),
         restarts_used=_STARTS,
     )
@@ -338,37 +338,11 @@ def min_steering_sum_ab(sf: StandardForm) -> float:
 
 
 def min_steering_sum_ab_numeric(sf: StandardForm) -> MinimizationResult:
-    """Minimize the A->B steering sum by its stationarity structure.
-
-    With Bob's weights fixed to 1, the stationary Alice weights solve one
-    linear system per quadrature block; what is left is a function
-    eps * Qbar + Pbar / eps of the single scale eps = alpha_B / beta_B,
-    minimized in log space at eps_m = sqrt(Pbar / Qbar).
-    """
-    n_a = sf.n_modes - 1
-    if n_a < 1:
+    """Minimize the A->B steering sum numerically (the gauge is Bob's
+    rank-one corner; the value reproduces ``min_steering_sum_ab``)."""
+    if sf.n_modes < 2:
         raise ValueError("need a bipartite standard form")
-    vqa = sf.vq[:n_a, :n_a]
-    vpa = sf.vp[:n_a, :n_a]
-    cq = sf.vq[:n_a, -1]
-    cp = sf.vp[:n_a, -1]
-    alpha = np.append(np.linalg.solve(vqa, cq), 1.0)
-    beta = np.append(-np.linalg.solve(vpa, cp), 1.0)
-    qbar = variance_q(sf.vq, alpha)
-    pbar = variance_p(sf.vp, beta, "plus")
-    eps_m = np.exp(0.5 * (np.log(pbar) - np.log(qbar)))
-    root = np.sqrt(eps_m)
-    alpha, beta = alpha * root, beta / root
-    value = variance_q(sf.vq, alpha) + variance_p(sf.vp, beta, "plus")
-    return MinimizationResult(
-        value=float(value),
-        argmin_alpha=alpha,
-        argmin_beta=beta,
-        converged=True,
-        boundary_flag=_outside_orthant(alpha, beta),
-        iterations=1,
-        restarts_used=0,
-    )
+    return _minimize_gauge_ratio(sf, "steer_ab")
 
 
 def min_steering_sum_ba_numeric(sf: StandardForm) -> MinimizationResult:
@@ -378,24 +352,28 @@ def min_steering_sum_ba_numeric(sf: StandardForm) -> MinimizationResult:
 
 
 def _direction_check(V: CovarianceMatrix, over: str, tol: float) -> UnsteerabilityCheck:
+    if not isinstance(V, CovarianceMatrix):
+        V = CovarianceMatrix(V)
     low = schur_factor(V, over=over)
-    schur = low @ low.T
-    n_kept = low.shape[0] // 2
-    min_eig = float(np.linalg.eigvalsh(schur + 0.5j * symplectic_form(n_kept)).min())
-    matrix_ok = bool(min_eig >= -tol)
-    # det V / det V_X = det(V / V_X) = prod(diag L_kk)^2
-    det_ratio = float(np.prod(np.diag(low)) ** 2)
-    det_ok = bool(det_ratio >= 4.0 ** (-n_kept) - tol)
+    # the witnesses are certify's: its kernel on a stack of one, which
+    # refuses a CM that does not factor with either party first
+    w = stack_witnesses(V.matrix[None])
+    if not w.factored[0]:
+        raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
+    if over == "A":
+        det_ratio, min_eig = float(w.det_ratio_ab[0]), float(w.rs_ab[0])
+    else:
+        det_ratio, min_eig = float(w.det_ratio_ba[0]), float(w.rs_ba[0])
     return UnsteerabilityCheck(
-        matrix_ok=matrix_ok,
-        det_ok=det_ok,
-        schur=schur,
+        matrix_ok=bool(min_eig >= -tol),
+        det_ok=bool(det_ratio >= 4.0 ** (-(low.shape[0] // 2)) - tol),
+        schur=low @ low.T,
         det_ratio=det_ratio,
         min_rs_eigenvalue=min_eig,
     )
 
 
-def check_unsteerable_ba(V: CovarianceMatrix, tol: float = 1e-9) -> UnsteerabilityCheck:
+def check_unsteerable_ba(V: CovarianceMatrix, tol: float = DEFAULT_TOL) -> UnsteerabilityCheck:
     """Necessary conditions of unsteerability from Bob to Alice.
 
     The Schur complement V/V_B must satisfy the matrix uncertainty
@@ -406,7 +384,7 @@ def check_unsteerable_ba(V: CovarianceMatrix, tol: float = 1e-9) -> Unsteerabili
     return _direction_check(V, "B", tol)
 
 
-def check_unsteerable_ab(V: CovarianceMatrix, tol: float = 1e-9) -> UnsteerabilityCheck:
+def check_unsteerable_ab(V: CovarianceMatrix, tol: float = DEFAULT_TOL) -> UnsteerabilityCheck:
     """Necessary conditions of unsteerability from Alice to Bob (Schur
     complement over Alice; the determinant ratio det V / det V_A compares
     against 1/4 and is exactly equivalent to the matrix condition because

@@ -172,23 +172,20 @@ def random_standard(n_modes: int, seed: int = 0) -> CovarianceMatrix:
 def random_two_mode_params(
     seed: int = 0,
     d_sign: int = 0,
-    b_max: float = 2.5,
     min_abs_d: float = 0.0,
-    rng: np.random.Generator | None = None,
 ) -> TwoModeStandardParams:
-    """Random physical two-mode standard-form parameters (rejection
-    sampled until the smallest symplectic eigenvalue is >= 1/2).
+    """Random physical two-mode standard-form parameters with local
+    variances b1, b2 in [1/2, 2.5] (rejection sampled until the smallest
+    symplectic eigenvalue is >= 1/2).
 
     Args:
-        seed: RNG seed, ignored when an explicit generator is passed.
+        seed: RNG seed.
         d_sign: -1 forces d < 0, +1 forces d > 0, 0 leaves d unconstrained.
-        b_max: upper bound for the local variances b1, b2.
         min_abs_d: lower bound on |d| (useful for sign-rule corpora).
-        rng: optional generator to draw from instead of a fresh seed.
     """
-    gen = rng if rng is not None else np.random.default_rng(seed)
+    gen = np.random.default_rng(seed)
     for _ in range(10_000):
-        b1, b2 = np.sort(gen.uniform(0.5, b_max, size=2))[::-1]
+        b1, b2 = np.sort(gen.uniform(0.5, 2.5, size=2))[::-1]
         c = gen.uniform(0.0, np.sqrt(b1 * b2) * 0.999)
         d = gen.uniform(min_abs_d, max(c, min_abs_d))
         if d > c:

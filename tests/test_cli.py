@@ -221,12 +221,18 @@ class TestCertify:
         assert row[header.index("ppt")] == "false"
 
     def test_tol_flag_and_env(self, capsys, tmp_path, monkeypatch):
+        # --tol is the one way to set the tolerance: the CVW_DEFAULT_TOL
+        # variable that once also set it is ignored
         path = write_cm(tmp_path, tmsv(0.5))
         _, out, _ = run(capsys, "certify", path, "--tol", "1e-6")
         assert json.loads(out)["config"]["tol"] == 1e-6
-        monkeypatch.setenv("CVW_DEFAULT_TOL", "1e-8")
-        _, out, _ = run(capsys, "certify", path)
-        assert json.loads(out)["config"]["tol"] == 1e-8
+        strip = lambda s: [l for l in s.splitlines() if '"timing_ms"' not in l]
+        code, plain, _ = run(capsys, "certify", path)
+        monkeypatch.setenv("CVW_DEFAULT_TOL", "nan")
+        code_env, out, err = run(capsys, "certify", path)
+        assert code == code_env == 0 and err == ""
+        assert strip(out) == strip(plain)
+        assert json.loads(out)["config"]["tol"] == 1e-9
 
     def test_vacuum_file(self, capsys, tmp_path):
         path = write_cm(tmp_path, vacuum(2))
@@ -242,14 +248,6 @@ class TestCertify:
         code, out, err = run(capsys, "certify", path, f"--tol={bad}")
         assert code == 1
         assert out == "" and "--tol" in err
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
-    def test_bad_tol_env_exit_1(self, capsys, tmp_path, monkeypatch, bad):
-        path = write_cm(tmp_path, tmsv(0.5))
-        monkeypatch.setenv("CVW_DEFAULT_TOL", bad)
-        code, out, err = run(capsys, "certify", path)
-        assert code == 1
-        assert out == "" and "CVW_DEFAULT_TOL" in err
 
     @pytest.mark.parametrize(
         "flag", ["--opt-tol", "--max-iters", "--max-restarts", "--positivity-floor", "--seed"]

@@ -17,11 +17,11 @@ from cvwitness import (
     schur_complement,
     schur_factor,
     split_standard,
+    stack_verdicts,
     stack_witnesses,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
     symplectic_form,
-    symplectic_spectra,
     thermal,
     tmsv,
     two_mode_symplectic_pair,
@@ -191,30 +191,35 @@ class TestSymplecticEigenvalues:
 
 
 class TestSymplecticSpectra:
+    # the smallest symplectic eigenvalues of V and of its partial
+    # transpose, both read by the certification kernel from one factor of V
+
     def test_matches_separate_spectra(self):
         for seed in range(20):
             cm = random_standard(2 + seed % 4, seed=seed)
-            nu, nu_pt = symplectic_spectra(cm)
-            np.testing.assert_allclose(nu, symplectic_eigenvalues(cm), rtol=1e-12)
+            w = stack_witnesses(cm.matrix[None])
+            np.testing.assert_allclose(w.nu_min, symplectic_eigenvalues(cm).min(), rtol=1e-12)
             np.testing.assert_allclose(
-                nu_pt, symplectic_eigenvalues(partial_transpose_bob(cm)), rtol=1e-10
+                w.nu_min_pt, symplectic_eigenvalues(partial_transpose_bob(cm)).min(), rtol=1e-12
             )
 
     def test_tmsv_spectra(self):
         # errors scale as eps * cond(V) = eps * exp(4r)
         r = 5.0
-        nu, nu_pt = symplectic_spectra(tmsv(r))
-        np.testing.assert_allclose(nu, [0.5, 0.5], rtol=1e-5)
-        np.testing.assert_allclose(nu_pt, [np.exp(2 * r) / 2, np.exp(-2 * r) / 2], rtol=1e-5)
+        w = stack_witnesses(tmsv(r).matrix[None])
+        np.testing.assert_allclose(w.nu_min, 0.5, rtol=1e-5)
+        np.testing.assert_allclose(w.nu_min_pt, np.exp(-2 * r) / 2, rtol=1e-5)
 
     def test_heavy_squeezing_does_not_raise(self):
         # one factor of V serves both spectra up to r = 10
-        nu, nu_pt = symplectic_spectra(tmsv(10.0))
-        assert nu_pt.min() < 0.5
+        w = stack_witnesses(tmsv(10.0).matrix[None])
+        assert w.factored[0]
+        assert w.nu_min_pt[0] < 0.5
 
     def test_requires_bipartite(self):
-        with pytest.raises(ValueError, match="bipartite"):
-            symplectic_spectra(vacuum(1))
+        for one_mode in ([vacuum(1)], vacuum(1).matrix[None]):
+            with pytest.raises(ValueError, match="bipartite"):
+                stack_verdicts(one_mode)
 
 
 class TestStackWitnesses:
@@ -224,12 +229,12 @@ class TestStackWitnesses:
             w = stack_witnesses(np.stack([cm.matrix for cm in cms]))
             assert w.factored.all()
             for i, cm in enumerate(cms):
-                nu, nu_pt = symplectic_spectra(cm)
                 low_ab = schur_factor(cm, "A")
                 low_ba = schur_factor(cm, "B")
                 got = [w.nu_min[i], w.nu_min_pt[i], w.det_ratio_ab[i], w.det_ratio_ba[i],
                        w.schur_nu_min[i], w.min_rs_eig[i]]
-                want = [nu.min(), nu_pt.min(), np.prod(np.diag(low_ab)) ** 2,
+                want = [symplectic_eigenvalues(cm).min(),
+                        symplectic_eigenvalues(partial_transpose_bob(cm)).min(), np.prod(np.diag(low_ab)) ** 2,
                         np.prod(np.diag(low_ba)) ** 2,
                         symplectic_eigenvalues(low_ba @ low_ba.T).min(),
                         validate_bona_fide(cm).min_rs_eigenvalue]

@@ -27,7 +27,8 @@ from cvwitness import (
     vacuum,
     validate_bona_fide,
 )
-from cvwitness.criteria import WITNESS_KEYS, default_tolerance
+from cvwitness.covariance import DEFAULT_TOL
+from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
 from conftest import product_cm, rotated, rotated_and_squeezed
 
 
@@ -441,22 +442,8 @@ def test_certify_rejects_bad_tol(bad):
         certify(tmsv(0.5), tol=bad)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
-def test_default_tolerance_rejects_bad_env(monkeypatch, bad):
-    monkeypatch.setenv("CVW_DEFAULT_TOL", bad)
-    with pytest.raises(ValueError, match="CVW_DEFAULT_TOL"):
-        default_tolerance()
-    with pytest.raises(ValueError, match="CVW_DEFAULT_TOL"):
-        certify(tmsv(0.5))
-
-
-def test_default_tolerance_env_override(monkeypatch):
-    assert default_tolerance() == 1e-9
-    monkeypatch.setenv("CVW_DEFAULT_TOL", "1e-7")
-    assert default_tolerance() == 1e-7
-    monkeypatch.setenv("CVW_DEFAULT_TOL", "junk")
-    with pytest.raises(ValueError, match="CVW_DEFAULT_TOL"):
-        default_tolerance()
+def test_unset_tol_reads_covariance_default():
+    assert resolve_tolerance(None) == DEFAULT_TOL == 1e-9
 
 
 def test_verdict_round_trip():

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvwitness import CovarianceMatrix, certify
+from cvwitness import (
+    CovarianceMatrix,
+    certify,
+    check_unsteerable_ab,
+    check_unsteerable_ba,
+    stack_witnesses,
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
 FLAGS = (
@@ -33,3 +39,21 @@ def test_golden_verdict(entry):
     bound = max(1e-12, 64 * np.finfo(float).eps * np.linalg.cond(cm.matrix))
     for key, value in want["witnesses"].items():
         assert abs(got["witnesses"][key] - value) <= bound * abs(value), key
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in GOLDEN["entries"] if e["verdict"]["physical"]], ids=lambda e: e["label"]
+)
+def test_golden_unsteerability_checks(entry):
+    # the one-CM checks read certify's witnesses and agree with its flags
+    cm = CovarianceMatrix.from_dict(entry["cm"])
+    tol = GOLDEN["tol"]
+    want = entry["verdict"]
+    ab = check_unsteerable_ab(cm, tol=tol)
+    ba = check_unsteerable_ba(cm, tol=tol)
+    assert ab.det_ok == (not want["steerable_a_to_b"])
+    assert ba.matrix_ok == (not want["steerable_b_to_a"])
+    witnesses = certify(cm, tol=tol).witnesses
+    assert (ab.det_ratio, ba.det_ratio) == (witnesses["det_ratio_ab"], witnesses["det_ratio_ba"])
+    w = stack_witnesses(cm.matrix[None])
+    assert (ab.min_rs_eigenvalue, ba.min_rs_eigenvalue) == (w.rs_ab[0], w.rs_ba[0])

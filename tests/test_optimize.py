@@ -22,6 +22,7 @@ from cvwitness import (
     random_two_mode_params,
     separability_sum,
     split_standard,
+    stack_witnesses,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
     tmsv,
@@ -32,7 +33,7 @@ from cvwitness import (
     variance_q,
 )
 from cvwitness.cli import _CLOSED_FORMS
-from cvwitness.covariance import StandardForm
+from cvwitness.covariance import StandardForm, local_direct_sum, one_mode_squeeze
 from cvwitness.optimize import (
     _BATCH,
     _BLOCK,
@@ -353,6 +354,28 @@ class TestUnsteerabilityChecks:
         m = np.diag([1.0, 1.0, 0.0, 0.0])
         with pytest.raises(np.linalg.LinAlgError):
             check_unsteerable_ba(CovarianceMatrix(m))
+
+    @pytest.mark.parametrize("z, r0", [(0.5, 9.095), (1.0, 9.135)])
+    def test_raise_where_certify_cannot_factor(self, z, r0):
+        # squeezed TMSV near the limit of factorization: on some grid points
+        # V factors with one party first but not with the other, so
+        # certify refuses the CM. Each check used to factor only its own
+        # ordering and report witnesses there (det_ratio 4.2e-17 A->B at
+        # r = 9.095, z = 0.5; a B->A result at r = 9.135, z = 1.0)
+        s = local_direct_sum([one_mode_squeeze(z), np.eye(2)])
+        refused = 0
+        for r in np.round(np.arange(r0 - 0.02, r0 + 0.0201, 0.005), 4):
+            cm = CovarianceMatrix(s @ tmsv(r).matrix @ s.T)
+            if stack_witnesses(cm.matrix[None]).factored[0]:
+                check_unsteerable_ab(cm)
+                check_unsteerable_ba(cm)
+                continue
+            refused += 1
+            assert not certify(cm).physical
+            for check in (check_unsteerable_ab, check_unsteerable_ba):
+                with pytest.raises(np.linalg.LinAlgError):
+                    check(cm)
+        assert refused
 
 
 class TestBruteForce:
