@@ -17,13 +17,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CovarianceMatrix, NotStandardFormError, split_standard
 from .covariance import standard_form_reduce_two_mode
-from .criteria import WITNESS_KEYS, CorrelationVerdict, certify, resolve_tolerance, stack_verdicts
+from .criteria import WITNESS_KEYS, certify, resolve_tolerance, stack_verdicts
 from .optimize import (
     FUNCTIONALS,
     GridSpec,
@@ -34,7 +33,7 @@ from .optimize import (
 )
 from .states import GeneratorSpec
 
-__all__ = ["main", "render_json", "Report"]
+__all__ = ["main", "render_json"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,37 +78,10 @@ def render_json(obj, indent: int = 0) -> str:
     return _render_scalar(obj)
 
 
-@dataclass
-class Report:
-    """Machine-readable certification record."""
-
-    input_descriptor: str
-    verdict: CorrelationVerdict
-    timing_ms: float
-    config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "input_descriptor": self.input_descriptor,
-            "verdict": self.verdict.to_dict(),
-            "timing_ms": self.timing_ms,
-            "config": self.config,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        return cls(
-            input_descriptor=data["input_descriptor"],
-            verdict=CorrelationVerdict.from_dict(data["verdict"]),
-            timing_ms=float(data["timing_ms"]),
-            config=dict(data["config"]),
-        )
-
-
-def _report_csv(report: Report) -> str:
+def _report_csv(report: dict) -> str:
     head = ["input_descriptor"]
-    cells = [report.input_descriptor]
-    v = report.verdict.to_dict()
+    cells = [report["input_descriptor"]]
+    v = report["verdict"]
     for key, val in v.items():
         if key == "witnesses":
             continue
@@ -119,7 +91,7 @@ def _report_csv(report: Report) -> str:
         head.append(key)
         cells.append(format(float(val), _FLOAT_DIGITS))
     head.append("timing_ms")
-    cells.append(format(report.timing_ms, _FLOAT_DIGITS))
+    cells.append(format(report["timing_ms"], _FLOAT_DIGITS))
     # quotes a cell only when it holds a comma, quote or line break
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([head, cells])
@@ -220,16 +192,16 @@ def _cmd_certify(args) -> int:
     start = time.perf_counter()
     verdict = certify(cm, tol=tol)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    report = Report(
-        input_descriptor=args.path,
-        verdict=verdict,
-        timing_ms=elapsed_ms,
-        config={"tol": tol},
-    )
+    report = {
+        "input_descriptor": args.path,
+        "verdict": verdict.to_dict(),
+        "timing_ms": elapsed_ms,
+        "config": {"tol": tol},
+    }
     if args.format == "csv":
         _emit(_report_csv(report), args.out)
     else:
-        _emit(render_json(report.to_dict()) + "\n", args.out)
+        _emit(render_json(report) + "\n", args.out)
     return EXIT_OK if verdict.physical else EXIT_NONPHYSICAL
 
 
@@ -246,6 +218,8 @@ def _cmd_sweep(args) -> int:
     try:
         lo_s, hi_s, steps_s = args.value_range.split(",")
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
     except ValueError:
         print(f"bad --range {args.value_range!r}, expected LO,HI,STEPS", file=sys.stderr)
         return EXIT_USAGE

@@ -77,10 +77,10 @@ class CorrelationVerdict:
     A non-physical input refuses all downstream verdicts: every flag
     except ``physical`` is None and ``gaussian_separable`` stays
     "undecided". ``gaussian_separable`` applies to the Gaussian state
-    sharing this CM; with ``assume_gaussian=False`` a positive PPT test
-    is reported as "undecided" (PPT violation still certifies
-    entanglement for any state). Witness values within the tolerance of
-    a threshold add a ``marginal_*`` marker instead of flipping flags.
+    sharing this CM: with Bob holding one mode, PPT is necessary and
+    sufficient for its separability (Werner and Wolf, PRL 86, 3658,
+    2001). Witness values within the tolerance of a threshold add a
+    ``marginal_*`` marker instead of flipping flags.
     """
 
     physical: bool
@@ -135,11 +135,7 @@ WITNESS_KEYS = (
 _MARGINAL_KEYS = ("marginal_ppt", "marginal_ab", "marginal_ba")
 
 
-def certify(
-    V: CovarianceMatrix,
-    tol: float | None = None,
-    assume_gaussian: bool = True,
-) -> CorrelationVerdict:
+def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict:
     """Certify physicality, separability conditions and both steering
     directions for a bipartite (N vs 1)-mode covariance matrix: the
     verdict ``certify_many`` gives it as a stack of one.
@@ -148,12 +144,10 @@ def certify(
         V: covariance matrix, Bob = last mode, in standard form or not.
         tol: threshold dead band for all comparisons, finite and >= 0
             (default ``covariance.DEFAULT_TOL``, 1e-9).
-        assume_gaussian: whether separability sufficiency for the
-            Gaussian state with this CM may be claimed.
 
     A CM whose Cholesky factorization fails is refused as non-physical.
     """
-    return certify_many([V], tol=tol, assume_gaussian=assume_gaussian)[0]
+    return certify_many([V], tol=tol)[0]
 
 
 class StackVerdicts(NamedTuple):
@@ -178,11 +172,7 @@ class StackVerdicts(NamedTuple):
     witnesses: np.ndarray
 
 
-def stack_verdicts(
-    cms,
-    tol: float | None = None,
-    assume_gaussian: bool = True,
-) -> StackVerdicts:
+def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     """Flags, markers and witnesses of a stack of bipartite CMs with the
     same number of modes, given as a sequence of CMs or as an array of
     shape (k, 2n, 2n), with no verdict object per member.
@@ -197,7 +187,10 @@ def stack_verdicts(
     (``covariance.stack_witnesses``), and the flags from array
     comparisons on them. A member whose factorization fails is refused
     as non-physical without affecting the others. Both self-checks
-    look at physical members only and raise ``VerdictConsistencyError``.
+    look at physical members only and raise ``VerdictConsistencyError``:
+    the A->B determinant and matrix forms must agree outside the dead
+    band, and a PPT member, separable and hence unsteerable both ways
+    (Wiseman, Jones and Doherty 2007), must raise no steering flag.
     """
     tol = resolve_tolerance(tol)
     if isinstance(cms, np.ndarray):
@@ -239,7 +232,7 @@ def stack_verdicts(
         )
     steerable_ba = w.rs_ba < -tol
     marginal_ba = np.abs(w.rs_ba) <= tol
-    if assume_gaussian and (physical & ppt & (steerable_ab | steerable_ba)).any():
+    if (physical & ppt & (steerable_ab | steerable_ba)).any():
         raise VerdictConsistencyError(
             "steering flag raised on a PPT (hence separable) Gaussian state"
         )
@@ -254,11 +247,7 @@ def stack_verdicts(
                          marginal_ppt, marginal_ab, marginal_ba, witnesses)
 
 
-def certify_many(
-    cms,
-    tol: float | None = None,
-    assume_gaussian: bool = True,
-) -> list[CorrelationVerdict]:
+def certify_many(cms, tol: float | None = None) -> list[CorrelationVerdict]:
     """Certify a stack of bipartite CMs with the same number of modes,
     given as a sequence of CMs or as an array of shape (k, 2n, 2n); one
     verdict per member, each the one ``certify`` gives it alone.
@@ -267,9 +256,8 @@ def certify_many(
     ``CorrelationVerdict`` per member; a non-physical member keeps only
     its ``min_rs_eig`` witness and every other flag is None.
     """
-    sv = stack_verdicts(cms, tol=tol, assume_gaussian=assume_gaussian)
+    sv = stack_verdicts(cms, tol=tol)
     flags = np.stack(sv[:8], axis=1).tolist()
-    separable_if_ppt = "yes" if assume_gaussian else "undecided"
     verdicts = []
     for values, (phys, pt, sep_ok, ab, ba, *marginals) in zip(sv.witnesses.tolist(), flags):
         if not phys:
@@ -292,7 +280,7 @@ def certify_many(
                 physical=True,
                 ppt=pt,
                 separable_necessary_met=sep_ok,
-                gaussian_separable=separable_if_ppt if pt else "no",
+                gaussian_separable="yes" if pt else "no",
                 steerable_a_to_b=ab,
                 steerable_b_to_a=ba,
                 witnesses=wit,
@@ -301,29 +289,25 @@ def certify_many(
     return verdicts
 
 
-_R_GRID = (0.3, 0.5, 0.7, 1.0)
-_NBAR_GRID = tuple(round(0.05 * k, 3) for k in range(1, 20))
-_R_GRID_WIDE = tuple(round(0.1 * k, 3) for k in range(1, 16))
-_NBAR_GRID_WIDE = tuple(round(0.025 * k, 3) for k in range(1, 61))
+# the (r, nbar) grids searched in turn: the base grid finds an example at
+# the default tol, and the wide one for tol up to about 0.43
+_GRIDS = (
+    ((0.3, 0.5, 0.7, 1.0), tuple(round(0.05 * k, 3) for k in range(1, 20))),
+    (tuple(round(0.1 * k, 3) for k in range(1, 16)),
+     tuple(round(0.025 * k, 3) for k in range(1, 61))),
+)
 
 
-def find_one_way_example(
-    tol: float | None = None,
-    r_values=None,
-    nbar_values=None,
-) -> CovarianceMatrix:
+def find_one_way_example(tol: float | None = None) -> CovarianceMatrix:
     """Search noise-added two-mode squeezed states for a one-way steerable
     example (steerable in exactly one direction).
 
     Builds and certifies a grid of squeezing and one-sided thermal noise
     as one array and returns its first physical one-way member in
-    (r, nbar, side) order; widens the grid once before giving up. The
+    (r, nbar, side) order; searches a wider grid before giving up. The
     returned CM is always bona fide.
     """
-    grids = [(r_values or _R_GRID, nbar_values or _NBAR_GRID)]
-    if r_values is None and nbar_values is None:
-        grids.append((_R_GRID_WIDE, _NBAR_GRID_WIDE))
-    for rs, nbars in grids:
+    for rs, nbars in _GRIDS:
         # (r, side, nbar) blocks of noisy_tmsv(r, nbar, side), reordered to (r, nbar, side)
         blocks = np.array([
             [GeneratorSpec("noisy_tmsv", params={"r": r, "side": side}).build_stack("nbar", nbars)
@@ -340,14 +324,18 @@ def find_one_way_example(
     )
 
 
-def sign_rule_holds(params: TwoModeStandardParams, d_floor: float = 1e-6) -> bool:
+# |d| at or below which the sign rule has no content
+_SIGN_RULE_D_FLOOR = 1e-6
+
+
+def sign_rule_holds(params: TwoModeStandardParams) -> bool:
     """Check that the smallest symplectic eigenvalue moves across partial
     transposition in the direction of the sign of d.
 
-    Degenerate inputs with |d| <= d_floor are rejected: the two
-    eigenvalues coincide there and the rule has no content.
+    Degenerate inputs with |d| <= 1e-6 are rejected: the two eigenvalues
+    coincide there and the rule has no content.
     """
-    if abs(params.d) <= d_floor:
+    if abs(params.d) <= _SIGN_RULE_D_FLOOR:
         raise ValueError(f"|d| = {abs(params.d):.2e} too small for the sign rule")
     nu_minus, _ = two_mode_symplectic_pair(params)
     nu_minus_pt, _ = two_mode_symplectic_pair_pt(params)

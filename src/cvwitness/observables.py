@@ -48,6 +48,9 @@ SIGN_VARIANTS = ("plus", "minus")
 # strict-positivity floor enforced on weight vectors at construction
 MIN_WEIGHT = 1e-12
 
+# slack on the uncertainty-sum bound and on Reid's 1/2 threshold
+_RELATION_TOL = 1e-12
+
 
 def _check_sign(sign: str) -> str:
     if sign not in SIGN_VARIANTS:
@@ -149,7 +152,7 @@ def commutator_bound(alpha, beta, sign: str = "plus") -> float:
 
 
 def uncertainty_sum_check(
-    sf: StandardForm, weights: EprWeights, sign: str = "plus", tol: float = 1e-12
+    sf: StandardForm, weights: EprWeights, sign: str = "plus"
 ) -> UncertaintySumCheck:
     """Sum-form uncertainty relation: Delta Q^2 + Delta P^2 >= |commutator|.
 
@@ -157,12 +160,10 @@ def uncertainty_sum_check(
     """
     lhs = variance_q(sf.vq, weights.alpha) + variance_p(sf.vp, weights.beta, sign)
     rhs = commutator_bound(weights.alpha, weights.beta, sign)
-    return UncertaintySumCheck(lhs=lhs, rhs=rhs, satisfied=bool(lhs >= rhs - tol))
+    return UncertaintySumCheck(lhs=lhs, rhs=rhs, satisfied=bool(lhs >= rhs - _RELATION_TOL))
 
 
-def reid_product(
-    sf: StandardForm, lam: float, mu: float, tol: float = 1e-12
-) -> ReidProduct:
+def reid_product(sf: StandardForm, lam: float, mu: float) -> ReidProduct:
     """Reid's inferred-variance product Delta Q(lam) * Delta P(mu) for a
     two-mode state, with the Heisenberg bound |1 - lam*mu| / 2.
 
@@ -176,7 +177,7 @@ def reid_product(
     dp = np.sqrt(variance_p(sf.vp, [1.0, mu], "plus"))
     product = float(dq * dp)
     bound = abs(1.0 - lam * mu) / 2
-    return ReidProduct(product=product, bound=bound, paradox=bool(product < 0.5 - tol))
+    return ReidProduct(product=product, bound=bound, paradox=bool(product < 0.5 - _RELATION_TOL))
 
 
 def separability_sum(sf: StandardForm, weights: EprWeights, sign: str = "plus") -> float:

@@ -46,7 +46,6 @@ from .covariance import (
     DEFAULT_TOL,
     StandardForm,
     TwoModeStandardParams,
-    schur_factor,
     stack_witnesses,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
@@ -116,12 +115,12 @@ class UnsteerabilityCheck(NamedTuple):
     condition implies but which is strictly weaker for a multimode
     Alice. ``min_rs_eigenvalue`` witnesses the matrix test margin. The
     witnesses are ``certify``'s, and a CM that ``certify`` cannot factor
-    raises LinAlgError.
+    raises LinAlgError; ``covariance.schur_complement`` gives the Schur
+    complement itself.
     """
 
     matrix_ok: bool
     det_ok: bool
-    schur: np.ndarray
     det_ratio: float
     min_rs_eigenvalue: float
 
@@ -354,20 +353,20 @@ def min_steering_sum_ba_numeric(sf: StandardForm) -> MinimizationResult:
 def _direction_check(V: CovarianceMatrix, over: str, tol: float) -> UnsteerabilityCheck:
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
-    low = schur_factor(V, over=over)
+    V.require_bipartite()
     # the witnesses are certify's: its kernel on a stack of one, which
     # refuses a CM that does not factor with either party first
     w = stack_witnesses(V.matrix[None])
     if not w.factored[0]:
         raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
+    # the determinant bound is 4^-m for the m modes of the Schur complement
     if over == "A":
-        det_ratio, min_eig = float(w.det_ratio_ab[0]), float(w.rs_ab[0])
+        det_ratio, min_eig, modes = float(w.det_ratio_ab[0]), float(w.rs_ab[0]), 1
     else:
-        det_ratio, min_eig = float(w.det_ratio_ba[0]), float(w.rs_ba[0])
+        det_ratio, min_eig, modes = float(w.det_ratio_ba[0]), float(w.rs_ba[0]), V.n_modes - 1
     return UnsteerabilityCheck(
         matrix_ok=bool(min_eig >= -tol),
-        det_ok=bool(det_ratio >= 4.0 ** (-(low.shape[0] // 2)) - tol),
-        schur=low @ low.T,
+        det_ok=bool(det_ratio >= 4.0**-modes - tol),
         det_ratio=det_ratio,
         min_rs_eigenvalue=min_eig,
     )

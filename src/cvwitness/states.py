@@ -206,6 +206,22 @@ def random_two_mode_params(
     raise RuntimeError("rejection sampling budget exhausted")
 
 
+def _seed(value) -> int:
+    """``value`` as a seed: an integer >= 0, or a float equal to one (a
+    swept range is float); a bool, a fraction, a negative number or a
+    non-number raises ValueError."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not float(value).is_integer()
+        or value < 0
+    ):
+        raise ValueError(f"seed values are not integers >= 0: {value!r}")
+    return int(value)
+
+
 @dataclass
 class GeneratorSpec:
     """Serializable description of a state-generator call.
@@ -215,7 +231,8 @@ class GeneratorSpec:
     A thermal ``nbar`` is one occupation for every mode or a list of
     exactly ``n_modes`` of them. ``tmsv`` and ``noisy_tmsv`` are 2-mode
     states and reject any other ``n_modes``. Bob holds the last mode, so
-    a ``params["n_alice"]`` other than ``n_modes - 1`` is rejected.
+    a ``params["n_alice"]`` other than ``n_modes - 1`` is rejected. A
+    ``params["seed"]`` must be an integer >= 0.
     """
 
     kind: str
@@ -244,6 +261,8 @@ class GeneratorSpec:
             raise ValueError(
                 f"n_alice must be {self.n_modes - 1}, as Bob holds the last mode, got {n_alice!r}"
             )
+        if "seed" in self.params:
+            _seed(self.params["seed"])
 
     def build(self) -> CovarianceMatrix:
         """The CM this spec describes: the stack of one of its kind's
@@ -258,18 +277,14 @@ class GeneratorSpec:
         for bit.
 
         Raises ValueError when the kind does not read ``param`` or when a
-        seed is not an integer.
+        seed is not an integer >= 0.
         """
         reads = self.NUMERIC_PARAMS[self.kind]
         if param not in reads:
             names = ", ".join(reads) if reads else "no parameter"
             raise ValueError(f"{self.kind} does not read {param!r}; it reads {names}")
         if param == "seed":
-            values = list(values)
-            bad = [v for v in values if not float(v).is_integer()]
-            if bad:
-                raise ValueError(f"seed values are not integers: {bad[0]!r}")
-            values = [int(v) for v in values]
+            values = [_seed(v) for v in values]
         else:
             values = np.asarray(values, dtype=float)
         return self._stack({param: values}, len(values))

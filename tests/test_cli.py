@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cvwitness import (
+    CorrelationVerdict,
     CovarianceMatrix,
     GeneratorSpec,
     certify,
@@ -97,6 +99,12 @@ class TestGen:
     def test_unknown_kind_usage_error(self, capsys):
         code, _, _ = run(capsys, "gen", "cat_state")
         assert code == 1
+
+    def test_negative_seed_exit_1(self, capsys):
+        # used to fail in numpy with "expected non-negative integer"
+        code, out, err = run(capsys, "gen", "random_standard", "--seed", "-1")
+        assert code == 1
+        assert out == "" and "seed" in err
 
     @pytest.mark.parametrize("kind", ["tmsv", "noisy_tmsv"])
     @pytest.mark.parametrize("flags", [["--n", "5"]], ids=["n"])
@@ -260,12 +268,13 @@ class TestCertify:
         assert code == 1
 
     def test_report_round_trip(self, capsys, tmp_path):
-        from cvwitness.cli import Report
-
         path = write_cm(tmp_path, tmsv(0.5))
         _, out, _ = run(capsys, "certify", path)
-        report = Report.from_dict(json.loads(out))
-        assert render_json(report.to_dict()) + "\n" == out
+        report = json.loads(out)
+        assert list(report) == ["input_descriptor", "verdict", "timing_ms", "config"]
+        verdict = CorrelationVerdict.from_dict(report["verdict"])
+        assert verdict.to_dict() == certify(tmsv(0.5)).to_dict() == report["verdict"]
+        assert render_json(report) + "\n" == out
 
 
 class TestSweep:
@@ -326,6 +335,24 @@ class TestSweep:
     def test_bad_range_exit_1(self, capsys):
         code, _, err = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "0;1;5")
         assert code == 1
+
+    @pytest.mark.parametrize("value_range", ["inf,1,2", "0,nan,3", "1,-inf,2"])
+    def test_non_finite_range_exit_1(self, capsys, value_range):
+        # used to warn twice from linspace and then refuse a non-finite member
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "tmsv", "--param", "r", "--range", value_range)
+        assert code == 1
+        assert out == "" and f"bad --range {value_range!r}" in err
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1", "--range=0,1,2"], ["--range=-1,1,3"]], ids=["fixed", "swept"]
+    )
+    def test_negative_seed_exit_1(self, capsys, flags):
+        code, out, err = run(capsys, "sweep", "random_standard", "--param", "seed", *flags)
+        assert code == 1
+        assert out == "" and "seed" in err
 
     @pytest.mark.parametrize(
         "kind, param, reads",

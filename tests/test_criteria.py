@@ -10,6 +10,7 @@ from cvwitness import (
     CovarianceMatrix,
     OneWayExampleNotFound,
     TwoModeStandardParams,
+    VerdictConsistencyError,
     certify,
     certify_many,
     find_one_way_example,
@@ -27,6 +28,7 @@ from cvwitness import (
     vacuum,
     validate_bona_fide,
 )
+from cvwitness import criteria
 from cvwitness.covariance import DEFAULT_TOL
 from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
 from conftest import product_cm, rotated, rotated_and_squeezed
@@ -72,12 +74,23 @@ class TestCertifyReferenceStates:
         assert v.gaussian_separable == "undecided"
         assert set(v.witnesses) == {"min_rs_eig"}
 
-    def test_non_gaussian_caller(self):
-        v = certify(vacuum(2), assume_gaussian=False)
-        assert v.ppt and v.gaussian_separable == "undecided"
-        # a PPT violation certifies entanglement for any state
-        v2 = certify(tmsv(1.0), assume_gaussian=False)
+    def test_gaussian_separable_follows_ppt(self):
+        # with Bob holding one mode, PPT is necessary and sufficient for the
+        # Gaussian state's separability (Werner and Wolf 2001)
+        v = certify(vacuum(2))
+        assert v.ppt and v.gaussian_separable == "yes"
+        v2 = certify(tmsv(1.0))
         assert not v2.ppt and v2.gaussian_separable == "no"
+
+    def test_ppt_steering_self_check(self, monkeypatch):
+        # a PPT member is separable, hence unsteerable both ways; a steering
+        # flag on one means the witnesses are wrong, and certify raises
+        w = criteria.stack_witnesses(vacuum(2).matrix[None])
+        monkeypatch.setattr(
+            criteria, "stack_witnesses", lambda v: w._replace(rs_ba=np.array([-1.0]))
+        )
+        with pytest.raises(VerdictConsistencyError, match="PPT"):
+            certify(vacuum(2))
 
     def test_requires_bipartite(self):
         with pytest.raises(ValueError, match="bipartite"):
@@ -230,23 +243,34 @@ class TestOneWayExample:
             v = certify(tmsv(r))
             assert v.steerable_a_to_b == v.steerable_b_to_a
 
-    def test_not_found_on_hopeless_grid(self):
+    def test_not_found_at_hopeless_tol(self):
+        # with a dead band of 0.5 no member of either grid is steerable in
+        # exactly one direction (A->B would need det V / det V_A < -0.25)
         with pytest.raises(OneWayExampleNotFound):
-            find_one_way_example(r_values=[0.0], nbar_values=[0.0])
+            find_one_way_example(tol=0.5)
 
-    def test_non_physical_member_never_reported(self):
+    def test_wide_grid_reached(self):
+        # at tol 0.35 no member of the base grid (r <= 1) is one-way, and
+        # the search goes on to the wide grid
+        got = find_one_way_example(tol=0.35)
+        np.testing.assert_array_equal(got.matrix, noisy_tmsv(1.1, 0.025, "A").matrix)
+        v = certify(got, tol=0.35)
+        assert v.steerable_a_to_b != v.steerable_b_to_a
+
+    def test_non_physical_member_never_reported(self, monkeypatch):
         # tmsv(11)'s factorization fails, and its zeroed witnesses read as
         # steerable A->B but not B->A: one-way, were it not masked
         grid = np.stack([noisy_tmsv(11.0, 0.0, side).matrix for side in ("A", "B")])
         sv = stack_verdicts(grid)
         assert not sv.physical.any()
         assert (sv.steerable_ab != sv.steerable_ba).all()
+        monkeypatch.setattr(criteria, "_GRIDS", (((11.0,), (0.0,)),))
         with pytest.raises(OneWayExampleNotFound):
-            find_one_way_example(r_values=[11.0], nbar_values=[0.0])
+            find_one_way_example()
 
     def test_first_in_scan_order(self):
-        # the stacked grid keeps the (r, nbar, side) scan order
-        rs, nbars = [0.3, 0.7], [0.1, 0.2, 0.35, 0.4]
+        # the stacked grid keeps the (r, nbar, side) scan order of the base grid
+        rs, nbars = (0.3, 0.5, 0.7, 1.0), [round(0.05 * k, 3) for k in range(1, 20)]
         first = next(
             noisy_tmsv(r, nbar, side)
             for r in rs
@@ -255,7 +279,7 @@ class TestOneWayExample:
             if (v := certify(noisy_tmsv(r, nbar, side))).steerable_a_to_b
             != v.steerable_b_to_a
         )
-        got = find_one_way_example(r_values=rs, nbar_values=nbars)
+        got = find_one_way_example()
         np.testing.assert_array_equal(got.matrix, first.matrix)
 
 
@@ -328,10 +352,9 @@ class TestCertifyMany:
         with pytest.raises(ValueError, match="bipartite"):
             certify_many(np.stack([0.5 * np.eye(2)] * 2))
 
-    def test_assume_gaussian_applies_to_every_member(self):
+    def test_gaussian_separable_per_member(self):
         cms = [vacuum(2), tmsv(0.5)]
-        got = [v.gaussian_separable for v in certify_many(cms, assume_gaussian=False)]
-        assert got == ["undecided", "no"]
+        assert [v.gaussian_separable for v in certify_many(cms)] == ["yes", "no"]
 
     def test_empty_stack(self):
         assert certify_many([]) == []

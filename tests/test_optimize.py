@@ -20,6 +20,7 @@ from cvwitness import (
     partial_transpose_bob,
     random_standard,
     random_two_mode_params,
+    schur_complement,
     separability_sum,
     split_standard,
     stack_witnesses,
@@ -310,9 +311,10 @@ class TestSteeringBaNumeric:
 
 class TestUnsteerabilityChecks:
     def test_product_cm_unsteerable(self):
-        chk = check_unsteerable_ba(product_cm(1.3, 0.8))
+        cm = product_cm(1.3, 0.8)
+        chk = check_unsteerable_ba(cm)
         assert chk.matrix_ok and chk.det_ok
-        np.testing.assert_allclose(chk.schur, 1.3 * np.eye(2))
+        np.testing.assert_allclose(schur_complement(cm, "B"), 1.3 * np.eye(2))
 
     def test_tmsv_steerable_both_ways(self):
         cm = tmsv(0.5)
@@ -320,7 +322,7 @@ class TestUnsteerabilityChecks:
         assert not ba.matrix_ok
         assert ba.det_ratio == pytest.approx(1 / (4 * np.cosh(1.0) ** 2), abs=1e-12)
         assert ba.det_ratio == pytest.approx(0.104994, abs=1e-6)
-        assert symplectic_eigenvalues(ba.schur).min() == pytest.approx(
+        assert symplectic_eigenvalues(schur_complement(cm, "B")).min() == pytest.approx(
             1 / (2 * np.cosh(1.0)), abs=1e-12
         )
         ab = check_unsteerable_ab(cm)

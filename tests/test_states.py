@@ -172,6 +172,22 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="n_modes"):
             GeneratorSpec.from_dict({"kind": "vacuum", "n_modes": n_modes})
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1, "3"])
+    def test_from_dict_rejects_bad_seed(self, seed):
+        # 2.5 used to build seed 2, true seed 1, and -1 failed inside numpy
+        # without naming the parameter
+        with pytest.raises(ValueError, match="seed"):
+            GeneratorSpec.from_dict({"kind": "random_standard", "params": {"seed": seed}})
+
+    def test_from_dict_integer_valued_seed(self):
+        got = GeneratorSpec.from_dict({"kind": "random_standard", "params": {"seed": 3.0}})
+        assert np.array_equal(got.build().matrix, random_standard(2, seed=3).matrix)
+
+    @pytest.mark.parametrize("seeds", [[0, -1], [0, 2.5], [True]])
+    def test_build_stack_rejects_bad_seed(self, seeds):
+        with pytest.raises(ValueError, match="seed"):
+            GeneratorSpec("random_standard", 3).build_stack("seed", seeds)
+
     def test_from_dict_n_modes_defaults_to_two(self):
         assert GeneratorSpec.from_dict({"kind": "vacuum"}).n_modes == 2
 
