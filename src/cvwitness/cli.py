@@ -143,7 +143,9 @@ def _build_parser() -> _Parser:
     sweep.add_argument("kind", choices=GeneratorSpec.KINDS)
     sweep.add_argument("--param", required=True, help="generator parameter to sweep")
     sweep.add_argument(
-        "--range", required=True, dest="value_range", metavar="LO,HI,STEPS"
+        "--range", required=True, dest="value_range", metavar="LO,HI,STEPS",
+        help="STEPS values from LO to HI, both included; "
+        "write --range=LO,HI,STEPS when LO starts with '-'",
     )
     sweep.add_argument("--n", type=int, default=2)
     sweep.add_argument("--r", type=float, default=0.5)

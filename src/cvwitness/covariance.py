@@ -474,43 +474,73 @@ class StackWitnesses(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _stack_constants(n_modes: int):
-    """(i/2) J, the forms J and P J P stacked, J_A, (i/2) J_A, (i/2) J_B
-    and the index order with Bob's mode first, for n_modes modes."""
+    """(i/2) J, the forms J and P J P stacked, J_A, (i/2) J_A, and the flat
+    indices that take a CM's entries to its own and then to those of its
+    reordering with Bob's mode first, for n_modes modes."""
     j = symplectic_form(n_modes)
     pt = j.copy()
     pt[-2:, -2:] *= -1.0
-    k = 2 * n_modes - 2
-    out = (0.5j * j, np.stack([j, pt]), j[:k, :k], 0.5j * j[:k, :k], 0.5j * j[k:, k:],
-           np.r_[k : k + 2, :k])
+    dim = 2 * n_modes
+    k = dim - 2
+    bob_first = np.r_[k:dim, :k]
+    pair = np.concatenate([np.arange(dim * dim), (bob_first[:, None] * dim + bob_first).ravel()])
+    out = (0.5j * j, np.stack([j, pt]), j[:k, :k], 0.5j * j[:k, :k], pair)
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def _gram(low: np.ndarray) -> np.ndarray:
-    return low @ np.swapaxes(low, -1, -2)
+def _one_mode_schur(low_kk: np.ndarray):
+    """Witnesses of the one-mode blocks g = L_kk L_kk^T of a stack of 2x2
+    lower factors L_kk = [[l11, 0], [l21, l22]], in closed form: det g =
+    (l11 l22)^2, the symplectic eigenvalue |l11 l22| of g, and the smallest
+    eigenvalue (g11 + g22)/2 - sqrt(((g11 - g22)/2)^2 + g12^2 + 1/4) of
+    g + (i/2) J_1.
+
+    The eigenvalue is read from the entries of g, not from the factor's
+    determinant, so it stays an independent check on it. It is evaluated
+    as LAPACK's 2x2 solver (dlae2) does, as the determinant
+    g11 g22 - g12^2 - 1/4 of g + (i/2) J_1 over the larger eigenvalue: the
+    difference above cancels, and on a squeezed Bob mode with
+    ||g|| ~ 1e7 its error passes the 1e-9 dead band."""
+    l11, l21, l22 = low_kk[:, 0, 0], low_kk[:, 1, 0], low_kk[:, 1, 1]
+    g11, g12, g22 = l11 * l11, l11 * l21, l21 * l21 + l22 * l22
+    det = l11 * l22
+    top = 0.5 * (g11 + g22 + np.hypot(g11 - g22, np.hypot(2.0 * g12, 1.0)))
+    rs = (g11 * g22 - g12 * g12 - 0.25) / top
+    return det * det, np.abs(det), rs
 
 
 def stack_witnesses(v: np.ndarray) -> StackWitnesses:
     """Every certification witness of a stack of bipartite CMs, shape
-    (k, 2n, 2n) with Bob holding the last mode, from two batched
-    Cholesky factorizations and three batched Hermitian eigensolves.
+    (k, 2n, 2n) with Bob holding the last mode, from one batched Cholesky
+    factorization and one or two batched Hermitian eigensolves.
 
-    The factor V = L L^T is the positive-definiteness check, gives both
-    symplectic spectra through i L^T J L and i L^T (P J P) L, and its
-    trailing 2x2 block is the factor of V/V_A. The factor of V with
-    Bob's mode first has the factor L_kk of V/V_B as its trailing block,
-    whose spectrum is that of i L_kk^T J_A L_kk. When a batched
-    factorization fails, the stack is split in halves until each failing
-    member stands alone as a stack of one, so a failure marks only its
-    own member and costs O(log k) extra batched calls.
+    Each V and its reordering with Bob's mode first are factored
+    together, as one (2k, 2n, 2n) stack. The factor V = L L^T is the
+    positive-definiteness check, and gives both symplectic spectra
+    through i L^T J L and i L^T (P J P) L, in one eigensolve with
+    V + (i/2) J. The trailing block L_kk of the Bob-first factor is the
+    factor of V/V_B. The trailing 2x2 blocks of both factors go through
+    the one-mode closed forms (``_one_mode_schur``): L's is the factor of
+    V/V_A, always one mode, and with n = 2 the Bob-first one is V/V_B's.
+    For n >= 3 a second eigensolve reads V/V_B + (i/2) J_A and the
+    spectrum of i L_kk^T J_A L_kk. The A->B eigenvalue ``rs_ab`` is
+    computed from the entries of V/V_A and never from ``det_ratio_ab``,
+    so that certify's A->B self-check compares two routes, not one number
+    with itself.
+
+    When a batched factorization fails, the stack is split in halves
+    until each failing member stands alone as a stack of one, so a
+    failure marks only its own member and costs O(log k) extra batched
+    calls.
     """
     k, dim, _ = v.shape
     n = dim // 2
-    rs_shift, forms, j_a, rs_shift_a, rs_shift_b, bob_first = _stack_constants(n)
+    rs_shift, forms, j_a, rs_shift_a, pair = _stack_constants(n)
     try:
-        low = np.linalg.cholesky(v)
-        low_ba = np.linalg.cholesky(v[:, bob_first[:, None], bob_first])[:, 2:, 2:]
+        # member i's V at 2i and its Bob-first reordering at 2i + 1
+        factors = np.linalg.cholesky(v.reshape(k, -1).take(pair, axis=1).reshape(2 * k, dim, dim))
     except np.linalg.LinAlgError:
         if k > 1:
             halves = (stack_witnesses(v[: k // 2]), stack_witnesses(v[k // 2 :]))
@@ -518,31 +548,33 @@ def stack_witnesses(v: np.ndarray) -> StackWitnesses:
         zero = np.zeros(1)
         rs = np.linalg.eigvalsh(v + rs_shift)[:, 0]
         return StackWitnesses(np.zeros(1, dtype=bool), rs, *[zero] * 7)
+    low = factors[0::2]
     low_t = np.swapaxes(low, -1, -2)
     spectra = 1j * (low_t[:, None] @ forms @ low[:, None])
     eig = np.linalg.eigvalsh(np.concatenate([v + rs_shift, spectra.reshape(2 * k, dim, dim)]))
     nus = eig[k:, n].reshape(k, 2)
-    low_ab = low[:, -2:, -2:]
-    rs_ab = np.linalg.eigvalsh(_gram(low_ab) + rs_shift_b)[:, 0]
-    low_ba_t = np.swapaxes(low_ba, -1, -2)
-    eig_ba = np.linalg.eigvalsh(
-        np.concatenate([_gram(low_ba) + rs_shift_a, 1j * (low_ba_t @ j_a @ low_ba)])
-    )
-
-    def det_ratio(low_kk):
-        # det V / det V_X = det(V / V_X) = prod(diag L_kk)^2
-        return np.prod(np.diagonal(low_kk, axis1=1, axis2=2), axis=1) ** 2
-
+    det_ratio, nu, rs = _one_mode_schur(factors[:, -2:, -2:])
+    if n == 2:
+        det_ratio_ba, schur_nu_min, rs_ba = det_ratio[1::2], nu[1::2], rs[1::2]
+    else:
+        low_ba = factors[1::2, 2:, 2:]
+        low_ba_t = np.swapaxes(low_ba, -1, -2)
+        eig_ba = np.linalg.eigvalsh(
+            np.concatenate([low_ba @ low_ba_t + rs_shift_a, 1j * (low_ba_t @ j_a @ low_ba)])
+        )
+        # det V / det V_B = det(V / V_B) = prod(diag L_kk)^2
+        det_ratio_ba = np.prod(np.diagonal(low_ba, axis1=1, axis2=2), axis=1) ** 2
+        rs_ba, schur_nu_min = eig_ba[:k, 0], eig_ba[k:, n - 1]
     return StackWitnesses(
         factored=np.ones(k, dtype=bool),
         min_rs_eig=eig[:k, 0],
         nu_min=nus[:, 0],
         nu_min_pt=nus[:, 1],
-        det_ratio_ab=det_ratio(low_ab),
-        rs_ab=rs_ab,
-        det_ratio_ba=det_ratio(low_ba),
-        rs_ba=eig_ba[:k, 0],
-        schur_nu_min=eig_ba[k:, n - 1],
+        det_ratio_ab=det_ratio[0::2],
+        rs_ab=rs[0::2],
+        det_ratio_ba=det_ratio_ba,
+        rs_ba=rs_ba,
+        schur_nu_min=schur_nu_min,
     )
 
 

@@ -346,6 +346,16 @@ class TestSweep:
         assert out == "" and f"bad --range {value_range!r}" in err
         assert "RuntimeWarning" not in err
 
+    def test_range_starting_with_minus(self, capsys):
+        # a separate argument starting with "-" reads as an option, so such
+        # a range needs the "=" form, and the help says so
+        code, _, err = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "-1,1,3")
+        assert code == 1 and "--range: expected one argument" in err
+        code, _, err = run(capsys, "sweep", "tmsv", "--param", "r", "--range=-1,1,3")
+        assert code == 1 and "squeezing parameter" in err
+        code, out, _ = run(capsys, "sweep", "--help")
+        assert code == 0 and "--range=LO,HI,STEPS" in out
+
     @pytest.mark.parametrize(
         "flags", [["--seed", "-1", "--range=0,1,2"], ["--range=-1,1,3"]], ids=["fixed", "swept"]
     )

@@ -10,6 +10,7 @@ from cvwitness import (
     TwoModeStandardParams,
     aitken_factorize,
     gaussian_purity,
+    noisy_tmsv,
     partial_transpose_bob,
     partition,
     random_standard,
@@ -239,6 +240,42 @@ class TestStackWitnesses:
                         symplectic_eigenvalues(low_ba @ low_ba.T).min(),
                         validate_bona_fide(cm).min_rs_eigenvalue]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "cm",
+        [pytest.param(random_standard(n, seed=s), id=f"random_standard-{n}-{s}")
+         for n in range(2, 9) for s in range(4)]
+        + [pytest.param(noisy_tmsv(r, nbar, side), id=f"noisy_tmsv-{r}-{nbar}-{side}")
+           for r in (0.0, 0.5, 2.0, 5.0, 8.0) for nbar in (0.0, 0.1, 10.0, 1e3) for side in "AB"]
+        + [pytest.param(tmsv(r), id=f"tmsv-{r}") for r in (0.0, 0.25, 1.0, 3.0, 6.0, 9.0)],
+    )
+    def test_one_mode_closed_forms(self, cm):
+        # the kernel's closed forms for one-mode Schur complements against
+        # the eigensolver, within 8 eps ||g|| of g = V/V_X
+        w = stack_witnesses(cm.matrix[None])
+        assert w.factored[0]
+        j1 = symplectic_form(1)
+        checks = [(w.rs_ab[0], "A", lambda g: np.linalg.eigvalsh(g + 0.5j * j1)[0])]
+        if cm.n_modes == 2:
+            checks += [(w.rs_ba[0], "B", lambda g: np.linalg.eigvalsh(g + 0.5j * j1)[0]),
+                       (w.schur_nu_min[0], "B", lambda g: symplectic_eigenvalues(g)[0])]
+        for got, over, reference in checks:
+            g = schur_complement(cm, over)
+            bound = 8 * np.finfo(float).eps * np.linalg.norm(g, 2)
+            assert abs(got - reference(g)) <= bound, over
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lapack_calls_per_stack(self, monkeypatch, n):
+        # one factorization of V and its Bob-first order together, and one
+        # eigensolve, plus one for V/V_B when it has more than one mode
+        calls = {"cholesky": 0, "eigvalsh": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(np.linalg, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        stack_witnesses(np.stack([random_standard(n, seed=s).matrix for s in range(3)]))
+        assert calls == {"cholesky": 1, "eigvalsh": 1 if n == 2 else 2}
 
     def test_failed_factor_marks_only_its_member(self):
         w = stack_witnesses(np.stack([tmsv(0.5).matrix, tmsv(11.0).matrix]))

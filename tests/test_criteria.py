@@ -92,6 +92,30 @@ class TestCertifyReferenceStates:
         with pytest.raises(VerdictConsistencyError, match="PPT"):
             certify(vacuum(2))
 
+    @pytest.mark.parametrize("det_ratio_ab, rs_ab", [(0.1, 0.1), (0.4, -0.1)])
+    def test_ab_forms_self_check(self, monkeypatch, det_ratio_ab, rs_ab):
+        # with Bob holding one mode the A->B determinant and matrix forms are
+        # equivalent; a physical member on which they disagree outside the
+        # dead band means the witnesses are wrong, and certify raises
+        w = criteria.stack_witnesses(vacuum(2).matrix[None])
+        monkeypatch.setattr(
+            criteria, "stack_witnesses",
+            lambda v: w._replace(det_ratio_ab=np.array([det_ratio_ab]), rs_ab=np.array([rs_ab])),
+        )
+        with pytest.raises(VerdictConsistencyError, match="A->B"):
+            certify(vacuum(2))
+
+    @pytest.mark.parametrize("excess", [1e-8, 1e-7])
+    def test_squeezed_bob_ab_self_check(self, excess):
+        # vacuum and a slightly noisy squeezed vacuum, uncorrelated: V/V_A is
+        # Bob's block, up to 2.4e8 in norm, with det ratio just above 1/4; the
+        # smallest eigenvalue of V/V_A + (i/2) J_B must not cancel past the
+        # dead band, or the A->B self-check raises on a product state
+        for z in np.linspace(8.0, 10.0, 41):
+            s = np.exp(2 * z) / 2
+            v = certify(CovarianceMatrix(np.diag([0.5, 0.5, s * (1 + excess), (1 + excess) / (4 * s)])))
+            assert v.physical and not v.steerable_a_to_b and not v.steerable_b_to_a
+
     def test_requires_bipartite(self):
         with pytest.raises(ValueError, match="bipartite"):
             certify(vacuum(1))
