@@ -269,15 +269,18 @@ def _standardize(cm: CovarianceMatrix, tol: float):
     return split_standard(CovarianceMatrix(s @ cm.matrix @ s.T), tol=tol)
 
 
-# each functional's minimum as a certify witness: twice the smallest
-# symplectic eigenvalue of the partial transpose, of V and of V / V_B for
-# sep_plus, sep_minus and steer_ba, and 2 sqrt(det V / det V_A) for
-# steer_ab (Simon 2000; Wiseman, Jones and Doherty 2007)
-_CLOSED_FORMS = {
-    "sep_plus": ("sep_sum_plus_min", 1.0),
-    "sep_minus": ("sep_sum_minus_min", 1.0),
-    "steer_ab": ("steer_sum_ab_min", 1.0),
-    "steer_ba": ("schur_min_symplectic_eig", 2.0),
+# per functional: the certify witness that, times the factor, is its
+# minimum (twice the smallest symplectic eigenvalue of the partial
+# transpose, of V and of V / V_B for sep_plus, sep_minus and steer_ba, and
+# 2 sqrt(det V / det V_A) for steer_ab; Simon 2000; Wiseman, Jones and
+# Doherty 2007), and its numeric minimizer. The lambdas look each
+# minimizer up by this module's name at call time, so a wrapper set on
+# that name (as bench/tracing.py sets) sees the call.
+_ORACLE_FUNCTIONALS = {
+    "sep_plus": ("sep_sum_plus_min", 1.0, lambda sf: min_separability_sum_numeric(sf, "plus")),
+    "sep_minus": ("sep_sum_minus_min", 1.0, lambda sf: min_separability_sum_numeric(sf, "minus")),
+    "steer_ab": ("steer_sum_ab_min", 1.0, lambda sf: min_steering_sum_ab_numeric(sf)),
+    "steer_ba": ("schur_min_symplectic_eig", 2.0, lambda sf: min_steering_sum_ba_numeric(sf)),
 }
 
 
@@ -295,17 +298,10 @@ def _cmd_oracle(args) -> int:
         )
         return EXIT_NONPHYSICAL
     # local invariants, so the minima of the standard form read off cm
-    key, factor = _CLOSED_FORMS[args.functional]
+    key, factor, minimize = _ORACLE_FUNCTIONALS[args.functional]
     closed = factor * verdict.witnesses[key]
     sf = _standardize(cm, tol)
-    if args.functional in ("sep_plus", "sep_minus"):
-        numeric = min_separability_sum_numeric(
-            sf, "plus" if args.functional == "sep_plus" else "minus"
-        )
-    elif args.functional == "steer_ab":
-        numeric = min_steering_sum_ab_numeric(sf)
-    else:
-        numeric = min_steering_sum_ba_numeric(sf)
+    numeric = minimize(sf)
     brute = brute_force_min(
         sf, args.functional, GridSpec(samples=args.samples, seed=args.seed)
     )

@@ -616,11 +616,12 @@ def two_mode_symplectic_pair_pt(params: TwoModeStandardParams) -> tuple[float, f
     return two_mode_symplectic_pair(flipped)
 
 
-def _sqrtm_2x2_spd(m: np.ndarray) -> np.ndarray:
+def _inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
+    """The inverse square root of a symmetric positive definite matrix."""
     w, u = np.linalg.eigh(m)
     if w.min() <= 0:
-        raise np.linalg.LinAlgError("2x2 block is not positive definite")
-    return (u * np.sqrt(w)) @ u.T
+        raise np.linalg.LinAlgError("quadratic form is not positive definite")
+    return (u / np.sqrt(w)) @ u.T
 
 
 def standard_form_reduce_two_mode(
@@ -636,9 +637,11 @@ def standard_form_reduce_two_mode(
 
     Procedure: (1) a one-mode symplectic per party brings each local
     2x2 block to sqrt(det) * I, (2) local rotations diagonalize the
-    cross block via its SVD, (3) a pi/2 rotation pair and/or a pi
-    rotation normalize the cross signs to c >= |d|. Local symplectics
-    preserve the symplectic spectrum.
+    cross block via its SVD. Both rotations have determinant +1, so the
+    cross block becomes diag(s1, +-s2) with s1 >= s2 >= 0, which is
+    c >= |d|. Where s1 and s2 tie (as for every TMSV), rounding can
+    leave |d| above c by an ulp or two; params clamps d into [-c, c].
+    Local symplectics preserve the symplectic spectrum.
     """
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
@@ -658,7 +661,7 @@ def standard_form_reduce_two_mode(
         if det_blk <= 0:
             raise ValueError("local block with non-positive determinant")
         # symmetric unit-determinant (hence symplectic) Williamson reducer
-        locals_.append(np.linalg.inv(_sqrtm_2x2_spd(blk / np.sqrt(det_blk))))
+        locals_.append(_inv_sqrt_spd(blk / np.sqrt(det_blk)))
     S = local_direct_sum(locals_)
     w = S @ m @ S.T
 
@@ -673,22 +676,12 @@ def standard_form_reduce_two_mode(
     S = R @ S
     w = R @ w @ R.T
 
+    # c >= |d| but for rounding where the singular values tie
     c, d = w[0, 2], w[1, 3]
-    if abs(c) < abs(d):
-        # pi/2 rotations on both modes swap the roles of c and d
-        R = local_direct_sum([one_mode_rotation(np.pi / 2)] * 2)
-        S = R @ S
-        w = R @ w @ R.T
-        c, d = w[0, 2], w[1, 3]
-    if c < 0:
-        # pi rotation on Bob's mode flips the sign of the whole cross block
-        R = local_direct_sum([np.eye(2), -np.eye(2)])
-        S = R @ S
-        w = R @ w @ R.T
-        c, d = w[0, 2], w[1, 3]
-
     ba, bb = w[0, 0], w[2, 2]
-    params = TwoModeStandardParams(b1=max(ba, bb), b2=min(ba, bb), c=c, d=d)
+    params = TwoModeStandardParams(
+        b1=max(ba, bb), b2=min(ba, bb), c=c, d=min(max(d, -c), c)
+    )
     return params, S
 
 

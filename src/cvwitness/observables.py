@@ -9,10 +9,14 @@ weight vectors (alpha, beta) of length N+1:
 
 Both variances are quadratic forms in the weights built from the q- and
 p-blocks of a standard-form CM; all evaluation here therefore consumes
-``StandardForm`` inputs. The three normalized sums divide the total
-uncertainty by the commutator scale relevant to separability
-(sum alpha_l beta_l), Alice-to-Bob unsteerability (alpha_{N+1} beta_{N+1})
-and Bob-to-Alice unsteerability (sum over Alice pairs).
+``StandardForm`` inputs. The four functionals (``FUNCTIONALS``) divide
+the total uncertainty, with P+ or with P-, by the commutator scale
+relevant to separability (sum alpha_l beta_l, for both signs),
+Alice-to-Bob unsteerability (alpha_{N+1} beta_{N+1}) and Bob-to-Alice
+unsteerability (sum over Alice pairs). ``functional_forms`` defines all
+four as (a' Mq a + b' Mp b) / (a' W b) on plain weight vectors, and the
+sums here, the numeric minimizer and the sampling oracle read their
+matrices from it.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .covariance import StandardForm
 
 __all__ = [
     "SIGN_VARIANTS",
+    "FUNCTIONALS",
     "MIN_WEIGHT",
     "EprWeights",
     "UncertaintySumCheck",
@@ -36,6 +41,7 @@ __all__ = [
     "commutator_bound",
     "uncertainty_sum_check",
     "reid_product",
+    "functional_forms",
     "separability_sum",
     "steering_sum_ab",
     "steering_sum_ba",
@@ -44,6 +50,8 @@ __all__ = [
 ]
 
 SIGN_VARIANTS = ("plus", "minus")
+
+FUNCTIONALS = ("sep_plus", "sep_minus", "steer_ab", "steer_ba")
 
 # strict-positivity floor enforced on weight vectors at construction
 MIN_WEIGHT = 1e-12
@@ -180,43 +188,65 @@ def reid_product(sf: StandardForm, lam: float, mu: float) -> ReidProduct:
     return ReidProduct(product=product, bound=bound, paradox=bool(product < 0.5 - _RELATION_TOL))
 
 
+def functional_forms(
+    sf: StandardForm, functional: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrices (Mq, Mp, W) of a functional, whose value at the
+    plain weight vectors (a, b) is (a' Mq a + b' Mp b) / (a' W b).
+
+    Mq is the q-block with Bob's sign flipped (Delta Q^2 = a' Mq a), and
+    Mp the p-block, flipped the same way for ``sep_minus`` only. The
+    gauge W is the identity for the separability sums, Bob's rank-one
+    corner for ``steer_ab`` and Alice's diagonal for ``steer_ba``.
+    Raises ValueError for an unknown name and for a one-mode form, which
+    has no Alice.
+    """
+    if functional not in FUNCTIONALS:
+        raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
+    n = sf.n_modes
+    if n < 2:
+        raise ValueError("need a bipartite standard form")
+    f = np.ones(n)
+    f[-1] = -1.0
+    flip = np.outer(f, f)
+    mq = sf.vq * flip
+    mp = sf.vp * flip if functional == "sep_minus" else sf.vp
+    if functional == "steer_ab":
+        w = np.zeros((n, n))
+        w[-1, -1] = 1.0
+    else:
+        w = np.eye(n)
+        if functional == "steer_ba":
+            w[-1, -1] = 0.0
+    return mq, mp, w
+
+
+def _normalized_sum(sf: StandardForm, functional: str, weights: EprWeights) -> float:
+    _match(sf, weights.alpha, "alpha")
+    mq, mp, w = functional_forms(sf, functional)
+    a, b = weights.alpha, weights.beta
+    return float((a @ mq @ a + b @ mp @ b) / (a @ w @ b))
+
+
 def separability_sum(sf: StandardForm, weights: EprWeights, sign: str = "plus") -> float:
     """Uncertainty sum normalized by sum_l alpha_l beta_l.
 
     Separable states keep this >= 1 for all positive weights; its minimum
     over the weights is the separability witness.
     """
-    _match(sf, weights.alpha, "alpha")
-    num = variance_q(sf.vq, weights.alpha) + variance_p(sf.vp, weights.beta, sign)
-    return float(num / (weights.alpha @ weights.beta))
+    return _normalized_sum(sf, "sep_" + _check_sign(sign), weights)
 
 
 def steering_sum_ab(sf: StandardForm, weights: EprWeights) -> float:
     """Uncertainty sum normalized by alpha_{N+1} beta_{N+1}; values below 1
     witness Alice-to-Bob steerability."""
-    _match(sf, weights.alpha, "alpha")
-    num = variance_q(sf.vq, weights.alpha) + variance_p(sf.vp, weights.beta, "plus")
-    return float(num / (weights.alpha[-1] * weights.beta[-1]))
+    return _normalized_sum(sf, "steer_ab", weights)
 
 
 def steering_sum_ba(sf: StandardForm, weights: EprWeights) -> float:
     """Uncertainty sum normalized by sum_{j<=N} alpha_j beta_j; values below
     1 witness Bob-to-Alice steerability."""
-    _match(sf, weights.alpha, "alpha")
-    den = weights.alpha[:-1] @ weights.beta[:-1]
-    num = variance_q(sf.vq, weights.alpha) + variance_p(sf.vp, weights.beta, "plus")
-    return float(num / den)
-
-
-def _signed_forms(sf: StandardForm, sign: str) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic-form matrices (Mq, Mp) with the Bob-sign flips absorbed,
-    so Delta Q^2 = a' Mq a and Delta P^2 = b' Mp b on plain vectors."""
-    n = sf.n_modes
-    f = np.ones(n)
-    f[-1] = -1.0
-    mq = sf.vq * np.outer(f, f)
-    mp = sf.vp if sign == "plus" else sf.vp * np.outer(f, f)
-    return mq, mp
+    return _normalized_sum(sf, "steer_ba", weights)
 
 
 def separability_sum_gradient(
@@ -224,11 +254,10 @@ def separability_sum_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form gradient of the separability sum with respect to the
     weights (quotient rule over the quadratic forms)."""
-    _check_sign(sign)
     a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)
-    mq, mp = _signed_forms(sf, sign)
-    den = a @ b
+    mq, mp, w = functional_forms(sf, "sep_" + _check_sign(sign))
+    den = a @ w @ b
     num = a @ mq @ a + b @ mp @ b
     grad_a = (2.0 * mq @ a) / den - num * b / den**2
     grad_b = (2.0 * mp @ b) / den - num * a / den**2

@@ -10,12 +10,13 @@ A->B form directly; one numeric solver recovers all four minima
 independently, with the weights that attain them, and the sampling
 oracle bounds them from above.
 
-All four normalized sums share the shape
+The four functionals of ``FUNCTIONALS`` share the shape
 
     (a' Mq a + b' Mp b) / (a' W b)
 
 for a gauge bilinear form W (identity for separability, a rank-one
-corner for A->B, Alice's diagonal for B->A), and one gauge solver
+corner for A->B, Alice's diagonal for B->A). ``observables.functional_forms``
+builds (Mq, Mp, W) and refuses a one-mode form, and one gauge solver
 minimizes every functional. Minimization runs on the gauge surface
 a' W b = 1 without sign restrictions: the stationary points there
 reproduce the closed forms, whereas restricting weights to the positive
@@ -46,11 +47,12 @@ from .covariance import (
     DEFAULT_TOL,
     StandardForm,
     TwoModeStandardParams,
+    _inv_sqrt_spd,
     stack_witnesses,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
 )
-from .observables import _check_sign, _signed_forms
+from .observables import FUNCTIONALS, _check_sign, functional_forms
 
 __all__ = [
     "FUNCTIONALS",
@@ -66,8 +68,6 @@ __all__ = [
     "check_unsteerable_ba",
     "brute_force_min",
 ]
-
-FUNCTIONALS = ("sep_plus", "sep_minus", "steer_ab", "steer_ba")
 
 
 def _require_int(name: str, value, low: int) -> None:
@@ -133,26 +133,6 @@ def min_separability_sum_two_mode(params: TwoModeStandardParams, sign: str) -> f
     if sign == "plus":
         return 2.0 * two_mode_symplectic_pair_pt(params)[0]
     return 2.0 * two_mode_symplectic_pair(params)[0]
-
-
-def _gauge_matrix(n: int, functional: str) -> np.ndarray:
-    if functional in ("sep_plus", "sep_minus"):
-        return np.eye(n)
-    if functional == "steer_ab":
-        w = np.zeros((n, n))
-        w[-1, -1] = 1.0
-        return w
-    if functional == "steer_ba":
-        w = np.eye(n)
-        w[-1, -1] = 0.0
-        return w
-    raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
-
-
-def _functional_forms(sf: StandardForm, functional: str):
-    sign = "minus" if functional == "sep_minus" else "plus"
-    mq, mp = _signed_forms(sf, sign)
-    return mq, mp, _gauge_matrix(sf.n_modes, functional)
 
 
 # row-wise kernels of the stacked alternation. Matmul over (s, 1, n) rows
@@ -268,7 +248,7 @@ _POSITIVITY_FLOOR = 1e-10
 
 
 def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
-    mq, mp, w = _functional_forms(sf, functional)
+    mq, mp, w = functional_forms(sf, functional)
     n = sf.n_modes
     # all-ones first, then a0 and b0 drawn per restart
     a0 = np.ones((_STARTS, n))
@@ -312,8 +292,7 @@ def min_separability_sum_numeric(sf: StandardForm, sign: str) -> MinimizationRes
     ``min_separability_sum_two_mode``; at the returned point the two
     variances agree (the extremum balance condition).
     """
-    _check_sign(sign)
-    return _minimize_gauge_ratio(sf, "sep_plus" if sign == "plus" else "sep_minus")
+    return _minimize_gauge_ratio(sf, "sep_" + _check_sign(sign))
 
 
 def _logdet_pd(m: np.ndarray, name: str) -> float:
@@ -339,8 +318,6 @@ def min_steering_sum_ab(sf: StandardForm) -> float:
 def min_steering_sum_ab_numeric(sf: StandardForm) -> MinimizationResult:
     """Minimize the A->B steering sum numerically (the gauge is Bob's
     rank-one corner; the value reproduces ``min_steering_sum_ab``)."""
-    if sf.n_modes < 2:
-        raise ValueError("need a bipartite standard form")
     return _minimize_gauge_ratio(sf, "steer_ab")
 
 
@@ -406,13 +383,6 @@ _STEP_MIN = 1e-7
 _STEP_MAX = 5.0
 
 
-def _inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(m)
-    if w.min() <= 0:
-        raise np.linalg.LinAlgError("quadratic form is not positive definite")
-    return (u / np.sqrt(w)) @ u.T
-
-
 def brute_force_min(
     sf: StandardForm, functional: str, grid: GridSpec | None = None
 ) -> float:
@@ -438,10 +408,8 @@ def brute_force_min(
     later rounds go unscored, so a larger budget replays the smaller run
     and scores a superset of its draws.
     """
-    if functional not in FUNCTIONALS:
-        raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
+    mq, mp, w = functional_forms(sf, functional)
     spec = grid or GridSpec()
-    mq, mp, w = _functional_forms(sf, functional)
     n = sf.n_modes
     gauge = _inv_sqrt_spd(mq) @ w @ _inv_sqrt_spd(mp)
     rng = np.random.Generator(np.random.SFC64(spec.seed))

@@ -31,7 +31,8 @@ from cvwitness import (
     validate_bona_fide,
     validate_stack,
 )
-from conftest import product_cm, rotated
+from cvwitness.covariance import local_direct_sum
+from conftest import product_cm, rotated, rotated_and_squeezed
 
 
 class TestCovarianceMatrix:
@@ -484,13 +485,21 @@ class TestStandardFormReduce:
                 assert params.d == pytest.approx(-np.sinh(2 * r) / 2, abs=1e-9)
 
     def test_spectrum_preserved(self, rng):
-        for seed in range(100):
-            base = random_two_mode_params(seed=seed).to_covariance_matrix()
-            cm = rotated(base, rng.uniform(0, 2 * np.pi, size=2))
+        # local rotations, then local squeezes followed by Bob's pi
+        # rotation, which negates the cross block
+        bases = [random_two_mode_params(seed=seed).to_covariance_matrix() for seed in range(100)]
+        bob_pi = local_direct_sum([np.eye(2), -np.eye(2)])
+        cms = [rotated(base, rng.uniform(0, 2 * np.pi, size=2)) for base in bases]
+        cms += [
+            CovarianceMatrix(bob_pi @ rotated_and_squeezed(base, rng).matrix @ bob_pi.T)
+            for base in bases
+        ]
+        for cm in cms:
             params, s_local = standard_form_reduce_two_mode(cm)
             want = symplectic_eigenvalues(cm)
             got = two_mode_symplectic_pair(params)[::-1]
             np.testing.assert_allclose(got, want, atol=1e-9)
+            assert params.c >= 0 and abs(params.d) <= params.c * (1 + 1e-12)
             # the reduced matrix is genuinely standard form
             w = CovarianceMatrix(s_local @ cm.matrix @ s_local.T)
             sf = split_standard(w, tol=1e-8)

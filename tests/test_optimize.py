@@ -33,8 +33,9 @@ from cvwitness import (
     variance_p,
     variance_q,
 )
-from cvwitness.cli import _CLOSED_FORMS
+from cvwitness.cli import _ORACLE_FUNCTIONALS
 from cvwitness.covariance import StandardForm, local_direct_sum, one_mode_squeeze
+from cvwitness.observables import functional_forms
 from cvwitness.optimize import (
     _BATCH,
     _BLOCK,
@@ -44,7 +45,6 @@ from cvwitness.optimize import (
     _STOP_TOL,
     FUNCTIONALS,
     _alternate,
-    _functional_forms,
 )
 from conftest import product_cm
 
@@ -94,14 +94,23 @@ class TestSeparabilityNumeric:
             assert res.value == pytest.approx(1.0, abs=1e-8)
 
     def test_value_matches_argmin(self):
+        # each value is the variance sum over its own gauge at its weights:
+        # sum_l a_l b_l for separability, a_B b_B for A->B and
+        # sum_{j<=N} a_j b_j for B->A
         sf = split_standard(random_standard(3, seed=4))
-        for sign in ("plus", "minus"):
-            res = min_separability_sum_numeric(sf, sign)
+        runs = [
+            (min_separability_sum_numeric(sf, "plus"), "plus", lambda a, b: a @ b),
+            (min_separability_sum_numeric(sf, "minus"), "minus", lambda a, b: a @ b),
+            (min_steering_sum_ab_numeric(sf), "plus", lambda a, b: a[-1] * b[-1]),
+            (min_steering_sum_ba_numeric(sf), "plus", lambda a, b: a[:-1] @ b[:-1]),
+        ]
+        for res, sign, gauge in runs:
             direct = variance_q(sf.vq, res.argmin_alpha) + variance_p(
                 sf.vp, res.argmin_beta, sign
             )
-            gauge = res.argmin_alpha @ res.argmin_beta
-            assert res.value == pytest.approx(direct / gauge, abs=1e-12)
+            assert res.value == pytest.approx(
+                direct / gauge(res.argmin_alpha, res.argmin_beta), abs=1e-12
+            )
             assert res.value > 0
 
     def test_minimality_against_probes(self, rng):
@@ -165,10 +174,32 @@ class TestSeparabilityNumeric:
         assert res.boundary_flag
 
 
+@pytest.mark.parametrize(
+    "minimize",
+    [
+        lambda sf: min_separability_sum_numeric(sf, "plus"),
+        lambda sf: min_separability_sum_numeric(sf, "minus"),
+        min_steering_sum_ab_numeric,
+        min_steering_sum_ba_numeric,
+        min_steering_sum_ab,
+        *(lambda sf, f=f: brute_force_min(sf, f, GridSpec(samples=100)) for f in FUNCTIONALS),
+    ],
+    ids=[
+        "sep_plus-numeric", "sep_minus-numeric", "steer_ab-numeric", "steer_ba-numeric",
+        "steer_ab-closed", *(f"{f}-brute" for f in FUNCTIONALS),
+    ],
+)
+def test_one_mode_form_refused(minimize):
+    # a one-mode form has no Alice; the minimizers used to return 1.673,
+    # inf or a LinAlgError for it, depending on the route
+    with pytest.raises(ValueError, match="bipartite"):
+        minimize(StandardForm(vq=[[1.0]], vp=[[0.7]]))
+
+
 def _random_starts(sf, functional, count, seed):
     """The forms of a functional and count random starts, each with a
     positive gauge a0' W b0, as the minimizer's restarts have."""
-    mq, mp, w = _functional_forms(sf, functional)
+    mq, mp, w = functional_forms(sf, functional)
     rng = np.random.default_rng(seed)
     a0 = rng.standard_normal((count, sf.n_modes))
     b0 = rng.standard_normal((count, sf.n_modes))
@@ -229,7 +260,7 @@ class TestStackedAlternation:
         # the first start is all-ones, and no random restart beats it here
         # by more than the stopping tolerance, so it is what is reported
         sf = split_standard(random_standard(3, seed=seed))
-        mq, mp, w = _functional_forms(sf, "sep_minus")
+        mq, mp, w = functional_forms(sf, "sep_minus")
         val, a, b, iters, conv = _alternate(
             mq, mp, w, np.ones(3), np.ones(3), _MAX_ITERS, _STOP_TOL
         )
@@ -485,7 +516,7 @@ class TestOracleSandwich:
         witnesses = certify(cm).witnesses
         sf = split_standard(cm)
         for functional in FUNCTIONALS:
-            key, factor = _CLOSED_FORMS[functional]
+            key, factor, _ = _ORACLE_FUNCTIONALS[functional]
             closed = factor * witnesses[key]
             brute = brute_force_min(sf, functional)
             assert closed - 1e-9 <= brute <= closed + 1e-3, (functional, brute, closed)
