@@ -237,8 +237,11 @@ class StandardForm:
     n_alice: int | None = None
 
     def __post_init__(self):
-        vq = np.asarray(self.vq, dtype=float)
-        vp = np.asarray(self.vp, dtype=float)
+        # private read-only copies: a later write to the caller's arrays,
+        # or to these, would bypass the checks below
+        vq = np.array(self.vq, dtype=float)
+        vp = np.array(self.vp, dtype=float)
+        vq.flags.writeable = vp.flags.writeable = False
         object.__setattr__(self, "vq", vq)
         object.__setattr__(self, "vp", vp)
         if vq.shape != vp.shape or vq.ndim != 2 or vq.shape[0] != vq.shape[1]:

@@ -15,6 +15,7 @@ from cvwitness import (
     min_steering_sum_ba_numeric,
     random_standard,
     split_standard,
+    thermal,
     tmsv,
     vacuum,
 )
@@ -493,6 +494,20 @@ class TestOracle:
         rec = json.loads(out)
         assert rec["closed_form"] is not None
         assert rec["agreement_closed_form"] is True
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="absolute --oracle-tol and sampler steps against minima of 2e10; ROADMAP item 4",
+    )
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_large_thermal_noise_agrees(self, capsys, tmp_path, functional):
+        # every minimum is 2e10 + 1 and the minimizer finds it, but the
+        # sampler's absolute steps leave it up to 1.9e-3 relative above
+        # (steer_ba), and even sep_plus's 2.4e-13 relative gap is 4.9e-3
+        # against the absolute 1e-3 tolerance, so the oracle exits 3
+        path = write_cm(tmp_path, thermal([1e10, 1e10]))
+        code, _, _ = run(capsys, "oracle", path, "--functional", functional)
+        assert code == 0
 
     @pytest.mark.parametrize("functional", FUNCTIONALS)
     def test_two_mode_off_standard_form_matches_standard(self, capsys, tmp_path, functional):

@@ -84,6 +84,16 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="n_alice"):
             StandardForm(vq, vp, n_alice=1)
 
+    def test_standard_form_owns_read_only_blocks(self):
+        # the form used to keep the caller's arrays, so a later write left
+        # it non-symmetric after its checks had passed
+        vq, vp = np.eye(2), np.eye(2)
+        sf = StandardForm(vq=vq, vp=vp)
+        vq[0, 1] = 5.0
+        assert sf.vq[0, 1] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sf.vq[0, 1] = 1.0
+
     def test_matrix_is_symmetrized_copy(self):
         m = np.eye(4)
         m[0, 1] = 1e-14

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,6 +441,17 @@ class TestBruteForce:
         a = brute_force_min(sf, "sep_minus", GridSpec(samples=5000, seed=2))
         b = brute_force_min(sf, "sep_minus", GridSpec(samples=5000, seed=2))
         assert a == b
+
+    def test_pinned_values(self):
+        # exact values frozen by tests/data/freeze_sampler.py: a change to
+        # the sampler's speed must not move a single draw or rounding
+        pins = json.loads((Path(__file__).parent / "data" / "sampler_pins.json").read_text())
+        forms = {n: split_standard(random_standard(n, seed=n)) for n in (2, 3, 5, 8)}
+        got = [
+            brute_force_min(forms[pin["n"]], pin["functional"], GridSpec(pin["samples"], seed=pin["seed"]))
+            for pin in pins
+        ]
+        assert got == [float.fromhex(pin["value"]) for pin in pins]
 
     def test_rejects_bad_inputs(self):
         sf = split_standard(vacuum(2))
