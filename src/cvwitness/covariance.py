@@ -113,10 +113,15 @@ def _block_to_interleaved_perm(n_modes: int) -> np.ndarray:
 
 
 def _validated(m: np.ndarray, member: str) -> np.ndarray:
-    """The symmetrized stack 0.5 (m + m^T) of a float stack m of shape
+    """The symmetrized float stack 0.5 (m + m^T) of a stack m of shape
     (k, d, d), after checking that d = 2n >= 2 and that each member is
-    finite and symmetric to _SYMMETRY_RTOL relative to max(|m_i|, 1).
+    real, finite and symmetric to _SYMMETRY_RTOL relative to max(|m_i|, 1).
     Errors name the first failing member i as ``member.format(i)``."""
+    if np.iscomplexobj(m):
+        unreal = (m.imag != 0).any(axis=(1, 2))
+        if unreal.any():
+            raise ValueError(f"{member.format(int(unreal.argmax()))} has complex entries")
+    m = np.asarray(m.real, dtype=float)
     size = m.shape[-1]
     if size % 2 != 0 or size < 2:
         raise ValueError(f"covariance matrix must be 2n x 2n, got size {size}")
@@ -135,9 +140,9 @@ def validate_stack(stack) -> np.ndarray:
     """Validate a stack of candidate CMs of shape (k, 2n, 2n) in
     interleaved ordering, as ``CovarianceMatrix`` validates one, and
     return its symmetrized float copy. A ValueError names the expected
-    shape, or the index of the first member that is not finite or not
-    symmetric."""
-    m = np.asarray(stack, dtype=float)
+    shape, or the index of the first member that is complex, not finite
+    or not symmetric."""
+    m = np.asarray(stack)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a stack of CMs of shape (k, 2n, 2n), got shape {m.shape}")
     return _validated(m, "member {} of the stack")
@@ -152,7 +157,7 @@ class CovarianceMatrix:
     """
 
     def __init__(self, matrix, ordering: str = "interleaved"):
-        m = np.asarray(matrix, dtype=float)
+        m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance matrix must be square, got shape {m.shape}")
         m = _validated(m[None], "covariance matrix")[0]
@@ -200,7 +205,7 @@ class CovarianceMatrix:
         if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)):
             raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
         n_modes = int(n_modes)
-        m = np.asarray(matrix, dtype=float)
+        m = np.asarray(matrix)
         if m.shape != (2 * n_modes, 2 * n_modes):
             raise ValueError(
                 f"matrix shape {m.shape} inconsistent with n_modes={n_modes}"
@@ -523,14 +528,15 @@ def stack_witnesses(v: np.ndarray) -> StackWitnesses:
     together, as one (2k, 2n, 2n) stack. The factor V = L L^T is the
     positive-definiteness check, and gives both symplectic spectra
     through i L^T J L and i L^T (P J P) L, in one eigensolve with
-    V + (i/2) J. The trailing block L_kk of the Bob-first factor is the
-    factor of V/V_B. The trailing 2x2 blocks of both factors go through
-    the one-mode closed forms (``_one_mode_schur``): L's is the factor of
-    V/V_A, always one mode, and with n = 2 the Bob-first one is V/V_B's.
-    For n >= 3 a second eigensolve reads V/V_B + (i/2) J_A and the
+    V + (i/2) J, all filled into one complex buffer. The trailing block
+    L_kk of the Bob-first factor is the factor of V/V_B. The trailing 2x2
+    blocks of both factors go through the one-mode closed forms
+    (``_one_mode_schur``): L's is the factor of V/V_A, always one mode,
+    and with n = 2 the Bob-first one is V/V_B's. For n >= 3 a second
+    eigensolve, from a buffer of its own, reads V/V_B + (i/2) J_A and the
     spectrum of i L_kk^T J_A L_kk. The A->B eigenvalue ``rs_ab`` is
-    computed from the entries of V/V_A and never from ``det_ratio_ab``,
-    so that certify's A->B self-check compares two routes, not one number
+    computed from the entries of V/V_A and never from ``det_ratio_ab``, so
+    that certify's A->B self-check compares two routes, not one number
     with itself.
 
     When a batched factorization fails, the stack is split in halves
@@ -552,21 +558,23 @@ def stack_witnesses(v: np.ndarray) -> StackWitnesses:
         rs = np.linalg.eigvalsh(v + rs_shift)[:, 0]
         return StackWitnesses(np.zeros(1, dtype=bool), rs, *[zero] * 7)
     low = factors[0::2]
-    low_t = np.swapaxes(low, -1, -2)
-    spectra = 1j * (low_t[:, None] @ forms @ low[:, None])
-    eig = np.linalg.eigvalsh(np.concatenate([v + rs_shift, spectra.reshape(2 * k, dim, dim)]))
+    batch = np.empty((3 * k, dim, dim), dtype=complex)
+    np.add(v, rs_shift, batch[:k])
+    np.multiply(1j, low.transpose(0, 2, 1)[:, None] @ forms @ low[:, None], batch[k:].reshape(k, 2, dim, dim))
+    eig = np.linalg.eigvalsh(batch)
     nus = eig[k:, n].reshape(k, 2)
     det_ratio, nu, rs = _one_mode_schur(factors[:, -2:, -2:])
     if n == 2:
         det_ratio_ba, schur_nu_min, rs_ba = det_ratio[1::2], nu[1::2], rs[1::2]
     else:
         low_ba = factors[1::2, 2:, 2:]
-        low_ba_t = np.swapaxes(low_ba, -1, -2)
-        eig_ba = np.linalg.eigvalsh(
-            np.concatenate([low_ba @ low_ba_t + rs_shift_a, 1j * (low_ba_t @ j_a @ low_ba)])
-        )
+        low_ba_t = low_ba.transpose(0, 2, 1)
+        batch = np.empty((2 * k, dim - 2, dim - 2), dtype=complex)
+        np.add(low_ba @ low_ba_t, rs_shift_a, batch[:k])
+        np.multiply(1j, low_ba_t @ j_a @ low_ba, batch[k:])
+        eig_ba = np.linalg.eigvalsh(batch)
         # det V / det V_B = det(V / V_B) = prod(diag L_kk)^2
-        det_ratio_ba = np.prod(np.diagonal(low_ba, axis1=1, axis2=2), axis=1) ** 2
+        det_ratio_ba = low_ba.diagonal(axis1=1, axis2=2).prod(axis=1) ** 2
         rs_ba, schur_nu_min = eig_ba[:k, 0], eig_ba[k:, n - 1]
     return StackWitnesses(
         factored=np.ones(k, dtype=bool),

@@ -18,6 +18,8 @@ counterpart when N > 1.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -61,12 +63,13 @@ class OneWayExampleNotFound(LookupError):
 
 
 def resolve_tolerance(tol: float | None, source: str = "tol") -> float:
-    """``tol``, or ``covariance.DEFAULT_TOL`` when it is None; a NaN,
-    infinite or negative tolerance raises ValueError naming ``source``."""
+    """``tol`` as a float, or ``covariance.DEFAULT_TOL`` when it is None; a
+    bool, a non-real, NaN, infinite or negative one raises ValueError naming ``source``."""
     if tol is None:
         return DEFAULT_TOL
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{source} must be a finite number >= 0, got {tol!r}")
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, (bool, np.bool_))
+    if not (real and math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{source} must be a finite real number >= 0, got {tol!r}")
     return float(tol)
 
 
@@ -133,6 +136,7 @@ WITNESS_KEYS = (
     "schur_min_symplectic_eig",
 )
 _MARGINAL_KEYS = ("marginal_ppt", "marginal_ab", "marginal_ba")
+_GAUSSIAN_SEPARABLE = dict(zip((True, False, None), GAUSSIAN_SEPARABLE_VALUES))  # by ppt
 
 
 def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict:
@@ -151,9 +155,9 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
 
 
 class StackVerdicts(NamedTuple):
-    """The verdicts of a stack of k CMs as arrays: eight (k,) bool flag
-    and marker arrays and the (k, 9) witnesses in ``WITNESS_KEYS``
-    order.
+    """The verdicts of a stack of k CMs as two blocks: ``flags``, (k, 8)
+    bool, and ``witnesses``, (k, 9) float in ``WITNESS_KEYS`` order. The
+    named flags and markers are views of the columns of ``flags``.
 
     Only ``physical`` and the ``min_rs_eig`` column mean anything for a
     non-physical member: its other flags and witnesses are whatever the
@@ -161,15 +165,22 @@ class StackVerdicts(NamedTuple):
     every consumer masks them by ``physical``.
     """
 
-    physical: np.ndarray
-    ppt: np.ndarray
-    separable_ok: np.ndarray
-    steerable_ab: np.ndarray
-    steerable_ba: np.ndarray
-    marginal_ppt: np.ndarray
-    marginal_ab: np.ndarray
-    marginal_ba: np.ndarray
+    flags: np.ndarray
     witnesses: np.ndarray
+
+    physical = property(lambda self: self.flags[:, 0])
+    ppt = property(lambda self: self.flags[:, 1])
+    separable_ok = property(lambda self: self.flags[:, 2])
+    steerable_ab = property(lambda self: self.flags[:, 3])
+    steerable_ba = property(lambda self: self.flags[:, 4])
+    marginal_ppt = property(lambda self: self.flags[:, 5])
+    marginal_ab = property(lambda self: self.flags[:, 6])
+    marginal_ba = property(lambda self: self.flags[:, 7])
+
+
+# the value each row of stack_verdicts' witness block is tested against: a flag
+# compares the row with centre - tol, a marker takes |w - centre| <= tol
+_CENTRES = np.array([[0.0], [0.0], [0.5], [1.0], [1.0], [0.0], [0.25], [0.0], [0.0], [0.0], [0.0]])
 
 
 def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
@@ -184,13 +195,15 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     unless they are one already.
 
     The witnesses of the whole stack come from one batched kernel
-    (``covariance.stack_witnesses``), and the flags from array
-    comparisons on them. A member whose factorization fails is refused
-    as non-physical without affecting the others. Both self-checks
-    look at physical members only and raise ``VerdictConsistencyError``:
-    the A->B determinant and matrix forms must agree outside the dead
-    band, and a PPT member, separable and hence unsteerable both ways
-    (Wiseman, Jones and Doherty 2007), must raise no steering flag.
+    (``covariance.stack_witnesses``), gathered into one float block; its
+    flags come from one ``>=`` and one ``<`` against ``centre - tol``,
+    and its markers from one ``|w - centre| <= tol``. A member whose
+    factorization fails is refused as non-physical without affecting the
+    others. Both self-checks look at physical members only and raise
+    ``VerdictConsistencyError``: the A->B determinant and matrix forms
+    must agree outside the dead band, and a PPT member, separable and
+    hence unsteerable both ways (Wiseman, Jones and Doherty 2007), must
+    raise no steering flag.
     """
     tol = resolve_tolerance(tol)
     if isinstance(cms, np.ndarray):
@@ -208,43 +221,34 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
             raise ValueError("certification needs CMs with the same number of modes")
         v = np.array([cm.matrix for cm in cms])
     if not len(v):
-        none = np.zeros(0, dtype=bool)
-        return StackVerdicts(*[none] * 8, np.zeros((0, len(WITNESS_KEYS))))
-    w = stack_witnesses(v)
-
-    physical = w.factored & (w.min_rs_eig >= -tol)
-    ppt = w.nu_min_pt >= 0.5 - tol
-    # 2 nu~ and 2 nu are local invariants; whenever V has a standard form
-    # they are the minima of the two separability sums there
-    sep_plus_min = 2.0 * w.nu_min_pt
-    sep_minus_min = 2.0 * w.nu_min
-    separable_ok = (sep_plus_min >= 1.0 - tol) & (sep_minus_min >= 1.0 - tol)
-
-    steerable_ab = w.det_ratio_ab < 0.25 - tol
-    matrix_steerable_ab = w.rs_ab < -tol
-    marginal_ab = (np.abs(w.det_ratio_ab - 0.25) <= tol) | (np.abs(w.rs_ab) <= tol)
-    disagree = physical & ~marginal_ab & (steerable_ab != matrix_steerable_ab)
-    if disagree.any():
+        return StackVerdicts(np.zeros((0, 8), dtype=bool), np.zeros((0, len(WITNESS_KEYS))))
+    kernel = stack_witnesses(v)
+    # rows: the WITNESS_KEYS, then rs_ab and rs_ba. 2 nu~, 2 nu and 2 sqrt(det V / det V_A)
+    # are local invariants; whenever V has a standard form they are the minima of the sums
+    w = np.array([kernel.min_rs_eig, kernel.nu_min, kernel.nu_min_pt, kernel.nu_min_pt, kernel.nu_min,
+                  np.sqrt(kernel.det_ratio_ab), kernel.det_ratio_ab, kernel.det_ratio_ba, kernel.schur_nu_min,
+                  kernel.rs_ab, kernel.rs_ba])
+    w[3:6] *= 2.0
+    thresholds = _CENTRES - tol
+    above = w >= thresholds
+    below = w < thresholds
+    near = np.abs(w - _CENTRES) <= tol
+    # physical, ppt, separable_ok, steerable_ab, steerable_ba and the three markers
+    flags = np.array([kernel.factored & above[0], above[2], above[3] & above[4], below[6], below[10],
+                      near[2], near[6] | near[9], near[10]])
+    physical, ppt, _, steerable_ab, steerable_ba, _, marginal_ab, _ = flags
+    disagree = physical & ~marginal_ab & (steerable_ab != below[9])  # below[9]: rs_ab < -tol
+    if np.count_nonzero(disagree):
         i = int(disagree.argmax())
         raise VerdictConsistencyError(
             f"A->B determinant and matrix forms disagree on member {i} of the stack: "
-            f"det ratio {w.det_ratio_ab[i]!r} vs min eigenvalue {w.rs_ab[i]!r}"
+            f"det ratio {kernel.det_ratio_ab[i]!r} vs min eigenvalue {kernel.rs_ab[i]!r}"
         )
-    steerable_ba = w.rs_ba < -tol
-    marginal_ba = np.abs(w.rs_ba) <= tol
-    if (physical & ppt & (steerable_ab | steerable_ba)).any():
+    if np.count_nonzero(physical & ppt & (steerable_ab | steerable_ba)):
         raise VerdictConsistencyError(
             "steering flag raised on a PPT (hence separable) Gaussian state"
         )
-    marginal_ppt = np.abs(w.nu_min_pt - 0.5) <= tol
-
-    witnesses = np.stack(
-        [w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus_min, sep_minus_min,
-         2.0 * np.sqrt(w.det_ratio_ab), w.det_ratio_ab, w.det_ratio_ba, w.schur_nu_min],
-        axis=1,
-    )
-    return StackVerdicts(physical, ppt, separable_ok, steerable_ab, steerable_ba,
-                         marginal_ppt, marginal_ab, marginal_ba, witnesses)
+    return StackVerdicts(flags.T, w[:9].T)
 
 
 def certify_many(cms, tol: float | None = None) -> list[CorrelationVerdict]:
@@ -252,40 +256,28 @@ def certify_many(cms, tol: float | None = None) -> list[CorrelationVerdict]:
     given as a sequence of CMs or as an array of shape (k, 2n, 2n); one
     verdict per member, each the one ``certify`` gives it alone.
 
-    The flags and witnesses are ``stack_verdicts``'s, turned into one
-    ``CorrelationVerdict`` per member; a non-physical member keeps only
-    its ``min_rs_eig`` witness and every other flag is None.
+    The flags and witnesses are ``stack_verdicts``'s two blocks, turned
+    into one ``CorrelationVerdict`` per member; a non-physical member
+    keeps only its ``min_rs_eig`` witness and every other flag is None.
     """
     sv = stack_verdicts(cms, tol=tol)
-    flags = np.stack(sv[:8], axis=1).tolist()
     verdicts = []
-    for values, (phys, pt, sep_ok, ab, ba, *marginals) in zip(sv.witnesses.tolist(), flags):
-        if not phys:
-            verdicts.append(
-                CorrelationVerdict(
-                    physical=False,
-                    ppt=None,
-                    separable_necessary_met=None,
-                    gaussian_separable="undecided",
-                    steerable_a_to_b=None,
-                    steerable_b_to_a=None,
-                    witnesses={"min_rs_eig": values[0]},
-                )
-            )
-            continue
-        wit = dict(zip(WITNESS_KEYS, values))
-        wit.update((key, 1.0) for key, on in zip(_MARGINAL_KEYS, marginals) if on)
-        verdicts.append(
-            CorrelationVerdict(
-                physical=True,
-                ppt=pt,
-                separable_necessary_met=sep_ok,
-                gaussian_separable="yes" if pt else "no",
-                steerable_a_to_b=ab,
-                steerable_b_to_a=ba,
-                witnesses=wit,
-            )
-        )
+    for values, (phys, pt, sep_ok, ab, ba, *marginals) in zip(sv.witnesses.tolist(), sv.flags.tolist()):
+        if phys:
+            wit = dict(zip(WITNESS_KEYS, values))
+            wit.update((key, 1.0) for key, on in zip(_MARGINAL_KEYS, marginals) if on)
+        else:
+            pt = sep_ok = ab = ba = None
+            wit = {"min_rs_eig": values[0]}
+        verdicts.append(CorrelationVerdict(
+            physical=phys,
+            ppt=pt,
+            separable_necessary_met=sep_ok,
+            gaussian_separable=_GAUSSIAN_SEPARABLE[pt],
+            steerable_a_to_b=ab,
+            steerable_b_to_a=ba,
+            witnesses=wit,
+        ))
     return verdicts
 
 

@@ -53,3 +53,20 @@ def rotated_and_squeezed(cm: CovarianceMatrix, rng, max_z: float = 1.0) -> Covar
          for _ in range(cm.n_modes)]
     )
     return CovarianceMatrix(s @ cm.matrix @ s.T)
+
+
+def noisy_tmsv_phase_diagram(r: float, side: str, tol: float) -> dict:
+    """The closed-form phase diagram of ``noisy_tmsv(r, n, side)``, as the
+    noise n below which each certify flag is raised (``ppt`` is raised
+    at and above its value): the noisy party X steers the other iff
+    n < 1/2, the other party steers X iff n < sinh^2 r / cosh 2r, and the
+    state is non-PPT iff n < 1. V/V_A and V/V_B are scalar 2x2 blocks,
+    which gives the first two; the third is Simon's criterion.
+
+    Returns {flag: (n_c, margin)}. ``margin`` bounds how far certify's
+    dead band moves the flip from n_c: about tol (2 cosh 2r/(cosh 2r - 1)
+    + 1), as measured by bisection for r in [0.02, 3], doubled."""
+    c2 = float(np.cosh(2 * r))
+    margin = 2 * tol * (2 * c2 / (c2 - 1) + 1)
+    own, other = ("steerable_a_to_b", "steerable_b_to_a")[:: 1 if side == "A" else -1]
+    return {own: (0.5, margin), other: (float(np.sinh(r)) ** 2 / c2, margin), "ppt": (1.0, margin)}

@@ -22,7 +22,7 @@ from cvwitness import (
 from cvwitness import cli
 from cvwitness.cli import main, render_json
 from cvwitness.optimize import FUNCTIONALS
-from conftest import rotated, rotated_and_squeezed
+from conftest import noisy_tmsv_phase_diagram, rotated, rotated_and_squeezed
 
 DATA = Path(__file__).parent / "data"
 
@@ -312,6 +312,23 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == 0.5
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.7, 1.0, 2.0, 3.0])
+    def test_crossings_bracket_phase_diagram(self, capsys, r, side):
+        # each flag crosses once on nbar in [0, 2], between two rows that
+        # bracket its closed-form boundary
+        code, out, _ = run(
+            capsys, "sweep", "noisy_tmsv", "--r", str(r), "--side", side,
+            "--param", "nbar", "--range", "0,2,2001",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for flag, (n_c, margin) in noisy_tmsv_phase_diagram(r, side, 1e-9).items():
+            crossed = [i for i, row in enumerate(rows) if flag in row["crossings"].split(";")]
+            assert len(crossed) == 1, flag
+            lo, hi = float(rows[crossed[0] - 1]["nbar"]), float(rows[crossed[0]]["nbar"])
+            assert lo - margin <= n_c <= hi + margin, (flag, lo, hi, n_c)
 
     def test_noisy_tmsv_one_way_window(self, capsys):
         code, out, _ = run(

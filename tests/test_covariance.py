@@ -56,6 +56,17 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="finite"):
             CovarianceMatrix(m)
 
+    def test_rejects_complex(self):
+        # a Hermitian matrix used to lose its imaginary part, with a
+        # ComplexWarning, and certify then ran on the real part
+        m = tmsv(0.5).matrix.astype(complex)
+        m[0, 2] = 0.1 + 0.3j
+        m[2, 0] = 0.1 - 0.3j
+        with pytest.raises(ValueError, match="covariance matrix has complex entries"):
+            CovarianceMatrix(m)
+        m[0, 2] = m[2, 0] = tmsv(0.5).matrix[0, 2]
+        np.testing.assert_array_equal(CovarianceMatrix(m).matrix, tmsv(0.5).matrix)
+
     def test_rejects_bad_n_alice(self):
         # Bob holds the last mode; a record may say so, or say nothing
         record = random_standard(3, seed=2).to_dict()

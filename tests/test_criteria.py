@@ -28,10 +28,10 @@ from cvwitness import (
     vacuum,
     validate_bona_fide,
 )
-from cvwitness import criteria
+from cvwitness import GeneratorSpec, criteria
 from cvwitness.covariance import DEFAULT_TOL
 from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
-from conftest import product_cm, rotated, rotated_and_squeezed
+from conftest import noisy_tmsv_phase_diagram, product_cm, rotated, rotated_and_squeezed
 
 
 class TestCertifyReferenceStates:
@@ -372,6 +372,15 @@ class TestCertifyMany:
         with pytest.raises(ValueError, match="member 3 of the stack is not symmetric"):
             certify_many(stack)
 
+    def test_complex_array_member_named(self):
+        # a complex stack used to be cast to its real part, with a ComplexWarning
+        stack = np.stack([tmsv(0.5).matrix] * 4).astype(complex)
+        stack[1, 0, 2] += 0.3j
+        stack[1, 2, 0] -= 0.3j
+        with pytest.raises(ValueError, match="member 1 of the stack has complex entries"):
+            certify_many(stack)
+        assert certify_many(stack.real) == certify_many(np.stack([tmsv(0.5).matrix] * 4))
+
     def test_one_mode_array_rejected(self):
         with pytest.raises(ValueError, match="bipartite"):
             certify_many(np.stack([0.5 * np.eye(2)] * 2))
@@ -428,6 +437,32 @@ class TestStackVerdicts:
     def test_empty_stack(self, empty):
         sv = stack_verdicts(empty)
         assert sv.physical.shape == (0,) and sv.witnesses.shape == (0, len(WITNESS_KEYS))
+
+
+class TestNoisyTmsvPhaseDiagram:
+    """Noise n on side X of tmsv(r) against the closed-form phase diagram
+    (``conftest.noisy_tmsv_phase_diagram``): every flag of every member,
+    away from a tol-scaled margin around each boundary."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-5])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_flags_match_closed_forms(self, side, tol):
+        rng = np.random.default_rng(20260511)
+        rs = np.concatenate([[0.1, 0.3, 0.7, 1.0, 2.0, 3.0], rng.uniform(0.05, 3.0, 34)])
+        checked = 0
+        for r in rs:
+            nbars = np.sort(rng.uniform(0.0, 2.0, 200))
+            stack = GeneratorSpec("noisy_tmsv", params={"r": float(r), "side": side}).build_stack("nbar", nbars)
+            sv = stack_verdicts(stack, tol=tol)
+            assert sv.physical.all()
+            for flag, (n_c, margin) in noisy_tmsv_phase_diagram(r, side, tol).items():
+                got = {"ppt": sv.ppt, "steerable_a_to_b": sv.steerable_ab, "steerable_b_to_a": sv.steerable_ba}[flag]
+                clear = np.abs(nbars - n_c) > margin
+                want = nbars >= n_c if flag == "ppt" else nbars < n_c
+                mismatched = nbars[clear & (got != want)]
+                assert not mismatched.size, (flag, float(r), mismatched[:3])
+                checked += int(clear.sum())
+        assert checked > 0.99 * 3 * len(rs) * 200
 
 
 class TestSignRule:
@@ -487,6 +522,21 @@ class TestHeavySqueezing:
 def test_certify_rejects_bad_tol(bad):
     with pytest.raises(ValueError, match="tol"):
         certify(tmsv(0.5), tol=bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1e-9", 1e-9 + 0j, [1e-9], b"0"])
+def test_tol_must_be_a_real_number(bad):
+    # True used to read as 1.0, a dead band that marks every flag marginal,
+    # and a string raised numpy's TypeError
+    with pytest.raises(ValueError, match="--tol must be a finite real number >= 0"):
+        resolve_tolerance(bad, "--tol")
+    with pytest.raises(ValueError, match="tol"):
+        certify(tmsv(0.5), tol=bad)
+
+
+@pytest.mark.parametrize("good", [0, 1e-9, np.float32(1e-6), np.int64(0), np.float64(1e-9)])
+def test_tol_accepts_real_numbers(good):
+    assert resolve_tolerance(good) == float(good)
 
 
 def test_unset_tol_reads_covariance_default():

@@ -5,6 +5,7 @@ relative, the accuracy of a symplectic spectrum of an ill-conditioned CM.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from cvwitness import (
     CovarianceMatrix,
     certify,
+    certify_many,
     check_unsteerable_ab,
     check_unsteerable_ba,
     stack_witnesses,
@@ -57,3 +59,31 @@ def test_golden_unsteerability_checks(entry):
     assert (ab.det_ratio, ba.det_ratio) == (witnesses["det_ratio_ab"], witnesses["det_ratio_ba"])
     w = stack_witnesses(cm.matrix[None])
     assert (ab.min_rs_eigenvalue, ba.min_rs_eigenvalue) == (w.rs_ab[0], w.rs_ba[0])
+
+
+def test_certify_pins():
+    """Every flag, marker and witness bit that ``certify`` gave at the
+    freeze (``tests/data/freeze_certify.py``), one CM at a time and as
+    one ``certify_many`` stack per mode count. A speed-up of the kernel
+    must not move any of them; only a deliberate change of numerical
+    route, such as deciding each flag from a banded Hermitian form
+    (ROADMAP item 1), may re-freeze the file."""
+    data = Path(__file__).parent / "data"
+    sys.path.insert(0, str(data))
+    try:
+        import freeze_certify as freeze
+    finally:
+        sys.path.remove(str(data))
+    pins = json.loads((data / "certify_pins.json").read_text())
+    cases = freeze.inputs()
+    assert [label for label, _, _ in cases] == [pin["label"] for pin in pins]
+    want = [pin["verdict"] for pin in pins]
+    assert [freeze.exact(certify(cm, tol=tol)) for _, cm, tol in cases] == want
+    groups = {}
+    for i, (_, cm, tol) in enumerate(cases):
+        groups.setdefault((cm.n_modes, tol), []).append(i)
+    stacked = {}
+    for (_, tol), members in groups.items():
+        verdicts = certify_many([cases[i][1] for i in members], tol=tol)
+        stacked.update(zip(members, map(freeze.exact, verdicts)))
+    assert [stacked[i] for i in range(len(cases))] == want
