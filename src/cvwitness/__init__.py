@@ -10,11 +10,9 @@ from .covariance import (
     TwoModeStandardParams,
     ValidationReport,
     aitken_factorize,
-    gaussian_purity,
     partial_transpose_bob,
     partition,
     schur_complement,
-    schur_factor,
     StackWitnesses,
     stack_witnesses,
     split_standard,
@@ -39,7 +37,6 @@ from .criteria import (
 )
 from .observables import (
     EprWeights,
-    commutator_bound,
     euler_identity_terms,
     reid_product,
     separability_sum,
@@ -58,7 +55,6 @@ from .optimize import (
     check_unsteerable_ab,
     check_unsteerable_ba,
     min_separability_sum_numeric,
-    min_separability_sum_two_mode,
     min_steering_sum_ab,
     min_steering_sum_ab_numeric,
     min_steering_sum_ba_numeric,

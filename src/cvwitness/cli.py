@@ -20,9 +20,9 @@ import time
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, NotStandardFormError, split_standard
+from .covariance import CovarianceMatrix, NotStandardFormError, resolve_tolerance, split_standard
 from .covariance import standard_form_reduce_two_mode
-from .criteria import WITNESS_KEYS, certify, resolve_tolerance, stack_verdicts
+from .criteria import WITNESS_KEYS, certify, stack_verdicts
 from .optimize import (
     FUNCTIONALS,
     GridSpec,

@@ -5,7 +5,7 @@ Conventions: hbar = 1 with quadratures q = (a + a^dag)/sqrt(2) and
 p = (a - a^dag)/(i sqrt(2)), so the vacuum variance is 1/2, a physical
 covariance matrix V satisfies V + (i/2) J >= 0, and det V >= 2**(-2n).
 Matrices are stored mode-interleaved (q1, p1, q2, p2, ...); the block
-ordering (q1..qn, p1..pn) is accepted on input and available as a view.
+ordering (q1..qn, p1..pn) is accepted on input.
 
 In bipartite use, Alice holds the first n - 1 modes and Bob holds
 exactly the last mode.
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
+    "resolve_tolerance",
     "CovarianceMatrix",
     "StandardForm",
     "Partition",
@@ -38,7 +41,6 @@ __all__ = [
     "partial_transpose_bob",
     "split_standard",
     "partition",
-    "schur_factor",
     "schur_complement",
     "StackWitnesses",
     "stack_witnesses",
@@ -46,10 +48,26 @@ __all__ = [
     "standard_form_reduce_two_mode",
     "two_mode_symplectic_pair",
     "two_mode_symplectic_pair_pt",
-    "gaussian_purity",
 ]
 
 DEFAULT_TOL = 1e-9
+
+
+def resolve_tolerance(tol: float | None, source: str = "tol") -> float:
+    """``tol`` as a float, or ``DEFAULT_TOL`` when it is None; a bool, a
+    non-real, NaN, infinite or negative one, or one beyond the float range,
+    raises ValueError naming ``source``."""
+    if tol is None:
+        return DEFAULT_TOL
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, (bool, np.bool_))
+    try:
+        value = float(tol) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{source} must be a finite real number >= 0, got {tol!r}")
+    return value
+
 
 # relative tolerance for the symmetry check at construction
 _SYMMETRY_RTOL = 1e-12
@@ -103,20 +121,10 @@ def local_direct_sum(blocks) -> np.ndarray:
     return out
 
 
-def _block_to_interleaved_perm(n_modes: int) -> np.ndarray:
-    """Permutation p with p[i_interleaved] = i_block."""
-    perm = np.empty(2 * n_modes, dtype=int)
-    for k in range(n_modes):
-        perm[2 * k] = k
-        perm[2 * k + 1] = n_modes + k
-    return perm
-
-
-def _validated(m: np.ndarray, member: str) -> np.ndarray:
-    """The symmetrized float stack 0.5 (m + m^T) of a stack m of shape
-    (k, d, d), after checking that d = 2n >= 2 and that each member is
-    real, finite and symmetric to _SYMMETRY_RTOL relative to max(|m_i|, 1).
-    Errors name the first failing member i as ``member.format(i)``."""
+def _real_finite(m: np.ndarray, member: str) -> np.ndarray:
+    """A stack m of shape (k, d, d) as floats, after checking that
+    d = 2n >= 2 and that each member is real and finite. Errors name the
+    first failing member i as ``member.format(i)``."""
     if np.iscomplexobj(m):
         unreal = (m.imag != 0).any(axis=(1, 2))
         if unreal.any():
@@ -128,6 +136,14 @@ def _validated(m: np.ndarray, member: str) -> np.ndarray:
     if not np.isfinite(m).all():
         i = int(np.isfinite(m).all(axis=(1, 2)).argmin())
         raise ValueError(f"{member.format(i)} has non-finite entries")
+    return m
+
+
+def _validated(m: np.ndarray, member: str) -> np.ndarray:
+    """The symmetrized float stack 0.5 (m + m^T) of a stack m that
+    ``_real_finite`` accepts, after checking that each member is symmetric
+    to _SYMMETRY_RTOL relative to max(|m_i|, 1)."""
+    m = _real_finite(m, member)
     m_t = m.transpose(0, 2, 1)
     scale = np.abs(m).max(axis=(1, 2)).clip(1.0)
     asymmetric = np.abs(m - m_t).max(axis=(1, 2)) > _SYMMETRY_RTOL * scale
@@ -165,7 +181,8 @@ class CovarianceMatrix:
             raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
         n = m.shape[0] // 2
         if ordering == "block":
-            perm = _block_to_interleaved_perm(n)
+            # perm[i_interleaved] = i_block: (0, n, 1, n + 1, ...)
+            perm = np.arange(2 * n).reshape(2, n).T.ravel()
             m = m[np.ix_(perm, perm)]
         self.matrix = m
         self.n_modes = n
@@ -174,12 +191,6 @@ class CovarianceMatrix:
     def n_alice(self) -> int:
         """Alice's mode count: every mode but Bob's, the last one."""
         return self.n_modes - 1
-
-    @property
-    def block_matrix(self) -> np.ndarray:
-        """The matrix reordered to (q1..qn, p1..pn)."""
-        perm = np.argsort(_block_to_interleaved_perm(self.n_modes))
-        return self.matrix[np.ix_(perm, perm)]
 
     def require_bipartite(self) -> None:
         if self.n_modes < 2:
@@ -344,26 +355,29 @@ class ValidationReport:
 
 
 def _as_matrix(V) -> np.ndarray:
+    """The matrix of a CovarianceMatrix, or a raw 2n x 2n array as floats
+    after ``_real_finite``'s checks, not symmetrized."""
     if isinstance(V, CovarianceMatrix):
         return V.matrix
-    return np.asarray(V, dtype=float)
+    m = np.asarray(V)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
+    return _real_finite(m[None], "matrix")[0]
 
 
-def validate_bona_fide(V, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate_bona_fide(V, tol: float | None = None) -> ValidationReport:
     """Check symmetry, positive definiteness and the matrix uncertainty
     relation V + (i/2) J >= 0 for a candidate covariance matrix.
 
-    Accepts a CovarianceMatrix or a raw 2n x 2n array in interleaved
-    ordering. V is positive definite when its Cholesky factorization
-    succeeds. The RS check uses eigenvalues of the Hermitian matrix
-    V + (i/2) J, which is meaningful even for singular V; boundary
-    states (pure Gaussians) sit exactly at zero, hence the tolerance.
+    Accepts a CovarianceMatrix or a raw real, finite 2n x 2n array in
+    interleaved ordering. V is positive definite when its Cholesky
+    factorization succeeds. The RS check uses eigenvalues of the
+    Hermitian matrix V + (i/2) J, which is meaningful even for singular
+    V; boundary states (pure Gaussians) sit exactly at zero, hence the
+    tolerance (``resolve_tolerance``: None reads as DEFAULT_TOL).
     """
+    tol = resolve_tolerance(tol)
     m = _as_matrix(V)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-        raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
     n = m.shape[0] // 2
     scale = max(np.abs(m).max(), 1.0)
     symmetric = bool(np.abs(m - m.T).max() <= _SYMMETRY_RTOL * scale)
@@ -379,7 +393,7 @@ def validate_bona_fide(V, tol: float = DEFAULT_TOL) -> ValidationReport:
         positive_definite=positive_definite,
         rs_ur_satisfied=bool(min_rs >= -tol),
         min_rs_eigenvalue=min_rs,
-        tol=float(tol),
+        tol=tol,
     )
 
 
@@ -407,12 +421,14 @@ def partial_transpose_bob(V: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(V.matrix * np.outer(signs, signs))
 
 
-def split_standard(V, tol: float = DEFAULT_TOL) -> StandardForm:
+def split_standard(V, tol: float | None = None) -> StandardForm:
     """Split a standard-form CM into its position and momentum blocks.
 
-    Raises NotStandardFormError when any sigma(q, p) entry exceeds tol.
-    The determinant factorizes: det V = det(vq) * det(vp).
+    Raises NotStandardFormError when any sigma(q, p) entry exceeds tol
+    (``resolve_tolerance``: None reads as DEFAULT_TOL). The determinant
+    factorizes: det V = det(vq) * det(vp).
     """
+    tol = resolve_tolerance(tol)
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     n = V.n_modes
@@ -436,31 +452,28 @@ def partition(V: CovarianceMatrix) -> Partition:
     return Partition(alice=m[:k, :k], bob=m[k:, k:], cross=m[:k, k:])
 
 
-def schur_factor(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
-    """Cholesky factor L_kk of the Schur complement V / V_X = L_kk L_kk^T:
-    the trailing block of the factor of V with the eliminated party X
-    first. So V / V_X is positive definite by construction, and
-    det V / det V_X = prod(diag L_kk)^2."""
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
-    k = 2 * V.n_modes - 2
-    if over == "A":
-        return np.linalg.cholesky(V.matrix)[k:, k:]
-    if over == "B":
-        order = np.r_[k : k + 2, :k]
-        return np.linalg.cholesky(V.matrix[np.ix_(order, order)])[2:, 2:]
-    raise ValueError(f"over must be 'A' or 'B', got {over!r}")
-
-
 def schur_complement(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
     """Schur complement of a bipartite CM.
 
     over="B" eliminates Bob and returns V_A - C V_B^-1 C^T (2N x 2N);
     over="A" eliminates Alice and returns V_B - C^T V_A^-1 C (2 x 2).
     The determinant identity det(V / V_X) = det V / det V_X holds.
+
+    The complement is L_kk L_kk^T, from the trailing block L_kk of the
+    Cholesky factor of V with the eliminated party first, so it is
+    positive definite by construction.
     """
-    low = schur_factor(V, over)
+    if not isinstance(V, CovarianceMatrix):
+        V = CovarianceMatrix(V)
+    V.require_bipartite()
+    k = 2 * V.n_modes - 2
+    if over == "A":
+        low = np.linalg.cholesky(V.matrix)[k:, k:]
+    elif over == "B":
+        order = np.r_[k : k + 2, :k]
+        low = np.linalg.cholesky(V.matrix[np.ix_(order, order)])[2:, 2:]
+    else:
+        raise ValueError(f"over must be 'A' or 'B', got {over!r}")
     return low @ low.T
 
 
@@ -636,7 +649,7 @@ def _inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
 
 
 def standard_form_reduce_two_mode(
-    V: CovarianceMatrix, tol: float = DEFAULT_TOL
+    V: CovarianceMatrix, tol: float | None = None
 ) -> tuple[TwoModeStandardParams, np.ndarray]:
     """Reduce a two-mode bona fide CM to standard form by local symplectics.
 
@@ -652,8 +665,10 @@ def standard_form_reduce_two_mode(
     cross block becomes diag(s1, +-s2) with s1 >= s2 >= 0, which is
     c >= |d|. Where s1 and s2 tie (as for every TMSV), rounding can
     leave |d| above c by an ulp or two; params clamps d into [-c, c].
-    Local symplectics preserve the symplectic spectrum.
+    Local symplectics preserve the symplectic spectrum. The bona fide
+    check uses max(tol, DEFAULT_TOL), with tol read by ``resolve_tolerance``.
     """
+    tol = resolve_tolerance(tol)
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     if V.n_modes != 2:
@@ -695,12 +710,3 @@ def standard_form_reduce_two_mode(
     )
     return params, S
 
-
-def gaussian_purity(V) -> float:
-    """Purity of the Gaussian state with this CM: 1 / (2^n sqrt(det V))."""
-    m = _as_matrix(V)
-    n = m.shape[0] // 2
-    det_v = np.linalg.det(m)
-    if det_v <= 0:
-        raise ValueError(f"non-positive determinant {det_v:.3e}")
-    return float(1.0 / (2**n * np.sqrt(det_v)))

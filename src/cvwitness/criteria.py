@@ -18,17 +18,15 @@ counterpart when N > 1.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .covariance import (
-    DEFAULT_TOL,
     CovarianceMatrix,
     TwoModeStandardParams,
+    resolve_tolerance,
     stack_witnesses,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
@@ -47,7 +45,6 @@ __all__ = [
     "WITNESS_KEYS",
     "find_one_way_example",
     "sign_rule_holds",
-    "resolve_tolerance",
 ]
 
 GAUSSIAN_SEPARABLE_VALUES = ("yes", "no", "undecided")
@@ -60,17 +57,6 @@ class VerdictConsistencyError(RuntimeError):
 
 class OneWayExampleNotFound(LookupError):
     """No one-way steerable state found on the searched parameter grid."""
-
-
-def resolve_tolerance(tol: float | None, source: str = "tol") -> float:
-    """``tol`` as a float, or ``covariance.DEFAULT_TOL`` when it is None; a
-    bool, a non-real, NaN, infinite or negative one raises ValueError naming ``source``."""
-    if tol is None:
-        return DEFAULT_TOL
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, (bool, np.bool_))
-    if not (real and math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{source} must be a finite real number >= 0, got {tol!r}")
-    return float(tol)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ __all__ = [
     "EulerTerms",
     "variance_q",
     "variance_p",
-    "commutator_bound",
     "uncertainty_sum_check",
     "reid_product",
     "functional_forms",
@@ -147,27 +146,20 @@ def variance_p(vp: np.ndarray, beta, sign: str = "plus") -> float:
     return float(b @ vp @ b)
 
 
-def commutator_bound(alpha, beta, sign: str = "plus") -> float:
-    """|[Q, P+-]| scale: |sum_{j<=N} alpha_j beta_j -+ alpha_{N+1} beta_{N+1}|."""
-    _check_sign(sign)
-    a = np.asarray(alpha, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("alpha and beta must have equal length")
-    inner = a[:-1] @ b[:-1]
-    tail = a[-1] * b[-1]
-    return float(abs(inner - tail)) if sign == "plus" else float(abs(inner + tail))
-
-
 def uncertainty_sum_check(
     sf: StandardForm, weights: EprWeights, sign: str = "plus"
 ) -> UncertaintySumCheck:
     """Sum-form uncertainty relation: Delta Q^2 + Delta P^2 >= |commutator|.
 
-    Holds for every physical state and any positive weights.
+    The right-hand side is the commutator scale |[Q, P+-]| =
+    |sum_{j<=N} alpha_j beta_j -+ alpha_{N+1} beta_{N+1}|. Holds for every
+    physical state and any positive weights.
     """
-    lhs = variance_q(sf.vq, weights.alpha) + variance_p(sf.vp, weights.beta, sign)
-    rhs = commutator_bound(weights.alpha, weights.beta, sign)
+    a, b = weights.alpha, weights.beta
+    lhs = variance_q(sf.vq, a) + variance_p(sf.vp, b, sign)
+    inner = a[:-1] @ b[:-1]
+    tail = a[-1] * b[-1]
+    rhs = float(abs(inner - tail if sign == "plus" else inner + tail))
     return UncertaintySumCheck(lhs=lhs, rhs=rhs, satisfied=bool(lhs >= rhs - _RELATION_TOL))
 
 

@@ -5,8 +5,9 @@ invariants, which ``criteria.certify`` reports for any number of Alice
 modes: twice the smallest symplectic eigenvalue of the partial
 transpose (plus separability sum), of the CM (minus sum) and of the
 Schur complement V/V_B (B->A steering sum), and 2*sqrt(det V / det V_A)
-(A->B). This module evaluates the two-mode separability forms and the
-A->B form directly; one numeric solver recovers all four minima
+(A->B). This module evaluates the A->B form directly (the two-mode
+separability forms are ``covariance.two_mode_symplectic_pair`` and its
+partial transpose); one numeric solver recovers all four minima
 independently, with the weights that attain them, and the sampling
 oracle bounds them from above.
 
@@ -44,13 +45,10 @@ import numpy as np
 
 from .covariance import (
     CovarianceMatrix,
-    DEFAULT_TOL,
     StandardForm,
-    TwoModeStandardParams,
     _inv_sqrt_spd,
+    resolve_tolerance,
     stack_witnesses,
-    two_mode_symplectic_pair,
-    two_mode_symplectic_pair_pt,
 )
 from .observables import FUNCTIONALS, _check_sign, functional_forms
 
@@ -59,7 +57,6 @@ __all__ = [
     "MinimizationResult",
     "GridSpec",
     "UnsteerabilityCheck",
-    "min_separability_sum_two_mode",
     "min_separability_sum_numeric",
     "min_steering_sum_ab",
     "min_steering_sum_ab_numeric",
@@ -123,16 +120,6 @@ class UnsteerabilityCheck(NamedTuple):
     det_ok: bool
     det_ratio: float
     min_rs_eigenvalue: float
-
-
-def min_separability_sum_two_mode(params: TwoModeStandardParams, sign: str) -> float:
-    """Closed-form minimum of the two-mode separability sum: twice the
-    smallest symplectic eigenvalue of the partially transposed CM (plus
-    variant) or of the CM itself (minus variant)."""
-    _check_sign(sign)
-    if sign == "plus":
-        return 2.0 * two_mode_symplectic_pair_pt(params)[0]
-    return 2.0 * two_mode_symplectic_pair(params)[0]
 
 
 # row-wise kernels of the stacked alternation. Matmul over (s, 1, n) rows
@@ -288,8 +275,10 @@ def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResu
 def min_separability_sum_numeric(sf: StandardForm, sign: str) -> MinimizationResult:
     """Minimize the separability sum over the weights numerically.
 
-    For a two-mode input the value reproduces the closed form of
-    ``min_separability_sum_two_mode``; at the returned point the two
+    For a two-mode input the value reproduces the closed form, twice the
+    smaller symplectic eigenvalue of the partial transpose (plus) or of
+    the CM (minus), as ``covariance.two_mode_symplectic_pair_pt`` and
+    ``two_mode_symplectic_pair`` give them; at the returned point the two
     variances agree (the extremum balance condition).
     """
     return _minimize_gauge_ratio(sf, "sep_" + _check_sign(sign))
@@ -327,7 +316,10 @@ def min_steering_sum_ba_numeric(sf: StandardForm) -> MinimizationResult:
     return _minimize_gauge_ratio(sf, "steer_ba")
 
 
-def _direction_check(V: CovarianceMatrix, over: str, tol: float) -> UnsteerabilityCheck:
+def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> UnsteerabilityCheck:
+    """Both tests of one direction with the dead band tol, read by
+    ``covariance.resolve_tolerance`` (None is DEFAULT_TOL)."""
+    tol = resolve_tolerance(tol)
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     V.require_bipartite()
@@ -349,7 +341,7 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float) -> Unsteerabili
     )
 
 
-def check_unsteerable_ba(V: CovarianceMatrix, tol: float = DEFAULT_TOL) -> UnsteerabilityCheck:
+def check_unsteerable_ba(V: CovarianceMatrix, tol: float | None = None) -> UnsteerabilityCheck:
     """Necessary conditions of unsteerability from Bob to Alice.
 
     The Schur complement V/V_B must satisfy the matrix uncertainty
@@ -360,7 +352,7 @@ def check_unsteerable_ba(V: CovarianceMatrix, tol: float = DEFAULT_TOL) -> Unste
     return _direction_check(V, "B", tol)
 
 
-def check_unsteerable_ab(V: CovarianceMatrix, tol: float = DEFAULT_TOL) -> UnsteerabilityCheck:
+def check_unsteerable_ab(V: CovarianceMatrix, tol: float | None = None) -> UnsteerabilityCheck:
     """Necessary conditions of unsteerability from Alice to Bob (Schur
     complement over Alice; the determinant ratio det V / det V_A compares
     against 1/4 and is exactly equivalent to the matrix condition because

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvwitness import CovarianceMatrix, random_standard, thermal, tmsv
+from cvwitness import CovarianceMatrix, random_standard, symplectic_eigenvalues, thermal, tmsv
 from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze
 
 
@@ -32,6 +32,12 @@ def assorted_cms():
     cms += [random_standard(3, seed=s) for s in range(3)]
     cms += [random_standard(4, seed=s) for s in range(2)]
     return cms
+
+
+def purity(cm) -> float:
+    """Purity 1 / (2^n sqrt(det V)) of the Gaussian state with this CM, as
+    the product of 1 / (2 nu_k) over its symplectic eigenvalues."""
+    return float(np.prod(0.5 / symplectic_eigenvalues(cm)))
 
 
 def product_cm(b1: float, b2: float) -> CovarianceMatrix:

@@ -9,14 +9,14 @@ from cvwitness import (
     StandardForm,
     TwoModeStandardParams,
     aitken_factorize,
-    gaussian_purity,
+    check_unsteerable_ab,
+    check_unsteerable_ba,
     noisy_tmsv,
     partial_transpose_bob,
     partition,
     random_standard,
     random_two_mode_params,
     schur_complement,
-    schur_factor,
     split_standard,
     stack_verdicts,
     stack_witnesses,
@@ -31,8 +31,14 @@ from cvwitness import (
     validate_bona_fide,
     validate_stack,
 )
-from cvwitness.covariance import local_direct_sum
-from conftest import product_cm, rotated, rotated_and_squeezed
+from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze, resolve_tolerance
+from conftest import product_cm, purity, rotated, rotated_and_squeezed
+
+
+def to_block(cm):
+    """The matrix of cm reordered to (q1..qn, p1..pn)."""
+    order = np.r_[0 : 2 * cm.n_modes : 2, 1 : 2 * cm.n_modes : 2]
+    return cm.matrix[np.ix_(order, order)]
 
 
 class TestCovarianceMatrix:
@@ -114,7 +120,7 @@ class TestCovarianceMatrix:
 
     def test_block_ordering_round_trip(self, rng):
         v = random_standard(3, seed=5)
-        again = CovarianceMatrix(v.block_matrix, ordering="block")
+        again = CovarianceMatrix(to_block(v), ordering="block")
         np.testing.assert_allclose(again.matrix, v.matrix, rtol=0, atol=0)
 
     def test_json_round_trip(self, tmp_path):
@@ -131,7 +137,7 @@ class TestCovarianceMatrix:
             "n_modes": 2,
             "n_alice": 1,
             "ordering": "block",
-            "matrix": v.block_matrix.tolist(),
+            "matrix": to_block(v).tolist(),
         }
         path = tmp_path / "blk.json"
         path.write_text(json.dumps(payload))
@@ -175,6 +181,14 @@ class TestValidateBonaFide:
         with pytest.raises(ValueError):
             validate_bona_fide(np.eye(3))
 
+    def test_rejects_complex_entries(self):
+        # used to be cast to its real part, with a ComplexWarning
+        m = tmsv(0.5).matrix.astype(complex)
+        m[0, 2] += 0.3j
+        m[2, 0] -= 0.3j
+        with pytest.raises(ValueError, match="matrix has complex entries"):
+            validate_bona_fide(m)
+
     def test_positive_definite_is_cholesky(self):
         # no absolute band: a heavily squeezed TMSV is positive definite
         # although its smallest eigenvalue is far below 1e-9
@@ -199,6 +213,16 @@ class TestSymplecticEigenvalues:
         m = np.diag([1.0, 1.0, -0.1, 1.0])
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             symplectic_eigenvalues(m)
+
+    def test_rejects_non_finite(self):
+        # used to return array([nan]) silently
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            symplectic_eigenvalues(np.full((2, 2), np.nan))
+
+    def test_rejects_odd_size(self):
+        # used to fail inside a matmul with a shape mismatch
+        with pytest.raises(ValueError, match="2n x 2n"):
+            symplectic_eigenvalues(np.eye(3))
 
     def test_matches_two_mode_closed_form(self):
         # general eigensolver route vs the discriminant formulas
@@ -252,14 +276,14 @@ class TestStackWitnesses:
             w = stack_witnesses(np.stack([cm.matrix for cm in cms]))
             assert w.factored.all()
             for i, cm in enumerate(cms):
-                low_ab = schur_factor(cm, "A")
-                low_ba = schur_factor(cm, "B")
+                schur_ab = schur_complement(cm, "A")
+                schur_ba = schur_complement(cm, "B")
                 got = [w.nu_min[i], w.nu_min_pt[i], w.det_ratio_ab[i], w.det_ratio_ba[i],
                        w.schur_nu_min[i], w.min_rs_eig[i]]
                 want = [symplectic_eigenvalues(cm).min(),
-                        symplectic_eigenvalues(partial_transpose_bob(cm)).min(), np.prod(np.diag(low_ab)) ** 2,
-                        np.prod(np.diag(low_ba)) ** 2,
-                        symplectic_eigenvalues(low_ba @ low_ba.T).min(),
+                        symplectic_eigenvalues(partial_transpose_bob(cm)).min(), np.linalg.det(schur_ab),
+                        np.linalg.det(schur_ba),
+                        symplectic_eigenvalues(schur_ba).min(),
                         validate_bona_fide(cm).min_rs_eigenvalue]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
@@ -376,31 +400,6 @@ class TestPartition:
             assert part.cross.shape == (k, 2)
 
 
-class TestSchurFactor:
-    def test_lower_triangular_factor_of_complement(self):
-        for seed in range(20):
-            cm = random_standard(2 + seed % 3, seed=seed)
-            part = partition(cm)
-            for over, block in (("B", part.bob), ("A", part.alice)):
-                low = schur_factor(cm, over)
-                np.testing.assert_array_equal(low, np.tril(low))
-                assert np.diag(low).min() > 0
-                np.testing.assert_allclose(low @ low.T, schur_complement(cm, over), atol=1e-12)
-                ratio = np.linalg.det(cm.matrix) / np.linalg.det(block)
-                assert np.prod(np.diag(low)) ** 2 == pytest.approx(ratio, rel=1e-12)
-
-    def test_tmsv_complement(self):
-        r = 3.0
-        low = schur_factor(tmsv(r), "B")
-        np.testing.assert_allclose(low @ low.T, np.eye(2) / (2 * np.cosh(2 * r)), rtol=1e-9)
-
-    def test_positive_definite_by_construction(self):
-        # at r = 10 the complement I / (2 cosh 20) is lost to rounding,
-        # but unlike a solve-based complement it stays positive definite
-        low = schur_factor(tmsv(10.0), "B")
-        assert np.diag(low).min() > 0
-
-
 class TestSchurComplement:
     def test_product_cm_gives_other_block(self):
         cm = product_cm(1.3, 0.8)
@@ -411,6 +410,16 @@ class TestSchurComplement:
         b = np.cosh(1.0) / 2
         got = schur_complement(tmsv(0.5), "A")
         np.testing.assert_allclose(got, np.eye(2) / (4 * b), atol=1e-14)
+
+    def test_tmsv_over_bob(self):
+        r = 3.0
+        got = schur_complement(tmsv(r), "B")
+        np.testing.assert_allclose(got, np.eye(2) / (2 * np.cosh(2 * r)), rtol=1e-9)
+
+    def test_positive_definite_by_construction(self):
+        # at r = 10 the complement I / (2 cosh 20) is lost to rounding,
+        # but unlike a solve-based complement it stays positive definite
+        np.linalg.cholesky(schur_complement(tmsv(10.0), "B"))
 
     def test_determinant_identity(self):
         for seed in range(100):
@@ -548,18 +557,14 @@ class TestStandardFormReduce:
 
 class TestGaussianPurity:
     def test_vacuum_pure(self):
-        assert gaussian_purity(vacuum(3)) == pytest.approx(1.0)
+        assert purity(vacuum(3)) == pytest.approx(1.0)
 
     def test_thermal_half(self):
-        assert gaussian_purity(thermal([0.5])) == pytest.approx(0.5)
+        assert purity(thermal([0.5])) == pytest.approx(0.5)
 
     def test_tmsv_pure_any_r(self):
         for r in (0.0, 0.4, 1.5):
-            assert gaussian_purity(tmsv(r)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_non_positive_determinant(self):
-        with pytest.raises(ValueError, match="determinant"):
-            gaussian_purity(np.diag([1.0, -1.0, 1.0, 1.0]))
+            assert purity(tmsv(r)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestGlobalInvariants:
@@ -618,3 +623,30 @@ class TestValidateStack:
 
     def test_empty_stack(self):
         assert validate_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
+def nonstandard_tmsv():
+    """tmsv(0.5) under a local squeeze and rotation of Alice's mode: its
+    largest q-p covariance is 0.511."""
+    s = local_direct_sum([one_mode_rotation(0.7) @ one_mode_squeeze(0.3), np.eye(2)])
+    return CovarianceMatrix(s @ tmsv(0.5).matrix @ s.T)
+
+
+# each public tol goes through resolve_tolerance; unchecked, tol=nan let
+# split_standard drop a 0.51 q-p covariance, tol=inf let
+# check_unsteerable_ba pass tmsv(0.5), and tol=nan failed the vacuum
+_TOL_TAKERS = {
+    "resolve_tolerance": resolve_tolerance,
+    "validate_bona_fide": lambda tol: validate_bona_fide(vacuum(2), tol=tol),
+    "split_standard": lambda tol: split_standard(nonstandard_tmsv(), tol=tol),
+    "standard_form_reduce_two_mode": lambda tol: standard_form_reduce_two_mode(tmsv(0.5), tol=tol),
+    "check_unsteerable_ab": lambda tol: check_unsteerable_ab(tmsv(0.5), tol=tol),
+    "check_unsteerable_ba": lambda tol: check_unsteerable_ba(tmsv(0.5), tol=tol),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True, 10**400], ids=["nan", "inf", "-1", "True", "1e400"])
+@pytest.mark.parametrize("func", sorted(_TOL_TAKERS))
+def test_tol_is_checked(func, bad):
+    with pytest.raises(ValueError, match="tol must be a finite real number >= 0"):
+        _TOL_TAKERS[func](bad)

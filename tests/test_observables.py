@@ -3,7 +3,6 @@ import pytest
 
 from cvwitness import (
     EprWeights,
-    commutator_bound,
     euler_identity_terms,
     min_separability_sum_numeric,
     random_standard,
@@ -24,6 +23,12 @@ from cvwitness.covariance import StandardForm
 
 def sf_of(cm):
     return split_standard(cm)
+
+
+def commutator_rhs(alpha, beta, sign):
+    """The commutator scale |[Q, P+-]|: the right-hand side of the
+    uncertainty sum, here read on the vacuum."""
+    return uncertainty_sum_check(sf_of(vacuum(len(alpha))), EprWeights(alpha, beta), sign).rhs
 
 
 def random_weights(rng, n):
@@ -80,17 +85,17 @@ class TestVariances:
 
 class TestCommutatorBound:
     def test_epr_pair_commutes(self):
-        assert commutator_bound([1, 1], [1, 1], "plus") == 0.0
+        assert commutator_rhs([1, 1], [1, 1], "plus") == 0.0
 
     def test_minus_variant(self):
-        assert commutator_bound([1, 1], [1, 1], "minus") == 2.0
+        assert commutator_rhs([1, 1], [1, 1], "minus") == 2.0
 
     def test_cancellation(self):
-        assert commutator_bound([1, 2, 3], [1, 1, 1], "plus") == 0.0
+        assert commutator_rhs([1, 2, 3], [1, 1, 1], "plus") == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            commutator_bound([1, 1], [1, 1, 1], "plus")
+        with pytest.raises(ValueError, match="length"):
+            uncertainty_sum_check(sf_of(vacuum(2)), EprWeights([1, 1, 1], [1, 1, 1]))
 
 
 class TestUncertaintySum:

@@ -15,7 +15,6 @@ from cvwitness import (
     check_unsteerable_ab,
     check_unsteerable_ba,
     min_separability_sum_numeric,
-    min_separability_sum_two_mode,
     min_steering_sum_ab,
     min_steering_sum_ab_numeric,
     min_steering_sum_ba_numeric,
@@ -53,6 +52,13 @@ from conftest import product_cm
 VACUUM_PARAMS = TwoModeStandardParams(0.5, 0.5, 0.0, 0.0)
 
 
+def sep_closed_form(params, sign):
+    """The two-mode separability minimum: twice the smaller symplectic
+    eigenvalue of the partial transpose (plus) or of the CM (minus)."""
+    pair = two_mode_symplectic_pair_pt if sign == "plus" else two_mode_symplectic_pair
+    return 2.0 * pair(params)[0]
+
+
 def tmsv_params(r):
     b = np.cosh(2 * r) / 2
     c = np.sinh(2 * r) / 2
@@ -61,25 +67,25 @@ def tmsv_params(r):
 
 class TestTwoModeClosedForm:
     def test_vacuum(self):
-        assert min_separability_sum_two_mode(VACUUM_PARAMS, "plus") == pytest.approx(1.0)
-        assert min_separability_sum_two_mode(VACUUM_PARAMS, "minus") == pytest.approx(1.0)
+        assert sep_closed_form(VACUUM_PARAMS, "plus") == pytest.approx(1.0)
+        assert sep_closed_form(VACUUM_PARAMS, "minus") == pytest.approx(1.0)
 
     def test_tmsv(self):
         p = tmsv_params(0.5)
-        assert min_separability_sum_two_mode(p, "plus") == pytest.approx(
+        assert sep_closed_form(p, "plus") == pytest.approx(
             np.exp(-1), abs=1e-12
         )
-        assert min_separability_sum_two_mode(p, "minus") == pytest.approx(1.0, abs=1e-12)
+        assert sep_closed_form(p, "minus") == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state(self):
         p = TwoModeStandardParams(1.0, 0.7, 0.0, 0.0)
-        assert min_separability_sum_two_mode(p, "plus") == pytest.approx(1.4)
-        assert min_separability_sum_two_mode(p, "minus") == pytest.approx(1.4)
+        assert sep_closed_form(p, "plus") == pytest.approx(1.4)
+        assert sep_closed_form(p, "minus") == pytest.approx(1.4)
 
     def test_non_physical_rejected(self):
         p = TwoModeStandardParams(1.0, 0.5, 1.0, -1.0)
         with pytest.raises(ValueError, match="discriminant"):
-            min_separability_sum_two_mode(p, "minus")
+            sep_closed_form(p, "minus")
 
 
 class TestSeparabilityNumeric:
@@ -128,8 +134,8 @@ class TestSeparabilityNumeric:
             params = random_two_mode_params(seed=seed, d_sign=-1)
             sf = params.to_standard_form()
             for sign, closed in (
-                ("plus", min_separability_sum_two_mode(params, "plus")),
-                ("minus", min_separability_sum_two_mode(params, "minus")),
+                ("plus", sep_closed_form(params, "plus")),
+                ("minus", sep_closed_form(params, "minus")),
             ):
                 res = min_separability_sum_numeric(sf, sign)
                 assert abs(res.value - closed) < 1e-10
@@ -546,7 +552,7 @@ class TestOracleSandwich:
                 assert numeric <= brute + 1e-9
                 if n == 2:
                     params, _ = standard_form_reduce_two_mode(cm)
-                    closed = min_separability_sum_two_mode(params, sign)
+                    closed = sep_closed_form(params, sign)
                     assert numeric >= closed - 1e-6
                     assert brute >= closed - 1e-6
             numeric = min_steering_sum_ab_numeric(sf).value

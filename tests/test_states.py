@@ -3,7 +3,6 @@ import pytest
 
 from cvwitness import (
     GeneratorSpec,
-    gaussian_purity,
     noisy_tmsv,
     partial_transpose_bob,
     random_standard,
@@ -17,12 +16,13 @@ from cvwitness import (
     validate_bona_fide,
 )
 from cvwitness.covariance import standard_form_reduce_two_mode
+from conftest import purity
 
 
 def test_vacuum_matrix():
     np.testing.assert_allclose(vacuum(1).matrix, 0.5 * np.eye(2))
     assert np.linalg.det(vacuum(3).matrix) == pytest.approx(2.0**-6)
-    assert gaussian_purity(vacuum(3)) == pytest.approx(1.0)
+    assert purity(vacuum(3)) == pytest.approx(1.0)
 
 
 def test_vacuum_rejects_bad_n():
@@ -33,7 +33,7 @@ def test_vacuum_rejects_bad_n():
 def test_thermal():
     cm = thermal([0.5])
     np.testing.assert_allclose(cm.matrix, np.eye(2))
-    assert gaussian_purity(cm) == pytest.approx(0.5)
+    assert purity(cm) == pytest.approx(0.5)
     np.testing.assert_allclose(thermal([0.0, 0.0]).matrix, vacuum(2).matrix)
     nbar = [0.3, 1.7, 0.0]
     np.testing.assert_allclose(
