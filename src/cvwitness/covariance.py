@@ -121,18 +121,22 @@ def local_direct_sum(blocks) -> np.ndarray:
     return out
 
 
+def _require_2n(size: int) -> None:
+    """Refuse a matrix size that is not 2n >= 2."""
+    if size % 2 != 0 or size < 2:
+        raise ValueError(f"covariance matrix must be 2n x 2n, got size {size}")
+
+
 def _real_finite(m: np.ndarray, member: str) -> np.ndarray:
-    """A stack m of shape (k, d, d) as floats, after checking that
-    d = 2n >= 2 and that each member is real and finite. Errors name the
-    first failing member i as ``member.format(i)``."""
+    """A stack m of shape (k, d, d) as floats, after checking that each
+    member is real and finite; a complex member whose imaginary parts are
+    all zero is read as its real part. Errors name the first failing
+    member i as ``member.format(i)``."""
     if np.iscomplexobj(m):
         unreal = (m.imag != 0).any(axis=(1, 2))
         if unreal.any():
             raise ValueError(f"{member.format(int(unreal.argmax()))} has complex entries")
     m = np.asarray(m.real, dtype=float)
-    size = m.shape[-1]
-    if size % 2 != 0 or size < 2:
-        raise ValueError(f"covariance matrix must be 2n x 2n, got size {size}")
     if not np.isfinite(m).all():
         i = int(np.isfinite(m).all(axis=(1, 2)).argmin())
         raise ValueError(f"{member.format(i)} has non-finite entries")
@@ -140,9 +144,10 @@ def _real_finite(m: np.ndarray, member: str) -> np.ndarray:
 
 
 def _validated(m: np.ndarray, member: str) -> np.ndarray:
-    """The symmetrized float stack 0.5 (m + m^T) of a stack m that
-    ``_real_finite`` accepts, after checking that each member is symmetric
-    to _SYMMETRY_RTOL relative to max(|m_i|, 1)."""
+    """The symmetrized float stack 0.5 (m + m^T) of a stack m of
+    2n x 2n members that ``_real_finite`` accepts, after checking that
+    each member is symmetric to _SYMMETRY_RTOL relative to max(|m_i|, 1)."""
+    _require_2n(m.shape[-1])
     m = _real_finite(m, member)
     m_t = m.transpose(0, 2, 1)
     scale = np.abs(m).max(axis=(1, 2)).clip(1.0)
@@ -255,13 +260,14 @@ class StandardForm:
     def __post_init__(self):
         # private read-only copies: a later write to the caller's arrays,
         # or to these, would bypass the checks below
-        vq = np.array(self.vq, dtype=float)
-        vp = np.array(self.vp, dtype=float)
+        vq, vp = np.array(self.vq), np.array(self.vp)
+        if vq.shape != vp.shape or vq.ndim != 2 or vq.shape[0] != vq.shape[1]:
+            raise ValueError("vq and vp must be square matrices of equal size")
+        vq = _real_finite(vq[None], "vq block")[0]
+        vp = _real_finite(vp[None], "vp block")[0]
         vq.flags.writeable = vp.flags.writeable = False
         object.__setattr__(self, "vq", vq)
         object.__setattr__(self, "vp", vp)
-        if vq.shape != vp.shape or vq.ndim != 2 or vq.shape[0] != vq.shape[1]:
-            raise ValueError("vq and vp must be square matrices of equal size")
         if self.n_alice not in (None, self.n_modes - 1):
             raise ValueError(
                 f"n_alice must be {self.n_modes - 1}, as Bob holds the last mode, "
@@ -362,6 +368,7 @@ def _as_matrix(V) -> np.ndarray:
     m = np.asarray(V)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
+    _require_2n(m.shape[0])
     return _real_finite(m[None], "matrix")[0]
 
 

@@ -5,9 +5,10 @@ PPT/separability, and one-way steerability in both directions.
 one, in standard form or not: it reads only local symplectic invariants
 (Simon, PRL 84, 2726, 2000; Wiseman, Jones and Doherty, PRL 98, 140402,
 2007), all from Cholesky factors of V, for a whole stack of CMs at
-once: ``stack_verdicts`` returns the flags and witnesses as arrays,
-``certify_many`` turns them into one verdict per member, and
-``certify`` is its stack of one. The A->B steering call uses the
+once: ``stack_verdicts`` returns the flags and witnesses as arrays, and
+``certify_many`` turns them into one verdict per member. ``certify``
+runs the same kernel on a stack of one and the same verdict rules on
+its witnesses as Python floats. The A->B steering call uses the
 determinant ratio det V / det V_A against 1/4, which is exactly
 equivalent to the matrix condition when Bob holds one mode; both are
 computed and any disagreement outside the tolerance dead band raises,
@@ -18,6 +19,7 @@ counterpart when N > 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from .covariance import (
     CovarianceMatrix,
+    StackWitnesses,
     TwoModeStandardParams,
     resolve_tolerance,
     stack_witnesses,
@@ -125,10 +128,85 @@ _MARGINAL_KEYS = ("marginal_ppt", "marginal_ab", "marginal_ba")
 _GAUSSIAN_SEPARABLE = dict(zip((True, False, None), GAUSSIAN_SEPARABLE_VALUES))  # by ppt
 
 
+def _verdict_rules(w: StackWitnesses, tol: float, sqrt):
+    """The verdict rules, written once over the kernel's witnesses ``w``:
+    a ``StackWitnesses`` of Python scalars and ``math.sqrt`` for one CM, or
+    of (k,) arrays and ``np.sqrt`` for a stack. Only operators that mean
+    the same on both are used (``x ^ True`` for not), so each member of a
+    stack gets the bits it gets alone.
+
+    Returns the ``WITNESS_KEYS`` values, the flags (physical, ppt,
+    separable_ok, steerable_ab, steerable_ba) followed by the three
+    markers, and the two self-check failures: the A->B determinant and
+    matrix forms disagree outside the dead band, and a PPT member,
+    separable and hence unsteerable both ways (Wiseman, Jones and Doherty
+    2007), raises a steering flag. A flag compares a witness with
+    ``centre - tol`` (``-tol`` for the centre 0), and a marker takes
+    ``|w - centre| <= tol``.
+    """
+    # 2 nu~, 2 nu and 2 sqrt(det V / det V_A) are local invariants; whenever
+    # V has a standard form they are the minima of the sums
+    sep_plus, sep_minus = 2.0 * w.nu_min_pt, 2.0 * w.nu_min
+    values = (w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus, sep_minus, 2.0 * sqrt(w.det_ratio_ab),
+              w.det_ratio_ab, w.det_ratio_ba, w.schur_nu_min)
+    physical = w.factored & (w.min_rs_eig >= -tol)
+    ppt = w.nu_min_pt >= 0.5 - tol
+    steerable_ab = w.det_ratio_ab < 0.25 - tol
+    steerable_ba = w.rs_ba < -tol
+    marginal_ab = (abs(w.det_ratio_ab - 0.25) <= tol) | (abs(w.rs_ab) <= tol)
+    flags = (physical, ppt, (sep_plus >= 1.0 - tol) & (sep_minus >= 1.0 - tol), steerable_ab, steerable_ba,
+             abs(w.nu_min_pt - 0.5) <= tol, marginal_ab, abs(w.rs_ba) <= tol)
+    ab_disagree = physical & (marginal_ab ^ True) & (steerable_ab != (w.rs_ab < -tol))
+    ppt_steers = physical & ppt & (steerable_ab | steerable_ba)
+    return values, flags, ab_disagree, ppt_steers
+
+
+def _raise_inconsistent(kernel: StackWitnesses, ab_disagree, ppt_steers):
+    """Raise ``VerdictConsistencyError`` for the first failed self-check
+    of ``_verdict_rules``, naming the first disagreeing member by its
+    index in the kernel's arrays."""
+    if np.count_nonzero(ab_disagree):
+        i = int(np.argmax(ab_disagree))
+        raise VerdictConsistencyError(
+            f"A->B determinant and matrix forms disagree on member {i} of the stack: "
+            f"det ratio {kernel.det_ratio_ab[i]!r} vs min eigenvalue {kernel.rs_ab[i]!r}"
+        )
+    raise VerdictConsistencyError(
+        "steering flag raised on a PPT (hence separable) Gaussian state"
+    )
+
+
+def _verdict(values, physical, ppt, separable_ok, steerable_ab, steerable_ba, *marginals):
+    """One member's ``CorrelationVerdict`` from its Python-scalar witness
+    values and flags; a non-physical member keeps only its ``min_rs_eig``
+    witness and every other flag is None."""
+    if physical:
+        witnesses = dict(zip(WITNESS_KEYS, values))
+        witnesses.update((key, 1.0) for key, on in zip(_MARGINAL_KEYS, marginals) if on)
+    else:
+        ppt = separable_ok = steerable_ab = steerable_ba = None
+        witnesses = {"min_rs_eig": values[0]}
+    return CorrelationVerdict(
+        physical=physical,
+        ppt=ppt,
+        separable_necessary_met=separable_ok,
+        gaussian_separable=_GAUSSIAN_SEPARABLE[ppt],
+        steerable_a_to_b=steerable_ab,
+        steerable_b_to_a=steerable_ba,
+        witnesses=witnesses,
+    )
+
+
 def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict:
     """Certify physicality, separability conditions and both steering
-    directions for a bipartite (N vs 1)-mode covariance matrix: the
-    verdict ``certify_many`` gives it as a stack of one.
+    directions for a bipartite (N vs 1)-mode covariance matrix.
+
+    The kernel (``covariance.stack_witnesses``) runs on a stack of one;
+    its witnesses are read back as Python floats, and the verdict rules
+    that ``stack_verdicts`` applies to a stack's arrays, with both
+    self-checks, decide on those floats. So ``certify(V)`` equals
+    ``certify_many([V])[0]`` bit for bit, at the cost of a few Python
+    operations around the LAPACK calls.
 
     Args:
         V: covariance matrix, Bob = last mode, in standard form or not.
@@ -137,7 +215,17 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
 
     A CM whose Cholesky factorization fails is refused as non-physical.
     """
-    return certify_many([V], tol=tol)[0]
+    tol = resolve_tolerance(tol)
+    if not isinstance(V, CovarianceMatrix):
+        V = CovarianceMatrix(V)
+    V.require_bipartite()
+    kernel = stack_witnesses(V.matrix[None])
+    values, flags, ab_disagree, ppt_steers = _verdict_rules(
+        StackWitnesses(*[a.item() for a in kernel]), tol, math.sqrt
+    )
+    if ab_disagree | ppt_steers:
+        _raise_inconsistent(kernel, ab_disagree, ppt_steers)
+    return _verdict(values, *flags)
 
 
 class StackVerdicts(NamedTuple):
@@ -147,8 +235,9 @@ class StackVerdicts(NamedTuple):
 
     Only ``physical`` and the ``min_rs_eig`` column mean anything for a
     non-physical member: its other flags and witnesses are whatever the
-    kernel left there (zeroed witnesses read as steerable A->B), so
-    every consumer masks them by ``physical``.
+    rules make of what the kernel left there (a member whose factor fails
+    has zeroed witnesses, which read as steerable A->B), so every consumer
+    masks them by ``physical``.
     """
 
     flags: np.ndarray
@@ -164,11 +253,6 @@ class StackVerdicts(NamedTuple):
     marginal_ba = property(lambda self: self.flags[:, 7])
 
 
-# the value each row of stack_verdicts' witness block is tested against: a flag
-# compares the row with centre - tol, a marker takes |w - centre| <= tol
-_CENTRES = np.array([[0.0], [0.0], [0.5], [1.0], [1.0], [0.0], [0.25], [0.0], [0.0], [0.0], [0.0]])
-
-
 def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     """Flags, markers and witnesses of a stack of bipartite CMs with the
     same number of modes, given as a sequence of CMs or as an array of
@@ -181,15 +265,12 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     unless they are one already.
 
     The witnesses of the whole stack come from one batched kernel
-    (``covariance.stack_witnesses``), gathered into one float block; its
-    flags come from one ``>=`` and one ``<`` against ``centre - tol``,
-    and its markers from one ``|w - centre| <= tol``. A member whose
-    factorization fails is refused as non-physical without affecting the
-    others. Both self-checks look at physical members only and raise
-    ``VerdictConsistencyError``: the A->B determinant and matrix forms
-    must agree outside the dead band, and a PPT member, separable and
-    hence unsteerable both ways (Wiseman, Jones and Doherty 2007), must
-    raise no steering flag.
+    (``covariance.stack_witnesses``), and the verdict rules ``certify``
+    applies to one CM's floats run once on its (k,) arrays. A member
+    whose factorization fails is refused as non-physical without
+    affecting the others. Both self-checks look at physical members only
+    and raise ``VerdictConsistencyError``, naming the first member whose
+    A->B forms disagree.
     """
     tol = resolve_tolerance(tol)
     if isinstance(cms, np.ndarray):
@@ -209,32 +290,10 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     if not len(v):
         return StackVerdicts(np.zeros((0, 8), dtype=bool), np.zeros((0, len(WITNESS_KEYS))))
     kernel = stack_witnesses(v)
-    # rows: the WITNESS_KEYS, then rs_ab and rs_ba. 2 nu~, 2 nu and 2 sqrt(det V / det V_A)
-    # are local invariants; whenever V has a standard form they are the minima of the sums
-    w = np.array([kernel.min_rs_eig, kernel.nu_min, kernel.nu_min_pt, kernel.nu_min_pt, kernel.nu_min,
-                  np.sqrt(kernel.det_ratio_ab), kernel.det_ratio_ab, kernel.det_ratio_ba, kernel.schur_nu_min,
-                  kernel.rs_ab, kernel.rs_ba])
-    w[3:6] *= 2.0
-    thresholds = _CENTRES - tol
-    above = w >= thresholds
-    below = w < thresholds
-    near = np.abs(w - _CENTRES) <= tol
-    # physical, ppt, separable_ok, steerable_ab, steerable_ba and the three markers
-    flags = np.array([kernel.factored & above[0], above[2], above[3] & above[4], below[6], below[10],
-                      near[2], near[6] | near[9], near[10]])
-    physical, ppt, _, steerable_ab, steerable_ba, _, marginal_ab, _ = flags
-    disagree = physical & ~marginal_ab & (steerable_ab != below[9])  # below[9]: rs_ab < -tol
-    if np.count_nonzero(disagree):
-        i = int(disagree.argmax())
-        raise VerdictConsistencyError(
-            f"A->B determinant and matrix forms disagree on member {i} of the stack: "
-            f"det ratio {kernel.det_ratio_ab[i]!r} vs min eigenvalue {kernel.rs_ab[i]!r}"
-        )
-    if np.count_nonzero(physical & ppt & (steerable_ab | steerable_ba)):
-        raise VerdictConsistencyError(
-            "steering flag raised on a PPT (hence separable) Gaussian state"
-        )
-    return StackVerdicts(flags.T, w[:9].T)
+    values, flags, ab_disagree, ppt_steers = _verdict_rules(kernel, tol, np.sqrt)
+    if np.count_nonzero(ab_disagree | ppt_steers):
+        _raise_inconsistent(kernel, ab_disagree, ppt_steers)
+    return StackVerdicts(np.array(flags).T, np.array(values).T)
 
 
 def certify_many(cms, tol: float | None = None) -> list[CorrelationVerdict]:
@@ -242,29 +301,12 @@ def certify_many(cms, tol: float | None = None) -> list[CorrelationVerdict]:
     given as a sequence of CMs or as an array of shape (k, 2n, 2n); one
     verdict per member, each the one ``certify`` gives it alone.
 
-    The flags and witnesses are ``stack_verdicts``'s two blocks, turned
-    into one ``CorrelationVerdict`` per member; a non-physical member
-    keeps only its ``min_rs_eig`` witness and every other flag is None.
+    The flags and witnesses are ``stack_verdicts``'s two blocks, read
+    back row by row as Python scalars into one ``CorrelationVerdict`` per
+    member, built as ``certify`` builds its one.
     """
     sv = stack_verdicts(cms, tol=tol)
-    verdicts = []
-    for values, (phys, pt, sep_ok, ab, ba, *marginals) in zip(sv.witnesses.tolist(), sv.flags.tolist()):
-        if phys:
-            wit = dict(zip(WITNESS_KEYS, values))
-            wit.update((key, 1.0) for key, on in zip(_MARGINAL_KEYS, marginals) if on)
-        else:
-            pt = sep_ok = ab = ba = None
-            wit = {"min_rs_eig": values[0]}
-        verdicts.append(CorrelationVerdict(
-            physical=phys,
-            ppt=pt,
-            separable_necessary_met=sep_ok,
-            gaussian_separable=_GAUSSIAN_SEPARABLE[pt],
-            steerable_a_to_b=ab,
-            steerable_b_to_a=ba,
-            witnesses=wit,
-        ))
-    return verdicts
+    return [_verdict(values, *flags) for values, flags in zip(sv.witnesses.tolist(), sv.flags.tolist())]
 
 
 # the (r, nbar) grids searched in turn: the base grid finds an example at

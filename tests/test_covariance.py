@@ -111,6 +111,33 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="read-only"):
             sf.vq[0, 1] = 1.0
 
+    @pytest.mark.parametrize("block", ["vq", "vp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_standard_form_rejects_non_finite(self, block, bad):
+        # a NaN block used to pass: nan > bound is False, and Cholesky of a
+        # NaN matrix does not raise
+        blocks = {"vq": np.eye(3), "vp": np.eye(3)}
+        blocks[block][1, 1] = bad
+        with pytest.raises(ValueError, match=f"{block} block has non-finite entries"):
+            StandardForm(**blocks)
+
+    @pytest.mark.parametrize("block", ["vq", "vp"])
+    def test_standard_form_rejects_complex(self, block):
+        # a complex block used to be cast to its real part, with a ComplexWarning
+        blocks = {"vq": np.eye(3), "vp": np.eye(3)}
+        blocks[block] = blocks[block].astype(complex)
+        blocks[block][0, 1] += 0.3j
+        blocks[block][1, 0] -= 0.3j
+        with pytest.raises(ValueError, match=f"{block} block has complex entries"):
+            StandardForm(**blocks)
+
+    def test_standard_form_reads_zero_imaginary_parts_as_real(self):
+        vq = random_standard(3, seed=4).matrix[0::2, 0::2]
+        sf = StandardForm(vq.astype(complex), np.eye(3) + 0j)
+        assert sf.vq.dtype == sf.vp.dtype == np.float64
+        np.testing.assert_array_equal(sf.vq, vq)
+        np.testing.assert_array_equal(sf.vp, np.eye(3))
+
     def test_matrix_is_symmetrized_copy(self):
         m = np.eye(4)
         m[0, 1] = 1e-14

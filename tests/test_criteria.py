@@ -82,28 +82,38 @@ class TestCertifyReferenceStates:
         v2 = certify(tmsv(1.0))
         assert not v2.ppt and v2.gaussian_separable == "no"
 
-    def test_ppt_steering_self_check(self, monkeypatch):
+    # certify checks its stack of one on Python floats, certify_many checks
+    # the stack's arrays; k = 3 makes member 1 alone inconsistent
+    SELF_CHECK_ROUTES = [
+        pytest.param(1, certify, id="certify"),
+        pytest.param(3, lambda cm: certify_many([cm] * 3), id="certify_many"),
+    ]
+
+    @pytest.mark.parametrize("k, route", SELF_CHECK_ROUTES)
+    def test_ppt_steering_self_check(self, monkeypatch, k, route):
         # a PPT member is separable, hence unsteerable both ways; a steering
         # flag on one means the witnesses are wrong, and certify raises
-        w = criteria.stack_witnesses(vacuum(2).matrix[None])
-        monkeypatch.setattr(
-            criteria, "stack_witnesses", lambda v: w._replace(rs_ba=np.array([-1.0]))
-        )
+        w = criteria.stack_witnesses(np.stack([vacuum(2).matrix] * k))
+        rs_ba = w.rs_ba.copy()
+        rs_ba[k // 2] = -1.0
+        monkeypatch.setattr(criteria, "stack_witnesses", lambda v: w._replace(rs_ba=rs_ba))
         with pytest.raises(VerdictConsistencyError, match="PPT"):
-            certify(vacuum(2))
+            route(vacuum(2))
 
+    @pytest.mark.parametrize("k, route", SELF_CHECK_ROUTES)
     @pytest.mark.parametrize("det_ratio_ab, rs_ab", [(0.1, 0.1), (0.4, -0.1)])
-    def test_ab_forms_self_check(self, monkeypatch, det_ratio_ab, rs_ab):
+    def test_ab_forms_self_check(self, monkeypatch, det_ratio_ab, rs_ab, k, route):
         # with Bob holding one mode the A->B determinant and matrix forms are
         # equivalent; a physical member on which they disagree outside the
         # dead band means the witnesses are wrong, and certify raises
-        w = criteria.stack_witnesses(vacuum(2).matrix[None])
+        w = criteria.stack_witnesses(np.stack([vacuum(2).matrix] * k))
+        det_ratios, rs = w.det_ratio_ab.copy(), w.rs_ab.copy()
+        det_ratios[k // 2], rs[k // 2] = det_ratio_ab, rs_ab
         monkeypatch.setattr(
-            criteria, "stack_witnesses",
-            lambda v: w._replace(det_ratio_ab=np.array([det_ratio_ab]), rs_ab=np.array([rs_ab])),
+            criteria, "stack_witnesses", lambda v: w._replace(det_ratio_ab=det_ratios, rs_ab=rs)
         )
-        with pytest.raises(VerdictConsistencyError, match="A->B"):
-            certify(vacuum(2))
+        with pytest.raises(VerdictConsistencyError, match=f"A->B .* member {k // 2} of the stack"):
+            route(vacuum(2))
 
     @pytest.mark.parametrize("excess", [1e-8, 1e-7])
     def test_squeezed_bob_ab_self_check(self, excess):
@@ -309,7 +319,7 @@ class TestOneWayExample:
 
 class TestCertifyMany:
     """The batched kernel gives every member exactly the verdict it gets
-    alone (``certify`` is the stack of one)."""
+    alone (``certify`` runs the same rules on its stack of one's floats)."""
 
     def test_golden_groups_match_single(self):
         golden = json.loads(
@@ -335,6 +345,50 @@ class TestCertifyMany:
         assert [v.physical for v in many] == [False, False, True]
         for cm, verdict in zip(cms, many):
             assert verdict.to_dict() == certify(cm).to_dict()
+
+    @staticmethod
+    def _branch_members(n):
+        """A factor failure, an RS refusal, the vacuum's three markers, a PPT
+        thermal state and both one-way noisy TMSVs, each under n - 2 vacuum
+        Alice modes, then random_standard(n) members."""
+        r = 0.7
+        one_way = (1.0 - 1 / (2 * np.cosh(2 * r))) / 2  # inside the analytic window
+        pairs = [tmsv(11.0), CovarianceMatrix(0.2 * np.eye(4)), vacuum(2), thermal([0.3, 1.2]),
+                 noisy_tmsv(r, one_way, "A"), noisy_tmsv(r, one_way, "B")]
+        extra = 2 * (n - 2)
+        members = []
+        for cm in pairs:
+            m = 0.5 * np.eye(2 * n)
+            m[extra:, extra:] = cm.matrix
+            members.append(CovarianceMatrix(m))
+        return members + [random_standard(n, seed=s) for s in range(3)]
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_single_cm_route_matches_stack_route(self, n):
+        # certify decides one CM on Python floats, certify_many a stack on
+        # arrays; both must give the same bits, key order and Python types
+        members = self._branch_members(n)
+        single = [certify(cm) for cm in members]
+        many = certify_many(members)
+        factor_fail, rs_refused, markers, ppt, ab_only, ba_only = single[:6]
+        assert not criteria.stack_witnesses(members[0].matrix[None]).factored[0]
+        assert not factor_fail.physical and list(factor_fail.witnesses) == ["min_rs_eig"]
+        assert not rs_refused.physical and rs_refused.witnesses["min_rs_eig"] < 0
+        assert {"marginal_ppt", "marginal_ab", "marginal_ba"} <= set(markers.witnesses)
+        assert ppt.ppt and ppt.gaussian_separable == "yes"
+        assert (ab_only.steerable_a_to_b, ab_only.steerable_b_to_a) == (True, False)
+        assert (ba_only.steerable_a_to_b, ba_only.steerable_b_to_a) == (False, True)
+
+        def exact(v):
+            d = v.to_dict()
+            d["witnesses"] = [(key, float.hex(x)) for key, x in d["witnesses"].items()]
+            return d
+
+        assert [exact(v) for v in single] == [exact(v) for v in many]
+        for v in single + many:
+            assert all(type(x) is float for x in v.witnesses.values())
+            flags = (v.physical, v.ppt, v.separable_necessary_met, v.steerable_a_to_b, v.steerable_b_to_a)
+            assert all(f is None or type(f) is bool for f in flags)
 
     def test_array_stack_input(self):
         cms = [random_standard(3, seed=s) for s in range(5)]
