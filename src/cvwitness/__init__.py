@@ -26,7 +26,6 @@ from .covariance import (
 )
 from .criteria import (
     CorrelationVerdict,
-    OneWayExampleNotFound,
     StackVerdicts,
     VerdictConsistencyError,
     certify,

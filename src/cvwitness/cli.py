@@ -160,7 +160,6 @@ def _build_parser() -> _Parser:
     orc.add_argument("--functional", required=True, choices=FUNCTIONALS)
     orc.add_argument("--samples", type=int, default=100_000)
     orc.add_argument("--oracle-tol", type=float, default=1e-3)
-    orc.add_argument("--closed-form-tol", type=float, default=1e-6)
     orc.add_argument("--tol", type=float, default=None)
     orc.add_argument("--seed", type=int, default=0)
     orc.add_argument("--out", type=str, default=None)
@@ -269,6 +268,10 @@ def _standardize(cm: CovarianceMatrix, tol: float):
     return split_standard(CovarianceMatrix(s @ cm.matrix @ s.T), tol=tol)
 
 
+# the largest gap between the numeric minimum and the closed form that
+# oracle counts as agreement
+_CLOSED_FORM_TOL = 1e-6
+
 # per functional: the certify witness that, times the factor, is its
 # minimum (twice the smallest symplectic eigenvalue of the partial
 # transpose, of V and of V / V_B for sep_plus, sep_minus and steer_ba, and
@@ -288,7 +291,6 @@ def _cmd_oracle(args) -> int:
     cm = CovarianceMatrix.load(args.path)
     tol = resolve_tolerance(args.tol, "--tol")
     oracle_tol = resolve_tolerance(args.oracle_tol, "--oracle-tol")
-    closed_form_tol = resolve_tolerance(args.closed_form_tol, "--closed-form-tol")
     verdict = certify(cm, tol=tol)
     if not verdict.physical:
         print(
@@ -308,7 +310,7 @@ def _cmd_oracle(args) -> int:
 
     gap_brute = abs(numeric.value - brute)
     ok_brute = bool(gap_brute <= oracle_tol)
-    ok_closed = bool(abs(numeric.value - closed) <= closed_form_tol)
+    ok_closed = bool(abs(numeric.value - closed) <= _CLOSED_FORM_TOL)
 
     record = {
         "input_descriptor": args.path,

@@ -261,8 +261,8 @@ class StandardForm:
         # private read-only copies: a later write to the caller's arrays,
         # or to these, would bypass the checks below
         vq, vp = np.array(self.vq), np.array(self.vp)
-        if vq.shape != vp.shape or vq.ndim != 2 or vq.shape[0] != vq.shape[1]:
-            raise ValueError("vq and vp must be square matrices of equal size")
+        if vq.shape != vp.shape or vq.ndim != 2 or vq.shape[0] != vq.shape[1] or not vq.size:
+            raise ValueError("vq and vp must be square matrices of equal size, at least 1 x 1")
         vq = _real_finite(vq[None], "vq block")[0]
         vp = _real_finite(vp[None], "vp block")[0]
         vq.flags.writeable = vp.flags.writeable = False
@@ -500,6 +500,14 @@ class StackWitnesses(NamedTuple):
     schur_nu_min: np.ndarray  # smallest symplectic eigenvalue of V/V_B
 
 
+def _require_bipartite_stack(dim: int) -> None:
+    """Refuse a stack of dim x dim members with fewer than two modes."""
+    if dim < 4:
+        raise ValueError(
+            f"certification needs bipartite CMs of two or more modes, got {dim // 2}-mode members"
+        )
+
+
 @functools.lru_cache(maxsize=None)
 def _stack_constants(n_modes: int):
     """(i/2) J, the forms J and P J P stacked, J_A, (i/2) J_A, and the flat
@@ -563,13 +571,17 @@ def stack_witnesses(v: np.ndarray) -> StackWitnesses:
     until each failing member stands alone as a stack of one, so a
     failure marks only its own member and costs O(log k) extra batched
     calls.
+
+    Raises ValueError for members of fewer than two modes; an empty stack
+    gives nine empty arrays.
     """
     k, dim, _ = v.shape
+    _require_bipartite_stack(dim)
     n = dim // 2
     rs_shift, forms, j_a, rs_shift_a, pair = _stack_constants(n)
     try:
         # member i's V at 2i and its Bob-first reordering at 2i + 1
-        factors = np.linalg.cholesky(v.reshape(k, -1).take(pair, axis=1).reshape(2 * k, dim, dim))
+        factors = np.linalg.cholesky(v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim))
     except np.linalg.LinAlgError:
         if k > 1:
             halves = (stack_witnesses(v[: k // 2]), stack_witnesses(v[k // 2 :]))

@@ -29,18 +29,18 @@ from .covariance import (
     CovarianceMatrix,
     StackWitnesses,
     TwoModeStandardParams,
+    _require_bipartite_stack,
     resolve_tolerance,
     stack_witnesses,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
     validate_stack,
 )
-from .states import GeneratorSpec
+from .states import noisy_tmsv
 
 __all__ = [
     "CorrelationVerdict",
     "VerdictConsistencyError",
-    "OneWayExampleNotFound",
     "certify",
     "certify_many",
     "stack_verdicts",
@@ -56,10 +56,6 @@ GAUSSIAN_SEPARABLE_VALUES = ("yes", "no", "undecided")
 class VerdictConsistencyError(RuntimeError):
     """The determinant and matrix forms of a criterion disagreed outside
     the tolerance dead band; indicates a numerical problem."""
-
-
-class OneWayExampleNotFound(LookupError):
-    """No one-way steerable state found on the searched parameter grid."""
 
 
 @dataclass(frozen=True)
@@ -99,18 +95,6 @@ class CorrelationVerdict:
             "steerable_b_to_a": self.steerable_b_to_a,
             "witnesses": {k: float(v) for k, v in self.witnesses.items()},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorrelationVerdict":
-        return cls(
-            physical=data["physical"],
-            ppt=data["ppt"],
-            separable_necessary_met=data["separable_necessary_met"],
-            gaussian_separable=data["gaussian_separable"],
-            steerable_a_to_b=data["steerable_a_to_b"],
-            steerable_b_to_a=data["steerable_b_to_a"],
-            witnesses=dict(data.get("witnesses", {})),
-        )
 
 
 WITNESS_KEYS = (
@@ -275,11 +259,7 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     tol = resolve_tolerance(tol)
     if isinstance(cms, np.ndarray):
         v = validate_stack(cms)
-        if v.shape[1] < 4:
-            raise ValueError(
-                "certification needs bipartite CMs of two or more modes, "
-                f"got {v.shape[1] // 2}-mode members"
-            )
+        _require_bipartite_stack(v.shape[1])
     else:
         cms = [cm if isinstance(cm, CovarianceMatrix) else CovarianceMatrix(cm) for cm in cms]
         for cm in cms:
@@ -309,39 +289,19 @@ def certify_many(cms, tol: float | None = None) -> list[CorrelationVerdict]:
     return [_verdict(values, *flags) for values, flags in zip(sv.witnesses.tolist(), sv.flags.tolist())]
 
 
-# the (r, nbar) grids searched in turn: the base grid finds an example at
-# the default tol, and the wide one for tol up to about 0.43
-_GRIDS = (
-    ((0.3, 0.5, 0.7, 1.0), tuple(round(0.05 * k, 3) for k in range(1, 20))),
-    (tuple(round(0.1 * k, 3) for k in range(1, 16)),
-     tuple(round(0.025 * k, 3) for k in range(1, 61))),
-)
+def find_one_way_example() -> CovarianceMatrix:
+    """A one-way steerable state: A->B steerable and B->A not.
 
-
-def find_one_way_example(tol: float | None = None) -> CovarianceMatrix:
-    """Search noise-added two-mode squeezed states for a one-way steerable
-    example (steerable in exactly one direction).
-
-    Builds and certifies a grid of squeezing and one-sided thermal noise
-    as one array and returns its first physical one-way member in
-    (r, nbar, side) order; searches a wider grid before giving up. The
-    returned CM is always bona fide.
+    Thermal noise nbar on Alice's mode of tmsv(r) leaves A->B steering
+    for nbar < 1/2 and B->A steering for nbar < sinh^2 r / cosh 2r
+    (Wiseman, Jones and Doherty, PRL 98, 140402, 2007; the setting of
+    Haendchen et al., Nature Photonics 6, 596, 2012). This is
+    ``noisy_tmsv(0.7, nbar, "A")`` with nbar in the middle of that
+    window, 0.5 - 1 / (4 cosh 1.4), where det V / det V_A sits 0.044
+    below 1/4 and the smallest symplectic eigenvalue of V/V_B 0.116
+    above 1/2: no witness is near its threshold.
     """
-    for rs, nbars in _GRIDS:
-        # (r, side, nbar) blocks of noisy_tmsv(r, nbar, side), reordered to (r, nbar, side)
-        blocks = np.array([
-            [GeneratorSpec("noisy_tmsv", params={"r": r, "side": side}).build_stack("nbar", nbars)
-             for side in ("A", "B")]
-            for r in rs
-        ])
-        stack = blocks.swapaxes(1, 2).reshape(-1, 4, 4)
-        sv = stack_verdicts(stack, tol=tol)
-        one_way = sv.physical & (sv.steerable_ab != sv.steerable_ba)
-        if one_way.any():
-            return CovarianceMatrix(stack[one_way.argmax()])
-    raise OneWayExampleNotFound(
-        "no one-way steerable state on the searched noisy-TMSV grid"
-    )
+    return noisy_tmsv(0.7, 0.5 - 0.25 / math.cosh(1.4), "A")
 
 
 # |d| at or below which the sign rule has no content

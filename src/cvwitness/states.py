@@ -224,7 +224,7 @@ def _seed(value) -> int:
 
 @dataclass
 class GeneratorSpec:
-    """Serializable description of a state-generator call.
+    """Description of a state-generator call.
 
     ``kind`` is one of vacuum, thermal, tmsv, noisy_tmsv, random_standard;
     ``params`` holds the generator arguments (r, nbar, side, seed, ...).
@@ -314,14 +314,3 @@ class GeneratorSpec:
             return _tmsv_stack(column("r"), column("nbar"), side=p.get("side", "A"))
         seeds = p["seed"] if "seed" in varied else [int(p.get("seed", 0))]
         return _random_standard_stack(self.n_modes, seeds)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_modes": self.n_modes, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorSpec":
-        return cls(
-            kind=data["kind"],
-            n_modes=data.get("n_modes", 2),
-            params=dict(data.get("params", {})),
-        )

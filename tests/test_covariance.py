@@ -131,6 +131,12 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match=f"{block} block has complex entries"):
             StandardForm(**blocks)
 
+    def test_standard_form_rejects_empty_blocks(self):
+        # 0 x 0 blocks used to fail inside numpy's max, "zero-size array to
+        # reduction operation maximum which has no identity"
+        with pytest.raises(ValueError, match="square matrices of equal size, at least 1 x 1"):
+            StandardForm(np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_standard_form_reads_zero_imaginary_parts_as_real(self):
         vq = random_standard(3, seed=4).matrix[0::2, 0::2]
         sf = StandardForm(vq.astype(complex), np.eye(3) + 0j)
@@ -355,6 +361,18 @@ class TestStackWitnesses:
         assert w.factored.tolist() == [True, False]
         assert w.nu_min[1] == 0.0
         assert w.min_rs_eig[1] == validate_bona_fide(tmsv(11.0)).min_rs_eigenvalue
+
+    def test_one_mode_stack_rejected(self):
+        # used to fail with "IndexError: index 0 is out of bounds"
+        with pytest.raises(ValueError, match="bipartite CMs of two or more modes, got 1-mode members"):
+            stack_witnesses(np.stack([0.5 * np.eye(2)] * 3))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_empty_stack(self, n):
+        # used to fail in reshape(0, -1)
+        w = stack_witnesses(np.zeros((0, 2 * n, 2 * n)))
+        assert len(w) == 9 and all(a.shape == (0,) for a in w)
+        assert w.factored.dtype == bool
 
 
 class TestPartialTranspose:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from collections import defaultdict
 from pathlib import Path
 
@@ -8,7 +9,6 @@ import pytest
 
 from cvwitness import (
     CovarianceMatrix,
-    OneWayExampleNotFound,
     TwoModeStandardParams,
     VerdictConsistencyError,
     certify,
@@ -277,44 +277,19 @@ class TestOneWayExample:
             v = certify(tmsv(r))
             assert v.steerable_a_to_b == v.steerable_b_to_a
 
-    def test_not_found_at_hopeless_tol(self):
-        # with a dead band of 0.5 no member of either grid is steerable in
-        # exactly one direction (A->B would need det V / det V_A < -0.25)
-        with pytest.raises(OneWayExampleNotFound):
-            find_one_way_example(tol=0.5)
-
-    def test_wide_grid_reached(self):
-        # at tol 0.35 no member of the base grid (r <= 1) is one-way, and
-        # the search goes on to the wide grid
-        got = find_one_way_example(tol=0.35)
-        np.testing.assert_array_equal(got.matrix, noisy_tmsv(1.1, 0.025, "A").matrix)
-        v = certify(got, tol=0.35)
-        assert v.steerable_a_to_b != v.steerable_b_to_a
-
-    def test_non_physical_member_never_reported(self, monkeypatch):
-        # tmsv(11)'s factorization fails, and its zeroed witnesses read as
-        # steerable A->B but not B->A: one-way, were it not masked
-        grid = np.stack([noisy_tmsv(11.0, 0.0, side).matrix for side in ("A", "B")])
-        sv = stack_verdicts(grid)
-        assert not sv.physical.any()
-        assert (sv.steerable_ab != sv.steerable_ba).all()
-        monkeypatch.setattr(criteria, "_GRIDS", (((11.0,), (0.0,)),))
-        with pytest.raises(OneWayExampleNotFound):
-            find_one_way_example()
-
-    def test_first_in_scan_order(self):
-        # the stacked grid keeps the (r, nbar, side) scan order of the base grid
-        rs, nbars = (0.3, 0.5, 0.7, 1.0), [round(0.05 * k, 3) for k in range(1, 20)]
-        first = next(
-            noisy_tmsv(r, nbar, side)
-            for r in rs
-            for nbar in nbars
-            for side in ("A", "B")
-            if (v := certify(noisy_tmsv(r, nbar, side))).steerable_a_to_b
-            != v.steerable_b_to_a
-        )
+    def test_closed_form_window(self):
+        # the middle of the r = 0.7 window [sinh^2 r / cosh 2r, 1/2) of
+        # Alice-side noise: A->B steerable, B->A not
+        nbar = 0.5 - 0.25 / math.cosh(1.4)
         got = find_one_way_example()
-        np.testing.assert_array_equal(got.matrix, first.matrix)
+        assert np.array_equal(got.matrix, noisy_tmsv(0.7, nbar, "A").matrix)
+        window = noisy_tmsv_phase_diagram(0.7, "A", DEFAULT_TOL)
+        upper, margin_ab = window["steerable_a_to_b"]
+        lower, margin_ba = window["steerable_b_to_a"]
+        assert lower + margin_ba < nbar < upper - margin_ab
+        v = certify(got)
+        assert v.steerable_a_to_b is True and v.steerable_b_to_a is False
+        assert not [key for key in v.witnesses if key.startswith("marginal_")]
 
 
 class TestCertifyMany:
@@ -492,6 +467,13 @@ class TestStackVerdicts:
         sv = stack_verdicts(empty)
         assert sv.physical.shape == (0,) and sv.witnesses.shape == (0, len(WITNESS_KEYS))
 
+    def test_failed_factor_masked_by_physical(self):
+        # tmsv(11)'s factorization fails, and its zeroed witnesses read as
+        # steerable A->B but not B->A: one-way, were it not masked
+        sv = stack_verdicts(np.stack([noisy_tmsv(11.0, 0.0, side).matrix for side in ("A", "B")]))
+        assert not sv.physical.any()
+        assert (sv.steerable_ab != sv.steerable_ba).all()
+
 
 class TestNoisyTmsvPhaseDiagram:
     """Noise n on side X of tmsv(r) against the closed-form phase diagram
@@ -595,11 +577,3 @@ def test_tol_accepts_real_numbers(good):
 
 def test_unset_tol_reads_covariance_default():
     assert resolve_tolerance(None) == DEFAULT_TOL == 1e-9
-
-
-def test_verdict_round_trip():
-    from cvwitness import CorrelationVerdict
-
-    v = certify(tmsv(0.4))
-    again = CorrelationVerdict.from_dict(v.to_dict())
-    assert again == v
