@@ -13,8 +13,6 @@ from .covariance import (
     partial_transpose_bob,
     partition,
     schur_complement,
-    StackWitnesses,
-    stack_witnesses,
     split_standard,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,

@@ -42,8 +42,6 @@ __all__ = [
     "split_standard",
     "partition",
     "schur_complement",
-    "StackWitnesses",
-    "stack_witnesses",
     "aitken_factorize",
     "standard_form_reduce_two_mode",
     "two_mode_symplectic_pair",
@@ -377,27 +375,23 @@ def validate_bona_fide(V, tol: float | None = None) -> ValidationReport:
     relation V + (i/2) J >= 0 for a candidate covariance matrix.
 
     Accepts a CovarianceMatrix or a raw real, finite 2n x 2n array in
-    interleaved ordering. V is positive definite when its Cholesky
-    factorization succeeds. The RS check uses eigenvalues of the
-    Hermitian matrix V + (i/2) J, which is meaningful even for singular
-    V; boundary states (pure Gaussians) sit exactly at zero, hence the
-    tolerance (``resolve_tolerance``: None reads as DEFAULT_TOL).
+    interleaved ordering. The symmetric part of V goes through certify's
+    kernel (``_stack_witnesses``) as a stack of one: V is positive
+    definite when its Cholesky factorization succeeds, and the RS check
+    reads the smallest eigenvalue of the Hermitian matrix V + (i/2) J,
+    which is meaningful even for singular V; boundary states (pure
+    Gaussians) sit exactly at zero, hence the tolerance
+    (``resolve_tolerance``: None reads as DEFAULT_TOL).
     """
     tol = resolve_tolerance(tol)
     m = _as_matrix(V)
-    n = m.shape[0] // 2
     scale = max(np.abs(m).max(), 1.0)
     symmetric = bool(np.abs(m - m.T).max() <= _SYMMETRY_RTOL * scale)
-    sym = 0.5 * (m + m.T)
-    try:
-        np.linalg.cholesky(sym)
-        positive_definite = True
-    except np.linalg.LinAlgError:
-        positive_definite = False
-    min_rs = float(np.linalg.eigvalsh(sym + 0.5j * symplectic_form(n)).min())
+    w = _stack_witnesses(0.5 * (m + m.T)[None])
+    min_rs = float(w.min_rs_eig[0])
     return ValidationReport(
         symmetric=symmetric,
-        positive_definite=positive_definite,
+        positive_definite=bool(w.factored[0]),
         rs_ur_satisfied=bool(min_rs >= -tol),
         min_rs_eigenvalue=min_rs,
         tol=tol,
@@ -484,10 +478,10 @@ def schur_complement(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
     return low @ low.T
 
 
-class StackWitnesses(NamedTuple):
-    """Per-member witnesses of a stack of k bipartite CMs, each a (k,)
-    array. A member whose factorization failed has ``factored`` False
-    and zeros everywhere but ``min_rs_eig``."""
+class _StackWitnesses(NamedTuple):
+    """Per-member witnesses of a stack of k CMs, each a (k,) array. A
+    member whose factorization failed has ``factored`` False and zeros
+    everywhere but ``min_rs_eig``."""
 
     factored: np.ndarray
     min_rs_eig: np.ndarray  # smallest eigenvalue of V + (i/2) J
@@ -498,14 +492,6 @@ class StackWitnesses(NamedTuple):
     det_ratio_ba: np.ndarray  # det V / det V_B
     rs_ba: np.ndarray  # smallest eigenvalue of V/V_B + (i/2) J_A
     schur_nu_min: np.ndarray  # smallest symplectic eigenvalue of V/V_B
-
-
-def _require_bipartite_stack(dim: int) -> None:
-    """Refuse a stack of dim x dim members with fewer than two modes."""
-    if dim < 4:
-        raise ValueError(
-            f"certification needs bipartite CMs of two or more modes, got {dim // 2}-mode members"
-        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -547,7 +533,7 @@ def _one_mode_schur(low_kk: np.ndarray):
     return det * det, np.abs(det), rs
 
 
-def stack_witnesses(v: np.ndarray) -> StackWitnesses:
+def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     """Every certification witness of a stack of bipartite CMs, shape
     (k, 2n, 2n) with Bob holding the last mode, from one batched Cholesky
     factorization and one or two batched Hermitian eigensolves.
@@ -572,11 +558,12 @@ def stack_witnesses(v: np.ndarray) -> StackWitnesses:
     failure marks only its own member and costs O(log k) extra batched
     calls.
 
-    Raises ValueError for members of fewer than two modes; an empty stack
-    gives nine empty arrays.
+    The stack must be validated and symmetric, as ``validate_stack``
+    returns it: every caller checks its input first. A one-mode stack
+    gets ``factored`` and ``min_rs_eig``, and nothing else that means
+    anything. An empty stack gives nine empty arrays.
     """
     k, dim, _ = v.shape
-    _require_bipartite_stack(dim)
     n = dim // 2
     rs_shift, forms, j_a, rs_shift_a, pair = _stack_constants(n)
     try:
@@ -584,11 +571,11 @@ def stack_witnesses(v: np.ndarray) -> StackWitnesses:
         factors = np.linalg.cholesky(v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim))
     except np.linalg.LinAlgError:
         if k > 1:
-            halves = (stack_witnesses(v[: k // 2]), stack_witnesses(v[k // 2 :]))
-            return StackWitnesses(*map(np.concatenate, zip(*halves)))
+            halves = (_stack_witnesses(v[: k // 2]), _stack_witnesses(v[k // 2 :]))
+            return _StackWitnesses(*map(np.concatenate, zip(*halves)))
         zero = np.zeros(1)
         rs = np.linalg.eigvalsh(v + rs_shift)[:, 0]
-        return StackWitnesses(np.zeros(1, dtype=bool), rs, *[zero] * 7)
+        return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[zero] * 7)
     low = factors[0::2]
     batch = np.empty((3 * k, dim, dim), dtype=complex)
     np.add(v, rs_shift, batch[:k])
@@ -596,7 +583,7 @@ def stack_witnesses(v: np.ndarray) -> StackWitnesses:
     eig = np.linalg.eigvalsh(batch)
     nus = eig[k:, n].reshape(k, 2)
     det_ratio, nu, rs = _one_mode_schur(factors[:, -2:, -2:])
-    if n == 2:
+    if n <= 2:
         det_ratio_ba, schur_nu_min, rs_ba = det_ratio[1::2], nu[1::2], rs[1::2]
     else:
         low_ba = factors[1::2, 2:, 2:]
@@ -608,7 +595,7 @@ def stack_witnesses(v: np.ndarray) -> StackWitnesses:
         # det V / det V_B = det(V / V_B) = prod(diag L_kk)^2
         det_ratio_ba = low_ba.diagonal(axis1=1, axis2=2).prod(axis=1) ** 2
         rs_ba, schur_nu_min = eig_ba[:k, 0], eig_ba[k:, n - 1]
-    return StackWitnesses(
+    return _StackWitnesses(
         factored=np.ones(k, dtype=bool),
         min_rs_eig=eig[:k, 0],
         nu_min=nus[:, 0],
@@ -659,6 +646,11 @@ def two_mode_symplectic_pair_pt(params: TwoModeStandardParams) -> tuple[float, f
     return two_mode_symplectic_pair(flipped)
 
 
+def _det2(m: np.ndarray) -> float:
+    """The determinant of a 2x2 matrix, in closed form."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
 def _inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
     """The inverse square root of a symmetric positive definite matrix."""
     w, u = np.linalg.eigh(m)
@@ -702,7 +694,7 @@ def standard_form_reduce_two_mode(
     locals_ = []
     for k in (0, 1):
         blk = m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-        det_blk = np.linalg.det(blk)
+        det_blk = _det2(blk)
         if det_blk <= 0:
             raise ValueError("local block with non-positive determinant")
         # symmetric unit-determinant (hence symplectic) Williamson reducer
@@ -713,9 +705,9 @@ def standard_form_reduce_two_mode(
     # local rotations diagonalize the cross block; scalar blocks are untouched
     cross = w[0:2, 2:4]
     u, _, vt = np.linalg.svd(cross)
-    if np.linalg.det(u) < 0:
+    if _det2(u) < 0:
         u[:, 1] *= -1.0
-    if np.linalg.det(vt) < 0:
+    if _det2(vt) < 0:
         vt[1, :] *= -1.0
     R = local_direct_sum([u.T, vt])
     S = R @ S

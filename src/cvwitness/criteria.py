@@ -4,17 +4,18 @@ PPT/separability, and one-way steerability in both directions.
 `certify` accepts any CM with Alice holding N modes and Bob the last
 one, in standard form or not: it reads only local symplectic invariants
 (Simon, PRL 84, 2726, 2000; Wiseman, Jones and Doherty, PRL 98, 140402,
-2007), all from Cholesky factors of V, for a whole stack of CMs at
-once: ``stack_verdicts`` returns the flags and witnesses as arrays, and
-``certify_many`` turns them into one verdict per member. ``certify``
-runs the same kernel on a stack of one and the same verdict rules on
-its witnesses as Python floats. The A->B steering call uses the
-determinant ratio det V / det V_A against 1/4, which is exactly
-equivalent to the matrix condition when Bob holds one mode; both are
-computed and any disagreement outside the tolerance dead band raises,
-as an internal self-check. The B->A call uses the Schur-complement
-matrix condition, which is strictly stronger than its determinant
-counterpart when N > 1.
+2007), all from Cholesky factors of V in one private kernel,
+``covariance._stack_witnesses``, which ``validate_bona_fide`` reads too.
+The kernel runs on a whole stack of CMs at once: ``stack_verdicts``
+returns the flags and witnesses as arrays, and ``certify_many`` turns
+them into one verdict per member. ``certify`` runs the same kernel on a
+stack of one and the same verdict rules on its witnesses as Python
+floats. The A->B steering call uses the determinant ratio
+det V / det V_A against 1/4, which is exactly equivalent to the matrix
+condition when Bob holds one mode; both are computed and any
+disagreement outside the tolerance dead band raises, as an internal
+self-check. The B->A call uses the Schur-complement matrix condition,
+which is strictly stronger than its determinant counterpart when N > 1.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import numpy as np
 
 from .covariance import (
     CovarianceMatrix,
-    StackWitnesses,
     TwoModeStandardParams,
-    _require_bipartite_stack,
+    _stack_witnesses,
+    _StackWitnesses,
     resolve_tolerance,
-    stack_witnesses,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
     validate_stack,
@@ -112,9 +112,9 @@ _MARGINAL_KEYS = ("marginal_ppt", "marginal_ab", "marginal_ba")
 _GAUSSIAN_SEPARABLE = dict(zip((True, False, None), GAUSSIAN_SEPARABLE_VALUES))  # by ppt
 
 
-def _verdict_rules(w: StackWitnesses, tol: float, sqrt):
+def _verdict_rules(w: _StackWitnesses, tol: float, sqrt):
     """The verdict rules, written once over the kernel's witnesses ``w``:
-    a ``StackWitnesses`` of Python scalars and ``math.sqrt`` for one CM, or
+    a ``_StackWitnesses`` of Python scalars and ``math.sqrt`` for one CM, or
     of (k,) arrays and ``np.sqrt`` for a stack. Only operators that mean
     the same on both are used (``x ^ True`` for not), so each member of a
     stack gets the bits it gets alone.
@@ -145,7 +145,7 @@ def _verdict_rules(w: StackWitnesses, tol: float, sqrt):
     return values, flags, ab_disagree, ppt_steers
 
 
-def _raise_inconsistent(kernel: StackWitnesses, ab_disagree, ppt_steers):
+def _raise_inconsistent(kernel: _StackWitnesses, ab_disagree, ppt_steers):
     """Raise ``VerdictConsistencyError`` for the first failed self-check
     of ``_verdict_rules``, naming the first disagreeing member by its
     index in the kernel's arrays."""
@@ -185,7 +185,7 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     """Certify physicality, separability conditions and both steering
     directions for a bipartite (N vs 1)-mode covariance matrix.
 
-    The kernel (``covariance.stack_witnesses``) runs on a stack of one;
+    The kernel (``covariance._stack_witnesses``) runs on a stack of one;
     its witnesses are read back as Python floats, and the verdict rules
     that ``stack_verdicts`` applies to a stack's arrays, with both
     self-checks, decide on those floats. So ``certify(V)`` equals
@@ -203,9 +203,9 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     V.require_bipartite()
-    kernel = stack_witnesses(V.matrix[None])
+    kernel = _stack_witnesses(V.matrix[None])
     values, flags, ab_disagree, ppt_steers = _verdict_rules(
-        StackWitnesses(*[a.item() for a in kernel]), tol, math.sqrt
+        _StackWitnesses(*[a.item() for a in kernel]), tol, math.sqrt
     )
     if ab_disagree | ppt_steers:
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)
@@ -249,7 +249,7 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     unless they are one already.
 
     The witnesses of the whole stack come from one batched kernel
-    (``covariance.stack_witnesses``), and the verdict rules ``certify``
+    (``covariance._stack_witnesses``), and the verdict rules ``certify``
     applies to one CM's floats run once on its (k,) arrays. A member
     whose factorization fails is refused as non-physical without
     affecting the others. Both self-checks look at physical members only
@@ -259,7 +259,11 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     tol = resolve_tolerance(tol)
     if isinstance(cms, np.ndarray):
         v = validate_stack(cms)
-        _require_bipartite_stack(v.shape[1])
+        if v.shape[1] < 4:
+            raise ValueError(
+                "certification needs bipartite CMs of two or more modes, "
+                f"got {v.shape[1] // 2}-mode members"
+            )
     else:
         cms = [cm if isinstance(cm, CovarianceMatrix) else CovarianceMatrix(cm) for cm in cms]
         for cm in cms:
@@ -269,7 +273,7 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
         v = np.array([cm.matrix for cm in cms])
     if not len(v):
         return StackVerdicts(np.zeros((0, 8), dtype=bool), np.zeros((0, len(WITNESS_KEYS))))
-    kernel = stack_witnesses(v)
+    kernel = _stack_witnesses(v)
     values, flags, ab_disagree, ppt_steers = _verdict_rules(kernel, tol, np.sqrt)
     if np.count_nonzero(ab_disagree | ppt_steers):
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)

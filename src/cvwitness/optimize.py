@@ -47,8 +47,8 @@ from .covariance import (
     CovarianceMatrix,
     StandardForm,
     _inv_sqrt_spd,
+    _stack_witnesses,
     resolve_tolerance,
-    stack_witnesses,
 )
 from .observables import FUNCTIONALS, _check_sign, functional_forms
 
@@ -111,9 +111,10 @@ class UnsteerabilityCheck(NamedTuple):
     ``det_ok`` is the determinant-ratio condition, which the matrix
     condition implies but which is strictly weaker for a multimode
     Alice. ``min_rs_eigenvalue`` witnesses the matrix test margin. The
-    witnesses are ``certify``'s, and a CM that ``certify`` cannot factor
-    raises LinAlgError; ``covariance.schur_complement`` gives the Schur
-    complement itself.
+    witnesses are ``certify``'s, from its kernel
+    (``covariance._stack_witnesses``) on a stack of one, and a CM that
+    ``certify`` cannot factor raises LinAlgError;
+    ``covariance.schur_complement`` gives the Schur complement itself.
     """
 
     matrix_ok: bool
@@ -284,24 +285,16 @@ def min_separability_sum_numeric(sf: StandardForm, sign: str) -> MinimizationRes
     return _minimize_gauge_ratio(sf, "sep_" + _check_sign(sign))
 
 
-def _logdet_pd(m: np.ndarray, name: str) -> float:
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise np.linalg.LinAlgError(f"{name} block is not positive definite")
-    return logdet
-
-
 def min_steering_sum_ab(sf: StandardForm) -> float:
     """Closed-form minimum of the A->B steering sum: 2 sqrt(det V / det V_A),
-    evaluated through the position/momentum block determinants."""
-    n_a = sf.n_modes - 1
-    if n_a < 1:
+    from the last pivots of the Cholesky factors of the position and
+    momentum blocks. The leading block of a factor factors the leading
+    submatrix, so det(vq) / det(vq_A) is the square of vq's last pivot,
+    and likewise for vp (LinAlgError if a block is not positive
+    definite)."""
+    if sf.n_modes < 2:
         raise ValueError("need a bipartite standard form")
-    log_num = _logdet_pd(sf.vq, "vq") + _logdet_pd(sf.vp, "vp")
-    log_den = _logdet_pd(sf.vq[:n_a, :n_a], "Alice vq") + _logdet_pd(
-        sf.vp[:n_a, :n_a], "Alice vp"
-    )
-    return float(2.0 * np.exp(0.5 * (log_num - log_den)))
+    return float(2.0 * np.linalg.cholesky(sf.vq)[-1, -1] * np.linalg.cholesky(sf.vp)[-1, -1])
 
 
 def min_steering_sum_ab_numeric(sf: StandardForm) -> MinimizationResult:
@@ -325,7 +318,7 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> Unste
     V.require_bipartite()
     # the witnesses are certify's: its kernel on a stack of one, which
     # refuses a CM that does not factor with either party first
-    w = stack_witnesses(V.matrix[None])
+    w = _stack_witnesses(V.matrix[None])
     if not w.factored[0]:
         raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
     # the determinant bound is 4^-m for the m modes of the Schur complement

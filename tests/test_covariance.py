@@ -19,7 +19,6 @@ from cvwitness import (
     schur_complement,
     split_standard,
     stack_verdicts,
-    stack_witnesses,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
     symplectic_form,
@@ -31,7 +30,13 @@ from cvwitness import (
     validate_bona_fide,
     validate_stack,
 )
-from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze, resolve_tolerance
+from cvwitness.covariance import (
+    _stack_witnesses,
+    local_direct_sum,
+    one_mode_rotation,
+    one_mode_squeeze,
+    resolve_tolerance,
+)
 from conftest import product_cm, purity, rotated, rotated_and_squeezed
 
 
@@ -228,6 +233,21 @@ class TestValidateBonaFide:
         assert validate_bona_fide(tmsv(10.0)).positive_definite
         assert not validate_bona_fide(np.diag([1.0, 1.0, 0.0, 1.0])).positive_definite
 
+    @pytest.mark.parametrize(
+        "m",
+        [pytest.param(vacuum(1).matrix, id="one-mode"),
+         pytest.param(0.25 * np.eye(2), id="sub-vacuum"),
+         pytest.param(tmsv(11.0).matrix, id="factor-fails"),
+         pytest.param(0.5 * np.eye(4) + np.triu(np.full((4, 4), 1e-3), 1), id="asymmetric")],
+    )
+    def test_reads_the_kernel(self, m):
+        # one route to physicality: the report is the kernel's witnesses on
+        # the symmetric part, bit for bit
+        report = validate_bona_fide(m)
+        w = _stack_witnesses(0.5 * (m + m.T)[None])
+        assert report.positive_definite == w.factored[0]
+        assert report.min_rs_eigenvalue == w.min_rs_eig[0]
+
 
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
@@ -277,7 +297,7 @@ class TestSymplecticSpectra:
     def test_matches_separate_spectra(self):
         for seed in range(20):
             cm = random_standard(2 + seed % 4, seed=seed)
-            w = stack_witnesses(cm.matrix[None])
+            w = _stack_witnesses(cm.matrix[None])
             np.testing.assert_allclose(w.nu_min, symplectic_eigenvalues(cm).min(), rtol=1e-12)
             np.testing.assert_allclose(
                 w.nu_min_pt, symplectic_eigenvalues(partial_transpose_bob(cm)).min(), rtol=1e-12
@@ -286,13 +306,13 @@ class TestSymplecticSpectra:
     def test_tmsv_spectra(self):
         # errors scale as eps * cond(V) = eps * exp(4r)
         r = 5.0
-        w = stack_witnesses(tmsv(r).matrix[None])
+        w = _stack_witnesses(tmsv(r).matrix[None])
         np.testing.assert_allclose(w.nu_min, 0.5, rtol=1e-5)
         np.testing.assert_allclose(w.nu_min_pt, np.exp(-2 * r) / 2, rtol=1e-5)
 
     def test_heavy_squeezing_does_not_raise(self):
         # one factor of V serves both spectra up to r = 10
-        w = stack_witnesses(tmsv(10.0).matrix[None])
+        w = _stack_witnesses(tmsv(10.0).matrix[None])
         assert w.factored[0]
         assert w.nu_min_pt[0] < 0.5
 
@@ -306,7 +326,7 @@ class TestStackWitnesses:
     def test_matches_single_cm_primitives(self, assorted_cms):
         for n in (2, 3, 4):
             cms = [cm for cm in assorted_cms if cm.n_modes == n]
-            w = stack_witnesses(np.stack([cm.matrix for cm in cms]))
+            w = _stack_witnesses(np.stack([cm.matrix for cm in cms]))
             assert w.factored.all()
             for i, cm in enumerate(cms):
                 schur_ab = schur_complement(cm, "A")
@@ -317,7 +337,7 @@ class TestStackWitnesses:
                         symplectic_eigenvalues(partial_transpose_bob(cm)).min(), np.linalg.det(schur_ab),
                         np.linalg.det(schur_ba),
                         symplectic_eigenvalues(schur_ba).min(),
-                        validate_bona_fide(cm).min_rs_eigenvalue]
+                        np.linalg.eigvalsh(cm.matrix + 0.5j * symplectic_form(n))[0]]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize(
@@ -331,7 +351,7 @@ class TestStackWitnesses:
     def test_one_mode_closed_forms(self, cm):
         # the kernel's closed forms for one-mode Schur complements against
         # the eigensolver, within 8 eps ||g|| of g = V/V_X
-        w = stack_witnesses(cm.matrix[None])
+        w = _stack_witnesses(cm.matrix[None])
         assert w.factored[0]
         j1 = symplectic_form(1)
         checks = [(w.rs_ab[0], "A", lambda g: np.linalg.eigvalsh(g + 0.5j * j1)[0])]
@@ -353,24 +373,19 @@ class TestStackWitnesses:
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(np.linalg, name, counted)
-        stack_witnesses(np.stack([random_standard(n, seed=s).matrix for s in range(3)]))
+        _stack_witnesses(np.stack([random_standard(n, seed=s).matrix for s in range(3)]))
         assert calls == {"cholesky": 1, "eigvalsh": 1 if n == 2 else 2}
 
     def test_failed_factor_marks_only_its_member(self):
-        w = stack_witnesses(np.stack([tmsv(0.5).matrix, tmsv(11.0).matrix]))
+        w = _stack_witnesses(np.stack([tmsv(0.5).matrix, tmsv(11.0).matrix]))
         assert w.factored.tolist() == [True, False]
         assert w.nu_min[1] == 0.0
-        assert w.min_rs_eig[1] == validate_bona_fide(tmsv(11.0)).min_rs_eigenvalue
-
-    def test_one_mode_stack_rejected(self):
-        # used to fail with "IndexError: index 0 is out of bounds"
-        with pytest.raises(ValueError, match="bipartite CMs of two or more modes, got 1-mode members"):
-            stack_witnesses(np.stack([0.5 * np.eye(2)] * 3))
+        assert w.min_rs_eig[1] == np.linalg.eigvalsh(tmsv(11.0).matrix + 0.5j * symplectic_form(2))[0]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_empty_stack(self, n):
         # used to fail in reshape(0, -1)
-        w = stack_witnesses(np.zeros((0, 2 * n, 2 * n)))
+        w = _stack_witnesses(np.zeros((0, 2 * n, 2 * n)))
         assert len(w) == 9 and all(a.shape == (0,) for a in w)
         assert w.factored.dtype == bool
 

@@ -13,6 +13,7 @@ from cvwitness import (
     VerdictConsistencyError,
     certify,
     certify_many,
+    check_unsteerable_ab,
     find_one_way_example,
     min_separability_sum_numeric,
     noisy_tmsv,
@@ -93,10 +94,10 @@ class TestCertifyReferenceStates:
     def test_ppt_steering_self_check(self, monkeypatch, k, route):
         # a PPT member is separable, hence unsteerable both ways; a steering
         # flag on one means the witnesses are wrong, and certify raises
-        w = criteria.stack_witnesses(np.stack([vacuum(2).matrix] * k))
+        w = criteria._stack_witnesses(np.stack([vacuum(2).matrix] * k))
         rs_ba = w.rs_ba.copy()
         rs_ba[k // 2] = -1.0
-        monkeypatch.setattr(criteria, "stack_witnesses", lambda v: w._replace(rs_ba=rs_ba))
+        monkeypatch.setattr(criteria, "_stack_witnesses", lambda v: w._replace(rs_ba=rs_ba))
         with pytest.raises(VerdictConsistencyError, match="PPT"):
             route(vacuum(2))
 
@@ -106,11 +107,11 @@ class TestCertifyReferenceStates:
         # with Bob holding one mode the A->B determinant and matrix forms are
         # equivalent; a physical member on which they disagree outside the
         # dead band means the witnesses are wrong, and certify raises
-        w = criteria.stack_witnesses(np.stack([vacuum(2).matrix] * k))
+        w = criteria._stack_witnesses(np.stack([vacuum(2).matrix] * k))
         det_ratios, rs = w.det_ratio_ab.copy(), w.rs_ab.copy()
         det_ratios[k // 2], rs[k // 2] = det_ratio_ab, rs_ab
         monkeypatch.setattr(
-            criteria, "stack_witnesses", lambda v: w._replace(det_ratio_ab=det_ratios, rs_ab=rs)
+            criteria, "_stack_witnesses", lambda v: w._replace(det_ratio_ab=det_ratios, rs_ab=rs)
         )
         with pytest.raises(VerdictConsistencyError, match=f"A->B .* member {k // 2} of the stack"):
             route(vacuum(2))
@@ -346,7 +347,7 @@ class TestCertifyMany:
         single = [certify(cm) for cm in members]
         many = certify_many(members)
         factor_fail, rs_refused, markers, ppt, ab_only, ba_only = single[:6]
-        assert not criteria.stack_witnesses(members[0].matrix[None]).factored[0]
+        assert not criteria._stack_witnesses(members[0].matrix[None]).factored[0]
         assert not factor_fail.physical and list(factor_fail.witnesses) == ["min_rs_eig"]
         assert not rs_refused.physical and rs_refused.witnesses["min_rs_eig"] < 0
         assert {"marginal_ppt", "marginal_ab", "marginal_ba"} <= set(markers.witnesses)
@@ -475,6 +476,31 @@ class TestStackVerdicts:
         assert (sv.steerable_ab != sv.steerable_ba).all()
 
 
+class TestExactBoundaries:
+    """States whose witnesses sit exactly on a threshold, decided with no
+    dead band (tol = 0): each comparison's own operator decides them."""
+
+    def test_vacuum_is_physical(self):
+        # min_rs_eig is exactly 0.0 on every route to physicality
+        v = certify(vacuum(2), tol=0.0)
+        assert v.physical and v.witnesses["min_rs_eig"] == 0.0
+        sv = stack_verdicts([vacuum(2)], tol=0.0)
+        assert sv.physical.tolist() == [True] and sv.witnesses[0, 0] == 0.0
+        report = validate_bona_fide(vacuum(2), tol=0.0)
+        assert report.bona_fide and report.min_rs_eigenvalue == 0.0
+
+    def test_vacuum_with_squeezed_bob_block(self):
+        # Alice in vacuum, Bob's block diag(1, 1/4): the partial transpose's
+        # smallest symplectic eigenvalue is exactly 1/2, det V / det V_A
+        # exactly 1/4 and V/V_A + (i/2) J_B exactly singular
+        cm = CovarianceMatrix(np.diag([0.5, 0.5, 1.0, 0.25]))
+        v = certify(cm, tol=0.0)
+        assert v.ppt is True and v.steerable_a_to_b is False
+        check = check_unsteerable_ab(cm, tol=0.0)
+        assert check.matrix_ok and check.det_ok
+        assert check.det_ratio == 0.25 and check.min_rs_eigenvalue == 0.0
+
+
 class TestNoisyTmsvPhaseDiagram:
     """Noise n on side X of tmsv(r) against the closed-form phase diagram
     (``conftest.noisy_tmsv_phase_diagram``): every flag of every member,
@@ -549,7 +575,7 @@ class TestHeavySqueezing:
         assert not v.physical
         assert set(v.witnesses) == {"min_rs_eig"}
 
-    @pytest.mark.xfail(strict=True, reason="absolute 1e-9 RS band; ROADMAP item 4")
+    @pytest.mark.xfail(strict=True, reason="absolute 1e-9 RS band; ROADMAP item 1 (step 1a)")
     def test_rs_band_at_7_6398(self):
         assert certify(tmsv(7.6398)).physical
 

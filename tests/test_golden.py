@@ -17,8 +17,8 @@ from cvwitness import (
     certify_many,
     check_unsteerable_ab,
     check_unsteerable_ba,
-    stack_witnesses,
 )
+from cvwitness.covariance import _stack_witnesses
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
 FLAGS = (
@@ -57,7 +57,7 @@ def test_golden_unsteerability_checks(entry):
     assert ba.matrix_ok == (not want["steerable_b_to_a"])
     witnesses = certify(cm, tol=tol).witnesses
     assert (ab.det_ratio, ba.det_ratio) == (witnesses["det_ratio_ab"], witnesses["det_ratio_ba"])
-    w = stack_witnesses(cm.matrix[None])
+    w = _stack_witnesses(cm.matrix[None])
     assert (ab.min_rs_eigenvalue, ba.min_rs_eigenvalue) == (w.rs_ab[0], w.rs_ba[0])
 
 

@@ -24,7 +24,6 @@ from cvwitness import (
     schur_complement,
     separability_sum,
     split_standard,
-    stack_witnesses,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
     tmsv,
@@ -35,7 +34,7 @@ from cvwitness import (
     variance_q,
 )
 from cvwitness.cli import _ORACLE_FUNCTIONALS
-from cvwitness.covariance import StandardForm, local_direct_sum, one_mode_squeeze
+from cvwitness.covariance import StandardForm, _stack_witnesses, local_direct_sum, one_mode_squeeze
 from cvwitness.observables import functional_forms
 from cvwitness.optimize import (
     _BATCH,
@@ -407,7 +406,7 @@ class TestUnsteerabilityChecks:
         refused = 0
         for r in np.round(np.arange(r0 - 0.02, r0 + 0.0201, 0.005), 4):
             cm = CovarianceMatrix(s @ tmsv(r).matrix @ s.T)
-            if stack_witnesses(cm.matrix[None]).factored[0]:
+            if _stack_witnesses(cm.matrix[None]).factored[0]:
                 check_unsteerable_ab(cm)
                 check_unsteerable_ba(cm)
                 continue

@@ -16,7 +16,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = {
     "CorrelationVerdict", "CovarianceMatrix", "EprWeights", "GeneratorSpec", "GridSpec",
     "MinimizationResult", "NotStandardFormError", "Partition",
-    "StackVerdicts", "StackWitnesses", "StandardForm", "TwoModeStandardParams",
+    "StackVerdicts", "StandardForm", "TwoModeStandardParams",
     "UnsteerabilityCheck", "ValidationReport", "VerdictConsistencyError", "aitken_factorize",
     "brute_force_min", "certify", "certify_many", "check_unsteerable_ab", "check_unsteerable_ba",
     "euler_identity_terms", "find_one_way_example", "min_separability_sum_numeric",
@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     "noisy_tmsv", "partial_transpose_bob", "partition", "random_standard",
     "random_two_mode_params", "reid_product", "schur_complement", "separability_sum",
     "separability_sum_gradient", "sign_rule_holds", "split_standard", "stack_verdicts",
-    "stack_witnesses", "standard_form_reduce_two_mode", "steering_sum_ab", "steering_sum_ba",
+    "standard_form_reduce_two_mode", "steering_sum_ab", "steering_sum_ba",
     "symplectic_eigenvalues", "symplectic_form", "thermal", "tmsv", "two_mode_symplectic_pair",
     "two_mode_symplectic_pair_pt", "uncertainty_sum_check", "vacuum", "validate_bona_fide",
     "validate_stack", "variance_p", "variance_q",
@@ -45,7 +45,7 @@ def test_public_names_are_pinned():
         name for name, value in vars(cvwitness).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 53
     assert exported == PUBLIC_NAMES
 
 
