@@ -375,25 +375,21 @@ def validate_bona_fide(V, tol: float | None = None) -> ValidationReport:
     relation V + (i/2) J >= 0 for a candidate covariance matrix.
 
     Accepts a CovarianceMatrix or a raw real, finite 2n x 2n array in
-    interleaved ordering. The symmetric part of V goes through certify's
-    kernel (``_stack_witnesses``) as a stack of one: V is positive
-    definite when its Cholesky factorization succeeds, and the RS check
-    reads the smallest eigenvalue of the Hermitian matrix V + (i/2) J,
-    which is meaningful even for singular V; boundary states (pure
-    Gaussians) sit exactly at zero, hence the tolerance
+    interleaved ordering. The symmetric part of V is decided as certify
+    decides it (``_decide``): V is positive definite when the kernel's
+    Cholesky factorization succeeds, and the verdict rules' RS test reads
+    the smallest eigenvalue of V + (i/2) J, which is meaningful even for
+    singular V. Pure Gaussians sit exactly at zero, hence the dead band
     (``resolve_tolerance``: None reads as DEFAULT_TOL).
     """
     tol = resolve_tolerance(tol)
     m = _as_matrix(V)
-    scale = max(np.abs(m).max(), 1.0)
-    symmetric = bool(np.abs(m - m.T).max() <= _SYMMETRY_RTOL * scale)
-    w = _stack_witnesses(0.5 * (m + m.T)[None])
-    min_rs = float(w.min_rs_eig[0])
+    w, (values, *_, rs_ok, _, _) = _decide(0.5 * (m + m.T), tol, m.shape[0] // 2 - 1)
     return ValidationReport(
-        symmetric=symmetric,
+        symmetric=bool(np.abs(m - m.T).max() <= _SYMMETRY_RTOL * max(np.abs(m).max(), 1.0)),
         positive_definite=bool(w.factored[0]),
-        rs_ur_satisfied=bool(min_rs >= -tol),
-        min_rs_eigenvalue=min_rs,
+        rs_ur_satisfied=rs_ok,
+        min_rs_eigenvalue=values[0],
         tol=tol,
     )
 
@@ -606,6 +602,52 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
         rs_ba=rs_ba,
         schur_nu_min=schur_nu_min,
     )
+
+
+def _verdict_rules(w: _StackWitnesses, tol, n_alice: int, sqrt):
+    """The verdict rules, the only code that compares a kernel witness with
+    a threshold, written once over the kernel's witnesses ``w``: Python
+    scalars and ``math.sqrt`` for one CM, or (k,) arrays and ``np.sqrt``
+    for a stack, with ``n_alice`` Alice modes. Only operators that mean the
+    same on both are used (``x ^ True`` for not), so each member of a stack
+    gets the bits it gets alone. A test compares a witness with
+    ``centre - tol`` (``-tol`` for the centre 0), a marker takes
+    ``|w - centre| <= tol``.
+
+    Returns the ``criteria.WITNESS_KEYS`` values; the flags (physical, ppt,
+    separable_ok, steerable_ab, steerable_ba) and the three markers; the
+    two self-check failures (the A->B tests disagree outside the dead band;
+    a PPT, hence separable and unsteerable (Wiseman, Jones and Doherty
+    2007), member steers); the RS test; and the (matrix, determinant)
+    unsteerability tests of A->B and of B->A, against 1/4 and 4^-N.
+    """
+    # 2 nu~, 2 nu and 2 sqrt(det V / det V_A) are local invariants; whenever
+    # V has a standard form they are the minima of the sums
+    sep_plus, sep_minus = 2.0 * w.nu_min_pt, 2.0 * w.nu_min
+    values = (w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus, sep_minus, 2.0 * sqrt(w.det_ratio_ab),
+              w.det_ratio_ab, w.det_ratio_ba, w.schur_nu_min)
+    rs_ok = w.min_rs_eig >= -tol
+    ab = (w.rs_ab >= -tol, w.det_ratio_ab >= 0.25 - tol)
+    ba = (w.rs_ba >= -tol, w.det_ratio_ba >= 0.25**n_alice - tol)
+    physical = w.factored & rs_ok
+    ppt = w.nu_min_pt >= 0.5 - tol
+    steerable_ab, steerable_ba = ab[1] ^ True, ba[0] ^ True
+    marginal_ab = (abs(w.det_ratio_ab - 0.25) <= tol) | (abs(w.rs_ab) <= tol)
+    flags = (physical, ppt, (sep_plus >= 1.0 - tol) & (sep_minus >= 1.0 - tol), steerable_ab, steerable_ba,
+             abs(w.nu_min_pt - 0.5) <= tol, marginal_ab, abs(w.rs_ba) <= tol)
+    ab_disagree = physical & (marginal_ab ^ True) & (ab[0] != ab[1])
+    ppt_steers = physical & ppt & (steerable_ab | steerable_ba)
+    return values, flags, ab_disagree, ppt_steers, rs_ok, ab, ba
+
+
+def _decide(m: np.ndarray, tol: float, n_alice: int):
+    """The one-CM decision: the kernel's witnesses of one validated,
+    symmetric CM ``m`` with ``n_alice`` Alice modes, as a stack of one, and
+    ``_verdict_rules`` applied to them as Python floats, so that every test
+    and flag is a Python bool. ``validate_bona_fide``, ``criteria.certify``
+    and ``optimize.check_unsteerable_*`` all decide through it."""
+    kernel = _stack_witnesses(m[None])
+    return kernel, _verdict_rules(_StackWitnesses(*[a.item() for a in kernel]), tol, n_alice, math.sqrt)
 
 
 def aitken_factorize(V: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -29,8 +29,10 @@ import numpy as np
 from .covariance import (
     CovarianceMatrix,
     TwoModeStandardParams,
+    _decide,
     _stack_witnesses,
     _StackWitnesses,
+    _verdict_rules,
     resolve_tolerance,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
@@ -112,39 +114,6 @@ _MARGINAL_KEYS = ("marginal_ppt", "marginal_ab", "marginal_ba")
 _GAUSSIAN_SEPARABLE = dict(zip((True, False, None), GAUSSIAN_SEPARABLE_VALUES))  # by ppt
 
 
-def _verdict_rules(w: _StackWitnesses, tol: float, sqrt):
-    """The verdict rules, written once over the kernel's witnesses ``w``:
-    a ``_StackWitnesses`` of Python scalars and ``math.sqrt`` for one CM, or
-    of (k,) arrays and ``np.sqrt`` for a stack. Only operators that mean
-    the same on both are used (``x ^ True`` for not), so each member of a
-    stack gets the bits it gets alone.
-
-    Returns the ``WITNESS_KEYS`` values, the flags (physical, ppt,
-    separable_ok, steerable_ab, steerable_ba) followed by the three
-    markers, and the two self-check failures: the A->B determinant and
-    matrix forms disagree outside the dead band, and a PPT member,
-    separable and hence unsteerable both ways (Wiseman, Jones and Doherty
-    2007), raises a steering flag. A flag compares a witness with
-    ``centre - tol`` (``-tol`` for the centre 0), and a marker takes
-    ``|w - centre| <= tol``.
-    """
-    # 2 nu~, 2 nu and 2 sqrt(det V / det V_A) are local invariants; whenever
-    # V has a standard form they are the minima of the sums
-    sep_plus, sep_minus = 2.0 * w.nu_min_pt, 2.0 * w.nu_min
-    values = (w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus, sep_minus, 2.0 * sqrt(w.det_ratio_ab),
-              w.det_ratio_ab, w.det_ratio_ba, w.schur_nu_min)
-    physical = w.factored & (w.min_rs_eig >= -tol)
-    ppt = w.nu_min_pt >= 0.5 - tol
-    steerable_ab = w.det_ratio_ab < 0.25 - tol
-    steerable_ba = w.rs_ba < -tol
-    marginal_ab = (abs(w.det_ratio_ab - 0.25) <= tol) | (abs(w.rs_ab) <= tol)
-    flags = (physical, ppt, (sep_plus >= 1.0 - tol) & (sep_minus >= 1.0 - tol), steerable_ab, steerable_ba,
-             abs(w.nu_min_pt - 0.5) <= tol, marginal_ab, abs(w.rs_ba) <= tol)
-    ab_disagree = physical & (marginal_ab ^ True) & (steerable_ab != (w.rs_ab < -tol))
-    ppt_steers = physical & ppt & (steerable_ab | steerable_ba)
-    return values, flags, ab_disagree, ppt_steers
-
-
 def _raise_inconsistent(kernel: _StackWitnesses, ab_disagree, ppt_steers):
     """Raise ``VerdictConsistencyError`` for the first failed self-check
     of ``_verdict_rules``, naming the first disagreeing member by its
@@ -203,10 +172,7 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     V.require_bipartite()
-    kernel = _stack_witnesses(V.matrix[None])
-    values, flags, ab_disagree, ppt_steers = _verdict_rules(
-        _StackWitnesses(*[a.item() for a in kernel]), tol, math.sqrt
-    )
+    kernel, (values, flags, ab_disagree, ppt_steers, *_) = _decide(V.matrix, tol, V.n_alice)
     if ab_disagree | ppt_steers:
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)
     return _verdict(values, *flags)
@@ -274,7 +240,7 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     if not len(v):
         return StackVerdicts(np.zeros((0, 8), dtype=bool), np.zeros((0, len(WITNESS_KEYS))))
     kernel = _stack_witnesses(v)
-    values, flags, ab_disagree, ppt_steers = _verdict_rules(kernel, tol, np.sqrt)
+    values, flags, ab_disagree, ppt_steers, *_ = _verdict_rules(kernel, tol, v.shape[1] // 2 - 1, np.sqrt)
     if np.count_nonzero(ab_disagree | ppt_steers):
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)
     return StackVerdicts(np.array(flags).T, np.array(values).T)

@@ -46,8 +46,8 @@ import numpy as np
 from .covariance import (
     CovarianceMatrix,
     StandardForm,
+    _decide,
     _inv_sqrt_spd,
-    _stack_witnesses,
     resolve_tolerance,
 )
 from .observables import FUNCTIONALS, _check_sign, functional_forms
@@ -316,22 +316,14 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> Unste
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     V.require_bipartite()
-    # the witnesses are certify's: its kernel on a stack of one, which
-    # refuses a CM that does not factor with either party first
-    w = _stack_witnesses(V.matrix[None])
+    # certify's decision: its kernel on a stack of one, which refuses a CM
+    # that does not factor with either party first, and its rules
+    w, (*_, ab, ba) = _decide(V.matrix, tol, V.n_alice)
     if not w.factored[0]:
         raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
-    # the determinant bound is 4^-m for the m modes of the Schur complement
     if over == "A":
-        det_ratio, min_eig, modes = float(w.det_ratio_ab[0]), float(w.rs_ab[0]), 1
-    else:
-        det_ratio, min_eig, modes = float(w.det_ratio_ba[0]), float(w.rs_ba[0]), V.n_modes - 1
-    return UnsteerabilityCheck(
-        matrix_ok=bool(min_eig >= -tol),
-        det_ok=bool(det_ratio >= 4.0**-modes - tol),
-        det_ratio=det_ratio,
-        min_rs_eigenvalue=min_eig,
-    )
+        return UnsteerabilityCheck(*ab, float(w.det_ratio_ab[0]), float(w.rs_ab[0]))
+    return UnsteerabilityCheck(*ba, float(w.det_ratio_ba[0]), float(w.rs_ba[0]))
 
 
 def check_unsteerable_ba(V: CovarianceMatrix, tol: float | None = None) -> UnsteerabilityCheck:

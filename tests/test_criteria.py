@@ -29,7 +29,7 @@ from cvwitness import (
     vacuum,
     validate_bona_fide,
 )
-from cvwitness import GeneratorSpec, criteria
+from cvwitness import GeneratorSpec, covariance, criteria
 from cvwitness.covariance import DEFAULT_TOL
 from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
 from conftest import noisy_tmsv_phase_diagram, product_cm, rotated, rotated_and_squeezed
@@ -97,7 +97,8 @@ class TestCertifyReferenceStates:
         w = criteria._stack_witnesses(np.stack([vacuum(2).matrix] * k))
         rs_ba = w.rs_ba.copy()
         rs_ba[k // 2] = -1.0
-        monkeypatch.setattr(criteria, "_stack_witnesses", lambda v: w._replace(rs_ba=rs_ba))
+        for module in (covariance, criteria):
+            monkeypatch.setattr(module, "_stack_witnesses", lambda v: w._replace(rs_ba=rs_ba))
         with pytest.raises(VerdictConsistencyError, match="PPT"):
             route(vacuum(2))
 
@@ -110,9 +111,10 @@ class TestCertifyReferenceStates:
         w = criteria._stack_witnesses(np.stack([vacuum(2).matrix] * k))
         det_ratios, rs = w.det_ratio_ab.copy(), w.rs_ab.copy()
         det_ratios[k // 2], rs[k // 2] = det_ratio_ab, rs_ab
-        monkeypatch.setattr(
-            criteria, "_stack_witnesses", lambda v: w._replace(det_ratio_ab=det_ratios, rs_ab=rs)
-        )
+        for module in (covariance, criteria):
+            monkeypatch.setattr(
+                module, "_stack_witnesses", lambda v: w._replace(det_ratio_ab=det_ratios, rs_ab=rs)
+            )
         with pytest.raises(VerdictConsistencyError, match=f"A->B .* member {k // 2} of the stack"):
             route(vacuum(2))
 
