@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# the dead band's floor per unit of max|V|: over pure TMSV up to r = 15,
+# -lambda_min(V + (i/2) J) / (eps max|V|) is at most 6.54 (at r = 5.347)
+_BAND_PER_NORM = 8.0 * sys.float_info.epsilon
 
 
 def resolve_tolerance(tol: float | None, source: str = "tol") -> float:
@@ -380,7 +384,9 @@ def validate_bona_fide(V, tol: float | None = None) -> ValidationReport:
     Cholesky factorization succeeds, and the verdict rules' RS test reads
     the smallest eigenvalue of V + (i/2) J, which is meaningful even for
     singular V. Pure Gaussians sit exactly at zero, hence the dead band
-    (``resolve_tolerance``: None reads as DEFAULT_TOL).
+    max(tol, 8 eps max|V|), as in certify. tol is read by
+    ``resolve_tolerance`` (None is DEFAULT_TOL), and the report's ``tol``
+    is that floor, not the band.
     """
     tol = resolve_tolerance(tol)
     m = _as_matrix(V)
@@ -604,15 +610,15 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     )
 
 
-def _verdict_rules(w: _StackWitnesses, tol, n_alice: int, sqrt):
+def _verdict_rules(w: _StackWitnesses, band, n_alice: int, sqrt):
     """The verdict rules, the only code that compares a kernel witness with
     a threshold, written once over the kernel's witnesses ``w``: Python
     scalars and ``math.sqrt`` for one CM, or (k,) arrays and ``np.sqrt``
-    for a stack, with ``n_alice`` Alice modes. Only operators that mean the
-    same on both are used (``x ^ True`` for not), so each member of a stack
-    gets the bits it gets alone. A test compares a witness with
-    ``centre - tol`` (``-tol`` for the centre 0), a marker takes
-    ``|w - centre| <= tol``.
+    for a stack, with ``n_alice`` Alice modes, and the dead ``band`` as a
+    float or a (k,) array. Only operators that mean the same on both are
+    used (``x ^ True`` for not), so each member of a stack gets the bits it
+    gets alone. A test compares a witness with ``centre - band`` (``-band``
+    for the centre 0), a marker takes ``|w - centre| <= band``.
 
     Returns the ``criteria.WITNESS_KEYS`` values; the flags (physical, ppt,
     separable_ok, steerable_ab, steerable_ba) and the three markers; the
@@ -626,15 +632,15 @@ def _verdict_rules(w: _StackWitnesses, tol, n_alice: int, sqrt):
     sep_plus, sep_minus = 2.0 * w.nu_min_pt, 2.0 * w.nu_min
     values = (w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus, sep_minus, 2.0 * sqrt(w.det_ratio_ab),
               w.det_ratio_ab, w.det_ratio_ba, w.schur_nu_min)
-    rs_ok = w.min_rs_eig >= -tol
-    ab = (w.rs_ab >= -tol, w.det_ratio_ab >= 0.25 - tol)
-    ba = (w.rs_ba >= -tol, w.det_ratio_ba >= 0.25**n_alice - tol)
+    rs_ok = w.min_rs_eig >= -band
+    ab = (w.rs_ab >= -band, w.det_ratio_ab >= 0.25 - band)
+    ba = (w.rs_ba >= -band, w.det_ratio_ba >= 0.25**n_alice - band)
     physical = w.factored & rs_ok
-    ppt = w.nu_min_pt >= 0.5 - tol
+    ppt = w.nu_min_pt >= 0.5 - band
     steerable_ab, steerable_ba = ab[1] ^ True, ba[0] ^ True
-    marginal_ab = (abs(w.det_ratio_ab - 0.25) <= tol) | (abs(w.rs_ab) <= tol)
-    flags = (physical, ppt, (sep_plus >= 1.0 - tol) & (sep_minus >= 1.0 - tol), steerable_ab, steerable_ba,
-             abs(w.nu_min_pt - 0.5) <= tol, marginal_ab, abs(w.rs_ba) <= tol)
+    marginal_ab = (abs(w.det_ratio_ab - 0.25) <= band) | (abs(w.rs_ab) <= band)
+    flags = (physical, ppt, (sep_plus >= 1.0 - band) & (sep_minus >= 1.0 - band), steerable_ab, steerable_ba,
+             abs(w.nu_min_pt - 0.5) <= band, marginal_ab, abs(w.rs_ba) <= band)
     ab_disagree = physical & (marginal_ab ^ True) & (ab[0] != ab[1])
     ppt_steers = physical & ppt & (steerable_ab | steerable_ba)
     return values, flags, ab_disagree, ppt_steers, rs_ok, ab, ba
@@ -643,11 +649,13 @@ def _verdict_rules(w: _StackWitnesses, tol, n_alice: int, sqrt):
 def _decide(m: np.ndarray, tol: float, n_alice: int):
     """The one-CM decision: the kernel's witnesses of one validated,
     symmetric CM ``m`` with ``n_alice`` Alice modes, as a stack of one, and
-    ``_verdict_rules`` applied to them as Python floats, so that every test
-    and flag is a Python bool. ``validate_bona_fide``, ``criteria.certify``
-    and ``optimize.check_unsteerable_*`` all decide through it."""
+    ``_verdict_rules`` applied to them as Python floats, with the band
+    max(tol, 8 eps max|m|), so that every test and flag is a Python bool.
+    ``validate_bona_fide``, ``criteria.certify`` and
+    ``optimize.check_unsteerable_*`` all decide through it."""
+    band = max(tol, _BAND_PER_NORM * float(np.abs(m).max()))
     kernel = _stack_witnesses(m[None])
-    return kernel, _verdict_rules(_StackWitnesses(*[a.item() for a in kernel]), tol, n_alice, math.sqrt)
+    return kernel, _verdict_rules(_StackWitnesses(*[a.item() for a in kernel]), band, n_alice, math.sqrt)
 
 
 def aitken_factorize(V: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:

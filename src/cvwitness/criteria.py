@@ -5,17 +5,22 @@ PPT/separability, and one-way steerability in both directions.
 one, in standard form or not: it reads only local symplectic invariants
 (Simon, PRL 84, 2726, 2000; Wiseman, Jones and Doherty, PRL 98, 140402,
 2007), all from Cholesky factors of V in one private kernel,
-``covariance._stack_witnesses``, which ``validate_bona_fide`` reads too.
-The kernel runs on a whole stack of CMs at once: ``stack_verdicts``
-returns the flags and witnesses as arrays, and ``certify_many`` turns
-them into one verdict per member. ``certify`` runs the same kernel on a
-stack of one and the same verdict rules on its witnesses as Python
-floats. The A->B steering call uses the determinant ratio
-det V / det V_A against 1/4, which is exactly equivalent to the matrix
-condition when Bob holds one mode; both are computed and any
-disagreement outside the tolerance dead band raises, as an internal
-self-check. The B->A call uses the Schur-complement matrix condition,
-which is strictly stronger than its determinant counterpart when N > 1.
+``covariance._stack_witnesses``. Every flag is decided by the verdict
+rules beside the kernel, ``covariance._verdict_rules``, which compare
+each witness with its threshold within the dead band max(tol,
+8 eps max|V|): the tolerance, or the kernel's rounding on a CM with
+large entries, whichever is larger. ``validate_bona_fide`` and
+``check_unsteerable_*`` decide through the same rules. The kernel runs
+on a whole stack of CMs at once: ``stack_verdicts`` returns the flags
+and witnesses as arrays, and ``certify_many`` turns them into one
+verdict per member. ``certify`` runs the same kernel on a stack of one
+and the same rules on its witnesses as Python floats. The A->B steering
+call uses the determinant ratio det V / det V_A against 1/4, which is
+exactly equivalent to the matrix condition when Bob holds one mode;
+both are computed and any disagreement outside the dead band raises, as
+an internal self-check. The B->A call uses the Schur-complement matrix
+condition, which is strictly stronger than its determinant counterpart
+when N > 1.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariance import (
+    _BAND_PER_NORM,
     CovarianceMatrix,
     TwoModeStandardParams,
     _decide,
@@ -157,14 +163,17 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     The kernel (``covariance._stack_witnesses``) runs on a stack of one;
     its witnesses are read back as Python floats, and the verdict rules
     that ``stack_verdicts`` applies to a stack's arrays, with both
-    self-checks, decide on those floats. So ``certify(V)`` equals
-    ``certify_many([V])[0]`` bit for bit, at the cost of a few Python
-    operations around the LAPACK calls.
+    self-checks, decide on those floats (``covariance._decide``). So
+    ``certify(V)`` equals ``certify_many([V])[0]`` bit for bit, at the
+    cost of a few Python operations around the LAPACK calls.
 
     Args:
         V: covariance matrix, Bob = last mode, in standard form or not.
-        tol: threshold dead band for all comparisons, finite and >= 0
-            (default ``covariance.DEFAULT_TOL``, 1e-9).
+        tol: the floor of the dead band for all comparisons, finite and
+            >= 0 (default ``covariance.DEFAULT_TOL``, 1e-9). The band is
+            max(tol, 8 eps max|V|), so rounding in the kernel, which
+            reaches 6.5 eps max|V| on a pure TMSV whose exact
+            ``min_rs_eig`` is 0, flips no flag.
 
     A CM whose Cholesky factorization fails is refused as non-physical.
     """
@@ -240,7 +249,8 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     if not len(v):
         return StackVerdicts(np.zeros((0, 8), dtype=bool), np.zeros((0, len(WITNESS_KEYS))))
     kernel = _stack_witnesses(v)
-    values, flags, ab_disagree, ppt_steers, *_ = _verdict_rules(kernel, tol, v.shape[1] // 2 - 1, np.sqrt)
+    band = np.maximum(tol, _BAND_PER_NORM * np.abs(v).max(axis=(1, 2)))
+    values, flags, ab_disagree, ppt_steers, *_ = _verdict_rules(kernel, band, v.shape[1] // 2 - 1, np.sqrt)
     if np.count_nonzero(ab_disagree | ppt_steers):
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)
     return StackVerdicts(np.array(flags).T, np.array(values).T)

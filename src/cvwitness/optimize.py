@@ -110,10 +110,11 @@ class UnsteerabilityCheck(NamedTuple):
     ``matrix_ok`` is the Schur-complement physicality condition (exact);
     ``det_ok`` is the determinant-ratio condition, which the matrix
     condition implies but which is strictly weaker for a multimode
-    Alice. ``min_rs_eigenvalue`` witnesses the matrix test margin. The
-    witnesses are ``certify``'s, from its kernel
-    (``covariance._stack_witnesses``) on a stack of one, and a CM that
-    ``certify`` cannot factor raises LinAlgError;
+    Alice. ``min_rs_eigenvalue`` witnesses the matrix test margin. Tests
+    and witnesses are ``certify``'s, decided by its kernel on a stack of
+    one and its verdict rules with the same band (``covariance._decide``):
+    A->B ``det_ok`` and B->A ``matrix_ok`` are its steering flags negated.
+    A CM that ``certify`` cannot factor raises LinAlgError;
     ``covariance.schur_complement`` gives the Schur complement itself.
     """
 

@@ -446,6 +446,9 @@ class TestStackVerdicts:
         for entry in golden["entries"]:
             cm = CovarianceMatrix.from_dict(entry["cm"])
             groups[cm.n_modes].append(cm)
+        # every golden entry is physical; a failed factor and an RS refusal
+        # cover the masked branch
+        groups[2] += [tmsv(11.0), CovarianceMatrix(0.2 * np.eye(4))]
         seen = set()
         for cms in groups.values():
             sv = stack_verdicts(np.stack([cm.matrix for cm in cms]), tol=tol)
@@ -577,8 +580,9 @@ class TestHeavySqueezing:
         assert not v.physical
         assert set(v.witnesses) == {"min_rs_eig"}
 
-    @pytest.mark.xfail(strict=True, reason="absolute 1e-9 RS band; ROADMAP item 1 (step 1a)")
     def test_rs_band_at_7_6398(self):
+        # min_rs_eig is -1.05e-9 here, past an absolute 1e-9 band but inside
+        # 8 eps max|V|, which is 1.92e-9
         assert certify(tmsv(7.6398)).physical
 
 
