@@ -14,6 +14,7 @@ from cvwitness import (
     certify,
     certify_many,
     check_unsteerable_ab,
+    check_unsteerable_ba,
     find_one_way_example,
     min_separability_sum_numeric,
     noisy_tmsv,
@@ -30,7 +31,7 @@ from cvwitness import (
     validate_bona_fide,
 )
 from cvwitness import GeneratorSpec, covariance, criteria
-from cvwitness.covariance import DEFAULT_TOL
+from cvwitness.covariance import DEFAULT_TOL, one_mode_rotation, one_mode_squeeze
 from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
 from conftest import noisy_tmsv_phase_diagram, product_cm, rotated, rotated_and_squeezed
 
@@ -128,6 +129,18 @@ class TestCertifyReferenceStates:
             s = np.exp(2 * z) / 2
             v = certify(CovarianceMatrix(np.diag([0.5, 0.5, s * (1 + excess), (1 + excess) / (4 * s)])))
             assert v.physical and not v.steerable_a_to_b and not v.steerable_b_to_a
+
+    @pytest.mark.parametrize("theta, z", [(3 * np.pi / 40, 9.8), (3 * np.pi / 20, 9.2), (7 * np.pi / 40, 10.0)])
+    def test_rotated_squeezed_bob_ab_self_check(self, theta, z):
+        # vacuum and a pure Bob mode rotated by theta and squeezed by z, with
+        # no noise: rs_ab rounds to -1.0e-9..-1.5e-9 while det V / det V_A
+        # stays above 1/4, and the A->B self-check raised under an absolute
+        # 1e-9 band; 8 eps max|V| is 7e-8..3e-7 here
+        s = one_mode_rotation(theta) @ one_mode_squeeze(z)
+        m = 0.5 * np.eye(4)
+        m[2:, 2:] = 0.5 * s @ s.T
+        for v in (certify(CovarianceMatrix(m)), certify_many([CovarianceMatrix(m)])[0]):
+            assert (v.physical, v.ppt, v.steerable_a_to_b, v.steerable_b_to_a) == (True, True, False, False)
 
     def test_requires_bipartite(self):
         with pytest.raises(ValueError, match="bipartite"):
@@ -482,8 +495,9 @@ class TestStackVerdicts:
 
 
 class TestExactBoundaries:
-    """States whose witnesses sit exactly on a threshold, decided with no
-    dead band (tol = 0): each comparison's own operator decides them."""
+    """States whose witnesses sit exactly on a threshold, decided with
+    tol = 0, which leaves the band at 8 eps max|V|; ``TestRuleBoundaries``
+    pins each rule at the band's edge."""
 
     def test_vacuum_is_physical(self):
         # min_rs_eig is exactly 0.0 on every route to physicality
@@ -504,6 +518,119 @@ class TestExactBoundaries:
         check = check_unsteerable_ab(cm, tol=0.0)
         assert check.matrix_ok and check.det_ok
         assert check.det_ratio == 0.25 and check.min_rs_eigenvalue == 0.0
+
+
+class TestRuleBoundaries:
+    """Every test and marker of ``covariance._verdict_rules`` at its edge.
+
+    The kernel is patched, in covariance (the one-CM routes) and in
+    criteria (``stack_verdicts``), to report one witness at an edge,
+    ``centre - band`` or ``centre + band``, and one ulp below and above
+    it, as a stack of three members that ``_MARK`` tells apart. Each
+    route must decide as the rule says: ``certify``, ``stack_verdicts``,
+    ``validate_bona_fide`` and ``check_unsteerable_*``. The band is the
+    rules' own, max(tol, ``covariance._BAND_PER_NORM`` max|V|), once set by
+    tol and once by the CM's entries; with powers of two every edge is
+    exact.
+    """
+
+    _MARK = 2.0**-40  # member i carries i * _MARK in its (0, 2) entry
+    # far from every threshold: physical, PPT, separable, unsteerable
+    _BASE = dict(factored=True, min_rs_eig=1.0, nu_min=1.5, nu_min_pt=1.5, det_ratio_ab=2.25,
+                 rs_ab=1.0, det_ratio_ba=2.25, rs_ba=1.0, schur_nu_min=1.5)
+    # (tol, the CM's entries): the band is tol, 8 eps * 0.5 and 8 eps * 2^20
+    BANDS = [(2.0**-30, 0.5), (0.0, 0.5), (2.0**-30, 2.0**20)]
+    T, F = True, False
+    # (witness, edge as a function of (band, n_alice), other injected
+    # witnesses, expected (at, one ulp below, one ulp above) per output)
+    CASES = {
+        "physical": ("min_rs_eig", lambda b, na: -b, {}, {"physical": (T, F, T), "rs_ur": (T, F, T)}),
+        "ppt": ("nu_min_pt", lambda b, na: 0.5 - b, {}, {"ppt": (T, F, T), "marginal_ppt": (T, F, T)}),
+        "marginal_ppt": ("nu_min_pt", lambda b, na: 0.5 + b, {}, {"ppt": (T, T, T), "marginal_ppt": (T, T, F)}),
+        "sep_plus": ("nu_min_pt", lambda b, na: (1.0 - b) / 2, {}, {"separable": (T, F, T), "ppt": (T, T, T)}),
+        "sep_minus": ("nu_min", lambda b, na: (1.0 - b) / 2, {}, {"separable": (T, F, T)}),
+        # non-PPT, so that steering is no self-check failure; rs_ab < 0
+        # agrees with the determinant test wherever the marker is off
+        "steerable_ab": ("det_ratio_ab", lambda b, na: 0.25 - b, {"nu_min_pt": 0.1, "rs_ab": -1.0},
+                         {"steerable_ab": (F, T, F), "marginal_ab": (T, F, T), "ab_det": (T, F, T)}),
+        "marginal_ab_det": ("det_ratio_ab", lambda b, na: 0.25 + b, {"nu_min_pt": 0.1},
+                            {"steerable_ab": (F, F, F), "marginal_ab": (T, T, F), "ab_det": (T, T, T)}),
+        "rs_ab_low": ("rs_ab", lambda b, na: -b, {"nu_min_pt": 0.1, "det_ratio_ab": 0.1},
+                      {"steerable_ab": (T, T, T), "marginal_ab": (T, F, T), "ab_matrix": (T, F, T)}),
+        "rs_ab_high": ("rs_ab", lambda b, na: b, {}, {"marginal_ab": (T, T, F), "ab_matrix": (T, T, T)}),
+        "steerable_ba": ("rs_ba", lambda b, na: -b, {"nu_min_pt": 0.1},
+                         {"steerable_ba": (F, T, F), "marginal_ba": (T, F, T), "ba_matrix": (T, F, T)}),
+        "marginal_ba": ("rs_ba", lambda b, na: b, {}, {"steerable_ba": (F, F, F), "marginal_ba": (T, T, F)}),
+        "ba_det": ("det_ratio_ba", lambda b, na: 0.25**na - b, {}, {"ba_det": (T, F, T), "ba_matrix": (T, T, T)}),
+    }
+    # how each output is read from a verdict (certify), from row i of a
+    # StackVerdicts, or from the one-CM checks
+    VERDICT = {"physical": "physical", "ppt": "ppt", "separable": "separable_necessary_met",
+               "steerable_ab": "steerable_a_to_b", "steerable_ba": "steerable_b_to_a"}
+    STACK = {"physical": "physical", "ppt": "ppt", "separable": "separable_ok", "steerable_ab": "steerable_ab",
+             "steerable_ba": "steerable_ba", "marginal_ppt": "marginal_ppt", "marginal_ab": "marginal_ab",
+             "marginal_ba": "marginal_ba"}
+    CHECKS = {"rs_ur": lambda cm, tol: validate_bona_fide(cm, tol=tol).rs_ur_satisfied,
+              "ab_matrix": lambda cm, tol: check_unsteerable_ab(cm, tol=tol).matrix_ok,
+              "ab_det": lambda cm, tol: check_unsteerable_ab(cm, tol=tol).det_ok,
+              "ba_matrix": lambda cm, tol: check_unsteerable_ba(cm, tol=tol).matrix_ok,
+              "ba_det": lambda cm, tol: check_unsteerable_ba(cm, tol=tol).det_ok}
+
+    def _members(self, n, scale):
+        members = []
+        for i in range(3):
+            m = scale * np.eye(2 * n)
+            m[0, 2] = m[2, 0] = i * self._MARK
+            members.append(CovarianceMatrix(m))
+        return members
+
+    def _patch(self, monkeypatch, witnesses):
+        def kernel(v):
+            i = np.rint(v[:, 0, 2] / self._MARK).astype(int)
+            return covariance._StackWitnesses(**{key: np.asarray(x)[i] for key, x in witnesses.items()})
+
+        for module in (covariance, criteria):
+            monkeypatch.setattr(module, "_stack_witnesses", kernel)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("tol, scale", BANDS)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_edge(self, monkeypatch, case, tol, scale, n):
+        field, edge, others, want = self.CASES[case]
+        band = max(tol, covariance._BAND_PER_NORM * scale)
+        x = edge(band, n - 1)
+        points = [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        witnesses = {key: [value] * 3 for key, value in {**self._BASE, **others}.items()}
+        witnesses[field] = points
+        self._patch(monkeypatch, witnesses)
+        members = self._members(n, scale)
+        sv = stack_verdicts(members, tol=tol)
+        for i, cm in enumerate(members):
+            v = certify(cm, tol=tol)
+            for output, expected in want.items():
+                if output in self.CHECKS:
+                    got = [self.CHECKS[output](cm, tol)]
+                else:
+                    got = [getattr(sv, self.STACK[output])[i]]
+                    got.append(getattr(v, self.VERDICT[output]) if output in self.VERDICT else output in v.witnesses)
+                assert got == [expected[i]] * len(got), (output, i)
+
+    @pytest.mark.parametrize("tol, scale", BANDS)
+    def test_ab_self_check_edge(self, monkeypatch, tol, scale):
+        # the determinant test passes far from 1/4; the matrix test fails
+        # one ulp below -band, where the marker is off too, and only there
+        band = max(tol, covariance._BAND_PER_NORM * scale)
+        witnesses = {key: [value] * 3 for key, value in self._BASE.items()}
+        witnesses["rs_ab"] = [-band, math.nextafter(-band, -math.inf), math.nextafter(-band, math.inf)]
+        self._patch(monkeypatch, witnesses)
+        members = self._members(2, scale)
+        with pytest.raises(VerdictConsistencyError, match="member 1 of the stack"):
+            stack_verdicts(members, tol=tol)
+        with pytest.raises(VerdictConsistencyError, match="A->B"):
+            certify(members[1], tol=tol)
+        for cm in members[0::2]:
+            v = certify(cm, tol=tol)
+            assert "marginal_ab" in v.witnesses and v.steerable_a_to_b is False
 
 
 class TestNoisyTmsvPhaseDiagram:
@@ -579,6 +706,36 @@ class TestHeavySqueezing:
         v = certify(tmsv(r))
         assert not v.physical
         assert set(v.witnesses) == {"min_rs_eig"}
+
+    def test_pure_tmsv_grid_entangled_and_steerable(self):
+        """Every pure TMSV with r in (0, 9] is physical, non-PPT and
+        steerable both ways, on both routes. This holds by the band, not
+        exactly: the kernel's min_rs_eig of a pure TMSV, exactly 0, rounds
+        down to -6.5 eps max|V|, past an absolute 1e-9 from r = 7.64."""
+        rs = 0.005 * np.arange(1, 1801)
+        sv = stack_verdicts(GeneratorSpec("tmsv").build_stack("r", rs))
+        assert sv.physical.all() and not sv.ppt.any()
+        assert sv.steerable_ab.all() and sv.steerable_ba.all()
+        for r in rs:
+            v = certify(tmsv(float(r)))
+            assert (v.physical, v.ppt, v.steerable_a_to_b, v.steerable_b_to_a) == (True, False, True, True), r
+
+    def test_one_cm_checks_agree_with_certify(self):
+        # tmsv(r) for r in [7, 9] under a local squeeze and rotation: the
+        # one-CM checks decide by certify's rules and band, so they agree
+        # with it wherever the band matters
+        rng = np.random.default_rng(20261019)
+        physical = 0
+        for r in np.linspace(7.0, 9.0, 201):
+            for _ in range(3):
+                cm = rotated_and_squeezed(tmsv(float(r)), rng)
+                v = certify(cm)
+                assert validate_bona_fide(cm).bona_fide == v.physical
+                if v.physical:
+                    physical += 1
+                    assert check_unsteerable_ab(cm).det_ok is not v.steerable_a_to_b
+                    assert check_unsteerable_ba(cm).matrix_ok is not v.steerable_b_to_a
+        assert physical > 500
 
     def test_rs_band_at_7_6398(self):
         # min_rs_eig is -1.05e-9 here, past an absolute 1e-9 band but inside
