@@ -4,7 +4,6 @@ covariance matrices."""
 
 from .covariance import (
     CovarianceMatrix,
-    NotStandardFormError,
     Partition,
     StandardForm,
     TwoModeStandardParams,

@@ -20,8 +20,7 @@ import time
 
 import numpy as np
 
-from .covariance import CovarianceMatrix, NotStandardFormError, resolve_tolerance, split_standard
-from .covariance import standard_form_reduce_two_mode
+from .covariance import CovarianceMatrix, resolve_tolerance, split_standard, standard_form_reduce_two_mode
 from .criteria import WITNESS_KEYS, certify, stack_verdicts
 from .optimize import (
     FUNCTIONALS,
@@ -257,15 +256,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _standardize(cm: CovarianceMatrix, tol: float):
-    """The standard form the oracle's functionals are defined on; a
-    two-mode CM that is not in it is first reduced by local symplectics."""
-    try:
-        return split_standard(cm, tol=tol)
-    except NotStandardFormError:
-        if cm.n_modes != 2:
-            raise
-    _, s = standard_form_reduce_two_mode(cm, tol=tol)
-    return split_standard(CovarianceMatrix(s @ cm.matrix @ s.T), tol=tol)
+    """The standard form the oracle's functionals are defined on: every
+    two-mode CM is first reduced by local symplectics, in standard form or
+    not, and a CM of three or more modes must already be in it."""
+    if cm.n_modes == 2:
+        _, s = standard_form_reduce_two_mode(cm, tol=tol)
+        cm = CovarianceMatrix(s @ cm.matrix @ s.T)
+    return split_standard(cm, tol=tol)
 
 
 # the largest gap between the numeric minimum and the closed form that

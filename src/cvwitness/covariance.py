@@ -31,7 +31,6 @@ __all__ = [
     "Partition",
     "TwoModeStandardParams",
     "ValidationReport",
-    "NotStandardFormError",
     "symplectic_form",
     "one_mode_rotation",
     "one_mode_squeeze",
@@ -55,6 +54,11 @@ DEFAULT_TOL = 1e-9
 _BAND_PER_NORM = 8.0 * sys.float_info.epsilon
 
 
+def _band(tol: float, m: np.ndarray) -> float:
+    """The dead band max(tol, 8 eps max|m|) of one CM m, as a Python float."""
+    return max(tol, _BAND_PER_NORM * float(np.abs(m).max()))
+
+
 def resolve_tolerance(tol: float | None, source: str = "tol") -> float:
     """``tol`` as a float, or ``DEFAULT_TOL`` when it is None; a bool, a
     non-real, NaN, infinite or negative one, or one beyond the float range,
@@ -75,21 +79,6 @@ def resolve_tolerance(tol: float | None, source: str = "tol") -> float:
 _SYMMETRY_RTOL = 1e-12
 
 ORDERINGS = ("interleaved", "block")
-
-
-class NotStandardFormError(ValueError):
-    """Raised when a CM expected in standard form has q-p cross covariances.
-
-    The offending magnitude is stored in ``max_qp_entry``.
-    """
-
-    def __init__(self, max_qp_entry: float, tol: float):
-        self.max_qp_entry = float(max_qp_entry)
-        self.tol = float(tol)
-        super().__init__(
-            f"matrix is not in standard form: largest |sigma(q, p)| entry is "
-            f"{self.max_qp_entry:.3e} (tolerance {self.tol:.1e})"
-        )
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -427,8 +416,9 @@ def partial_transpose_bob(V: CovarianceMatrix) -> CovarianceMatrix:
 def split_standard(V, tol: float | None = None) -> StandardForm:
     """Split a standard-form CM into its position and momentum blocks.
 
-    Raises NotStandardFormError when any sigma(q, p) entry exceeds tol
-    (``resolve_tolerance``: None reads as DEFAULT_TOL). The determinant
+    Raises ValueError when any sigma(q, p) entry exceeds the dead band
+    that certify decides within, max(tol, 8 eps max|V|), with tol read by
+    ``resolve_tolerance`` (None is DEFAULT_TOL). The determinant
     factorizes: det V = det(vq) * det(vp).
     """
     tol = resolve_tolerance(tol)
@@ -438,9 +428,12 @@ def split_standard(V, tol: float | None = None) -> StandardForm:
     qi = np.arange(0, 2 * n, 2)
     pi = np.arange(1, 2 * n, 2)
     qp = V.matrix[np.ix_(qi, pi)]
-    worst = np.abs(qp).max()
-    if worst > tol:
-        raise NotStandardFormError(worst, tol)
+    worst, band = np.abs(qp).max(), _band(tol, V.matrix)
+    if worst > band:
+        raise ValueError(
+            f"matrix is not in standard form: largest |sigma(q, p)| entry is "
+            f"{worst:.3e} (tolerance {band:.1e})"
+        )
     return StandardForm(vq=V.matrix[np.ix_(qi, qi)], vp=V.matrix[np.ix_(pi, pi)])
 
 
@@ -653,9 +646,18 @@ def _decide(m: np.ndarray, tol: float, n_alice: int):
     max(tol, 8 eps max|m|), so that every test and flag is a Python bool.
     ``validate_bona_fide``, ``criteria.certify`` and
     ``optimize.check_unsteerable_*`` all decide through it."""
-    band = max(tol, _BAND_PER_NORM * float(np.abs(m).max()))
+    band = _band(tol, m)
     kernel = _stack_witnesses(m[None])
     return kernel, _verdict_rules(_StackWitnesses(*[a.item() for a in kernel]), band, n_alice, math.sqrt)
+
+
+def _decide_stack(v: np.ndarray, tol: float):
+    """``_decide`` for a whole validated stack ``v`` of bipartite CMs at
+    once: the rules run on the kernel's (k,) arrays, each member within the
+    band it gets alone. ``criteria.stack_verdicts`` decides through it."""
+    band = np.maximum(tol, _BAND_PER_NORM * np.abs(v).max(axis=(1, 2)))
+    kernel = _stack_witnesses(v)
+    return kernel, _verdict_rules(kernel, band, v.shape[1] // 2 - 1, np.sqrt)
 
 
 def aitken_factorize(V: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -727,14 +729,15 @@ def standard_form_reduce_two_mode(
     c >= |d|. Where s1 and s2 tie (as for every TMSV), rounding can
     leave |d| above c by an ulp or two; params clamps d into [-c, c].
     Local symplectics preserve the symplectic spectrum. The bona fide
-    check uses max(tol, DEFAULT_TOL), with tol read by ``resolve_tolerance``.
+    check is certify's: ``validate_bona_fide`` with tol (read by
+    ``resolve_tolerance``), within the dead band max(tol, 8 eps max|V|).
     """
     tol = resolve_tolerance(tol)
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     if V.n_modes != 2:
         raise ValueError(f"expected a two-mode CM, got {V.n_modes} modes")
-    report = validate_bona_fide(V, tol=max(tol, DEFAULT_TOL))
+    report = validate_bona_fide(V, tol=tol)
     if not report.bona_fide:
         raise ValueError(
             f"input CM is not bona fide (min RS eigenvalue {report.min_rs_eigenvalue:.3e})"

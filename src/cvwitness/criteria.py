@@ -5,22 +5,20 @@ PPT/separability, and one-way steerability in both directions.
 one, in standard form or not: it reads only local symplectic invariants
 (Simon, PRL 84, 2726, 2000; Wiseman, Jones and Doherty, PRL 98, 140402,
 2007), all from Cholesky factors of V in one private kernel,
-``covariance._stack_witnesses``. Every flag is decided by the verdict
-rules beside the kernel, ``covariance._verdict_rules``, which compare
-each witness with its threshold within the dead band max(tol,
-8 eps max|V|): the tolerance, or the kernel's rounding on a CM with
-large entries, whichever is larger. ``validate_bona_fide`` and
-``check_unsteerable_*`` decide through the same rules. The kernel runs
-on a whole stack of CMs at once: ``stack_verdicts`` returns the flags
-and witnesses as arrays, and ``certify_many`` turns them into one
-verdict per member. ``certify`` runs the same kernel on a stack of one
-and the same rules on its witnesses as Python floats. The A->B steering
-call uses the determinant ratio det V / det V_A against 1/4, which is
-exactly equivalent to the matrix condition when Bob holds one mode;
-both are computed and any disagreement outside the dead band raises, as
-an internal self-check. The B->A call uses the Schur-complement matrix
-condition, which is strictly stronger than its determinant counterpart
-when N > 1.
+``covariance._stack_witnesses``. Every flag is decided in covariance,
+by the verdict rules beside the kernel, which compare each witness with
+its threshold within one dead band: the tolerance, or the kernel's
+rounding on a CM with large entries, whichever is larger. ``certify``
+decides one CM on Python floats (``covariance._decide``), and
+``stack_verdicts`` a stack on (k,) arrays (``covariance._decide_stack``);
+``certify_many`` turns those into one verdict per member.
+``validate_bona_fide``, ``split_standard`` and ``check_unsteerable_*``
+use the same band. The A->B steering call uses the determinant ratio
+det V / det V_A against 1/4, which is exactly equivalent to the matrix
+condition when Bob holds one mode; both are computed and any
+disagreement outside the dead band raises, as an internal self-check.
+The B->A call uses the Schur-complement matrix condition, which is
+strictly stronger than its determinant counterpart when N > 1.
 """
 
 from __future__ import annotations
@@ -32,13 +30,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariance import (
-    _BAND_PER_NORM,
     CovarianceMatrix,
     TwoModeStandardParams,
     _decide,
-    _stack_witnesses,
+    _decide_stack,
     _StackWitnesses,
-    _verdict_rules,
     resolve_tolerance,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
@@ -171,8 +167,8 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
         V: covariance matrix, Bob = last mode, in standard form or not.
         tol: the floor of the dead band for all comparisons, finite and
             >= 0 (default ``covariance.DEFAULT_TOL``, 1e-9). The band is
-            max(tol, 8 eps max|V|), so rounding in the kernel, which
-            reaches 6.5 eps max|V| on a pure TMSV whose exact
+            the larger of tol and 8 eps max|V|, so rounding in the kernel,
+            which reaches 6.5 eps max|V| on a pure TMSV whose exact
             ``min_rs_eig`` is 0, flips no flag.
 
     A CM whose Cholesky factorization fails is refused as non-physical.
@@ -223,9 +219,10 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     mode. Members of a sequence are wrapped in ``CovarianceMatrix``
     unless they are one already.
 
-    The witnesses of the whole stack come from one batched kernel
-    (``covariance._stack_witnesses``), and the verdict rules ``certify``
-    applies to one CM's floats run once on its (k,) arrays. A member
+    The stack is decided in covariance (``covariance._decide_stack``):
+    one batched kernel gives the witnesses of the whole stack, and the
+    verdict rules ``certify`` applies to one CM's floats run once on its
+    (k,) arrays, each member within the dead band it gets alone. A member
     whose factorization fails is refused as non-physical without
     affecting the others. Both self-checks look at physical members only
     and raise ``VerdictConsistencyError``, naming the first member whose
@@ -248,9 +245,7 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
         v = np.array([cm.matrix for cm in cms])
     if not len(v):
         return StackVerdicts(np.zeros((0, 8), dtype=bool), np.zeros((0, len(WITNESS_KEYS))))
-    kernel = _stack_witnesses(v)
-    band = np.maximum(tol, _BAND_PER_NORM * np.abs(v).max(axis=(1, 2)))
-    values, flags, ab_disagree, ppt_steers, *_ = _verdict_rules(kernel, band, v.shape[1] // 2 - 1, np.sqrt)
+    kernel, (values, flags, ab_disagree, ppt_steers, *_) = _decide_stack(v, tol)
     if np.count_nonzero(ab_disagree | ppt_steers):
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)
     return StackVerdicts(np.array(flags).T, np.array(values).T)

@@ -20,6 +20,7 @@ from cvwitness import (
 )
 from cvwitness import cli
 from cvwitness.cli import main, render_json
+from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze
 from cvwitness.optimize import FUNCTIONALS
 from conftest import noisy_tmsv_phase_diagram, rotated, rotated_and_squeezed
 
@@ -538,6 +539,22 @@ class TestOracle:
         assert rec_moved["closed_form"] == pytest.approx(rec["closed_form"], abs=1e-12)
         assert rec_moved["numeric_min"] == pytest.approx(rec["numeric_min"], abs=1e-9)
         assert rec_moved["agreement_closed_form"] is True
+
+    def test_heavily_squeezed_off_standard_form_reduced(self, capsys, tmp_path):
+        # tmsv(8.5) under the local squeeze and rotation the CI applies to
+        # tmsv(0.5): the reduction leaves a q-p residue of 2e-9, past the 1e-9
+        # tolerance but inside the band 8 eps max|V|, and the oracle exited 1
+        # there when split_standard held it to the tolerance alone
+        s = local_direct_sum([one_mode_rotation(0.7) @ one_mode_squeeze(0.3), np.eye(2)])
+        moved = CovarianceMatrix(s @ tmsv(8.5).matrix @ s.T)
+        argv = ["--functional", "steer_ab"]
+        code, out, err = run(capsys, "oracle", write_cm(tmp_path, moved), *argv)
+        assert code == 0, err
+        code_std, out_std, _ = run(capsys, "oracle", write_cm(tmp_path, tmsv(8.5), "std.json"), *argv)
+        assert code_std == 0
+        rec, rec_std = json.loads(out), json.loads(out_std)
+        assert rec["agreement_closed_form"] is rec["agreement_numeric_brute"] is True
+        assert rec["closed_form"] == pytest.approx(rec_std["closed_form"], abs=1e-8)
 
     @pytest.mark.parametrize("functional", FUNCTIONALS)
     @pytest.mark.parametrize("nu", [(0.3, 1.0), (1.4, 0.3, 1.0)])

@@ -5,7 +5,6 @@ import pytest
 
 from cvwitness import (
     CovarianceMatrix,
-    NotStandardFormError,
     StandardForm,
     TwoModeStandardParams,
     aitken_factorize,
@@ -30,7 +29,9 @@ from cvwitness import (
     validate_bona_fide,
     validate_stack,
 )
+from cvwitness import covariance
 from cvwitness.covariance import (
+    DEFAULT_TOL,
     _stack_witnesses,
     local_direct_sum,
     one_mode_rotation,
@@ -429,9 +430,21 @@ class TestSplitStandard:
     def test_rejects_qp_correlations(self):
         m = 0.5 * np.eye(4)
         m[0, 3] = m[3, 0] = 0.1
-        with pytest.raises(NotStandardFormError) as err:
+        want = r"not in standard form: largest \|sigma\(q, p\)\| entry is 1\.000e-01"
+        with pytest.raises(ValueError, match=want):
             split_standard(CovarianceMatrix(m), tol=1e-9)
-        assert err.value.max_qp_entry == pytest.approx(0.1)
+
+    def test_band_edge(self):
+        # the q-p entries are held to certify's dead band: with max|V| = 2^20
+        # it is 8 eps 2^20 = 2^-29, above the default tolerance, and exact
+        band = covariance._BAND_PER_NORM * 2.0**20
+        assert band == 2.0**-29 > DEFAULT_TOL
+        m = np.diag([2.0**20, 1.0, 1.0, 1.0])
+        m[0, 3] = m[3, 0] = band
+        split_standard(CovarianceMatrix(m))
+        m[0, 3] = m[3, 0] = np.nextafter(band, np.inf)
+        with pytest.raises(ValueError, match="not in standard form"):
+            split_standard(CovarianceMatrix(m))
 
     def test_det_factorization(self, assorted_cms):
         for cm in assorted_cms:

@@ -30,7 +30,7 @@ from cvwitness import (
     vacuum,
     validate_bona_fide,
 )
-from cvwitness import GeneratorSpec, covariance, criteria
+from cvwitness import GeneratorSpec, covariance
 from cvwitness.covariance import DEFAULT_TOL, one_mode_rotation, one_mode_squeeze
 from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
 from conftest import noisy_tmsv_phase_diagram, product_cm, rotated, rotated_and_squeezed
@@ -95,11 +95,10 @@ class TestCertifyReferenceStates:
     def test_ppt_steering_self_check(self, monkeypatch, k, route):
         # a PPT member is separable, hence unsteerable both ways; a steering
         # flag on one means the witnesses are wrong, and certify raises
-        w = criteria._stack_witnesses(np.stack([vacuum(2).matrix] * k))
+        w = covariance._stack_witnesses(np.stack([vacuum(2).matrix] * k))
         rs_ba = w.rs_ba.copy()
         rs_ba[k // 2] = -1.0
-        for module in (covariance, criteria):
-            monkeypatch.setattr(module, "_stack_witnesses", lambda v: w._replace(rs_ba=rs_ba))
+        monkeypatch.setattr(covariance, "_stack_witnesses", lambda v: w._replace(rs_ba=rs_ba))
         with pytest.raises(VerdictConsistencyError, match="PPT"):
             route(vacuum(2))
 
@@ -109,13 +108,12 @@ class TestCertifyReferenceStates:
         # with Bob holding one mode the A->B determinant and matrix forms are
         # equivalent; a physical member on which they disagree outside the
         # dead band means the witnesses are wrong, and certify raises
-        w = criteria._stack_witnesses(np.stack([vacuum(2).matrix] * k))
+        w = covariance._stack_witnesses(np.stack([vacuum(2).matrix] * k))
         det_ratios, rs = w.det_ratio_ab.copy(), w.rs_ab.copy()
         det_ratios[k // 2], rs[k // 2] = det_ratio_ab, rs_ab
-        for module in (covariance, criteria):
-            monkeypatch.setattr(
-                module, "_stack_witnesses", lambda v: w._replace(det_ratio_ab=det_ratios, rs_ab=rs)
-            )
+        monkeypatch.setattr(
+            covariance, "_stack_witnesses", lambda v: w._replace(det_ratio_ab=det_ratios, rs_ab=rs)
+        )
         with pytest.raises(VerdictConsistencyError, match=f"A->B .* member {k // 2} of the stack"):
             route(vacuum(2))
 
@@ -362,7 +360,7 @@ class TestCertifyMany:
         single = [certify(cm) for cm in members]
         many = certify_many(members)
         factor_fail, rs_refused, markers, ppt, ab_only, ba_only = single[:6]
-        assert not criteria._stack_witnesses(members[0].matrix[None]).factored[0]
+        assert not covariance._stack_witnesses(members[0].matrix[None]).factored[0]
         assert not factor_fail.physical and list(factor_fail.witnesses) == ["min_rs_eig"]
         assert not rs_refused.physical and rs_refused.witnesses["min_rs_eig"] < 0
         assert {"marginal_ppt", "marginal_ab", "marginal_ba"} <= set(markers.witnesses)
@@ -523,8 +521,8 @@ class TestExactBoundaries:
 class TestRuleBoundaries:
     """Every test and marker of ``covariance._verdict_rules`` at its edge.
 
-    The kernel is patched, in covariance (the one-CM routes) and in
-    criteria (``stack_verdicts``), to report one witness at an edge,
+    The kernel is patched in covariance, where both the one-CM and the
+    stack routes decide, to report one witness at an edge,
     ``centre - band`` or ``centre + band``, and one ulp below and above
     it, as a stack of three members that ``_MARK`` tells apart. Each
     route must decide as the rule says: ``certify``, ``stack_verdicts``,
@@ -589,8 +587,7 @@ class TestRuleBoundaries:
             i = np.rint(v[:, 0, 2] / self._MARK).astype(int)
             return covariance._StackWitnesses(**{key: np.asarray(x)[i] for key, x in witnesses.items()})
 
-        for module in (covariance, criteria):
-            monkeypatch.setattr(module, "_stack_witnesses", kernel)
+        monkeypatch.setattr(covariance, "_stack_witnesses", kernel)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("tol, scale", BANDS)
