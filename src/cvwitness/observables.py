@@ -21,6 +21,7 @@ matrices from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,6 +82,9 @@ class EprWeights:
             raise ValueError("alpha and beta must be 1-D vectors of equal length")
         if alpha.size < 2:
             raise ValueError("weight vectors need at least two components")
+        for name, w in (("alpha", alpha), ("beta", beta)):
+            if not np.isfinite(w).all():
+                raise ValueError(f"{name} must have finite entries, got {w.tolist()}")
         if alpha.min() < MIN_WEIGHT or beta.min() < MIN_WEIGHT:
             raise ValueError(
                 f"weights must be strictly positive (floor {MIN_WEIGHT:.0e})"
@@ -171,8 +175,9 @@ def reid_product(sf: StandardForm, lam: float, mu: float) -> ReidProduct:
     """
     if sf.n_modes != 2:
         raise ValueError("the Reid product is defined for two-mode states")
-    if lam <= 0 or mu <= 0:
-        raise ValueError("inference gains must be positive")
+    for name, gain in (("lam", lam), ("mu", mu)):
+        if not (math.isfinite(gain) and gain > 0):
+            raise ValueError(f"inference gain {name} must be finite and positive, got {gain!r}")
     dq = np.sqrt(variance_q(sf.vq, [1.0, lam]))
     dp = np.sqrt(variance_p(sf.vp, [1.0, mu], "plus"))
     product = float(dq * dp)

@@ -12,6 +12,7 @@ for bit. Randomized generators are deterministic per seed (numpy PCG64).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,9 +181,15 @@ def random_two_mode_params(
 
     Args:
         seed: RNG seed.
-        d_sign: -1 forces d < 0, +1 forces d > 0, 0 leaves d unconstrained.
-        min_abs_d: lower bound on |d| (useful for sign-rule corpora).
+        d_sign: -1 forces d < 0, +1 forces d > 0, 0 leaves d unconstrained;
+            any other value raises ValueError.
+        min_abs_d: lower bound on |d| (useful for sign-rule corpora),
+            finite and >= 0.
     """
+    if isinstance(d_sign, bool) or d_sign not in (-1, 0, 1):
+        raise ValueError(f"d_sign must be -1, 0 or 1, got {d_sign!r}")
+    if not (math.isfinite(min_abs_d) and min_abs_d >= 0):
+        raise ValueError(f"min_abs_d must be finite and >= 0, got {min_abs_d!r}")
     gen = np.random.default_rng(seed)
     for _ in range(10_000):
         b1, b2 = np.sort(gen.uniform(0.5, 2.5, size=2))[::-1]

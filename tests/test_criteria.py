@@ -140,6 +140,22 @@ class TestCertifyReferenceStates:
         for v in (certify(CovarianceMatrix(m)), certify_many([CovarianceMatrix(m)])[0]):
             assert (v.physical, v.ppt, v.steerable_a_to_b, v.steerable_b_to_a) == (True, True, False, False)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="witness error grows as eps kappa(V), past the band's 8 eps max|V|; ROADMAP item 1, step 1b",
+    )
+    def test_rotated_squeezed_bob_product_state(self):
+        # vacuum and a pure Bob mode rotated by 3 pi/16 and squeezed by 4.5: a
+        # product state, hence PPT and unsteerable both ways, with
+        # det_ratio_ab exactly 1/4 and min_symplectic_eig_pt exactly 1/2. The
+        # kernel reads 0.2499999985 and 0.4999999985: kappa(V) ~ e^(4z) while
+        # max|V| ~ e^(2z), so certify calls it non-PPT and A->B steerable
+        s = one_mode_rotation(3 * np.pi / 16) @ one_mode_squeeze(4.5)
+        m = 0.5 * np.eye(4)
+        m[2:, 2:] = s @ (0.5 * np.eye(2)) @ s.T
+        v = certify(CovarianceMatrix(m))
+        assert (v.physical, v.ppt, v.steerable_a_to_b, v.steerable_b_to_a) == (True, True, False, False)
+
     def test_requires_bipartite(self):
         with pytest.raises(ValueError, match="bipartite"):
             certify(vacuum(1))

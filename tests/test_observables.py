@@ -49,6 +49,16 @@ class TestEprWeights:
     def test_length(self):
         assert len(EprWeights([1, 2, 3], [1, 1, 1])) == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_non_finite_weights_rejected(self, name, bad):
+        # nan < MIN_WEIGHT is False, so the positivity floor let a NaN
+        # weight through, and separability_sum returned NaN
+        weights = {"alpha": [1.0, 1.0], "beta": [1.0, 1.0]}
+        weights[name][0] = bad
+        with pytest.raises(ValueError, match=f"{name} must have finite entries"):
+            EprWeights(**weights)
+
 
 class TestVariances:
     def test_vacuum_no_cross_terms(self):
@@ -167,6 +177,14 @@ class TestReidProduct:
     def test_two_mode_only(self):
         with pytest.raises(ValueError, match="two-mode"):
             reid_product(sf_of(vacuum(3)), 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("name", ["lam", "mu"])
+    def test_bad_gain_rejected(self, name, bad):
+        # a NaN gain gave a NaN product and paradox False
+        gains = {"lam": 1.0, "mu": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"inference gain {name} must be finite and positive"):
+            reid_product(sf_of(tmsv(0.5)), **gains)
 
 
 class TestNormalizedSums:

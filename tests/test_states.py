@@ -143,6 +143,18 @@ class TestRandomTwoModeParams:
         for s in range(20):
             assert abs(random_two_mode_params(seed=s, min_abs_d=1e-3).d) >= 1e-3
 
+    @pytest.mark.parametrize("bad", [2, 0.5, -2, True, np.nan])
+    def test_bad_d_sign_rejected(self, bad):
+        # 2 and 0.5 used to mean +1 silently
+        with pytest.raises(ValueError, match="d_sign must be -1, 0 or 1"):
+            random_two_mode_params(d_sign=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3], ids=["nan", "inf", "negative"])
+    def test_bad_min_abs_d_rejected(self, bad):
+        # NaN used to fail inside numpy with an OverflowError
+        with pytest.raises(ValueError, match="min_abs_d must be finite and >= 0"):
+            random_two_mode_params(min_abs_d=bad)
+
 
 class TestGeneratorSpec:
     def test_dispatch(self):
