@@ -424,17 +424,14 @@ def split_standard(V, tol: float | None = None) -> StandardForm:
     tol = resolve_tolerance(tol)
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
-    n = V.n_modes
-    qi = np.arange(0, 2 * n, 2)
-    pi = np.arange(1, 2 * n, 2)
-    qp = V.matrix[np.ix_(qi, pi)]
-    worst, band = np.abs(qp).max(), _band(tol, V.matrix)
+    m = V.matrix
+    worst, band = np.abs(m[0::2, 1::2]).max(), _band(tol, m)
     if worst > band:
         raise ValueError(
             f"matrix is not in standard form: largest |sigma(q, p)| entry is "
             f"{worst:.3e} (tolerance {band:.1e})"
         )
-    return StandardForm(vq=V.matrix[np.ix_(qi, qi)], vp=V.matrix[np.ix_(pi, pi)])
+    return StandardForm(vq=m[0::2, 0::2], vp=m[1::2, 1::2])
 
 
 def partition(V: CovarianceMatrix) -> Partition:

@@ -83,12 +83,8 @@ class EprWeights:
         if alpha.size < 2:
             raise ValueError("weight vectors need at least two components")
         for name, w in (("alpha", alpha), ("beta", beta)):
-            if not np.isfinite(w).all():
-                raise ValueError(f"{name} must have finite entries, got {w.tolist()}")
-        if alpha.min() < MIN_WEIGHT or beta.min() < MIN_WEIGHT:
-            raise ValueError(
-                f"weights must be strictly positive (floor {MIN_WEIGHT:.0e})"
-            )
+            if not (np.isfinite(w).all() and w.min() >= MIN_WEIGHT):
+                raise ValueError(f"{name} must be finite and strictly positive (floor {MIN_WEIGHT:.0e})")
 
     def __len__(self) -> int:
         return self.alpha.size

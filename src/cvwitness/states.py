@@ -181,10 +181,8 @@ def random_two_mode_params(
 
     Args:
         seed: RNG seed.
-        d_sign: -1 forces d < 0, +1 forces d > 0, 0 leaves d unconstrained;
-            any other value raises ValueError.
-        min_abs_d: lower bound on |d| (useful for sign-rule corpora),
-            finite and >= 0.
+        d_sign: -1 forces d < 0, +1 forces d > 0, 0 leaves d unconstrained.
+        min_abs_d: lower bound on |d|, finite and >= 0 (for sign-rule corpora).
     """
     if isinstance(d_sign, bool) or d_sign not in (-1, 0, 1):
         raise ValueError(f"d_sign must be -1, 0 or 1, got {d_sign!r}")

@@ -56,7 +56,7 @@ class TestEprWeights:
         # weight through, and separability_sum returned NaN
         weights = {"alpha": [1.0, 1.0], "beta": [1.0, 1.0]}
         weights[name][0] = bad
-        with pytest.raises(ValueError, match=f"{name} must have finite entries"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
             EprWeights(**weights)
 
 
