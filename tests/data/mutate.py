@@ -94,7 +94,6 @@ def main() -> int:
             print(f"{'SURVIVED' if survived else 'killed  '}  {name}  ({time.perf_counter() - start:.1f} s)")
             if survived:
                 survivors.append(name)
-        (copy / TARGET).write_text(source)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
     for name in survivors:
         print(f"survivor: {name}")
