@@ -15,7 +15,6 @@ from .covariance import (
     split_standard,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
-    symplectic_form,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
     validate_bona_fide,
@@ -36,7 +35,6 @@ from .observables import (
     euler_identity_terms,
     reid_product,
     separability_sum,
-    separability_sum_gradient,
     steering_sum_ab,
     steering_sum_ba,
     uncertainty_sum_check,

@@ -81,16 +81,6 @@ _SYMMETRY_RTOL = 1e-12
 ORDERINGS = ("interleaved", "block")
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form J = diag([[0, 1], [-1, 0]], ...) in
-    mode-interleaved ordering."""
-    j1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = j1
-    return out
-
-
 def one_mode_rotation(theta: float) -> np.ndarray:
     """2x2 symplectic phase rotation of a single mode."""
     c, s = np.cos(theta), np.sin(theta)
@@ -110,6 +100,18 @@ def local_direct_sum(blocks) -> np.ndarray:
     for k, blk in enumerate(blocks):
         out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blk
     return out
+
+
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Standard symplectic form J = diag([[0, 1], [-1, 0]], ...) in
+    mode-interleaved ordering."""
+    return local_direct_sum([[[0.0, 1.0], [-1.0, 0.0]]] * n_modes)
+
+
+def _require_bipartite(n_modes: int) -> None:
+    """Refuse a mode count with no bipartition: Alice needs a mode of her own."""
+    if n_modes < 2:
+        raise ValueError(f"needs a bipartite CM of two or more modes, got {n_modes}")
 
 
 def _require_2n(size: int) -> None:
@@ -134,18 +136,24 @@ def _real_finite(m: np.ndarray, member: str) -> np.ndarray:
     return m
 
 
+def _symmetric(m: np.ndarray) -> np.ndarray:
+    """Whether each member m_i of a finite float stack m of shape (k, d, d)
+    is symmetric to _SYMMETRY_RTOL relative to max(|m_i|, 1), as a (k,)
+    bool array."""
+    scale = np.abs(m).max(axis=(1, 2)).clip(1.0)
+    return np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2)) <= _SYMMETRY_RTOL * scale
+
+
 def _validated(m: np.ndarray, member: str) -> np.ndarray:
     """The symmetrized float stack 0.5 (m + m^T) of a stack m of
     2n x 2n members that ``_real_finite`` accepts, after checking that
-    each member is symmetric to _SYMMETRY_RTOL relative to max(|m_i|, 1)."""
+    each member is ``_symmetric``."""
     _require_2n(m.shape[-1])
     m = _real_finite(m, member)
-    m_t = m.transpose(0, 2, 1)
-    scale = np.abs(m).max(axis=(1, 2)).clip(1.0)
-    asymmetric = np.abs(m - m_t).max(axis=(1, 2)) > _SYMMETRY_RTOL * scale
-    if asymmetric.any():
-        raise ValueError(f"{member.format(int(asymmetric.argmax()))} is not symmetric")
-    return 0.5 * (m + m_t)
+    symmetric = _symmetric(m)
+    if not symmetric.all():
+        raise ValueError(f"{member.format(int(symmetric.argmin()))} is not symmetric")
+    return 0.5 * (m + m.transpose(0, 2, 1))
 
 
 def validate_stack(stack) -> np.ndarray:
@@ -189,8 +197,7 @@ class CovarianceMatrix:
         return self.n_modes - 1
 
     def require_bipartite(self) -> None:
-        if self.n_modes < 2:
-            raise ValueError("operation needs a bipartite CM of two or more modes")
+        _require_bipartite(self.n_modes)
 
     def to_dict(self) -> dict:
         return {
@@ -238,6 +245,15 @@ class CovarianceMatrix:
         return f"CovarianceMatrix(n_modes={self.n_modes}, matrix={self.matrix!r})"
 
 
+def _interleaved(vq, vp) -> CovarianceMatrix:
+    """The CM with position block vq, momentum block vp and no sigma(q, p)
+    entries, written by the strided slices that ``split_standard`` reads."""
+    n = len(vq)
+    m = np.zeros((2 * n, 2 * n))
+    m[0::2, 0::2], m[1::2, 1::2] = vq, vp
+    return CovarianceMatrix(m)
+
+
 @dataclass(frozen=True)
 class StandardForm:
     """Standard-form CM stored as the pair of (N+1) x (N+1) blocks in
@@ -266,8 +282,7 @@ class StandardForm:
             )
         object.__setattr__(self, "n_alice", self.n_modes - 1)
         for name, blk in (("vq", vq), ("vp", vp)):
-            scale = max(np.abs(blk).max(), 1.0)
-            if np.abs(blk - blk.T).max() > _SYMMETRY_RTOL * scale:
+            if not _symmetric(blk[None])[0]:
                 raise ValueError(f"{name} block is not symmetric")
             np.linalg.cholesky(blk)  # LinAlgError unless positive definite
 
@@ -276,11 +291,7 @@ class StandardForm:
         return self.vq.shape[0]
 
     def to_covariance_matrix(self) -> CovarianceMatrix:
-        n = self.n_modes
-        full = np.zeros((2 * n, 2 * n))
-        full[:n, :n] = self.vq
-        full[n:, n:] = self.vp
-        return CovarianceMatrix(full, ordering="block")
+        return _interleaved(self.vq, self.vp)
 
 
 class Partition(NamedTuple):
@@ -311,24 +322,15 @@ class TwoModeStandardParams:
         if not self.c >= abs(self.d) - slack:
             raise ValueError(f"need c >= |d|, got c={self.c}, d={self.d}")
 
-    def to_covariance_matrix(self) -> CovarianceMatrix:
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
         b1, b2, c, d = self.b1, self.b2, self.c, self.d
-        m = np.array(
-            [
-                [b1, 0.0, c, 0.0],
-                [0.0, b1, 0.0, d],
-                [c, 0.0, b2, 0.0],
-                [0.0, d, 0.0, b2],
-            ]
-        )
-        return CovarianceMatrix(m)
+        return np.array([[b1, c], [c, b2]]), np.array([[b1, d], [d, b2]])
+
+    def to_covariance_matrix(self) -> CovarianceMatrix:
+        return _interleaved(*self._blocks())
 
     def to_standard_form(self) -> StandardForm:
-        b1, b2, c, d = self.b1, self.b2, self.c, self.d
-        return StandardForm(
-            vq=np.array([[b1, c], [c, b2]]),
-            vp=np.array([[b1, d], [d, b2]]),
-        )
+        return StandardForm(*self._blocks())
 
 
 @dataclass(frozen=True)
@@ -351,37 +353,33 @@ class ValidationReport:
         return self.symmetric and self.positive_definite and self.rs_ur_satisfied
 
 
-def _as_matrix(V) -> np.ndarray:
-    """The matrix of a CovarianceMatrix, or a raw 2n x 2n array as floats
-    after ``_real_finite``'s checks, not symmetrized."""
-    if isinstance(V, CovarianceMatrix):
-        return V.matrix
-    m = np.asarray(V)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
-    _require_2n(m.shape[0])
-    return _real_finite(m[None], "matrix")[0]
-
-
 def validate_bona_fide(V, tol: float | None = None) -> ValidationReport:
     """Check symmetry, positive definiteness and the matrix uncertainty
     relation V + (i/2) J >= 0 for a candidate covariance matrix.
 
     Accepts a CovarianceMatrix or a raw real, finite 2n x 2n array in
-    interleaved ordering. The symmetric part of V is decided as certify
-    decides it (``_decide``): V is positive definite when the kernel's
-    Cholesky factorization succeeds, and the verdict rules' RS test reads
-    the smallest eigenvalue of V + (i/2) J, which is meaningful even for
-    singular V. Pure Gaussians sit exactly at zero, hence the dead band
-    max(tol, 8 eps max|V|), as in certify. tol is read by
-    ``resolve_tolerance`` (None is DEFAULT_TOL), and the report's ``tol``
-    is that floor, not the band.
+    interleaved ordering, symmetric or not. The symmetric part of V is
+    decided as certify decides it (``_decide``): V is positive definite
+    when the kernel's Cholesky factorization succeeds, and the verdict
+    rules' RS test reads the smallest eigenvalue of V + (i/2) J, which is
+    meaningful even for singular V. Pure Gaussians sit exactly at zero,
+    hence the dead band max(tol, 8 eps max|V|), as in certify. tol is read
+    by ``resolve_tolerance`` (None is DEFAULT_TOL), and the report's
+    ``tol`` is that floor, not the band.
     """
     tol = resolve_tolerance(tol)
-    m = _as_matrix(V)
-    w, (values, *_, rs_ok, _, _) = _decide(0.5 * (m + m.T), tol, m.shape[0] // 2 - 1)
+    if isinstance(V, CovarianceMatrix):
+        m = V.matrix
+    else:
+        # not through CovarianceMatrix, which refuses an asymmetric array
+        m = np.asarray(V)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
+        _require_2n(m.shape[0])
+        m = _real_finite(m[None], "matrix")[0]
+    w, (values, *_, rs_ok, _, _) = _decide(0.5 * (m + m.T), tol)
     return ValidationReport(
-        symmetric=bool(np.abs(m - m.T).max() <= _SYMMETRY_RTOL * max(np.abs(m).max(), 1.0)),
+        symmetric=bool(_symmetric(m[None])[0]),
         positive_definite=bool(w.factored[0]),
         rs_ur_satisfied=rs_ok,
         min_rs_eigenvalue=values[0],
@@ -394,11 +392,12 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     its Cholesky factor V = L L^T (LinAlgError if V is not positive
     definite): the upper half of the eigenvalues +-nu of the Hermitian
     matrix i L^T J L, which is similar to i J V. A bona fide CM has all
-    values >= 1/2.
+    values >= 1/2. A raw array is read as ``CovarianceMatrix`` reads it.
     """
-    m = _as_matrix(V)
-    n = m.shape[0] // 2
-    low = np.linalg.cholesky(m)
+    if not isinstance(V, CovarianceMatrix):
+        V = CovarianceMatrix(V)
+    n = V.n_modes
+    low = np.linalg.cholesky(V.matrix)
     return np.linalg.eigvalsh(1j * (low.T @ symplectic_form(n) @ low))[n:][::-1]
 
 
@@ -636,16 +635,17 @@ def _verdict_rules(w: _StackWitnesses, band, n_alice: int, sqrt):
     return values, flags, ab_disagree, ppt_steers, rs_ok, ab, ba
 
 
-def _decide(m: np.ndarray, tol: float, n_alice: int):
+def _decide(m: np.ndarray, tol: float):
     """The one-CM decision: the kernel's witnesses of one validated,
-    symmetric CM ``m`` with ``n_alice`` Alice modes, as a stack of one, and
+    symmetric CM ``m``, Bob holding its last mode, as a stack of one, and
     ``_verdict_rules`` applied to them as Python floats, with the band
     max(tol, 8 eps max|m|), so that every test and flag is a Python bool.
     ``validate_bona_fide``, ``criteria.certify`` and
     ``optimize.check_unsteerable_*`` all decide through it."""
     band = _band(tol, m)
     kernel = _stack_witnesses(m[None])
-    return kernel, _verdict_rules(_StackWitnesses(*[a.item() for a in kernel]), band, n_alice, math.sqrt)
+    scalars = _StackWitnesses(*[a.item() for a in kernel])
+    return kernel, _verdict_rules(scalars, band, m.shape[0] // 2 - 1, math.sqrt)
 
 
 def _decide_stack(v: np.ndarray, tol: float):

@@ -34,6 +34,7 @@ from .covariance import (
     TwoModeStandardParams,
     _decide,
     _decide_stack,
+    _require_bipartite,
     _StackWitnesses,
     resolve_tolerance,
     two_mode_symplectic_pair,
@@ -54,8 +55,6 @@ __all__ = [
     "sign_rule_holds",
 ]
 
-GAUSSIAN_SEPARABLE_VALUES = ("yes", "no", "undecided")
-
 
 class VerdictConsistencyError(RuntimeError):
     """The determinant and matrix forms of a criterion disagreed outside
@@ -67,27 +66,25 @@ class CorrelationVerdict:
     """Certification result for one covariance matrix.
 
     A non-physical input refuses all downstream verdicts: every flag
-    except ``physical`` is None and ``gaussian_separable`` stays
-    "undecided". ``gaussian_separable`` applies to the Gaussian state
-    sharing this CM: with Bob holding one mode, PPT is necessary and
-    sufficient for its separability (Werner and Wolf, PRL 86, 3658,
-    2001). Witness values within the tolerance of a threshold add a
+    except ``physical`` is None and ``gaussian_separable`` reads
+    "undecided". Witness values within the tolerance of a threshold add a
     ``marginal_*`` marker instead of flipping flags.
     """
 
     physical: bool
     ppt: bool | None
     separable_necessary_met: bool | None
-    gaussian_separable: str
     steerable_a_to_b: bool | None
     steerable_b_to_a: bool | None
     witnesses: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.gaussian_separable not in GAUSSIAN_SEPARABLE_VALUES:
-            raise ValueError(
-                f"gaussian_separable must be one of {GAUSSIAN_SEPARABLE_VALUES}"
-            )
+    @property
+    def gaussian_separable(self) -> str:
+        """"yes", "no" or "undecided" as ``ppt`` is True, False or None:
+        for the Gaussian state sharing this CM, with Bob holding one mode,
+        PPT is necessary and sufficient for separability (Werner and Wolf,
+        PRL 86, 3658, 2001)."""
+        return _GAUSSIAN_SEPARABLE[self.ppt]
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +110,7 @@ WITNESS_KEYS = (
     "schur_min_symplectic_eig",
 )
 _MARGINAL_KEYS = ("marginal_ppt", "marginal_ab", "marginal_ba")
-_GAUSSIAN_SEPARABLE = dict(zip((True, False, None), GAUSSIAN_SEPARABLE_VALUES))  # by ppt
+_GAUSSIAN_SEPARABLE = {True: "yes", False: "no", None: "undecided"}  # by ppt
 
 
 def _raise_inconsistent(kernel: _StackWitnesses, ab_disagree, ppt_steers):
@@ -145,7 +142,6 @@ def _verdict(values, physical, ppt, separable_ok, steerable_ab, steerable_ba, *m
         physical=physical,
         ppt=ppt,
         separable_necessary_met=separable_ok,
-        gaussian_separable=_GAUSSIAN_SEPARABLE[ppt],
         steerable_a_to_b=steerable_ab,
         steerable_b_to_a=steerable_ba,
         witnesses=witnesses,
@@ -177,7 +173,7 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     if not isinstance(V, CovarianceMatrix):
         V = CovarianceMatrix(V)
     V.require_bipartite()
-    kernel, (values, flags, ab_disagree, ppt_steers, *_) = _decide(V.matrix, tol, V.n_alice)
+    kernel, (values, flags, ab_disagree, ppt_steers, *_) = _decide(V.matrix, tol)
     if ab_disagree | ppt_steers:
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)
     return _verdict(values, *flags)
@@ -231,11 +227,7 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     tol = resolve_tolerance(tol)
     if isinstance(cms, np.ndarray):
         v = validate_stack(cms)
-        if v.shape[1] < 4:
-            raise ValueError(
-                "certification needs bipartite CMs of two or more modes, "
-                f"got {v.shape[1] // 2}-mode members"
-            )
+        _require_bipartite(v.shape[1] // 2)
     else:
         cms = [cm if isinstance(cm, CovarianceMatrix) else CovarianceMatrix(cm) for cm in cms]
         for cm in cms:

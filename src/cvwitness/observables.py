@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covariance import StandardForm
+from .covariance import StandardForm, _require_bipartite
 
 __all__ = [
     "SIGN_VARIANTS",
@@ -197,8 +197,7 @@ def functional_forms(
     if functional not in FUNCTIONALS:
         raise ValueError(f"functional must be one of {FUNCTIONALS}, got {functional!r}")
     n = sf.n_modes
-    if n < 2:
-        raise ValueError("need a bipartite standard form")
+    _require_bipartite(n)
     f = np.ones(n)
     f[-1] = -1.0
     flip = np.outer(f, f)

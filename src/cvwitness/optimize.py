@@ -48,6 +48,7 @@ from .covariance import (
     StandardForm,
     _decide,
     _inv_sqrt_spd,
+    _require_bipartite,
     resolve_tolerance,
 )
 from .observables import FUNCTIONALS, _check_sign, functional_forms
@@ -293,8 +294,7 @@ def min_steering_sum_ab(sf: StandardForm) -> float:
     submatrix, so det(vq) / det(vq_A) is the square of vq's last pivot,
     and likewise for vp (LinAlgError if a block is not positive
     definite)."""
-    if sf.n_modes < 2:
-        raise ValueError("need a bipartite standard form")
+    _require_bipartite(sf.n_modes)
     return float(2.0 * np.linalg.cholesky(sf.vq)[-1, -1] * np.linalg.cholesky(sf.vp)[-1, -1])
 
 
@@ -319,7 +319,7 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> Unste
     V.require_bipartite()
     # certify's decision: its kernel on a stack of one, which refuses a CM
     # that does not factor with either party first, and its rules
-    w, (*_, ab, ba) = _decide(V.matrix, tol, V.n_alice)
+    w, (*_, ab, ba) = _decide(V.matrix, tol)
     if not w.factored[0]:
         raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
     if over == "A":

@@ -20,7 +20,6 @@ from cvwitness import (
     stack_verdicts,
     standard_form_reduce_two_mode,
     symplectic_eigenvalues,
-    symplectic_form,
     thermal,
     tmsv,
     two_mode_symplectic_pair,
@@ -37,6 +36,7 @@ from cvwitness.covariance import (
     one_mode_rotation,
     one_mode_squeeze,
     resolve_tolerance,
+    symplectic_form,
 )
 from conftest import product_cm, purity, rotated, rotated_and_squeezed
 
@@ -277,6 +277,14 @@ class TestSymplecticEigenvalues:
         # used to fail inside a matmul with a shape mismatch
         with pytest.raises(ValueError, match="2n x 2n"):
             symplectic_eigenvalues(np.eye(3))
+
+    def test_rejects_asymmetric_raw_array(self):
+        # a raw array is read as CovarianceMatrix reads it; the Cholesky
+        # factor used to read only its lower triangle and return [0.5, 0.5]
+        m = 0.5 * np.eye(4) + np.triu(np.ones((4, 4)), 1)
+        with pytest.raises(ValueError, match="not symmetric"):
+            symplectic_eigenvalues(m)
+        assert not validate_bona_fide(m).symmetric
 
     def test_matches_two_mode_closed_form(self):
         # general eigensolver route vs the discriminant formulas

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cvwitness import (
+    CorrelationVerdict,
     CovarianceMatrix,
     TwoModeStandardParams,
     VerdictConsistencyError,
@@ -83,6 +84,12 @@ class TestCertifyReferenceStates:
         assert v.ppt and v.gaussian_separable == "yes"
         v2 = certify(tmsv(1.0))
         assert not v2.ppt and v2.gaussian_separable == "no"
+
+    def test_gaussian_separable_is_not_an_argument(self):
+        # it is read from ppt, so a verdict cannot hold ppt=True with "no"
+        with pytest.raises(TypeError, match="gaussian_separable"):
+            CorrelationVerdict(physical=True, ppt=True, separable_necessary_met=True,
+                               gaussian_separable="no", steerable_a_to_b=False, steerable_b_to_a=False)
 
     # certify checks its stack of one on Python floats, certify_many checks
     # the stack's arrays; k = 3 makes member 1 alone inconsistent

@@ -8,7 +8,6 @@ from cvwitness import (
     random_standard,
     reid_product,
     separability_sum,
-    separability_sum_gradient,
     split_standard,
     steering_sum_ab,
     steering_sum_ba,
@@ -19,6 +18,7 @@ from cvwitness import (
     variance_q,
 )
 from cvwitness.covariance import StandardForm
+from cvwitness.observables import separability_sum_gradient
 
 
 def sf_of(cm):
