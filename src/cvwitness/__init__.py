@@ -9,12 +9,10 @@ from .covariance import (
     TwoModeStandardParams,
     ValidationReport,
     aitken_factorize,
-    partial_transpose_bob,
     partition,
     schur_complement,
     split_standard,
     standard_form_reduce_two_mode,
-    symplectic_eigenvalues,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
     validate_bona_fide,

@@ -4,8 +4,8 @@ continuous-variable states.
 Conventions: hbar = 1 with quadratures q = (a + a^dag)/sqrt(2) and
 p = (a - a^dag)/(i sqrt(2)), so the vacuum variance is 1/2, a physical
 covariance matrix V satisfies V + (i/2) J >= 0, and det V >= 2**(-2n).
-Matrices are stored mode-interleaved (q1, p1, q2, p2, ...); the block
-ordering (q1..qn, p1..pn) is accepted on input.
+Matrices are stored mode-interleaved (q1, p1, q2, p2, ...); a file
+record may give the block ordering (q1..qn, p1..pn) instead.
 
 In bipartite use, Alice holds the first n - 1 modes and Bob holds
 exactly the last mode.
@@ -114,6 +114,20 @@ def _require_bipartite(n_modes: int) -> None:
         raise ValueError(f"needs a bipartite CM of two or more modes, got {n_modes}")
 
 
+def _require_int(name: str, value, low: int) -> None:
+    """Refuse a ``value`` that is not an integer >= ``low``, such as a bool or 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _require_bob_last(n_alice, n_modes: int) -> None:
+    """Refuse an ``n_alice`` other than None (unset) or n_modes - 1: Bob holds the last mode."""
+    if n_alice not in (None, n_modes - 1):
+        raise ValueError(
+            f"n_alice must be {n_modes - 1}, as Bob holds the last mode, got {n_alice!r}"
+        )
+
+
 def _require_2n(size: int) -> None:
     """Refuse a matrix size that is not 2n >= 2."""
     if size % 2 != 0 or size < 2:
@@ -139,21 +153,33 @@ def _real_finite(m: np.ndarray, member: str) -> np.ndarray:
 def _symmetric(m: np.ndarray) -> np.ndarray:
     """Whether each member m_i of a finite float stack m of shape (k, d, d)
     is symmetric to _SYMMETRY_RTOL relative to max(|m_i|, 1), as a (k,)
-    bool array."""
+    bool array. Both sides are halved, so no finite entry overflows."""
     scale = np.abs(m).max(axis=(1, 2)).clip(1.0)
-    return np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2)) <= _SYMMETRY_RTOL * scale
+    half = 0.5 * m
+    return np.abs(half - half.transpose(0, 2, 1)).max(axis=(1, 2)) <= 0.5 * _SYMMETRY_RTOL * scale
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """0.5 m + 0.5 m^T for a finite float stack m, the one symmetrization of
+    every CM read: halved first, so no finite entry overflows. Halving
+    rounds an odd multiple of the smallest subnormal, so an entry equal to
+    its mirror that the sum moves is kept as it is: reading a CM's matrix
+    again keeps its bits."""
+    mt = m.transpose(0, 2, 1)
+    half = 0.5 * m + 0.5 * mt
+    return np.where((half != m) & (m == mt), m, half)
 
 
 def _validated(m: np.ndarray, member: str) -> np.ndarray:
-    """The symmetrized float stack 0.5 (m + m^T) of a stack m of
-    2n x 2n members that ``_real_finite`` accepts, after checking that
-    each member is ``_symmetric``."""
+    """The ``_symmetrized`` float stack of a stack m of 2n x 2n members
+    that ``_real_finite`` accepts, after checking that each member is
+    ``_symmetric``."""
     _require_2n(m.shape[-1])
     m = _real_finite(m, member)
     symmetric = _symmetric(m)
     if not symmetric.all():
         raise ValueError(f"{member.format(int(symmetric.argmin()))} is not symmetric")
-    return 0.5 * (m + m.transpose(0, 2, 1))
+    return _symmetrized(m)
 
 
 def validate_stack(stack) -> np.ndarray:
@@ -169,35 +195,22 @@ def validate_stack(stack) -> np.ndarray:
 
 
 class CovarianceMatrix:
-    """Real symmetric 2n x 2n matrix of quadrature second moments.
-
-    The matrix is canonicalized to mode-interleaved ordering at
-    construction; pass ``ordering="block"`` to supply (q1..qn, p1..pn)
-    data instead.
+    """Real symmetric 2n x 2n matrix of quadrature second moments, taken
+    in mode-interleaved ordering; block order is a file field, which
+    ``from_dict`` permutes to interleaved.
     """
 
-    def __init__(self, matrix, ordering: str = "interleaved"):
+    def __init__(self, matrix):
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance matrix must be square, got shape {m.shape}")
-        m = _validated(m[None], "covariance matrix")[0]
-        if ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-        n = m.shape[0] // 2
-        if ordering == "block":
-            # perm[i_interleaved] = i_block: (0, n, 1, n + 1, ...)
-            perm = np.arange(2 * n).reshape(2, n).T.ravel()
-            m = m[np.ix_(perm, perm)]
-        self.matrix = m
-        self.n_modes = n
+        self.matrix = _validated(m[None], "covariance matrix")[0]
+        self.n_modes = m.shape[0] // 2
 
     @property
     def n_alice(self) -> int:
         """Alice's mode count: every mode but Bob's, the last one."""
         return self.n_modes - 1
-
-    def require_bipartite(self) -> None:
-        _require_bipartite(self.n_modes)
 
     def to_dict(self) -> dict:
         return {
@@ -216,20 +229,21 @@ class CovarianceMatrix:
             n_alice = data.get("n_alice")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed covariance-matrix record: {exc}") from exc
-        if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)):
-            raise ValueError(f"n_modes must be an integer, got {n_modes!r}")
+        _require_int("n_modes", n_modes, 1)
         n_modes = int(n_modes)
         m = np.asarray(matrix)
         if m.shape != (2 * n_modes, 2 * n_modes):
             raise ValueError(
                 f"matrix shape {m.shape} inconsistent with n_modes={n_modes}"
             )
-        # absent, null and 0 read as unset
-        if n_alice not in (None, 0, n_modes - 1):
-            raise ValueError(
-                f"n_alice must be {n_modes - 1}, as Bob holds the last mode, got {n_alice!r}"
-            )
-        return cls(m, ordering=ordering)
+        _require_bob_last(None if n_alice == 0 else n_alice, n_modes)  # 0: legacy unset
+        if ordering not in ORDERINGS:
+            raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
+        if ordering == "block":
+            # perm[i_interleaved] = i_block: (0, n, 1, n + 1, ...)
+            perm = np.arange(2 * n_modes).reshape(2, n_modes).T.ravel()
+            m = m[np.ix_(perm, perm)]
+        return cls(m)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -243,6 +257,16 @@ class CovarianceMatrix:
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(n_modes={self.n_modes}, matrix={self.matrix!r})"
+
+
+def _as_cm(V, bipartite: bool = False) -> CovarianceMatrix:
+    """V, or the raw array V read by ``CovarianceMatrix``; with
+    ``bipartite`` set, a CM of fewer than two modes is refused."""
+    if not isinstance(V, CovarianceMatrix):
+        V = CovarianceMatrix(V)
+    if bipartite:
+        _require_bipartite(V.n_modes)
+    return V
 
 
 def _interleaved(vq, vp) -> CovarianceMatrix:
@@ -275,11 +299,7 @@ class StandardForm:
         vq.flags.writeable = vp.flags.writeable = False
         object.__setattr__(self, "vq", vq)
         object.__setattr__(self, "vp", vp)
-        if self.n_alice not in (None, self.n_modes - 1):
-            raise ValueError(
-                f"n_alice must be {self.n_modes - 1}, as Bob holds the last mode, "
-                f"got {self.n_alice!r}"
-            )
+        _require_bob_last(self.n_alice, self.n_modes)
         object.__setattr__(self, "n_alice", self.n_modes - 1)
         for name, blk in (("vq", vq), ("vp", vp)):
             if not _symmetric(blk[None])[0]:
@@ -377,7 +397,7 @@ def validate_bona_fide(V, tol: float | None = None) -> ValidationReport:
             raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
         _require_2n(m.shape[0])
         m = _real_finite(m[None], "matrix")[0]
-    w, (values, *_, rs_ok, _, _) = _decide(0.5 * (m + m.T), tol)
+    w, (values, *_, rs_ok, _, _) = _decide(_symmetrized(m[None])[0], tol)
     return ValidationReport(
         symmetric=bool(_symmetric(m[None])[0]),
         positive_definite=bool(w.factored[0]),
@@ -394,8 +414,7 @@ def symplectic_eigenvalues(V) -> np.ndarray:
     matrix i L^T J L, which is similar to i J V. A bona fide CM has all
     values >= 1/2. A raw array is read as ``CovarianceMatrix`` reads it.
     """
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
+    V = _as_cm(V)
     n = V.n_modes
     low = np.linalg.cholesky(V.matrix)
     return np.linalg.eigvalsh(1j * (low.T @ symplectic_form(n) @ low))[n:][::-1]
@@ -404,9 +423,7 @@ def symplectic_eigenvalues(V) -> np.ndarray:
 def partial_transpose_bob(V: CovarianceMatrix) -> CovarianceMatrix:
     """Flip the sign of Bob's momentum row/column (the CM-level partial
     transpose with respect to the last mode). Involutive."""
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
+    V = _as_cm(V, bipartite=True)
     signs = np.ones(2 * V.n_modes)
     signs[-1] = -1.0
     return CovarianceMatrix(V.matrix * np.outer(signs, signs))
@@ -421,8 +438,7 @@ def split_standard(V, tol: float | None = None) -> StandardForm:
     factorizes: det V = det(vq) * det(vp).
     """
     tol = resolve_tolerance(tol)
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
+    V = _as_cm(V)
     m = V.matrix
     worst, band = np.abs(m[0::2, 1::2]).max(), _band(tol, m)
     if worst > band:
@@ -436,9 +452,7 @@ def split_standard(V, tol: float | None = None) -> StandardForm:
 def partition(V: CovarianceMatrix) -> Partition:
     """Split a bipartite CM into Alice / Bob / cross blocks
     (2N x 2N, 2 x 2 and 2N x 2)."""
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
+    V = _as_cm(V, bipartite=True)
     k = 2 * V.n_modes - 2
     m = V.matrix
     return Partition(alice=m[:k, :k], bob=m[k:, k:], cross=m[:k, k:])
@@ -455,9 +469,7 @@ def schur_complement(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
     Cholesky factor of V with the eliminated party first, so it is
     positive definite by construction.
     """
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
+    V = _as_cm(V, bipartite=True)
     k = 2 * V.n_modes - 2
     if over == "A":
         low = np.linalg.cholesky(V.matrix)[k:, k:]
@@ -519,7 +531,9 @@ def _one_mode_schur(low_kk: np.ndarray):
     l11, l21, l22 = low_kk[:, 0, 0], low_kk[:, 1, 0], low_kk[:, 1, 1]
     g11, g12, g22 = l11 * l11, l11 * l21, l21 * l21 + l22 * l22
     det = l11 * l22
-    top = 0.5 * (g11 + g22 + np.hypot(g11 - g22, np.hypot(2.0 * g12, 1.0)))
+    # halved before the last sum, which overflows at g11 ~ 1e308; g11 + g22
+    # overflows only where g11 g22 below does
+    top = 0.5 * (g11 + g22) + 0.5 * np.hypot(g11 - g22, np.hypot(2.0 * g12, 1.0))
     rs = (g11 * g22 - g12 * g12 - 0.25) / top
     return det * det, np.abs(det), rs
 
@@ -730,8 +744,7 @@ def standard_form_reduce_two_mode(
     ``resolve_tolerance``), within the dead band max(tol, 8 eps max|V|).
     """
     tol = resolve_tolerance(tol)
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
+    V = _as_cm(V)
     if V.n_modes != 2:
         raise ValueError(f"expected a two-mode CM, got {V.n_modes} modes")
     report = validate_bona_fide(V, tol=tol)

@@ -32,6 +32,7 @@ import numpy as np
 from .covariance import (
     CovarianceMatrix,
     TwoModeStandardParams,
+    _as_cm,
     _decide,
     _decide_stack,
     _require_bipartite,
@@ -170,9 +171,7 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     A CM whose Cholesky factorization fails is refused as non-physical.
     """
     tol = resolve_tolerance(tol)
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
+    V = _as_cm(V, bipartite=True)
     kernel, (values, flags, ab_disagree, ppt_steers, *_) = _decide(V.matrix, tol)
     if ab_disagree | ppt_steers:
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)
@@ -206,14 +205,14 @@ class StackVerdicts(NamedTuple):
 
 def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     """Flags, markers and witnesses of a stack of bipartite CMs with the
-    same number of modes, given as a sequence of CMs or as an array of
-    shape (k, 2n, 2n), with no verdict object per member.
+    same number of modes, given as a sequence of CMs or raw matrices, or
+    as an array of shape (k, 2n, 2n), with no verdict object per member.
 
-    An array is validated once as a whole (``covariance.validate_stack``:
-    shape, finiteness and symmetry, with errors naming the member), and
-    its members are read, as every CM is, with Bob holding the last
-    mode. Members of a sequence are wrapped in ``CovarianceMatrix``
-    unless they are one already.
+    A sequence is stacked (a CM as its matrix) and then read as an array
+    is: validated once as a whole (``covariance.validate_stack``: shape,
+    finiteness and symmetry, with errors naming the member), with Bob
+    holding the last mode of every member. Reading a CM's matrix again
+    leaves it bit for bit.
 
     The stack is decided in covariance (``covariance._decide_stack``):
     one batched kernel gives the witnesses of the whole stack, and the
@@ -225,18 +224,14 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     A->B forms disagree.
     """
     tol = resolve_tolerance(tol)
-    if isinstance(cms, np.ndarray):
-        v = validate_stack(cms)
-        _require_bipartite(v.shape[1] // 2)
-    else:
-        cms = [cm if isinstance(cm, CovarianceMatrix) else CovarianceMatrix(cm) for cm in cms]
-        for cm in cms:
-            cm.require_bipartite()
-        if len({cm.n_modes for cm in cms}) > 1:
+    if not isinstance(cms, np.ndarray):
+        cms = [cm.matrix if isinstance(cm, CovarianceMatrix) else np.asarray(cm) for cm in cms]
+        if len({m.shape for m in cms}) > 1:
             raise ValueError("certification needs CMs with the same number of modes")
-        v = np.array([cm.matrix for cm in cms])
-    if not len(v):
-        return StackVerdicts(np.zeros((0, 8), dtype=bool), np.zeros((0, len(WITNESS_KEYS))))
+        # no member gives an empty sequence a shape: read it as no two-mode CMs
+        cms = np.array(cms) if cms else np.zeros((0, 4, 4))
+    v = validate_stack(cms)
+    _require_bipartite(v.shape[1] // 2)
     kernel, (values, flags, ab_disagree, ppt_steers, *_) = _decide_stack(v, tol)
     if np.count_nonzero(ab_disagree | ppt_steers):
         _raise_inconsistent(kernel, ab_disagree, ppt_steers)

@@ -46,9 +46,11 @@ import numpy as np
 from .covariance import (
     CovarianceMatrix,
     StandardForm,
+    _as_cm,
     _decide,
     _inv_sqrt_spd,
     _require_bipartite,
+    _require_int,
     resolve_tolerance,
 )
 from .observables import FUNCTIONALS, _check_sign, functional_forms
@@ -66,11 +68,6 @@ __all__ = [
     "check_unsteerable_ba",
     "brute_force_min",
 ]
-
-
-def _require_int(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -314,9 +311,7 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> Unste
     """Both tests of one direction with the dead band tol, read by
     ``covariance.resolve_tolerance`` (None is DEFAULT_TOL)."""
     tol = resolve_tolerance(tol)
-    if not isinstance(V, CovarianceMatrix):
-        V = CovarianceMatrix(V)
-    V.require_bipartite()
+    V = _as_cm(V, bipartite=True)
     # certify's decision: its kernel on a stack of one, which refuses a CM
     # that does not factor with either party first, and its rules
     w, (*_, ab, ba) = _decide(V.matrix, tol)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import CovarianceMatrix, TwoModeStandardParams, two_mode_symplectic_pair
+from .covariance import _require_bob_last, _require_int, _symmetrized
 
 __all__ = [
     "GeneratorSpec",
@@ -108,7 +109,7 @@ def _random_standard_stack(n_modes: int, seeds) -> np.ndarray:
     m[:, ::2, ::2] = sq @ d @ np.swapaxes(sq, 1, 2)
     m[:, 1::2, 1::2] = sp @ d @ np.swapaxes(sp, 1, 2)
     # the symmetrization CovarianceMatrix applies, so a row is its matrix
-    return 0.5 * (m + np.swapaxes(m, 1, 2))
+    return _symmetrized(m)
 
 
 def vacuum(n_modes: int = 2) -> CovarianceMatrix:
@@ -257,15 +258,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
-        if isinstance(self.n_modes, bool) or not isinstance(self.n_modes, (int, np.integer)):
-            raise ValueError(f"n_modes must be an integer, got {self.n_modes!r}")
+        _require_int("n_modes", self.n_modes, 1)
         if self.kind in ("tmsv", "noisy_tmsv") and self.n_modes != 2:
             raise ValueError(f"{self.kind} is a 2-mode state, got n_modes = {self.n_modes}")
-        n_alice = self.params.get("n_alice")
-        if n_alice not in (None, self.n_modes - 1):
-            raise ValueError(
-                f"n_alice must be {self.n_modes - 1}, as Bob holds the last mode, got {n_alice!r}"
-            )
+        _require_bob_last(self.params.get("n_alice"), self.n_modes)
         if "seed" in self.params:
             _seed(self.params["seed"])
 

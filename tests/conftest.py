@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from cvwitness import CovarianceMatrix, random_standard, symplectic_eigenvalues, thermal, tmsv
-from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze
+from cvwitness import CovarianceMatrix, random_standard, thermal, tmsv
+from cvwitness.covariance import (
+    local_direct_sum,
+    one_mode_rotation,
+    one_mode_squeeze,
+    symplectic_eigenvalues,
+)
 
 
 def pytest_configure(config):

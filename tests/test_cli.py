@@ -46,9 +46,9 @@ def standard_cm(nu, seed=0):
     sq = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
     sp = np.linalg.inv(sq).T
     v = np.zeros((2 * n, 2 * n))
-    v[:n, :n] = sq @ np.diag(nu) @ sq.T
-    v[n:, n:] = sp @ np.diag(nu) @ sp.T
-    return CovarianceMatrix(v, ordering="block")
+    v[0::2, 0::2] = sq @ np.diag(nu) @ sq.T
+    v[1::2, 1::2] = sp @ np.diag(nu) @ sp.T
+    return CovarianceMatrix(v)
 
 
 class TestGen:

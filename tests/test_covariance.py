@@ -5,13 +5,13 @@ import pytest
 
 from cvwitness import (
     CovarianceMatrix,
+    GeneratorSpec,
     StandardForm,
     TwoModeStandardParams,
     aitken_factorize,
     check_unsteerable_ab,
     check_unsteerable_ba,
     noisy_tmsv,
-    partial_transpose_bob,
     partition,
     random_standard,
     random_two_mode_params,
@@ -19,7 +19,6 @@ from cvwitness import (
     split_standard,
     stack_verdicts,
     standard_form_reduce_two_mode,
-    symplectic_eigenvalues,
     thermal,
     tmsv,
     two_mode_symplectic_pair,
@@ -35,7 +34,9 @@ from cvwitness.covariance import (
     local_direct_sum,
     one_mode_rotation,
     one_mode_squeeze,
+    partial_transpose_bob,
     resolve_tolerance,
+    symplectic_eigenvalues,
     symplectic_form,
 )
 from conftest import product_cm, purity, rotated, rotated_and_squeezed
@@ -158,9 +159,26 @@ class TestCovarianceMatrix:
         assert m[0, 1] == 1e-14 and m[1, 0] == 0.0
 
     def test_block_ordering_round_trip(self, rng):
+        # block order is a file field: CovarianceMatrix itself reads interleaved only
         v = random_standard(3, seed=5)
-        again = CovarianceMatrix(to_block(v), ordering="block")
-        np.testing.assert_allclose(again.matrix, v.matrix, rtol=0, atol=0)
+        record = {"n_modes": 3, "ordering": "block", "matrix": to_block(v).tolist()}
+        np.testing.assert_array_equal(CovarianceMatrix.from_dict(record).matrix, v.matrix)
+
+    def test_block_file_keeps_its_bits(self, rng):
+        # from_dict now permutes before the symmetrization, where
+        # CovarianceMatrix used to permute after it; the two commute, so a
+        # block-ordered file, here off symmetric within the tolerance, still
+        # reads as 0.5 (m + m^T) permuted to interleaved, bit for bit
+        n = 3
+        block = to_block(random_standard(n, seed=6)) + 1e-14 * rng.standard_normal((2 * n, 2 * n))
+        perm = np.arange(2 * n).reshape(2, n).T.ravel()
+        want = (0.5 * (block + block.T))[np.ix_(perm, perm)]
+        record = {"n_modes": n, "ordering": "block", "matrix": block.tolist()}
+        assert CovarianceMatrix.from_dict(record).matrix.tobytes() == want.tobytes()
+
+    def test_ordering_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="ordering"):
+            CovarianceMatrix(np.eye(4), ordering="block")
 
     def test_json_round_trip(self, tmp_path):
         v = tmsv(0.37)
@@ -704,6 +722,75 @@ class TestValidateStack:
 
     def test_empty_stack(self):
         assert validate_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    def test_rereading_keeps_every_bit(self):
+        # the symmetrizer keeps an entry equal to its mirror: halving would
+        # round an odd multiple of the smallest subnormal, 5e-324 to 0
+        m = 0.5 * np.eye(4)
+        m[0, 3] = m[3, 0] = 5e-324
+        m[1, 2] = m[2, 1] = 3 * 5e-324
+        cm = CovarianceMatrix(m)
+        assert cm.matrix.tobytes() == m.tobytes()
+        assert validate_stack(cm.matrix[None])[0].tobytes() == m.tobytes()
+        # equal but not the same bits: both sides read 0.5 (0.0 + -0.0) = +0.0
+        m[0, 1], m[1, 0] = 0.0, -0.0
+        assert not np.signbit(CovarianceMatrix(m).matrix[[0, 1], [1, 0]]).any()
+
+
+class TestHugeEntries:
+    """Finite entries up to the top of the double range are read without
+    overflow: the symmetrization and the symmetry test halve before they
+    add or subtract. 0.5 (m + m^T) used to turn 1e308 into inf."""
+
+    def test_matrix_keeps_its_largest_entry(self):
+        assert CovarianceMatrix(np.diag([1e308, 1.0, 1.0, 1.0])).matrix[0, 0] == 1e308
+
+    def test_reading_commutes_with_scaling_by_powers_of_two(self, rng):
+        v = rng.uniform(0.25, 0.5, (6, 6))
+        v = v + v.T + 1e-14 * rng.uniform(-1.0, 1.0, (6, 6))
+        assert np.abs(v).max() < 1.0  # so 2^1024 v is finite, its sums are not
+        base = CovarianceMatrix(v).matrix
+        assert not np.array_equal(base, v)
+        for k in range(1025):
+            got = CovarianceMatrix(np.ldexp(v, k)).matrix
+            assert got.tobytes() == np.ldexp(base, k).tobytes(), k
+
+    def test_huge_asymmetric_pair_is_refused(self):
+        # m - m^T overflowed in the symmetry test
+        m = np.eye(4)
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        with pytest.raises(ValueError, match="covariance matrix is not symmetric"):
+            CovarianceMatrix(m)
+
+
+_RULE_MESSAGE_CASES = [
+    ("n_alice", 1, "n_alice must be 2, as Bob holds the last mode, got 1"),
+    ("n_alice", -1, "n_alice must be 2, as Bob holds the last mode, got -1"),
+    ("n_alice", "2", "n_alice must be 2, as Bob holds the last mode, got '2'"),
+    ("n_modes", 2.9, "n_modes must be an integer >= 1, got 2.9"),
+    ("n_modes", True, "n_modes must be an integer >= 1, got True"),
+    ("n_modes", "3", "n_modes must be an integer >= 1, got '3'"),
+    ("n_modes", 0, "n_modes must be an integer >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", _RULE_MESSAGE_CASES)
+def test_one_message_per_input_rule(field, value, message):
+    # the n_alice and n_modes rules are each written once in covariance, so
+    # a file record, a standard form and a generator spec refuse alike
+    record = {"n_modes": 3, "matrix": (0.5 * np.eye(6)).tolist(), field: value}
+    readers = {
+        "from_dict": lambda: CovarianceMatrix.from_dict(record),
+        "GeneratorSpec": lambda: GeneratorSpec(
+            "vacuum", record["n_modes"], {"n_alice": record.get("n_alice")}
+        ),
+    }
+    if field == "n_alice":  # a standard form counts its modes from its blocks
+        readers["StandardForm"] = lambda: StandardForm(np.eye(3), np.eye(3), n_alice=value)
+    for name, read in readers.items():
+        with pytest.raises(ValueError) as exc:
+            read()
+        assert str(exc.value) == message, name
 
 
 def nonstandard_tmsv():

@@ -461,6 +461,8 @@ class TestCertifyMany:
     def test_mixed_mode_counts_rejected(self):
         with pytest.raises(ValueError, match="same number of modes"):
             certify_many([vacuum(2), vacuum(3)])
+        with pytest.raises(ValueError, match="same number of modes"):
+            certify_many([0.5 * np.eye(4), 0.5 * np.eye(6)])
 
     def test_bad_tol_rejected(self):
         with pytest.raises(ValueError, match="tol"):
@@ -507,12 +509,54 @@ class TestStackVerdicts:
         sv = stack_verdicts(empty)
         assert sv.physical.shape == (0,) and sv.witnesses.shape == (0, len(WITNESS_KEYS))
 
+    def test_list_member_read_as_a_stack_member(self):
+        # a list is stacked and read by validate_stack; a raw member used to
+        # go through CovarianceMatrix, which did not name it
+        members = [tmsv(0.5).matrix.copy() for _ in range(3)]
+        members[2][0, 2] += 1e-6
+        with pytest.raises(ValueError, match="member 2 of the stack is not symmetric"):
+            stack_verdicts(members)
+
+    def test_list_and_array_are_one_route(self):
+        members = [tmsv(0.5), vacuum(2).matrix, noisy_tmsv(0.7, 0.4, "A"), 0.2 * np.eye(4), tmsv(11.0)]
+        matrices = np.array([m.matrix if isinstance(m, CovarianceMatrix) else m for m in members])
+        from_list, from_array = stack_verdicts(members), stack_verdicts(matrices)
+        assert from_list.flags.tobytes() == from_array.flags.tobytes()
+        assert from_list.witnesses.tobytes() == from_array.witnesses.tobytes()
+
     def test_failed_factor_masked_by_physical(self):
         # tmsv(11)'s factorization fails, and its zeroed witnesses read as
         # steerable A->B but not B->A: one-way, were it not masked
         sv = stack_verdicts(np.stack([noisy_tmsv(11.0, 0.0, side).matrix for side in ("A", "B")]))
         assert not sv.physical.any()
         assert (sv.steerable_ab != sv.steerable_ba).all()
+
+
+class TestHugeEntries:
+    """A physical CM with an entry near the top of the double range gets a
+    verdict, under the suite's np.seterr(all="raise"). Its symmetrization
+    used to turn 1e308 into inf, and certify then raised LinAlgError
+    "Eigenvalues did not converge"; the kernel's one-mode closed form
+    overflowed at the same scale."""
+
+    HUGE = np.diag([1e308, 1.0, 1.0, 1.0])
+
+    def test_certify(self):
+        v = certify(CovarianceMatrix(self.HUGE))
+        assert v.physical and v.ppt and not (v.steerable_a_to_b or v.steerable_b_to_a)
+        assert v.witnesses["det_ratio_ba"] == 1e308
+        assert all(math.isfinite(x) for x in v.witnesses.values())
+
+    @pytest.mark.parametrize("as_cm", [True, False])
+    def test_validate_bona_fide(self, as_cm):
+        report = validate_bona_fide(CovarianceMatrix(self.HUGE) if as_cm else self.HUGE)
+        assert report.bona_fide and report.min_rs_eigenvalue == 0.5
+
+    def test_stack_verdicts(self):
+        sv = stack_verdicts([CovarianceMatrix(self.HUGE), self.HUGE])
+        assert sv.physical.all() and np.isfinite(sv.witnesses).all()
+        witnesses = certify(self.HUGE).witnesses
+        assert sv.witnesses[0].tolist() == [witnesses[key] for key in WITNESS_KEYS]
 
 
 class TestExactBoundaries:

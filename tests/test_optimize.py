@@ -18,14 +18,12 @@ from cvwitness import (
     min_steering_sum_ab,
     min_steering_sum_ab_numeric,
     min_steering_sum_ba_numeric,
-    partial_transpose_bob,
     random_standard,
     random_two_mode_params,
     schur_complement,
     separability_sum,
     split_standard,
     standard_form_reduce_two_mode,
-    symplectic_eigenvalues,
     tmsv,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
@@ -34,7 +32,14 @@ from cvwitness import (
     variance_q,
 )
 from cvwitness.cli import _ORACLE_FUNCTIONALS
-from cvwitness.covariance import StandardForm, _stack_witnesses, local_direct_sum, one_mode_squeeze
+from cvwitness.covariance import (
+    StandardForm,
+    _stack_witnesses,
+    local_direct_sum,
+    one_mode_squeeze,
+    partial_transpose_bob,
+    symplectic_eigenvalues,
+)
 from cvwitness.observables import functional_forms
 from cvwitness.optimize import (
     _BATCH,

@@ -4,18 +4,20 @@ import pytest
 from cvwitness import (
     GeneratorSpec,
     noisy_tmsv,
-    partial_transpose_bob,
     random_standard,
     random_two_mode_params,
     split_standard,
-    symplectic_eigenvalues,
     thermal,
     tmsv,
     two_mode_symplectic_pair_pt,
     vacuum,
     validate_bona_fide,
 )
-from cvwitness.covariance import standard_form_reduce_two_mode
+from cvwitness.covariance import (
+    partial_transpose_bob,
+    standard_form_reduce_two_mode,
+    symplectic_eigenvalues,
+)
 from conftest import purity
 
 
