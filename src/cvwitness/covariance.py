@@ -490,9 +490,9 @@ class _StackWitnesses(NamedTuple):
     min_rs_eig: np.ndarray  # smallest eigenvalue of V + (i/2) J
     nu_min: np.ndarray  # smallest symplectic eigenvalue of V
     nu_min_pt: np.ndarray  # ... and of its partial transpose
-    det_ratio_ab: np.ndarray  # det V / det V_A
+    nu_ab: np.ndarray  # pivot product of V/V_A, sqrt(det V / det V_A)
     rs_ab: np.ndarray  # smallest eigenvalue of V/V_A + (i/2) J_B
-    det_ratio_ba: np.ndarray  # det V / det V_B
+    nu_ba: np.ndarray  # pivot product of V/V_B, sqrt(det V / det V_B)
     rs_ba: np.ndarray  # smallest eigenvalue of V/V_B + (i/2) J_A
     schur_nu_min: np.ndarray  # smallest symplectic eigenvalue of V/V_B
 
@@ -516,26 +516,24 @@ def _stack_constants(n_modes: int):
 
 
 def _one_mode_schur(low_kk: np.ndarray):
-    """Witnesses of the one-mode blocks g = L_kk L_kk^T of a stack of 2x2
-    lower factors L_kk = [[l11, 0], [l21, l22]], in closed form: det g =
-    (l11 l22)^2, the symplectic eigenvalue |l11 l22| of g, and the smallest
-    eigenvalue (g11 + g22)/2 - sqrt(((g11 - g22)/2)^2 + g12^2 + 1/4) of
-    g + (i/2) J_1.
+    """The pivot product l11 l22 of each one-mode block g = L_kk L_kk^T of a
+    stack of 2x2 lower factors L_kk = [[l11, 0], [l21, l22]], which is
+    sqrt(det g) and g's symplectic eigenvalue, and the smallest eigenvalue
+    (g11 + g22)/2 - sqrt(((g11 - g22)/2)^2 + g12^2 + 1/4) of g + (i/2) J_1.
 
-    The eigenvalue is read from the entries of g, not from the factor's
-    determinant, so it stays an independent check on it. It is evaluated
-    as LAPACK's 2x2 solver (dlae2) does, as the determinant
-    g11 g22 - g12^2 - 1/4 of g + (i/2) J_1 over the larger eigenvalue: the
-    difference above cancels, and on a squeezed Bob mode with
-    ||g|| ~ 1e7 its error passes the 1e-9 dead band."""
+    The eigenvalue is read from the entries of g, not from the pivots, so
+    it stays an independent check on them. It is evaluated as LAPACK's 2x2
+    solver (dlae2) does, as det(g + (i/2) J_1) = g11 g22 - g12^2 - 1/4 over
+    the larger eigenvalue ``top``: the difference above cancels, and on a
+    squeezed Bob mode with ||g|| ~ 1e7 its error passes the 1e-9 dead band.
+    With top's terms halved, and each product divided by top >= max(g11,
+    g22) >= |g12| before the sum, no finite block overflows."""
     l11, l21, l22 = low_kk[:, 0, 0], low_kk[:, 1, 0], low_kk[:, 1, 1]
     g11, g12, g22 = l11 * l11, l11 * l21, l21 * l21 + l22 * l22
-    det = l11 * l22
-    # halved before the last sum, which overflows at g11 ~ 1e308; g11 + g22
-    # overflows only where g11 g22 below does
-    top = 0.5 * (g11 + g22) + 0.5 * np.hypot(g11 - g22, np.hypot(2.0 * g12, 1.0))
-    rs = (g11 * g22 - g12 * g12 - 0.25) / top
-    return det * det, np.abs(det), rs
+    h11, h22 = 0.5 * g11, 0.5 * g22
+    top = h11 + h22 + np.hypot(h11 - h22, np.hypot(g12, 0.5))
+    rs = g11 / top * g22 - g12 / top * g12 - 0.25 / top
+    return l11 * l22, rs
 
 
 def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
@@ -548,15 +546,15 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     positive-definiteness check, and gives both symplectic spectra
     through i L^T J L and i L^T (P J P) L, in one eigensolve with
     V + (i/2) J, all filled into one complex buffer. The trailing block
-    L_kk of the Bob-first factor is the factor of V/V_B. The trailing 2x2
-    blocks of both factors go through the one-mode closed forms
+    L_kk of the Bob-first factor is the factor of V/V_B, and its pivot
+    product is ``nu_ba`` = sqrt(det V / det V_B) for every n. The trailing
+    2x2 blocks of both factors go through the one-mode closed forms
     (``_one_mode_schur``): L's is the factor of V/V_A, always one mode,
     and with n = 2 the Bob-first one is V/V_B's. For n >= 3 a second
     eigensolve, from a buffer of its own, reads V/V_B + (i/2) J_A and the
-    spectrum of i L_kk^T J_A L_kk. The A->B eigenvalue ``rs_ab`` is
-    computed from the entries of V/V_A and never from ``det_ratio_ab``, so
-    that certify's A->B self-check compares two routes, not one number
-    with itself.
+    spectrum of i L_kk^T J_A L_kk. The A->B eigenvalue ``rs_ab`` is read
+    from the entries of V/V_A and never from ``nu_ab``, so that certify's
+    A->B self-check compares two routes, not one number with itself.
 
     When a batched factorization fails, the stack is split in halves
     until each failing member stands alone as a stack of one, so a
@@ -578,70 +576,69 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
         if k > 1:
             halves = (_stack_witnesses(v[: k // 2]), _stack_witnesses(v[k // 2 :]))
             return _StackWitnesses(*map(np.concatenate, zip(*halves)))
-        zero = np.zeros(1)
         rs = np.linalg.eigvalsh(v + rs_shift)[:, 0]
-        return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[zero] * 7)
+        return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[np.zeros(1)] * 7)
     low = factors[0::2]
     batch = np.empty((3 * k, dim, dim), dtype=complex)
     np.add(v, rs_shift, batch[:k])
     np.multiply(1j, low.transpose(0, 2, 1)[:, None] @ forms @ low[:, None], batch[k:].reshape(k, 2, dim, dim))
     eig = np.linalg.eigvalsh(batch)
     nus = eig[k:, n].reshape(k, 2)
-    det_ratio, nu, rs = _one_mode_schur(factors[:, -2:, -2:])
+    nu, rs = _one_mode_schur(factors[:, -2:, -2:])
+    low_ba = factors[1::2, 2:, 2:]
+    nu_ba = low_ba.diagonal(axis1=1, axis2=2).prod(axis=1)
     if n <= 2:
-        det_ratio_ba, schur_nu_min, rs_ba = det_ratio[1::2], nu[1::2], rs[1::2]
+        schur_nu_min, rs_ba = nu_ba, rs[1::2]
     else:
-        low_ba = factors[1::2, 2:, 2:]
         low_ba_t = low_ba.transpose(0, 2, 1)
         batch = np.empty((2 * k, dim - 2, dim - 2), dtype=complex)
         np.add(low_ba @ low_ba_t, rs_shift_a, batch[:k])
         np.multiply(1j, low_ba_t @ j_a @ low_ba, batch[k:])
         eig_ba = np.linalg.eigvalsh(batch)
-        # det V / det V_B = det(V / V_B) = prod(diag L_kk)^2
-        det_ratio_ba = low_ba.diagonal(axis1=1, axis2=2).prod(axis=1) ** 2
         rs_ba, schur_nu_min = eig_ba[:k, 0], eig_ba[k:, n - 1]
     return _StackWitnesses(
         factored=np.ones(k, dtype=bool),
         min_rs_eig=eig[:k, 0],
         nu_min=nus[:, 0],
         nu_min_pt=nus[:, 1],
-        det_ratio_ab=det_ratio[0::2],
+        nu_ab=nu[0::2],
         rs_ab=rs[0::2],
-        det_ratio_ba=det_ratio_ba,
+        nu_ba=nu_ba,
         rs_ba=rs_ba,
         schur_nu_min=schur_nu_min,
     )
 
 
-def _verdict_rules(w: _StackWitnesses, band, n_alice: int, sqrt):
+def _verdict_rules(w: _StackWitnesses, band, n_alice: int):
     """The verdict rules, the only code that compares a kernel witness with
     a threshold, written once over the kernel's witnesses ``w``: Python
-    scalars and ``math.sqrt`` for one CM, or (k,) arrays and ``np.sqrt``
-    for a stack, with ``n_alice`` Alice modes, and the dead ``band`` as a
-    float or a (k,) array. Only operators that mean the same on both are
-    used (``x ^ True`` for not), so each member of a stack gets the bits it
-    gets alone. A test compares a witness with ``centre - band`` (``-band``
-    for the centre 0), a marker takes ``|w - centre| <= band``.
+    scalars for one CM, or (k,) arrays for a stack, with ``n_alice`` Alice
+    modes, and the dead ``band`` as a float or a (k,) array. Only
+    operators that mean the same on both are used (``x ^ True`` for not),
+    so each member of a stack gets the bits it gets alone. A test compares
+    a witness with ``centre - band`` (``-band`` for the centre 0), a marker
+    takes ``|w - centre| <= band``. Only here are pivot products squared.
 
     Returns the ``criteria.WITNESS_KEYS`` values; the flags (physical, ppt,
     separable_ok, steerable_ab, steerable_ba) and the three markers; the
     two self-check failures (the A->B tests disagree outside the dead band;
     a PPT, hence separable and unsteerable (Wiseman, Jones and Doherty
     2007), member steers); the RS test; and the (matrix, determinant)
-    unsteerability tests of A->B and of B->A, against 1/4 and 4^-N.
+    unsteerability tests of A->B and of B->A, against 1/2 and 4^-N.
     """
-    # 2 nu~, 2 nu and 2 sqrt(det V / det V_A) are local invariants; whenever
-    # V has a standard form they are the minima of the sums
+    # 2 nu~, 2 nu and 2 nu_ab = 2 sqrt(det V / det V_A) are local invariants;
+    # whenever V has a standard form they are the minima of the sums
     sep_plus, sep_minus = 2.0 * w.nu_min_pt, 2.0 * w.nu_min
-    values = (w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus, sep_minus, 2.0 * sqrt(w.det_ratio_ab),
-              w.det_ratio_ab, w.det_ratio_ba, w.schur_nu_min)
+    det_ab, det_ba = w.nu_ab * w.nu_ab, w.nu_ba * w.nu_ba
+    values = (w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus, sep_minus, 2.0 * w.nu_ab, det_ab, det_ba,
+              w.schur_nu_min)
     rs_ok = w.min_rs_eig >= -band
-    ab = (w.rs_ab >= -band, w.det_ratio_ab >= 0.25 - band)
-    ba = (w.rs_ba >= -band, w.det_ratio_ba >= 0.25**n_alice - band)
+    ab = (w.rs_ab >= -band, w.nu_ab >= 0.5 - band)
+    ba = (w.rs_ba >= -band, det_ba >= 0.25**n_alice - band)
     physical = w.factored & rs_ok
     ppt = w.nu_min_pt >= 0.5 - band
     steerable_ab, steerable_ba = ab[1] ^ True, ba[0] ^ True
-    marginal_ab = (abs(w.det_ratio_ab - 0.25) <= band) | (abs(w.rs_ab) <= band)
+    marginal_ab = (abs(w.nu_ab - 0.5) <= band) | (abs(w.rs_ab) <= band)
     flags = (physical, ppt, (sep_plus >= 1.0 - band) & (sep_minus >= 1.0 - band), steerable_ab, steerable_ba,
              abs(w.nu_min_pt - 0.5) <= band, marginal_ab, abs(w.rs_ba) <= band)
     ab_disagree = physical & (marginal_ab ^ True) & (ab[0] != ab[1])
@@ -659,7 +656,7 @@ def _decide(m: np.ndarray, tol: float):
     band = _band(tol, m)
     kernel = _stack_witnesses(m[None])
     scalars = _StackWitnesses(*[a.item() for a in kernel])
-    return kernel, _verdict_rules(scalars, band, m.shape[0] // 2 - 1, math.sqrt)
+    return kernel, _verdict_rules(scalars, band, m.shape[0] // 2 - 1)
 
 
 def _decide_stack(v: np.ndarray, tol: float):
@@ -668,7 +665,8 @@ def _decide_stack(v: np.ndarray, tol: float):
     band it gets alone. ``criteria.stack_verdicts`` decides through it."""
     band = np.maximum(tol, _BAND_PER_NORM * np.abs(v).max(axis=(1, 2)))
     kernel = _stack_witnesses(v)
-    return kernel, _verdict_rules(kernel, band, v.shape[1] // 2 - 1, np.sqrt)
+    with np.errstate(over="ignore"):  # a ratio past the double range is inf, as on floats
+        return kernel, _verdict_rules(kernel, band, v.shape[1] // 2 - 1)
 
 
 def aitken_factorize(V: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:

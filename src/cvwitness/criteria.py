@@ -122,7 +122,7 @@ def _raise_inconsistent(kernel: _StackWitnesses, ab_disagree, ppt_steers):
         i = int(np.argmax(ab_disagree))
         raise VerdictConsistencyError(
             f"A->B determinant and matrix forms disagree on member {i} of the stack: "
-            f"det ratio {kernel.det_ratio_ab[i]!r} vs min eigenvalue {kernel.rs_ab[i]!r}"
+            f"pivot product {kernel.nu_ab[i]!r} vs min eigenvalue {kernel.rs_ab[i]!r}"
         )
     raise VerdictConsistencyError(
         "steering flag raised on a PPT (hence separable) Gaussian state"

@@ -111,9 +111,9 @@ class UnsteerabilityCheck(NamedTuple):
     Alice. ``min_rs_eigenvalue`` witnesses the matrix test margin. Tests
     and witnesses are ``certify``'s, decided by its kernel on a stack of
     one and its verdict rules with the same band (``covariance._decide``):
-    A->B ``det_ok`` and B->A ``matrix_ok`` are its steering flags negated.
-    A CM that ``certify`` cannot factor raises LinAlgError;
-    ``covariance.schur_complement`` gives the Schur complement itself.
+    A->B ``det_ok`` and B->A ``matrix_ok`` are its steering flags negated,
+    ``det_ratio`` its ``det_ratio_ab`` or ``det_ratio_ba``. LinAlgError if
+    ``certify`` cannot factor V; ``schur_complement`` gives V/V_X itself.
     """
 
     matrix_ok: bool
@@ -314,12 +314,12 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> Unste
     V = _as_cm(V, bipartite=True)
     # certify's decision: its kernel on a stack of one, which refuses a CM
     # that does not factor with either party first, and its rules
-    w, (*_, ab, ba) = _decide(V.matrix, tol)
+    w, (values, *_, ab, ba) = _decide(V.matrix, tol)
     if not w.factored[0]:
         raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
-    if over == "A":
-        return UnsteerabilityCheck(*ab, float(w.det_ratio_ab[0]), float(w.rs_ab[0]))
-    return UnsteerabilityCheck(*ba, float(w.det_ratio_ba[0]), float(w.rs_ba[0]))
+    if over == "A":  # values[6:8] are det_ratio_ab and det_ratio_ba
+        return UnsteerabilityCheck(*ab, values[6], float(w.rs_ab[0]))
+    return UnsteerabilityCheck(*ba, values[7], float(w.rs_ba[0]))
 
 
 def check_unsteerable_ba(V: CovarianceMatrix, tol: float | None = None) -> UnsteerabilityCheck:

@@ -35,14 +35,14 @@ TESTS = ("tests/test_criteria.py", "tests/test_golden.py")
 MUTANTS = (
     ("rs test strict", "rs_ok = w.min_rs_eig >= -band", "rs_ok = w.min_rs_eig > -band"),
     ("A->B matrix test strict", "ab = (w.rs_ab >= -band,", "ab = (w.rs_ab > -band,"),
-    ("A->B det test strict", "w.det_ratio_ab >= 0.25 - band)", "w.det_ratio_ab > 0.25 - band)"),
+    ("A->B det test strict", "w.nu_ab >= 0.5 - band)", "w.nu_ab > 0.5 - band)"),
     ("B->A matrix test strict", "ba = (w.rs_ba >= -band,", "ba = (w.rs_ba > -band,"),
-    ("B->A det test strict", "w.det_ratio_ba >= 0.25**n_alice - band", "w.det_ratio_ba > 0.25**n_alice - band"),
+    ("B->A det test strict", "det_ba >= 0.25**n_alice - band", "det_ba > 0.25**n_alice - band"),
     ("PPT test strict", "ppt = w.nu_min_pt >= 0.5 - band", "ppt = w.nu_min_pt > 0.5 - band"),
     ("sep_plus test strict", "(sep_plus >= 1.0 - band)", "(sep_plus > 1.0 - band)"),
     ("sep_minus test strict", "(sep_minus >= 1.0 - band)", "(sep_minus > 1.0 - band)"),
     ("B->A det threshold 1/4", "0.25**n_alice - band", "0.25 - band"),
-    ("A->B det marker strict", "abs(w.det_ratio_ab - 0.25) <= band", "abs(w.det_ratio_ab - 0.25) < band"),
+    ("A->B det marker strict", "abs(w.nu_ab - 0.5) <= band", "abs(w.nu_ab - 0.5) < band"),
     ("A->B matrix marker strict", "abs(w.rs_ab) <= band", "abs(w.rs_ab) < band"),
     ("PPT marker strict", "abs(w.nu_min_pt - 0.5) <= band", "abs(w.nu_min_pt - 0.5) < band"),
     ("B->A marker strict", "abs(w.rs_ba) <= band", "abs(w.rs_ba) < band"),

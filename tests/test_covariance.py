@@ -358,11 +358,11 @@ class TestStackWitnesses:
             for i, cm in enumerate(cms):
                 schur_ab = schur_complement(cm, "A")
                 schur_ba = schur_complement(cm, "B")
-                got = [w.nu_min[i], w.nu_min_pt[i], w.det_ratio_ab[i], w.det_ratio_ba[i],
+                got = [w.nu_min[i], w.nu_min_pt[i], w.nu_ab[i], w.nu_ba[i],
                        w.schur_nu_min[i], w.min_rs_eig[i]]
                 want = [symplectic_eigenvalues(cm).min(),
-                        symplectic_eigenvalues(partial_transpose_bob(cm)).min(), np.linalg.det(schur_ab),
-                        np.linalg.det(schur_ba),
+                        symplectic_eigenvalues(partial_transpose_bob(cm)).min(), np.sqrt(np.linalg.det(schur_ab)),
+                        np.sqrt(np.linalg.det(schur_ba)),
                         symplectic_eigenvalues(schur_ba).min(),
                         np.linalg.eigvalsh(cm.matrix + 0.5j * symplectic_form(n))[0]]
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)

@@ -114,13 +114,12 @@ class TestCertifyReferenceStates:
     def test_ab_forms_self_check(self, monkeypatch, det_ratio_ab, rs_ab, k, route):
         # with Bob holding one mode the A->B determinant and matrix forms are
         # equivalent; a physical member on which they disagree outside the
-        # dead band means the witnesses are wrong, and certify raises
+        # dead band means the witnesses are wrong, and certify raises. The
+        # kernel carries the determinant ratio as its pivot product
         w = covariance._stack_witnesses(np.stack([vacuum(2).matrix] * k))
-        det_ratios, rs = w.det_ratio_ab.copy(), w.rs_ab.copy()
-        det_ratios[k // 2], rs[k // 2] = det_ratio_ab, rs_ab
-        monkeypatch.setattr(
-            covariance, "_stack_witnesses", lambda v: w._replace(det_ratio_ab=det_ratios, rs_ab=rs)
-        )
+        pivots, rs = w.nu_ab.copy(), w.rs_ab.copy()
+        pivots[k // 2], rs[k // 2] = math.sqrt(det_ratio_ab), rs_ab
+        monkeypatch.setattr(covariance, "_stack_witnesses", lambda v: w._replace(nu_ab=pivots, rs_ab=rs))
         with pytest.raises(VerdictConsistencyError, match=f"A->B .* member {k // 2} of the stack"):
             route(vacuum(2))
 
@@ -537,7 +536,15 @@ class TestHugeEntries:
     verdict, under the suite's np.seterr(all="raise"). Its symmetrization
     used to turn 1e308 into inf, and certify then raised LinAlgError
     "Eigenvalues did not converge"; the kernel's one-mode closed form
-    overflowed at the same scale."""
+    overflowed at the same scale.
+
+    ``PRODUCTS`` are vacuum-like and thermal-like modes side by side:
+    physical, PPT and unsteerable both ways. The kernel carries each Schur
+    complement as its pivot product, which stays finite; only the reported
+    determinant ratio, its square, overflows to inf. The first used to
+    report ``steer_sum_ab_min`` as inf, and the second raised
+    ``VerdictConsistencyError`` from a NaN eigenvalue of V/V_B. The first's
+    band is 1.8e145, so its markers are set (ROADMAP item 11)."""
 
     HUGE = np.diag([1e308, 1.0, 1.0, 1.0])
 
@@ -557,6 +564,27 @@ class TestHugeEntries:
         assert sv.physical.all() and np.isfinite(sv.witnesses).all()
         witnesses = certify(self.HUGE).witnesses
         assert sv.witnesses[0].tolist() == [witnesses[key] for key in WITNESS_KEYS]
+
+    # (CM, finite witness, its exact value, the determinant ratio that is inf)
+    PRODUCTS = [
+        pytest.param(np.diag([1.0, 1.0, 1e160, 1e160]), "steer_sum_ab_min", 2e160, "det_ratio_ab", id="bob-1e160"),
+        pytest.param(np.diag([1e308, 1e308, 1.0, 1.0]), "schur_min_symplectic_eig", 1e308, "det_ratio_ba",
+                     id="alice-1e308"),
+    ]
+
+    @pytest.mark.parametrize("m, key, value, inf_key", PRODUCTS)
+    def test_pivot_products_overflow_only_when_squared(self, m, key, value, inf_key):
+        v = certify(m)
+        assert v.physical and v.ppt and v.separable_necessary_met
+        assert not (v.steerable_a_to_b or v.steerable_b_to_a)
+        assert v.witnesses[key] == value and v.witnesses[inf_key] == math.inf
+        sv = stack_verdicts([CovarianceMatrix(m), m])
+        assert sv.flags[:, :5].tolist() == [[True, True, True, False, False]] * 2
+        assert sv.witnesses.tolist() == [[v.witnesses[k] for k in WITNESS_KEYS]] * 2
+        assert validate_bona_fide(m).bona_fide and validate_bona_fide(CovarianceMatrix(m)).bona_fide
+        ab, ba = check_unsteerable_ab(m), check_unsteerable_ba(m)
+        assert ab.matrix_ok and ab.det_ok and ba.matrix_ok and ba.det_ok
+        assert [ab.det_ratio, ba.det_ratio] == [v.witnesses["det_ratio_ab"], v.witnesses["det_ratio_ba"]]
 
 
 class TestExactBoundaries:
@@ -585,6 +613,19 @@ class TestExactBoundaries:
         assert check.det_ratio == 0.25 and check.min_rs_eigenvalue == 0.0
 
 
+def _root_edge(t: float) -> float:
+    """The smallest double x with x * x >= t, for t > 0; at every edge
+    ``TestRuleBoundaries`` takes, x * x rounds to t itself, so a test made
+    strict fails there."""
+    x = math.sqrt(t)
+    while x * x >= t:
+        x = math.nextafter(x, -math.inf)
+    while x * x < t:
+        x = math.nextafter(x, math.inf)
+    assert x * x == t, t
+    return x
+
+
 class TestRuleBoundaries:
     """Every test and marker of ``covariance._verdict_rules`` at its edge.
 
@@ -596,13 +637,16 @@ class TestRuleBoundaries:
     ``validate_bona_fide`` and ``check_unsteerable_*``. The band is the
     rules' own, max(tol, ``covariance._BAND_PER_NORM`` max|V|), once set by
     tol and once by the CM's entries; with powers of two every edge is
-    exact.
+    exact. The kernel carries each Schur complement as its pivot product:
+    the A->B determinant test and marker compare ``nu_ab`` with 1/2, and
+    the B->A determinant test squares ``nu_ba``, so its edge is the
+    smallest ``nu_ba`` whose square reaches 4^-N - band.
     """
 
     _MARK = 2.0**-40  # member i carries i * _MARK in its (0, 2) entry
     # far from every threshold: physical, PPT, separable, unsteerable
-    _BASE = dict(factored=True, min_rs_eig=1.0, nu_min=1.5, nu_min_pt=1.5, det_ratio_ab=2.25,
-                 rs_ab=1.0, det_ratio_ba=2.25, rs_ba=1.0, schur_nu_min=1.5)
+    _BASE = dict(factored=True, min_rs_eig=1.0, nu_min=1.5, nu_min_pt=1.5, nu_ab=1.5,
+                 rs_ab=1.0, nu_ba=1.5, rs_ba=1.0, schur_nu_min=1.5)
     # (tol, the CM's entries): the band is tol, 8 eps * 0.5 and 8 eps * 2^20
     BANDS = [(2.0**-30, 0.5), (0.0, 0.5), (2.0**-30, 2.0**20)]
     T, F = True, False
@@ -616,17 +660,18 @@ class TestRuleBoundaries:
         "sep_minus": ("nu_min", lambda b, na: (1.0 - b) / 2, {}, {"separable": (T, F, T)}),
         # non-PPT, so that steering is no self-check failure; rs_ab < 0
         # agrees with the determinant test wherever the marker is off
-        "steerable_ab": ("det_ratio_ab", lambda b, na: 0.25 - b, {"nu_min_pt": 0.1, "rs_ab": -1.0},
+        "steerable_ab": ("nu_ab", lambda b, na: 0.5 - b, {"nu_min_pt": 0.1, "rs_ab": -1.0},
                          {"steerable_ab": (F, T, F), "marginal_ab": (T, F, T), "ab_det": (T, F, T)}),
-        "marginal_ab_det": ("det_ratio_ab", lambda b, na: 0.25 + b, {"nu_min_pt": 0.1},
+        "marginal_ab_det": ("nu_ab", lambda b, na: 0.5 + b, {"nu_min_pt": 0.1},
                             {"steerable_ab": (F, F, F), "marginal_ab": (T, T, F), "ab_det": (T, T, T)}),
-        "rs_ab_low": ("rs_ab", lambda b, na: -b, {"nu_min_pt": 0.1, "det_ratio_ab": 0.1},
+        "rs_ab_low": ("rs_ab", lambda b, na: -b, {"nu_min_pt": 0.1, "nu_ab": 0.25},
                       {"steerable_ab": (T, T, T), "marginal_ab": (T, F, T), "ab_matrix": (T, F, T)}),
         "rs_ab_high": ("rs_ab", lambda b, na: b, {}, {"marginal_ab": (T, T, F), "ab_matrix": (T, T, T)}),
         "steerable_ba": ("rs_ba", lambda b, na: -b, {"nu_min_pt": 0.1},
                          {"steerable_ba": (F, T, F), "marginal_ba": (T, F, T), "ba_matrix": (T, F, T)}),
         "marginal_ba": ("rs_ba", lambda b, na: b, {}, {"steerable_ba": (F, F, F), "marginal_ba": (T, T, F)}),
-        "ba_det": ("det_ratio_ba", lambda b, na: 0.25**na - b, {}, {"ba_det": (T, F, T), "ba_matrix": (T, T, T)}),
+        "ba_det": ("nu_ba", lambda b, na: _root_edge(0.25**na - b), {},
+                   {"ba_det": (T, F, T), "ba_matrix": (T, T, T)}),
     }
     # how each output is read from a verdict (certify), from row i of a
     # StackVerdicts, or from the one-CM checks
