@@ -493,14 +493,13 @@ class _StackWitnesses(NamedTuple):
     nu_ab: np.ndarray  # pivot product of V/V_A, sqrt(det V / det V_A)
     rs_ab: np.ndarray  # smallest eigenvalue of V/V_A + (i/2) J_B
     nu_ba: np.ndarray  # pivot product of V/V_B, sqrt(det V / det V_B)
-    rs_ba: np.ndarray  # smallest eigenvalue of V/V_B + (i/2) J_A
     schur_nu_min: np.ndarray  # smallest symplectic eigenvalue of V/V_B
 
 
 @functools.lru_cache(maxsize=None)
 def _stack_constants(n_modes: int):
-    """(i/2) J, the forms J and P J P stacked, J_A, (i/2) J_A, and the flat
-    indices that take a CM's entries to its own and then to those of its
+    """(i/2) J, the forms J and P J P stacked, J_A, and the flat indices
+    that take a CM's entries to its own and then to those of its
     reordering with Bob's mode first, for n_modes modes."""
     j = symplectic_form(n_modes)
     pt = j.copy()
@@ -509,7 +508,7 @@ def _stack_constants(n_modes: int):
     k = dim - 2
     bob_first = np.r_[k:dim, :k]
     pair = np.concatenate([np.arange(dim * dim), (bob_first[:, None] * dim + bob_first).ravel()])
-    out = (0.5j * j, np.stack([j, pt]), j[:k, :k], 0.5j * j[:k, :k], pair)
+    out = (0.5j * j, np.stack([j, pt]), j[:k, :k], pair)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -545,16 +544,16 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     together, as one (2k, 2n, 2n) stack. The factor V = L L^T is the
     positive-definiteness check, and gives both symplectic spectra
     through i L^T J L and i L^T (P J P) L, in one eigensolve with
-    V + (i/2) J, all filled into one complex buffer. The trailing block
-    L_kk of the Bob-first factor is the factor of V/V_B, and its pivot
-    product is ``nu_ba`` = sqrt(det V / det V_B) for every n. The trailing
-    2x2 blocks of both factors go through the one-mode closed forms
-    (``_one_mode_schur``): L's is the factor of V/V_A, always one mode,
-    and with n = 2 the Bob-first one is V/V_B's. For n >= 3 a second
-    eigensolve, from a buffer of its own, reads V/V_B + (i/2) J_A and the
-    spectrum of i L_kk^T J_A L_kk. The A->B eigenvalue ``rs_ab`` is read
-    from the entries of V/V_A and never from ``nu_ab``, so that certify's
-    A->B self-check compares two routes, not one number with itself.
+    V + (i/2) J, all filled into one complex buffer. L's trailing 2x2
+    block is the factor of V/V_A, always one mode, and goes through the
+    one-mode closed forms (``_one_mode_schur``). The trailing block L_kk
+    of the Bob-first factor is the factor of V/V_B, and its pivot product
+    is ``nu_ba`` = sqrt(det V / det V_B) for every n; with n = 2 that is
+    also V/V_B's symplectic eigenvalue ``schur_nu_min``, and for n >= 3 a
+    second eigensolve reads it from the spectrum of i L_kk^T J_A L_kk.
+    The A->B eigenvalue ``rs_ab`` is read from the entries of V/V_A and
+    never from ``nu_ab``, so that certify's A->B self-check compares two
+    routes, not one number with itself.
 
     When a batched factorization fails, the stack is split in halves
     until each failing member stands alone as a stack of one, so a
@@ -564,11 +563,11 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     The stack must be validated and symmetric, as ``validate_stack``
     returns it: every caller checks its input first. A one-mode stack
     gets ``factored`` and ``min_rs_eig``, and nothing else that means
-    anything. An empty stack gives nine empty arrays.
+    anything. An empty stack gives eight empty arrays.
     """
     k, dim, _ = v.shape
     n = dim // 2
-    rs_shift, forms, j_a, rs_shift_a, pair = _stack_constants(n)
+    rs_shift, forms, j_a, pair = _stack_constants(n)
     try:
         # member i's V at 2i and its Bob-first reordering at 2i + 1
         factors = np.linalg.cholesky(v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim))
@@ -577,34 +576,28 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
             halves = (_stack_witnesses(v[: k // 2]), _stack_witnesses(v[k // 2 :]))
             return _StackWitnesses(*map(np.concatenate, zip(*halves)))
         rs = np.linalg.eigvalsh(v + rs_shift)[:, 0]
-        return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[np.zeros(1)] * 7)
+        return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[np.zeros(1)] * 6)
     low = factors[0::2]
     batch = np.empty((3 * k, dim, dim), dtype=complex)
     np.add(v, rs_shift, batch[:k])
     np.multiply(1j, low.transpose(0, 2, 1)[:, None] @ forms @ low[:, None], batch[k:].reshape(k, 2, dim, dim))
     eig = np.linalg.eigvalsh(batch)
     nus = eig[k:, n].reshape(k, 2)
-    nu, rs = _one_mode_schur(factors[:, -2:, -2:])
+    nu_ab, rs_ab = _one_mode_schur(low[:, -2:, -2:])
     low_ba = factors[1::2, 2:, 2:]
-    nu_ba = low_ba.diagonal(axis1=1, axis2=2).prod(axis=1)
-    if n <= 2:
-        schur_nu_min, rs_ba = nu_ba, rs[1::2]
-    else:
-        low_ba_t = low_ba.transpose(0, 2, 1)
-        batch = np.empty((2 * k, dim - 2, dim - 2), dtype=complex)
-        np.add(low_ba @ low_ba_t, rs_shift_a, batch[:k])
-        np.multiply(1j, low_ba_t @ j_a @ low_ba, batch[k:])
-        eig_ba = np.linalg.eigvalsh(batch)
-        rs_ba, schur_nu_min = eig_ba[:k, 0], eig_ba[k:, n - 1]
+    with np.errstate(over="ignore"):  # past the double range the product is inf
+        nu_ba = low_ba.diagonal(axis1=1, axis2=2).prod(axis=1)
+    schur_nu_min = nu_ba  # V/V_B's symplectic eigenvalue while it has one mode
+    if n > 2:
+        schur_nu_min = np.linalg.eigvalsh(1j * (low_ba.transpose(0, 2, 1) @ j_a @ low_ba))[:, n - 1]
     return _StackWitnesses(
         factored=np.ones(k, dtype=bool),
         min_rs_eig=eig[:k, 0],
         nu_min=nus[:, 0],
         nu_min_pt=nus[:, 1],
-        nu_ab=nu[0::2],
-        rs_ab=rs[0::2],
+        nu_ab=nu_ab,
+        rs_ab=rs_ab,
         nu_ba=nu_ba,
-        rs_ba=rs_ba,
         schur_nu_min=schur_nu_min,
     )
 
@@ -624,7 +617,8 @@ def _verdict_rules(w: _StackWitnesses, band, n_alice: int):
     two self-check failures (the A->B tests disagree outside the dead band;
     a PPT, hence separable and unsteerable (Wiseman, Jones and Doherty
     2007), member steers); the RS test; and the (matrix, determinant)
-    unsteerability tests of A->B and of B->A, against 1/2 and 4^-N.
+    unsteerability tests of A->B and of B->A, the latter against 1/2 for
+    nu_min(V/V_B), the Williamson form of V/V_B + (i/2) J_A >= 0, and 4^-N.
     """
     # 2 nu~, 2 nu and 2 nu_ab = 2 sqrt(det V / det V_A) are local invariants;
     # whenever V has a standard form they are the minima of the sums
@@ -634,13 +628,13 @@ def _verdict_rules(w: _StackWitnesses, band, n_alice: int):
               w.schur_nu_min)
     rs_ok = w.min_rs_eig >= -band
     ab = (w.rs_ab >= -band, w.nu_ab >= 0.5 - band)
-    ba = (w.rs_ba >= -band, det_ba >= 0.25**n_alice - band)
+    ba = (w.schur_nu_min >= 0.5 - band, det_ba >= 0.25**n_alice - band)
     physical = w.factored & rs_ok
     ppt = w.nu_min_pt >= 0.5 - band
     steerable_ab, steerable_ba = ab[1] ^ True, ba[0] ^ True
     marginal_ab = (abs(w.nu_ab - 0.5) <= band) | (abs(w.rs_ab) <= band)
     flags = (physical, ppt, (sep_plus >= 1.0 - band) & (sep_minus >= 1.0 - band), steerable_ab, steerable_ba,
-             abs(w.nu_min_pt - 0.5) <= band, marginal_ab, abs(w.rs_ba) <= band)
+             abs(w.nu_min_pt - 0.5) <= band, marginal_ab, abs(w.schur_nu_min - 0.5) <= band)
     ab_disagree = physical & (marginal_ab ^ True) & (ab[0] != ab[1])
     ppt_steers = physical & ppt & (steerable_ab | steerable_ba)
     return values, flags, ab_disagree, ppt_steers, rs_ok, ab, ba

@@ -18,7 +18,8 @@ det V / det V_A against 1/4, which is exactly equivalent to the matrix
 condition when Bob holds one mode; both are computed and any
 disagreement outside the dead band raises, as an internal self-check.
 The B->A call uses the Schur-complement matrix condition, which is
-strictly stronger than its determinant counterpart when N > 1.
+strictly stronger than its determinant counterpart when N > 1, in
+Williamson normal form: nu_min(V/V_B) >= 1/2, a local invariant.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ class StackVerdicts(NamedTuple):
     Only ``physical`` and the ``min_rs_eig`` column mean anything for a
     non-physical member: its other flags and witnesses are whatever the
     rules make of what the kernel left there (a member whose factor fails
-    has zeroed witnesses, which read as steerable A->B), so every consumer
-    masks them by ``physical``.
+    has zeroed witnesses, which read as steerable both ways), so every
+    consumer masks them by ``physical``.
     """
 
     flags: np.ndarray

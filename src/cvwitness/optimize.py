@@ -108,7 +108,9 @@ class UnsteerabilityCheck(NamedTuple):
     ``matrix_ok`` is the Schur-complement physicality condition (exact);
     ``det_ok`` is the determinant-ratio condition, which the matrix
     condition implies but which is strictly weaker for a multimode
-    Alice. ``min_rs_eigenvalue`` witnesses the matrix test margin. Tests
+    Alice. ``min_rs_eigenvalue`` is the matrix test's margin: the least
+    eigenvalue of V/V_X + (i/2) J_X, for B->A in Williamson normal form,
+    nu_min(V/V_B) - 1/2, which no local symplectic moves. Tests
     and witnesses are ``certify``'s, decided by its kernel on a stack of
     one and its verdict rules with the same band (``covariance._decide``):
     A->B ``det_ok`` and B->A ``matrix_ok`` are its steering flags negated,
@@ -317,18 +319,19 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> Unste
     w, (values, *_, ab, ba) = _decide(V.matrix, tol)
     if not w.factored[0]:
         raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
-    if over == "A":  # values[6:8] are det_ratio_ab and det_ratio_ba
+    if over == "A":  # values[6:9] are det_ratio_ab, det_ratio_ba and schur_nu_min
         return UnsteerabilityCheck(*ab, values[6], float(w.rs_ab[0]))
-    return UnsteerabilityCheck(*ba, values[7], float(w.rs_ba[0]))
+    return UnsteerabilityCheck(*ba, values[7], values[8] - 0.5)
 
 
 def check_unsteerable_ba(V: CovarianceMatrix, tol: float | None = None) -> UnsteerabilityCheck:
     """Necessary conditions of unsteerability from Bob to Alice.
 
     The Schur complement V/V_B must satisfy the matrix uncertainty
-    relation V/V_B + (i/2) J_A >= 0; its determinant (equal to
-    det V / det V_B) must reach 2^(-2N). The first condition implies the
-    second and is strictly stronger when Alice holds several modes.
+    relation V/V_B + (i/2) J_A >= 0, read as nu_min(V/V_B) >= 1/2; its
+    determinant (equal to det V / det V_B) must reach 2^(-2N). The first
+    condition implies the second and is strictly stronger when Alice
+    holds several modes.
     """
     return _direction_check(V, "B", tol)
 

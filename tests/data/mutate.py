@@ -1,11 +1,12 @@
 """Mutation check of the verdict rules and the dead band.
 
 Each mutant is one textual edit of src/cvwitness/covariance.py: a test
-of ``_verdict_rules`` made strict, a marker made strict, Alice's
-B->A threshold 4^-N read as 1/4, or the band narrowed or set to tol
-alone. Each is applied in a temporary copy of the repository, never in
-the checkout, and tests/test_criteria.py and tests/test_golden.py run
-against it. A mutant survives when both files still pass.
+of ``_verdict_rules`` made strict, a marker made strict or moved off
+its centre, Alice's B->A threshold 4^-N read as 1/4, or the band
+narrowed or set to tol alone. Each is applied in a temporary copy of
+the repository, never in the checkout, and tests/test_criteria.py and
+tests/test_golden.py run against it. A mutant survives when both files
+still pass.
 
 Usage, from anywhere:
 
@@ -36,7 +37,7 @@ MUTANTS = (
     ("rs test strict", "rs_ok = w.min_rs_eig >= -band", "rs_ok = w.min_rs_eig > -band"),
     ("A->B matrix test strict", "ab = (w.rs_ab >= -band,", "ab = (w.rs_ab > -band,"),
     ("A->B det test strict", "w.nu_ab >= 0.5 - band)", "w.nu_ab > 0.5 - band)"),
-    ("B->A matrix test strict", "ba = (w.rs_ba >= -band,", "ba = (w.rs_ba > -band,"),
+    ("B->A matrix test strict", "ba = (w.schur_nu_min >= 0.5 - band,", "ba = (w.schur_nu_min > 0.5 - band,"),
     ("B->A det test strict", "det_ba >= 0.25**n_alice - band", "det_ba > 0.25**n_alice - band"),
     ("PPT test strict", "ppt = w.nu_min_pt >= 0.5 - band", "ppt = w.nu_min_pt > 0.5 - band"),
     ("sep_plus test strict", "(sep_plus >= 1.0 - band)", "(sep_plus > 1.0 - band)"),
@@ -45,7 +46,8 @@ MUTANTS = (
     ("A->B det marker strict", "abs(w.nu_ab - 0.5) <= band", "abs(w.nu_ab - 0.5) < band"),
     ("A->B matrix marker strict", "abs(w.rs_ab) <= band", "abs(w.rs_ab) < band"),
     ("PPT marker strict", "abs(w.nu_min_pt - 0.5) <= band", "abs(w.nu_min_pt - 0.5) < band"),
-    ("B->A marker strict", "abs(w.rs_ba) <= band", "abs(w.rs_ba) < band"),
+    ("B->A marker strict", "abs(w.schur_nu_min - 0.5) <= band", "abs(w.schur_nu_min - 0.5) < band"),
+    ("B->A marker centre 1/4", "schur_nu_min - 0.5", "schur_nu_min - 0.25"),
     ("band constant halved", "_BAND_PER_NORM = 8.0 *", "_BAND_PER_NORM = 4.0 *"),
     ("one-CM band is tol", "return max(tol, _BAND_PER_NORM * float(np.abs(m).max()))", "return tol"),
     (

@@ -11,6 +11,7 @@ from cvwitness import (
     CovarianceMatrix,
     GeneratorSpec,
     certify,
+    find_one_way_example,
     min_steering_sum_ba_numeric,
     random_standard,
     split_standard,
@@ -352,6 +353,26 @@ class TestSweep:
     def test_bad_range_exit_1(self, capsys):
         code, _, err = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "0;1;5")
         assert code == 1
+
+    def test_non_physical_row_masked(self, capsys, monkeypatch):
+        # a non-physical row has no flags, so the rows around it cross on
+        # every flag. Unmasked, diag(1/2, 1/2, 0.3, 0.3), which factors,
+        # reads as the one-way example beside it does, and nothing would cross
+        one_way = find_one_way_example().matrix
+        stack = np.stack([one_way, np.diag([0.5, 0.5, 0.3, 0.3]), one_way])
+        monkeypatch.setattr(GeneratorSpec, "build_stack", lambda self, param, values: stack)
+        code, out, _ = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "0,2,3")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["physical"], row["steerable_a_to_b"]) for row in rows] == [
+            ("true", "true"), ("false", ""), ("true", "true")]
+        every = "ppt;steerable_a_to_b;steerable_b_to_a"
+        assert [row["crossings"] for row in rows] == ["", every, every]
+
+    def test_zero_steps_exit_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "0,1,0")
+        assert code == 1
+        assert out == "" and "--range needs at least one step" in err
 
     @pytest.mark.parametrize("value_range", ["inf,1,2", "0,nan,3", "1,-inf,2"])
     def test_non_finite_range_exit_1(self, capsys, value_range):

@@ -32,7 +32,7 @@ from cvwitness import (
     validate_bona_fide,
 )
 from cvwitness import GeneratorSpec, covariance
-from cvwitness.covariance import DEFAULT_TOL, one_mode_rotation, one_mode_squeeze
+from cvwitness.covariance import DEFAULT_TOL, local_direct_sum, one_mode_rotation, one_mode_squeeze
 from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
 from conftest import noisy_tmsv_phase_diagram, product_cm, rotated, rotated_and_squeezed
 
@@ -103,9 +103,9 @@ class TestCertifyReferenceStates:
         # a PPT member is separable, hence unsteerable both ways; a steering
         # flag on one means the witnesses are wrong, and certify raises
         w = covariance._stack_witnesses(np.stack([vacuum(2).matrix] * k))
-        rs_ba = w.rs_ba.copy()
-        rs_ba[k // 2] = -1.0
-        monkeypatch.setattr(covariance, "_stack_witnesses", lambda v: w._replace(rs_ba=rs_ba))
+        schur_nu_min = w.schur_nu_min.copy()
+        schur_nu_min[k // 2] = 0.25
+        monkeypatch.setattr(covariance, "_stack_witnesses", lambda v: w._replace(schur_nu_min=schur_nu_min))
         with pytest.raises(VerdictConsistencyError, match="PPT"):
             route(vacuum(2))
 
@@ -254,6 +254,25 @@ class TestCertifyInvariances:
             if abs(det_ratio_ba - 0.25) < 1e-9:
                 continue
             assert v.steerable_b_to_a == (det_ratio_ba < 0.25)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("z", [2.0, 4.0])
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7, -1e-6, -1e-5])
+    @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
+    def test_ba_threshold_under_alice_squeeze(self, r, delta, z, n):
+        # noisy_tmsv(r, nbar, "A") steers B->A iff nbar < sinh^2 r / cosh 2r,
+        # and nu_min(V/V_B) sits about delta from 1/2, far outside the band.
+        # Alice's mode is rotated and squeezed, and for n = 3 a thermal mode
+        # 1.3 I joins her side: no local invariant moves. B->A used to be
+        # decided by the least eigenvalue of V/V_B + (i/2) J_A, whose margin
+        # the squeeze shrinks into the band (marginal, called unsteerable)
+        thr = math.sinh(r) ** 2 / math.cosh(2 * r)
+        s = local_direct_sum([one_mode_rotation(0.3) @ one_mode_squeeze(z), np.eye(2)])
+        m = np.eye(2 * n) * 1.3
+        m[-4:, -4:] = s @ noisy_tmsv(r, thr - delta, "A").matrix @ s.T
+        v, sv = certify(m), stack_verdicts([m])
+        assert v.steerable_b_to_a == sv.steerable_ba[0] == (delta > 0)
+        assert "marginal_ba" not in v.witnesses and not sv.marginal_ba[0]
 
     def test_flags_invariant_under_local_rotation_and_squeeze(self):
         # noisy TMSV on a grid up to r = 5, each under 4 random local
@@ -523,12 +542,20 @@ class TestStackVerdicts:
         assert from_list.flags.tobytes() == from_array.flags.tobytes()
         assert from_list.witnesses.tobytes() == from_array.witnesses.tobytes()
 
+    # non-physical CMs that factor, with Bob's mode below the vacuum:
+    # unmasked, they read A->B steerable and B->A not, as the one-way
+    # example does. A failed factor's zeroed witnesses read steerable both
+    # ways, so they no longer tell a dropped mask from a kept one
+    NON_PHYSICAL_ONE_WAY = [np.diag([0.5, 0.5, 0.3, 0.3]), np.diag([0.5, 0.5, 0.7, 0.7, 0.3, 0.3])]
+
     def test_failed_factor_masked_by_physical(self):
-        # tmsv(11)'s factorization fails, and its zeroed witnesses read as
-        # steerable A->B but not B->A: one-way, were it not masked
-        sv = stack_verdicts(np.stack([noisy_tmsv(11.0, 0.0, side).matrix for side in ("A", "B")]))
-        assert not sv.physical.any()
-        assert (sv.steerable_ab != sv.steerable_ba).all()
+        for m in self.NON_PHYSICAL_ONE_WAY:
+            sv = stack_verdicts([m])
+            assert not sv.physical[0]
+            assert sv.steerable_ab[0] and not sv.steerable_ba[0]
+            (v,) = certify_many([m])
+            assert v == certify(m)
+            assert [v.ppt, v.steerable_a_to_b, v.steerable_b_to_a] == [None] * 3
 
 
 class TestHugeEntries:
@@ -570,6 +597,9 @@ class TestHugeEntries:
         pytest.param(np.diag([1.0, 1.0, 1e160, 1e160]), "steer_sum_ab_min", 2e160, "det_ratio_ab", id="bob-1e160"),
         pytest.param(np.diag([1e308, 1e308, 1.0, 1.0]), "schur_min_symplectic_eig", 1e308, "det_ratio_ba",
                      id="alice-1e308"),
+        # the three-mode pivot product of V/V_B, 1e400, used to overflow in the kernel
+        pytest.param(np.diag([1e200] * 4 + [1.0, 1.0]), "schur_min_symplectic_eig", 1e200, "det_ratio_ba",
+                     id="alice-2x1e200"),
     ]
 
     @pytest.mark.parametrize("m, key, value, inf_key", PRODUCTS)
@@ -640,13 +670,14 @@ class TestRuleBoundaries:
     exact. The kernel carries each Schur complement as its pivot product:
     the A->B determinant test and marker compare ``nu_ab`` with 1/2, and
     the B->A determinant test squares ``nu_ba``, so its edge is the
-    smallest ``nu_ba`` whose square reaches 4^-N - band.
+    smallest ``nu_ba`` whose square reaches 4^-N - band. The B->A matrix
+    test and marker compare ``schur_nu_min`` with 1/2.
     """
 
     _MARK = 2.0**-40  # member i carries i * _MARK in its (0, 2) entry
     # far from every threshold: physical, PPT, separable, unsteerable
     _BASE = dict(factored=True, min_rs_eig=1.0, nu_min=1.5, nu_min_pt=1.5, nu_ab=1.5,
-                 rs_ab=1.0, nu_ba=1.5, rs_ba=1.0, schur_nu_min=1.5)
+                 rs_ab=1.0, nu_ba=1.5, schur_nu_min=1.5)
     # (tol, the CM's entries): the band is tol, 8 eps * 0.5 and 8 eps * 2^20
     BANDS = [(2.0**-30, 0.5), (0.0, 0.5), (2.0**-30, 2.0**20)]
     T, F = True, False
@@ -667,9 +698,10 @@ class TestRuleBoundaries:
         "rs_ab_low": ("rs_ab", lambda b, na: -b, {"nu_min_pt": 0.1, "nu_ab": 0.25},
                       {"steerable_ab": (T, T, T), "marginal_ab": (T, F, T), "ab_matrix": (T, F, T)}),
         "rs_ab_high": ("rs_ab", lambda b, na: b, {}, {"marginal_ab": (T, T, F), "ab_matrix": (T, T, T)}),
-        "steerable_ba": ("rs_ba", lambda b, na: -b, {"nu_min_pt": 0.1},
+        "steerable_ba": ("schur_nu_min", lambda b, na: 0.5 - b, {"nu_min_pt": 0.1},
                          {"steerable_ba": (F, T, F), "marginal_ba": (T, F, T), "ba_matrix": (T, F, T)}),
-        "marginal_ba": ("rs_ba", lambda b, na: b, {}, {"steerable_ba": (F, F, F), "marginal_ba": (T, T, F)}),
+        "marginal_ba": ("schur_nu_min", lambda b, na: 0.5 + b, {},
+                        {"steerable_ba": (F, F, F), "marginal_ba": (T, T, F), "ba_matrix": (T, T, T)}),
         "ba_det": ("nu_ba", lambda b, na: _root_edge(0.25**na - b), {},
                    {"ba_det": (T, F, T), "ba_matrix": (T, T, T)}),
     }

@@ -58,7 +58,8 @@ def test_golden_unsteerability_checks(entry):
     witnesses = certify(cm, tol=tol).witnesses
     assert (ab.det_ratio, ba.det_ratio) == (witnesses["det_ratio_ab"], witnesses["det_ratio_ba"])
     w = _stack_witnesses(cm.matrix[None])
-    assert (ab.min_rs_eigenvalue, ba.min_rs_eigenvalue) == (w.rs_ab[0], w.rs_ba[0])
+    # B->A's margin is nu_min(V/V_B) - 1/2, the RS eigenvalue in Williamson form
+    assert (ab.min_rs_eigenvalue, ba.min_rs_eigenvalue) == (w.rs_ab[0], w.schur_nu_min[0] - 0.5)
 
 
 def test_certify_pins():

@@ -92,6 +92,14 @@ class TestVariances:
         with pytest.raises(ValueError, match="sign"):
             variance_p(sf.vp, [1.0, 1.0], "both")
 
+    def test_p_length_mismatch(self):
+        with pytest.raises(ValueError, match="weight length 2 != block size 3"):
+            variance_p(np.eye(3), [1, 1])
+
+    def test_normalized_sum_length_mismatch(self):
+        with pytest.raises(ValueError, match="alpha has length 3, expected 2"):
+            separability_sum(sf_of(vacuum(2)), EprWeights([1, 1, 1], [1, 1, 1]))
+
 
 class TestCommutatorBound:
     def test_epr_pair_commutes(self):

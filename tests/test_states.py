@@ -43,6 +43,8 @@ def test_thermal():
     )
     with pytest.raises(ValueError, match="non-negative"):
         thermal([-0.1])
+    with pytest.raises(ValueError, match="nbar must be a non-empty 1-D sequence"):
+        thermal([])
 
 
 def test_tmsv_values():
