@@ -678,20 +678,19 @@ def aitken_factorize(V: CovarianceMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def two_mode_symplectic_pair(params: TwoModeStandardParams) -> tuple[float, float]:
-    """Symplectic eigenvalues (nu_minus, nu_plus) of a two-mode
-    standard-form CM, from the closed-form discriminant."""
+    """Symplectic eigenvalues (nu_minus, nu_plus) of a two-mode standard-form
+    CM: nu_plus^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2 and nu_minus^2 =
+    det V / nu_plus^2, where their difference would cancel (Serafini,
+    Illuminati and De Siena, J. Phys. B 37, L21, 2004). A negative det V, a
+    nu_plus^2 <= 0 or a discriminant below -1e-12 raises ValueError."""
     b1, b2, c, d = params.b1, params.b2, params.c, params.d
     det_v = (b1 * b2 - c * c) * (b1 * b2 - d * d)
     s = b1 * b1 + b2 * b2 + 2 * c * d
     disc = s * s - 4 * det_v
-    if disc < -1e-12:
-        raise ValueError(f"negative discriminant {disc:.3e}: non-physical parameters")
-    root = np.sqrt(max(disc, 0.0))
-    lo = (s - root) / 2
-    hi = (s + root) / 2
-    if lo < -1e-12:
-        raise ValueError("non-physical parameters: negative squared eigenvalue")
-    return float(np.sqrt(max(lo, 0.0))), float(np.sqrt(hi))
+    hi = (s + np.sqrt(max(disc, 0.0))) / 2
+    if not (disc >= -1e-12 and hi > 0 and det_v >= 0):
+        raise ValueError(f"non-physical parameters: discriminant {disc:.3e}, det V {det_v:.3e}")
+    return float(np.sqrt(det_v / hi)), float(np.sqrt(hi))
 
 
 def two_mode_symplectic_pair_pt(params: TwoModeStandardParams) -> tuple[float, float]:

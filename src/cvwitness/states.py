@@ -200,14 +200,8 @@ def random_two_mode_params(
             d = -d
         elif d_sign == 0 and gen.random() < 0.5:
             d = -d
-        if abs(d) < min_abs_d:
-            continue
         params = TwoModeStandardParams(b1=b1, b2=b2, c=c, d=d)
-        try:
-            nu_minus, _ = two_mode_symplectic_pair(params)
-        except ValueError:
-            continue
-        if nu_minus >= 0.5:
+        if two_mode_symplectic_pair(params)[0] >= 0.5:
             return params
     raise RuntimeError("rejection sampling budget exhausted")
 

@@ -603,19 +603,46 @@ class TestTwoModeParams:
         with pytest.raises(ValueError, match="discriminant"):
             two_mode_symplectic_pair(params)
 
+    @pytest.mark.parametrize(
+        "b1, b2, c, d",
+        [
+            (1.0, 0.5, 0.8, 0.0),  # det V = -0.07
+            (0.5, 0.5, 1.0, -1.0),  # nu_plus^2 = -0.75
+            # det V = -8.6e-11 and -4.7e-12: nu_minus^2 as the difference
+            # (Delta - sqrt(...)) / 2 rounded below -1e-12 and was refused,
+            # but the quotient det V / nu_plus^2 does not round past -1e-12;
+            # the first one's partial transpose, of the same det V, used to
+            # return (0.0, 21.05)
+            (11.504128918429144, 11.504128918429144, 11.504128918429195, -7.755616061389981),
+            (1.5373979061114667, 1.2722514250167443, 1.3985552105192496, -0.24912233957323943),
+        ],
+    )
+    def test_non_physical_rejected(self, b1, b2, c, d):
+        params = TwoModeStandardParams(b1, b2, c, d)
+        with pytest.raises(ValueError, match="non-physical"):
+            two_mode_symplectic_pair(params)
+        if (b1 * b2 - c * c) * (b1 * b2 - d * d) < 0:
+            # the partial transpose keeps det V
+            with pytest.raises(ValueError, match="non-physical"):
+                two_mode_symplectic_pair_pt(params)
+
 
 class TestStandardFormReduce:
     def test_already_standard_tmsv(self):
-        r = 0.5
-        params, s_local = standard_form_reduce_two_mode(tmsv(r))
-        assert params.b1 == pytest.approx(np.cosh(2 * r) / 2, abs=1e-12)
-        assert params.b2 == pytest.approx(np.cosh(2 * r) / 2, abs=1e-12)
-        assert params.c == pytest.approx(np.sinh(2 * r) / 2, abs=1e-12)
-        assert params.d == pytest.approx(-np.sinh(2 * r) / 2, abs=1e-12)
-        # s_local is a local symplectic: the transform must stay in standard
-        # form with the same parameters
-        w = s_local @ tmsv(r).matrix @ s_local.T
-        np.testing.assert_allclose(np.abs(w), np.abs(tmsv(r).matrix), atol=1e-12)
+        for r in (0.5, 3.0, 4.0, 5.0, 6.0):
+            params, s_local = standard_form_reduce_two_mode(tmsv(r))
+            assert params.b1 == pytest.approx(np.cosh(2 * r) / 2, abs=1e-12)
+            assert params.b2 == pytest.approx(np.cosh(2 * r) / 2, abs=1e-12)
+            assert params.c == pytest.approx(np.sinh(2 * r) / 2, abs=1e-12)
+            assert params.d == pytest.approx(-np.sinh(2 * r) / 2, abs=1e-12)
+            # s_local is a local symplectic: the transform must stay in
+            # standard form with the same parameters
+            w = s_local @ tmsv(r).matrix @ s_local.T
+            np.testing.assert_allclose(np.abs(w), np.abs(tmsv(r).matrix), atol=1e-12)
+            # nu~_- = e^(-2r)/2: as the difference (Delta - sqrt(...)) / 2 it
+            # cancelled, off by 6.9e-4 relative at r = 4 and 0.0 from r = 5
+            nu_pt = two_mode_symplectic_pair_pt(params)[0]
+            assert nu_pt == pytest.approx(np.exp(-2 * r) / 2, rel=1e-6), r
 
     def test_round_trip_under_rotations(self, rng):
         for r in (0.2, 0.5, 1.1):

@@ -37,6 +37,23 @@ from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
 from conftest import noisy_tmsv_phase_diagram, product_cm, rotated, rotated_and_squeezed
 
 
+def _ba_threshold(r):
+    """The Alice-side noise sinh^2 r / cosh 2r below which noisy_tmsv(r, nbar,
+    "A") steers B->A."""
+    return math.sinh(r) ** 2 / math.cosh(2 * r)
+
+
+def _squeezed_noisy_tmsv(r, nbar, squeezed, z, n=2):
+    """noisy_tmsv(r, nbar, "A") with the mode of party ``squeezed`` ("A" or
+    "B") rotated by 0.3 and squeezed by z, and for n = 3 a thermal mode 1.3 I
+    joined to Alice's side: an n-mode CM array with the same local invariants."""
+    s = one_mode_rotation(0.3) @ one_mode_squeeze(z)
+    s = local_direct_sum([s, np.eye(2)] if squeezed == "A" else [np.eye(2), s])
+    m = np.eye(2 * n) * 1.3
+    m[-4:, -4:] = s @ noisy_tmsv(r, nbar, "A").matrix @ s.T
+    return m
+
+
 class TestCertifyReferenceStates:
     def test_vacuum(self):
         v = certify(vacuum(2))
@@ -148,7 +165,7 @@ class TestCertifyReferenceStates:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="witness error grows as eps kappa(V), past the band's 8 eps max|V|; ROADMAP item 1, step 1b",
+        reason="witness error grows as eps kappa(V), past the band's 8 eps max|V|; ROADMAP item 11",
     )
     def test_rotated_squeezed_bob_product_state(self):
         # vacuum and a pure Bob mode rotated by 3 pi/16 and squeezed by 4.5: a
@@ -161,6 +178,19 @@ class TestCertifyReferenceStates:
         m[2:, 2:] = s @ (0.5 * np.eye(2)) @ s.T
         v = certify(CovarianceMatrix(m))
         assert (v.physical, v.ppt, v.steerable_a_to_b, v.steerable_b_to_a) == (True, True, False, False)
+
+    @pytest.mark.parametrize("z", [4.5, 6.0, 8.0])
+    @pytest.mark.parametrize("theta", [3 * np.pi / 16, 7 * np.pi / 40])
+    def test_rotated_squeezed_bob_product_state_marked_ab(self, theta, z):
+        # vacuum and a pure Bob mode rotated by theta and squeezed by z sit
+        # exactly on the A->B threshold, det V / det V_A = 1/4, so the flag
+        # is marked marginal. Only rs_ab marks all six: nu_ab, the A->B
+        # pivot product, lies within the band of 1/2 only at (7 pi/40, 4.5)
+        s = one_mode_rotation(theta) @ one_mode_squeeze(z)
+        m = 0.5 * np.eye(4)
+        m[2:, 2:] = 0.5 * s @ s.T
+        assert "marginal_ab" in certify(m).witnesses
+        assert stack_verdicts([m]).marginal_ab[0]
 
     def test_requires_bipartite(self):
         with pytest.raises(ValueError, match="bipartite"):
@@ -266,13 +296,50 @@ class TestCertifyInvariances:
         # 1.3 I joins her side: no local invariant moves. B->A used to be
         # decided by the least eigenvalue of V/V_B + (i/2) J_A, whose margin
         # the squeeze shrinks into the band (marginal, called unsteerable)
-        thr = math.sinh(r) ** 2 / math.cosh(2 * r)
-        s = local_direct_sum([one_mode_rotation(0.3) @ one_mode_squeeze(z), np.eye(2)])
-        m = np.eye(2 * n) * 1.3
-        m[-4:, -4:] = s @ noisy_tmsv(r, thr - delta, "A").matrix @ s.T
+        m = _squeezed_noisy_tmsv(r, _ba_threshold(r) - delta, "A", z, n)
         v, sv = certify(m), stack_verdicts([m])
         assert v.steerable_b_to_a == sv.steerable_ba[0] == (delta > 0)
         assert "marginal_ba" not in v.witnesses and not sv.marginal_ba[0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("z", [2.0, 4.0])
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7, -1e-6, -1e-5])
+    @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
+    def test_ppt_threshold_under_bob_squeeze(self, r, delta, z, n):
+        # noisy_tmsv(r, nbar, "A") is PPT iff nbar >= 1, whatever r; Bob's
+        # mode is rotated and squeezed, which moves no local invariant
+        m = _squeezed_noisy_tmsv(r, 1 - delta, "B", z, n)
+        v, sv = certify(m), stack_verdicts([m])
+        assert v.ppt == sv.ppt[0] == (delta < 0)
+        assert "marginal_ppt" not in v.witnesses and not sv.marginal_ppt[0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("z", [2.0, 4.0])
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7, -1e-6, -1e-5])
+    @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
+    def test_ab_threshold_under_bob_squeeze(self, r, delta, z, n):
+        # noisy_tmsv(r, nbar, "A") steers A->B iff nbar < 1/2, whatever r.
+        # No assertion on marginal_ab: rs_ab, the second A->B route, sets it
+        # on 24 of these 60, its margin shrunk by Bob's squeeze
+        m = _squeezed_noisy_tmsv(r, 0.5 - delta, "B", z, n)
+        v, sv = certify(m), stack_verdicts([m])
+        assert v.steerable_a_to_b == sv.steerable_ab[0] == (delta > 0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="nu_min(V/V_B) errs by about eps kappa(V), past the band's 8 eps max|V|; ROADMAP item 11",
+    )
+    @pytest.mark.parametrize(
+        "r, delta, z", [(1.5, 1e-5, 6.5), (1.5, 1e-5, 7.0), (1.5, 1e-6, 6.0), (0.7, -1e-6, 6.75)]
+    )
+    def test_ba_threshold_under_heavy_alice_squeeze(self, r, delta, z):
+        # test_ba_threshold_under_alice_squeeze's family at kappa(V) = 3e11..2e13:
+        # schur_min_symplectic_eig - 1/2 reads +6.9e-6, +5.1e-5, +8.5e-7 and
+        # -9.4e-7, the wrong side of 1/2, and nothing marks the flag marginal
+        m = _squeezed_noisy_tmsv(r, _ba_threshold(r) - delta, "A", z)
+        v, sv = certify(m), stack_verdicts([m])
+        assert v.steerable_b_to_a == (delta > 0) or "marginal_ba" in v.witnesses
+        assert sv.steerable_ba[0] == (delta > 0) or sv.marginal_ba[0]
 
     def test_flags_invariant_under_local_rotation_and_squeeze(self):
         # noisy TMSV on a grid up to r = 5, each under 4 random local
