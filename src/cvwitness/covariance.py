@@ -400,7 +400,7 @@ def validate_bona_fide(V, tol: float | None = None) -> ValidationReport:
     w, (values, *_, rs_ok, _, _) = _decide(_symmetrized(m[None])[0], tol)
     return ValidationReport(
         symmetric=bool(_symmetric(m[None])[0]),
-        positive_definite=bool(w.factored[0]),
+        positive_definite=w.factored,
         rs_ur_satisfied=rs_ok,
         min_rs_eigenvalue=values[0],
         tol=tol,
@@ -482,9 +482,10 @@ def schur_complement(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
 
 
 class _StackWitnesses(NamedTuple):
-    """Per-member witnesses of a stack of k CMs, each a (k,) array. A
-    member whose factorization failed has ``factored`` False and zeros
-    everywhere but ``min_rs_eig``."""
+    """Per-member witnesses of a stack of k CMs, each a (k,) array, or of
+    one CM, each a Python scalar (``_float_witnesses``). A member whose
+    factorization failed has ``factored`` False and zeros everywhere but
+    ``min_rs_eig``."""
 
     factored: np.ndarray
     min_rs_eig: np.ndarray  # smallest eigenvalue of V + (i/2) J
@@ -514,11 +515,21 @@ def _stack_constants(n_modes: int):
     return out
 
 
-def _one_mode_schur(low_kk: np.ndarray):
-    """The pivot product l11 l22 of each one-mode block g = L_kk L_kk^T of a
-    stack of 2x2 lower factors L_kk = [[l11, 0], [l21, l22]], which is
-    sqrt(det g) and g's symplectic eigenvalue, and the smallest eigenvalue
-    (g11 + g22)/2 - sqrt(((g11 - g22)/2)^2 + g12^2 + 1/4) of g + (i/2) J_1.
+def _float_hypot(x: float, y: float) -> float:
+    """``np.hypot`` of two Python floats, as a Python float: the libm
+    hypot of the stack route, which ``math.hypot`` does not always match
+    in the last bit."""
+    return np.hypot(x, y).item()
+
+
+def _one_mode_schur(l11, l21, l22, hypot=np.hypot):
+    """The pivot product l11 l22 of a one-mode block g = L_kk L_kk^T with
+    lower factor L_kk = [[l11, 0], [l21, l22]], which is sqrt(det g) and
+    g's symplectic eigenvalue, and the smallest eigenvalue (g11 + g22)/2 -
+    sqrt(((g11 - g22)/2)^2 + g12^2 + 1/4) of g + (i/2) J_1. Written once
+    over the entries of one factor as Python floats, with ``hypot``
+    ``_float_hypot``, or of a stack's factors as (k,) arrays, with
+    ``np.hypot``: both give the same bits.
 
     The eigenvalue is read from the entries of g, not from the pivots, so
     it stays an independent check on them. It is evaluated as LAPACK's 2x2
@@ -526,34 +537,73 @@ def _one_mode_schur(low_kk: np.ndarray):
     the larger eigenvalue ``top``: the difference above cancels, and on a
     squeezed Bob mode with ||g|| ~ 1e7 its error passes the 1e-9 dead band.
     With top's terms halved, and each product divided by top >= max(g11,
-    g22) >= |g12| before the sum, no finite block overflows."""
-    l11, l21, l22 = low_kk[:, 0, 0], low_kk[:, 1, 0], low_kk[:, 1, 1]
+    g22) >= |g12| before the sum, no term but top overflows: top is inf
+    when g's larger eigenvalue passes the double range, and the eigenvalue
+    then reads 0.0, inside the band."""
     g11, g12, g22 = l11 * l11, l11 * l21, l21 * l21 + l22 * l22
     h11, h22 = 0.5 * g11, 0.5 * g22
-    top = h11 + h22 + np.hypot(h11 - h22, np.hypot(g12, 0.5))
+    top = h11 + h22 + hypot(h11 - h22, hypot(g12, 0.5))
     rs = g11 / top * g22 - g12 / top * g12 - 0.25 / top
     return l11 * l22, rs
 
 
-def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
-    """Every certification witness of a stack of bipartite CMs, shape
-    (k, 2n, 2n) with Bob holding the last mode, from one batched Cholesky
-    factorization and one or two batched Hermitian eigensolves.
+def _factor_stage(v: np.ndarray):
+    """The kernel's LAPACK stage on a validated stack v of shape (k, 2n,
+    2n): one batched Cholesky factorization and one or two batched
+    Hermitian eigensolves. Raises LinAlgError when any member's factor
+    fails.
 
     Each V and its reordering with Bob's mode first are factored
-    together, as one (2k, 2n, 2n) stack. The factor V = L L^T is the
-    positive-definiteness check, and gives both symplectic spectra
-    through i L^T J L and i L^T (P J P) L, in one eigensolve with
-    V + (i/2) J, all filled into one complex buffer. L's trailing 2x2
-    block is the factor of V/V_A, always one mode, and goes through the
+    together, as one (2k, 2n, 2n) stack: member i's V = L L^T at 2i and
+    its Bob-first factor at 2i + 1. The factor gives both symplectic
+    spectra through i L^T J L and i L^T (P J P) L, in one eigensolve with
+    V + (i/2) J, all filled into one complex buffer: the (3k, 2n)
+    eigenvalues hold V + (i/2) J's at row i and the two spectra at rows
+    k + 2i and k + 2i + 1, each nu_min in column n. For n >= 3 a second
+    eigensolve reads V/V_B's smallest symplectic eigenvalue from the
+    spectrum of i L_kk^T J_A L_kk, with L_kk the trailing block of the
+    Bob-first factor; for n <= 2 that is None.
+
+    Returns (factors, eigenvalues, schur_nu_min)."""
+    k, dim, _ = v.shape
+    n = dim // 2
+    rs_shift, forms, j_a, pair = _stack_constants(n)
+    factors = np.linalg.cholesky(v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim))
+    low = factors[0::2]
+    batch = np.empty((3 * k, dim, dim), dtype=complex)
+    np.add(v, rs_shift, batch[:k])
+    np.multiply(1j, low.transpose(0, 2, 1)[:, None] @ forms @ low[:, None], batch[k:].reshape(k, 2, dim, dim))
+    eig = np.linalg.eigvalsh(batch)
+    schur_nu_min = None
+    if n > 2:
+        low_ba = factors[1::2, 2:, 2:]
+        schur_nu_min = np.linalg.eigvalsh(1j * (low_ba.transpose(0, 2, 1) @ j_a @ low_ba))[:, n - 1]
+    return factors, eig, schur_nu_min
+
+
+def _unfactored(v: np.ndarray) -> _StackWitnesses:
+    """The witnesses of a stack v of one CM whose factor fails: the
+    smallest eigenvalue of V + (i/2) J, and zeros."""
+    rs = np.linalg.eigvalsh(v + _stack_constants(v.shape[-1] // 2)[0])[:, 0]
+    return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[np.zeros(1)] * 6)
+
+
+def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
+    """Every certification witness of a stack of bipartite CMs, shape
+    (k, 2n, 2n) with Bob holding the last mode, as (k,) arrays: the
+    LAPACK stage (``_factor_stage``) and then its closed-form tail, run
+    on the stage's arrays. ``_float_witnesses`` runs the same tail on one
+    CM's Python floats.
+
+    The tail reads the rest from the two factors. L's trailing 2x2 block
+    is the factor of V/V_A, always one mode, and goes through the
     one-mode closed forms (``_one_mode_schur``). The trailing block L_kk
-    of the Bob-first factor is the factor of V/V_B, and its pivot product
-    is ``nu_ba`` = sqrt(det V / det V_B) for every n; with n = 2 that is
-    also V/V_B's symplectic eigenvalue ``schur_nu_min``, and for n >= 3 a
-    second eigensolve reads it from the spectrum of i L_kk^T J_A L_kk.
-    The A->B eigenvalue ``rs_ab`` is read from the entries of V/V_A and
-    never from ``nu_ab``, so that certify's A->B self-check compares two
-    routes, not one number with itself.
+    of the Bob-first factor is the factor of V/V_B, and the product of
+    its pivots, taken in order by ``math.prod``, is ``nu_ba`` = sqrt(det
+    V / det V_B) for every n; with n = 2 that is also V/V_B's symplectic
+    eigenvalue ``schur_nu_min``. The A->B eigenvalue ``rs_ab`` is read
+    from the entries of V/V_A and never from ``nu_ab``, so that certify's
+    A->B self-check compares two routes, not one number with itself.
 
     When a batched factorization fails, the stack is split in halves
     until each failing member stands alone as a stack of one, so a
@@ -567,29 +617,18 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     """
     k, dim, _ = v.shape
     n = dim // 2
-    rs_shift, forms, j_a, pair = _stack_constants(n)
     try:
-        # member i's V at 2i and its Bob-first reordering at 2i + 1
-        factors = np.linalg.cholesky(v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim))
+        factors, eig, schur_nu_min = _factor_stage(v)
     except np.linalg.LinAlgError:
         if k > 1:
             halves = (_stack_witnesses(v[: k // 2]), _stack_witnesses(v[k // 2 :]))
             return _StackWitnesses(*map(np.concatenate, zip(*halves)))
-        rs = np.linalg.eigvalsh(v + rs_shift)[:, 0]
-        return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[np.zeros(1)] * 6)
-    low = factors[0::2]
-    batch = np.empty((3 * k, dim, dim), dtype=complex)
-    np.add(v, rs_shift, batch[:k])
-    np.multiply(1j, low.transpose(0, 2, 1)[:, None] @ forms @ low[:, None], batch[k:].reshape(k, 2, dim, dim))
-    eig = np.linalg.eigvalsh(batch)
+        return _unfactored(v)
+    low = factors[0::2, -2:, -2:]
     nus = eig[k:, n].reshape(k, 2)
-    nu_ab, rs_ab = _one_mode_schur(low[:, -2:, -2:])
-    low_ba = factors[1::2, 2:, 2:]
-    with np.errstate(over="ignore"):  # past the double range the product is inf
-        nu_ba = low_ba.diagonal(axis1=1, axis2=2).prod(axis=1)
-    schur_nu_min = nu_ba  # V/V_B's symplectic eigenvalue while it has one mode
-    if n > 2:
-        schur_nu_min = np.linalg.eigvalsh(1j * (low_ba.transpose(0, 2, 1) @ j_a @ low_ba))[:, n - 1]
+    with np.errstate(over="ignore"):  # past the double range top or a product is inf, as on floats
+        nu_ab, rs_ab = _one_mode_schur(low[:, 0, 0], low[:, 1, 0], low[:, 1, 1])
+        nu_ba = math.prod(factors[1::2, 2:, 2:].diagonal(axis1=1, axis2=2).T, start=np.ones(k))
     return _StackWitnesses(
         factored=np.ones(k, dtype=bool),
         min_rs_eig=eig[:k, 0],
@@ -598,8 +637,28 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
         nu_ab=nu_ab,
         rs_ab=rs_ab,
         nu_ba=nu_ba,
-        schur_nu_min=schur_nu_min,
+        schur_nu_min=nu_ba if schur_nu_min is None else schur_nu_min,
     )
+
+
+def _float_witnesses(m: np.ndarray) -> _StackWitnesses:
+    """``_stack_witnesses`` of one validated, symmetric CM m as Python
+    scalars, bit for bit: the LAPACK stage runs on m as a stack of one,
+    and the closed-form tail on the stage's outputs read back as Python
+    floats, where each operation costs a fraction of a numpy call on a
+    one-element array and a product past the double range is inf with no
+    warning."""
+    dim = m.shape[0]
+    n = dim // 2
+    try:
+        factors, eig, schur_nu_min = _factor_stage(m[None])
+    except np.linalg.LinAlgError:
+        return _StackWitnesses(*[a.item() for a in _unfactored(m[None])])
+    nu_ab, rs_ab = _one_mode_schur(factors.item(0, dim - 2, dim - 2), factors.item(0, dim - 1, dim - 2),
+                                   factors.item(0, dim - 1, dim - 1), _float_hypot)
+    nu_ba = math.prod(factors[1].diagonal().tolist()[2:], start=1.0)
+    return _StackWitnesses(True, eig.item(0, 0), eig.item(1, n), eig.item(2, n), nu_ab, rs_ab, nu_ba,
+                           nu_ba if schur_nu_min is None else schur_nu_min.item())
 
 
 def _verdict_rules(w: _StackWitnesses, band, n_alice: int):
@@ -641,16 +700,16 @@ def _verdict_rules(w: _StackWitnesses, band, n_alice: int):
 
 
 def _decide(m: np.ndarray, tol: float):
-    """The one-CM decision: the kernel's witnesses of one validated,
-    symmetric CM ``m``, Bob holding its last mode, as a stack of one, and
-    ``_verdict_rules`` applied to them as Python floats, with the band
-    max(tol, 8 eps max|m|), so that every test and flag is a Python bool.
+    """The one-CM decision: the witnesses of one validated, symmetric CM
+    ``m``, Bob holding its last mode, as Python scalars
+    (``_float_witnesses``), and ``_verdict_rules`` applied to them with
+    the band max(tol, 8 eps max|m|), so that every test and flag is a
+    Python bool. Only the LAPACK stage touches numpy arrays.
     ``validate_bona_fide``, ``criteria.certify`` and
     ``optimize.check_unsteerable_*`` all decide through it."""
     band = _band(tol, m)
-    kernel = _stack_witnesses(m[None])
-    scalars = _StackWitnesses(*[a.item() for a in kernel])
-    return kernel, _verdict_rules(scalars, band, m.shape[0] // 2 - 1)
+    w = _float_witnesses(m)
+    return w, _verdict_rules(w, band, m.shape[0] // 2 - 1)
 
 
 def _decide_stack(v: np.ndarray, tol: float):

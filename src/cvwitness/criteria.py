@@ -118,12 +118,13 @@ _GAUSSIAN_SEPARABLE = {True: "yes", False: "no", None: "undecided"}  # by ppt
 def _raise_inconsistent(kernel: _StackWitnesses, ab_disagree, ppt_steers):
     """Raise ``VerdictConsistencyError`` for the first failed self-check
     of ``_verdict_rules``, naming the first disagreeing member by its
-    index in the kernel's arrays."""
+    index in the kernel's arrays; one CM's scalars are member 0."""
     if np.count_nonzero(ab_disagree):
         i = int(np.argmax(ab_disagree))
+        nu_ab, rs_ab = np.atleast_1d(kernel.nu_ab, kernel.rs_ab)
         raise VerdictConsistencyError(
             f"A->B determinant and matrix forms disagree on member {i} of the stack: "
-            f"pivot product {kernel.nu_ab[i]!r} vs min eigenvalue {kernel.rs_ab[i]!r}"
+            f"pivot product {nu_ab[i]!r} vs min eigenvalue {rs_ab[i]!r}"
         )
     raise VerdictConsistencyError(
         "steering flag raised on a PPT (hence separable) Gaussian state"
@@ -154,12 +155,13 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     """Certify physicality, separability conditions and both steering
     directions for a bipartite (N vs 1)-mode covariance matrix.
 
-    The kernel (``covariance._stack_witnesses``) runs on a stack of one;
-    its witnesses are read back as Python floats, and the verdict rules
-    that ``stack_verdicts`` applies to a stack's arrays, with both
-    self-checks, decide on those floats (``covariance._decide``). So
-    ``certify(V)`` equals ``certify_many([V])[0]`` bit for bit, at the
-    cost of a few Python operations around the LAPACK calls.
+    Only the kernel's LAPACK stage (``covariance._factor_stage``) runs on
+    a stack of one; its outputs are read back as Python floats, and the
+    kernel's closed forms and the verdict rules that ``stack_verdicts``
+    applies to a stack's arrays, with both self-checks, run on those
+    floats (``covariance._decide``). So ``certify(V)`` equals
+    ``certify_many([V])[0]`` bit for bit, with no numpy call after the
+    LAPACK calls but the one-mode ``hypot``.
 
     Args:
         V: covariance matrix, Bob = last mode, in standard form or not.

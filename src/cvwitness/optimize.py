@@ -111,8 +111,8 @@ class UnsteerabilityCheck(NamedTuple):
     Alice. ``min_rs_eigenvalue`` is the matrix test's margin: the least
     eigenvalue of V/V_X + (i/2) J_X, for B->A in Williamson normal form,
     nu_min(V/V_B) - 1/2, which no local symplectic moves. Tests
-    and witnesses are ``certify``'s, decided by its kernel on a stack of
-    one and its verdict rules with the same band (``covariance._decide``):
+    and witnesses are ``certify``'s, its kernel's witnesses as Python
+    floats and its verdict rules with the same band (``covariance._decide``):
     A->B ``det_ok`` and B->A ``matrix_ok`` are its steering flags negated,
     ``det_ratio`` its ``det_ratio_ab`` or ``det_ratio_ba``. LinAlgError if
     ``certify`` cannot factor V; ``schur_complement`` gives V/V_X itself.
@@ -314,13 +314,13 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> Unste
     ``covariance.resolve_tolerance`` (None is DEFAULT_TOL)."""
     tol = resolve_tolerance(tol)
     V = _as_cm(V, bipartite=True)
-    # certify's decision: its kernel on a stack of one, which refuses a CM
+    # certify's decision: its witnesses as Python floats, which mark a CM
     # that does not factor with either party first, and its rules
     w, (values, *_, ab, ba) = _decide(V.matrix, tol)
-    if not w.factored[0]:
+    if not w.factored:
         raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
     if over == "A":  # values[6:9] are det_ratio_ab, det_ratio_ba and schur_nu_min
-        return UnsteerabilityCheck(*ab, values[6], float(w.rs_ab[0]))
+        return UnsteerabilityCheck(*ab, values[6], w.rs_ab)
     return UnsteerabilityCheck(*ba, values[7], values[8] - 0.5)
 
 

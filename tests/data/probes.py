@@ -1,5 +1,6 @@
 """Correctness probes: how many flags ``stack_verdicts`` gets wrong on
-three families of CMs whose true verdicts are known in closed form.
+three families of CMs whose true verdicts are known in closed form, and how
+many pure TMSVs it refuses.
 
 - ``product_grid``: vacuum (+) a pure Bob mode rotated by theta (41 values
   in [0, pi/2]) and squeezed by z (121 values in [0, 12]). Every member is
@@ -20,7 +21,14 @@ For each family the probe reports how many members are called physical
 (every member is), and for each of the flags ppt, steerable_ab and
 steerable_ba, among the members called physical: how many carry the flag's
 marginal marker, how many get the flag wrong, and how many of those wrong
-flags carry no marker. The counts gate nothing.
+flags carry no marker.
+
+- ``pure_tmsv``: tmsv(r) on linspace(0, 15, 15001). Every member is
+  physical. The probe reports how many members are refused as non-physical,
+  how many of them fail the kernel's Cholesky factor, and the first r that
+  is refused (null when none is).
+
+The counts gate nothing.
 
 Usage, from anywhere:
 
@@ -41,8 +49,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from cvwitness import noisy_tmsv, stack_verdicts  # noqa: E402
-from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze  # noqa: E402
+from cvwitness import GeneratorSpec, noisy_tmsv, stack_verdicts  # noqa: E402
+from cvwitness.covariance import (  # noqa: E402
+    DEFAULT_TOL,
+    _decide_stack,
+    local_direct_sum,
+    one_mode_rotation,
+    one_mode_squeeze,
+    validate_stack,
+)
 
 # (flag, its marker) as StackVerdicts names them
 FLAGS = (("ppt", "marginal_ppt"), ("steerable_ab", "marginal_ab"), ("steerable_ba", "marginal_ba"))
@@ -99,6 +114,17 @@ def counts(cms: np.ndarray, truth: np.ndarray) -> dict:
     return out
 
 
+def tmsv_refusals() -> dict:
+    """The pure TMSV family's refusals, its failed factors and its first
+    refused r, from one run of the decision ``stack_verdicts`` makes, whose
+    kernel witnesses say which members failed the factor."""
+    rs = np.linspace(0.0, 15.0, 15001)
+    kernel, (_, flags, *_) = _decide_stack(validate_stack(GeneratorSpec("tmsv").build_stack("r", rs)), DEFAULT_TOL)
+    refused, unfactored = ~flags[0], ~kernel.factored
+    return {"members": len(rs), "refused": int(refused.sum()), "factor_failures": int(unfactored.sum()),
+            "first_refused_r": float(rs[refused.argmax()]) if refused.any() else None}
+
+
 def main() -> int:
     families = {
         "product_grid": product_grid(),
@@ -110,6 +136,7 @@ def main() -> int:
         ),
     }
     line = {name: counts(*family) for name, family in families.items()}
+    line["pure_tmsv"] = tmsv_refusals()
     print(json.dumps(line, sort_keys=True))
     return 0
 

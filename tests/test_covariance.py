@@ -418,6 +418,19 @@ class TestStackWitnesses:
         schur = [] if n == 2 else [(k, dim - 2, dim - 2)]
         assert calls == {"cholesky": [(2 * k, dim, dim)], "eigvalsh": [(3 * k, dim, dim), *schur]}
 
+    def test_one_mode_closed_forms_match_on_floats(self):
+        # the one-CM route runs the one-mode closed forms on Python floats;
+        # on factor entries over 40 decades they must give the stack route's
+        # bits (math.hypot, which rounds differently from numpy's in about
+        # 1 of 2300 random calls, would fail here)
+        rng = np.random.default_rng(7)
+        l11, l22 = np.exp(rng.uniform(-46.0, 46.0, (2, 20000)))
+        l21 = rng.standard_normal(20000) * np.exp(rng.uniform(-46.0, 46.0, 20000))
+        arrays = covariance._one_mode_schur(l11, l21, l22)
+        floats = [covariance._one_mode_schur(*x, covariance._float_hypot) for x in zip(l11.tolist(), l21.tolist(), l22.tolist())]
+        assert all(type(x) is float for pair in floats for x in pair)
+        assert [list(map(float.hex, pair)) for pair in floats] == [list(map(float.hex, x)) for x in zip(*arrays)]
+
     def test_failed_factor_marks_only_its_member(self):
         w = _stack_witnesses(np.stack([tmsv(0.5).matrix, tmsv(11.0).matrix]))
         assert w.factored.tolist() == [True, False]

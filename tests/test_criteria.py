@@ -54,6 +54,17 @@ def _squeezed_noisy_tmsv(r, nbar, squeezed, z, n=2):
     return m
 
 
+def _inject_witnesses(monkeypatch, kernel):
+    """Patch the witnesses that both decision routes read with ``kernel``,
+    a function of a validated stack: the stack route's
+    ``covariance._stack_witnesses``, and the one-CM route's
+    ``covariance._float_witnesses``, which then reads ``kernel`` on a stack
+    of one as Python scalars."""
+    monkeypatch.setattr(covariance, "_stack_witnesses", kernel)
+    monkeypatch.setattr(covariance, "_float_witnesses",
+                        lambda m: covariance._StackWitnesses(*[a.item() for a in kernel(m[None])]))
+
+
 class TestCertifyReferenceStates:
     def test_vacuum(self):
         v = certify(vacuum(2))
@@ -108,7 +119,7 @@ class TestCertifyReferenceStates:
             CorrelationVerdict(physical=True, ppt=True, separable_necessary_met=True,
                                gaussian_separable="no", steerable_a_to_b=False, steerable_b_to_a=False)
 
-    # certify checks its stack of one on Python floats, certify_many checks
+    # certify checks one CM's witnesses as Python floats, certify_many checks
     # the stack's arrays; k = 3 makes member 1 alone inconsistent
     SELF_CHECK_ROUTES = [
         pytest.param(1, certify, id="certify"),
@@ -122,7 +133,7 @@ class TestCertifyReferenceStates:
         w = covariance._stack_witnesses(np.stack([vacuum(2).matrix] * k))
         schur_nu_min = w.schur_nu_min.copy()
         schur_nu_min[k // 2] = 0.25
-        monkeypatch.setattr(covariance, "_stack_witnesses", lambda v: w._replace(schur_nu_min=schur_nu_min))
+        _inject_witnesses(monkeypatch, lambda v: w._replace(schur_nu_min=schur_nu_min))
         with pytest.raises(VerdictConsistencyError, match="PPT"):
             route(vacuum(2))
 
@@ -136,7 +147,7 @@ class TestCertifyReferenceStates:
         w = covariance._stack_witnesses(np.stack([vacuum(2).matrix] * k))
         pivots, rs = w.nu_ab.copy(), w.rs_ab.copy()
         pivots[k // 2], rs[k // 2] = math.sqrt(det_ratio_ab), rs_ab
-        monkeypatch.setattr(covariance, "_stack_witnesses", lambda v: w._replace(nu_ab=pivots, rs_ab=rs))
+        _inject_witnesses(monkeypatch, lambda v: w._replace(nu_ab=pivots, rs_ab=rs))
         with pytest.raises(VerdictConsistencyError, match=f"A->B .* member {k // 2} of the stack"):
             route(vacuum(2))
 
@@ -446,12 +457,20 @@ class TestCertifyMany:
     @staticmethod
     def _branch_members(n):
         """A factor failure, an RS refusal, the vacuum's three markers, a PPT
-        thermal state and both one-way noisy TMSVs, each under n - 2 vacuum
-        Alice modes, then random_standard(n) members."""
+        thermal state and both one-way noisy TMSVs, then tmsv(9), a two-mode
+        CM off standard form and four with huge entries, each under n - 2
+        vacuum Alice modes, then random_standard(n) members."""
         r = 0.7
         one_way = (1.0 - 1 / (2 * np.cosh(2 * r))) / 2  # inside the analytic window
+        local = local_direct_sum([one_mode_rotation(0.7) @ one_mode_squeeze(0.3), np.eye(2)])
+        # Bob's block has its larger eigenvalue past the double range
+        huge_bob = np.diag([0.5, 0.5, 0.0, 0.0])
+        huge_bob[2:, 2:] = [[1.7e308, 0.999 * 1.7e308], [0.999 * 1.7e308, 1.7e308]]
         pairs = [tmsv(11.0), CovarianceMatrix(0.2 * np.eye(4)), vacuum(2), thermal([0.3, 1.2]),
-                 noisy_tmsv(r, one_way, "A"), noisy_tmsv(r, one_way, "B")]
+                 noisy_tmsv(r, one_way, "A"), noisy_tmsv(r, one_way, "B"), tmsv(9.0),
+                 CovarianceMatrix(local @ tmsv(0.5).matrix @ local.T), CovarianceMatrix(np.diag([1, 1, 1e160, 1e160])),
+                 CovarianceMatrix(np.diag([1e308, 1e308, 1, 1])), CovarianceMatrix(np.diag([1e308, 1, 1, 1])),
+                 CovarianceMatrix(huge_bob)]
         extra = 2 * (n - 2)
         members = []
         for cm in pairs:
@@ -460,7 +479,14 @@ class TestCertifyMany:
             members.append(CovarianceMatrix(m))
         return members + [random_standard(n, seed=s) for s in range(3)]
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @staticmethod
+    def _typed(values):
+        """Each value's Python type and, for a float, its exact bits."""
+        return [(type(x).__name__, float.hex(x) if type(x) is float else x) for x in values]
+
+    # numpy scalars warn on overflow where Python floats do not
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_single_cm_route_matches_stack_route(self, n):
         # certify decides one CM on Python floats, certify_many a stack on
         # arrays; both must give the same bits, key order and Python types
@@ -475,6 +501,7 @@ class TestCertifyMany:
         assert ppt.ppt and ppt.gaussian_separable == "yes"
         assert (ab_only.steerable_a_to_b, ab_only.steerable_b_to_a) == (True, False)
         assert (ba_only.steerable_a_to_b, ba_only.steerable_b_to_a) == (False, True)
+        assert single[6].physical and single[8].witnesses["det_ratio_ab"] == math.inf
 
         def exact(v):
             d = v.to_dict()
@@ -486,6 +513,37 @@ class TestCertifyMany:
             assert all(type(x) is float for x in v.witnesses.values())
             flags = (v.physical, v.ppt, v.separable_necessary_met, v.steerable_a_to_b, v.steerable_b_to_a)
             assert all(f is None or type(f) is bool for f in flags)
+
+        # every witness of the kernel, and the one-CM checks, against the
+        # stack route's arrays and rules, member by member
+        kernel, (values, *_, rs_ok, ab, ba) = covariance._decide_stack(
+            np.stack([cm.matrix for cm in members]), DEFAULT_TOL)
+        for i, cm in enumerate(members):
+            row = [a[i].item() for a in kernel]
+            assert self._typed(covariance._float_witnesses(cm.matrix)) == self._typed(row)
+            report = validate_bona_fide(cm)
+            assert self._typed([report.positive_definite, report.rs_ur_satisfied, report.min_rs_eigenvalue]) \
+                == self._typed([row[0], rs_ok[i].item(), row[1]])
+            if not kernel.factored[i]:
+                for check in (check_unsteerable_ab, check_unsteerable_ba):
+                    with pytest.raises(np.linalg.LinAlgError):
+                        check(cm)
+                continue
+            stack_ab = [ab[0][i], ab[1][i], values[6][i], kernel.rs_ab[i]]
+            stack_ba = [ba[0][i], ba[1][i], values[7][i], values[8][i] - 0.5]
+            assert self._typed(check_unsteerable_ab(cm)) == self._typed(x.item() for x in stack_ab)
+            assert self._typed(check_unsteerable_ba(cm)) == self._typed(x.item() for x in stack_ba)
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_mode_route_matches_stack_route(self):
+        # with one mode the Bob-first factor's trailing block is empty, and
+        # the product of its no pivots is 1.0 on both routes
+        m = vacuum(1).matrix
+        w = covariance._float_witnesses(m)
+        assert type(w.nu_ba) is float and w.nu_ba == 1.0
+        assert self._typed(w) == self._typed(a.item() for a in covariance._stack_witnesses(m[None]))
+        report = validate_bona_fide(vacuum(1))
+        assert self._typed([report.positive_definite, report.min_rs_eigenvalue]) == self._typed(w[:2])
 
     def test_array_stack_input(self):
         cms = [random_standard(3, seed=s) for s in range(5)]
@@ -726,10 +784,10 @@ def _root_edge(t: float) -> float:
 class TestRuleBoundaries:
     """Every test and marker of ``covariance._verdict_rules`` at its edge.
 
-    The kernel is patched in covariance, where both the one-CM and the
-    stack routes decide, to report one witness at an edge,
-    ``centre - band`` or ``centre + band``, and one ulp below and above
-    it, as a stack of three members that ``_MARK`` tells apart. Each
+    The witnesses are patched in covariance (``_inject_witnesses``), where
+    both the one-CM and the stack routes read them, to report one witness
+    at an edge, ``centre - band`` or ``centre + band``, and one ulp below
+    and above it, as a stack of three members that ``_MARK`` tells apart. Each
     route must decide as the rule says: ``certify``, ``stack_verdicts``,
     ``validate_bona_fide`` and ``check_unsteerable_*``. The band is the
     rules' own, max(tol, ``covariance._BAND_PER_NORM`` max|V|), once set by
@@ -798,7 +856,7 @@ class TestRuleBoundaries:
             i = np.rint(v[:, 0, 2] / self._MARK).astype(int)
             return covariance._StackWitnesses(**{key: np.asarray(x)[i] for key, x in witnesses.items()})
 
-        monkeypatch.setattr(covariance, "_stack_witnesses", kernel)
+        _inject_witnesses(monkeypatch, kernel)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("tol, scale", BANDS)
