@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "DEFAULT_TOL",
@@ -515,6 +516,51 @@ def _stack_constants(n_modes: int):
     return out
 
 
+def _raising(message: str):
+    """An errstate call handler that raises LinAlgError(message)."""
+
+    def handler(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return handler
+
+
+# the gufunc, its signature and numpy.linalg's error of each LAPACK call
+# that ``_lapack`` makes
+_GUFUNCS = {
+    "cholesky": (_umath_linalg.cholesky_lo, "d->d", _raising("Matrix is not positive definite")),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "D->d", _raising("Eigenvalues did not converge")),
+    "solve": (_umath_linalg.solve, "dd->d", _raising("Singular matrix")),
+}
+
+
+def _lapack(name: str, *operands) -> np.ndarray:
+    """numpy's LAPACK gufunc ``name`` on ``operands``, called directly:
+    "cholesky" (lower factor of a real stack), "eigvalsh" (ascending
+    eigenvalues of a complex Hermitian stack, read from its lower
+    triangle) or "solve" (real stacks a and b, a x = b). It gives the bits
+    of ``np.linalg.cholesky``, ``eigvalsh`` and ``solve`` and raises their
+    LinAlgError with their messages, because it runs the same gufunc with
+    the same explicit signature inside the same errstate: an invalid value
+    raises, and overflow, division and underflow inside LAPACK are ignored.
+    That errstate covers the gufunc call alone, so a warning from a ufunc
+    or matmul of the caller is not silenced.
+
+    It skips the wrapper's per-call array conversion, dtype resolution and
+    square check, about 2 us a call, which only the calls repeated per CM
+    or per sweep feel: the kernel's LAPACK stage (``_factor_stage``,
+    ``_unfactored``) and the alternating solver's solves
+    (``optimize._rowsolve``). One-shot calls keep ``numpy.linalg``, whose
+    checks they want on inputs of any shape and dtype: the two-mode
+    reduction's ``svd``, ``aitken_factorize``, ``_inv_sqrt_spd``, the
+    generators' ``cond`` and ``inv``, ``StandardForm``'s positivity check,
+    ``schur_complement``, ``symplectic_eigenvalues`` and
+    ``optimize.min_steering_sum_ab``."""
+    gufunc, signature, handler = _GUFUNCS[name]
+    with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*operands, signature=signature)
+
+
 def _float_hypot(x: float, y: float) -> float:
     """``np.hypot`` of two Python floats, as a Python float: the libm
     hypot of the stack route, which ``math.hypot`` does not always match
@@ -564,27 +610,31 @@ def _factor_stage(v: np.ndarray):
     spectrum of i L_kk^T J_A L_kk, with L_kk the trailing block of the
     Bob-first factor; for n <= 2 that is None.
 
+    Each LAPACK call goes to numpy's gufunc through ``_lapack``, with
+    numpy.linalg's signature and error state but without its per-call
+    wrapper, whose checks would cost about a tenth of one CM's certify.
+
     Returns (factors, eigenvalues, schur_nu_min)."""
     k, dim, _ = v.shape
     n = dim // 2
     rs_shift, forms, j_a, pair = _stack_constants(n)
-    factors = np.linalg.cholesky(v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim))
+    factors = _lapack("cholesky", v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim))
     low = factors[0::2]
     batch = np.empty((3 * k, dim, dim), dtype=complex)
     np.add(v, rs_shift, batch[:k])
     np.multiply(1j, low.transpose(0, 2, 1)[:, None] @ forms @ low[:, None], batch[k:].reshape(k, 2, dim, dim))
-    eig = np.linalg.eigvalsh(batch)
+    eig = _lapack("eigvalsh", batch)
     schur_nu_min = None
     if n > 2:
         low_ba = factors[1::2, 2:, 2:]
-        schur_nu_min = np.linalg.eigvalsh(1j * (low_ba.transpose(0, 2, 1) @ j_a @ low_ba))[:, n - 1]
+        schur_nu_min = _lapack("eigvalsh", 1j * (low_ba.transpose(0, 2, 1) @ j_a @ low_ba))[:, n - 1]
     return factors, eig, schur_nu_min
 
 
 def _unfactored(v: np.ndarray) -> _StackWitnesses:
     """The witnesses of a stack v of one CM whose factor fails: the
     smallest eigenvalue of V + (i/2) J, and zeros."""
-    rs = np.linalg.eigvalsh(v + _stack_constants(v.shape[-1] // 2)[0])[:, 0]
+    rs = _lapack("eigvalsh", v + _stack_constants(v.shape[-1] // 2)[0])[:, 0]
     return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[np.zeros(1)] * 6)
 
 

@@ -161,7 +161,10 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     applies to a stack's arrays, with both self-checks, run on those
     floats (``covariance._decide``). So ``certify(V)`` equals
     ``certify_many([V])[0]`` bit for bit, with no numpy call after the
-    LAPACK calls but the one-mode ``hypot``.
+    LAPACK calls but the one-mode ``hypot``. The LAPACK calls reach
+    numpy's gufuncs through ``covariance._lapack``, which skips
+    numpy.linalg's per-call wrapper, about 2 us a call, and gives its bits
+    and its LinAlgError.
 
     Args:
         V: covariance matrix, Bob = last mode, in standard form or not.

@@ -38,6 +38,7 @@ leaving the positive orthant.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +50,7 @@ from .covariance import (
     _as_cm,
     _decide,
     _inv_sqrt_spd,
+    _lapack,
     _require_bipartite,
     _require_int,
     resolve_tolerance,
@@ -142,7 +144,7 @@ def _rowmul(x, m):
 
 def _rowsolve(m, x):
     """Each row of x solved against m."""
-    return np.linalg.solve(m, x[:, :, None])[:, :, 0]
+    return _lapack("solve", m, x[:, :, None])[:, :, 0]
 
 
 def _alternate(mq, mp, w, a0, b0, max_iters, stop_tol):
@@ -236,14 +238,23 @@ _START_SEED = 0
 _POSITIVITY_FLOOR = 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _starting_points(n_modes: int):
+    """The solver's starts (a0, b0) for n_modes modes, each (_STARTS,
+    n_modes) and read-only: all-ones first, then a0 and b0 drawn per
+    restart from seed _START_SEED."""
+    a0 = np.ones((_STARTS, n_modes))
+    b0 = np.ones((_STARTS, n_modes))
+    draws = np.random.default_rng(_START_SEED).standard_normal((_STARTS - 1, 2, n_modes))
+    a0[1:], b0[1:] = draws[:, 0], draws[:, 1]
+    for arr in (a0, b0):
+        arr.flags.writeable = False
+    return a0, b0
+
+
 def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
     mq, mp, w = functional_forms(sf, functional)
-    n = sf.n_modes
-    # all-ones first, then a0 and b0 drawn per restart
-    a0 = np.ones((_STARTS, n))
-    b0 = np.ones((_STARTS, n))
-    draws = np.random.default_rng(_START_SEED).standard_normal((_STARTS - 1, 2, n))
-    a0[1:], b0[1:] = draws[:, 0], draws[:, 1]
+    a0, b0 = (x.copy() for x in _starting_points(sf.n_modes))
     b0[_rowdot(_rowmul(a0, w), b0) < 0] *= -1.0
     vals, a_all, b_all, iters_all, conv_all = _alternate(
         mq, mp, w, a0, b0, _MAX_ITERS, _STOP_TOL

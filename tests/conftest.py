@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from cvwitness import CovarianceMatrix, random_standard, thermal, tmsv
+from cvwitness import CovarianceMatrix, covariance, optimize, random_standard, thermal, tmsv
 from cvwitness.covariance import (
     local_direct_sum,
     one_mode_rotation,
@@ -37,6 +39,34 @@ def assorted_cms():
     cms += [random_standard(3, seed=s) for s in range(3)]
     cms += [random_standard(4, seed=s) for s in range(2)]
     return cms
+
+
+# numpy.linalg's public functions that run LAPACK
+_LINALG_WRAPPERS = ("cholesky", "eigvalsh", "eigh", "eigvals", "eig", "solve", "inv", "det", "slogdet", "svd",
+                    "lstsq", "qr", "pinv", "norm", "cond", "matrix_rank")
+
+
+def count_lapack(monkeypatch) -> dict:
+    """Count the calls of the LAPACK entry ``covariance._lapack``, as the
+    kernel and the solver bind it, and fail the test on any call of a
+    numpy.linalg wrapper; build the inputs first, as the generators call
+    numpy.linalg. Returns {name: [operand shapes of each call]}, filled as
+    the calls happen."""
+    calls = {}
+
+    def counted(name, *operands, _lapack=covariance._lapack):
+        calls.setdefault(name, []).append(operands[0].shape if len(operands) == 1 else
+                                          tuple(a.shape for a in operands))
+        return _lapack(name, *operands)
+
+    def refused(*args, _name, **kwargs):
+        pytest.fail(f"numpy.linalg.{_name} called")
+
+    for module in (covariance, optimize):
+        monkeypatch.setattr(module, "_lapack", counted)
+    for name in _LINALG_WRAPPERS:
+        monkeypatch.setattr(np.linalg, name, functools.partial(refused, _name=name))
+    return calls
 
 
 def purity(cm) -> float:

@@ -1,6 +1,6 @@
 """Correctness probes: how many flags ``stack_verdicts`` gets wrong on
 three families of CMs whose true verdicts are known in closed form, and how
-many pure TMSVs it refuses.
+many pure TMSVs and multimode pure states it refuses.
 
 - ``product_grid``: vacuum (+) a pure Bob mode rotated by theta (41 values
   in [0, pi/2]) and squeezed by z (121 values in [0, 12]). Every member is
@@ -27,6 +27,12 @@ flags carry no marker.
   physical. The probe reports how many members are refused as non-physical,
   how many of them fail the kernel's Cholesky factor, and the first r that
   is refused (null when none is).
+- ``multimode_pure``: for n = 2, 3, 5 and 8 modes, 342 pure states each:
+  tmsv(r) on Alice's first mode and Bob, for r in 1, 1.125, ..., 8 and six
+  draws per r, with Alice's modes mixed by a random passive unitary and
+  every mode squeezed by z uniform in [-2, 2], all drawn from seed n. Every
+  member is physical; per n the probe reports how many are refused and how
+  many fail the kernel's Cholesky factor.
 
 The counts gate nothing.
 
@@ -49,7 +55,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from cvwitness import GeneratorSpec, noisy_tmsv, stack_verdicts  # noqa: E402
+from cvwitness import GeneratorSpec, noisy_tmsv, stack_verdicts, tmsv  # noqa: E402
 from cvwitness.covariance import (  # noqa: E402
     DEFAULT_TOL,
     _decide_stack,
@@ -114,15 +120,54 @@ def counts(cms: np.ndarray, truth: np.ndarray) -> dict:
     return out
 
 
+def refusals(cms: np.ndarray):
+    """The members of a stack refused as non-physical and those that fail
+    the kernel's factor, from one run of the decision ``stack_verdicts``
+    makes, whose kernel witnesses say which members failed the factor."""
+    kernel, (_, flags, *_) = _decide_stack(validate_stack(cms), DEFAULT_TOL)
+    return ~flags[0], ~kernel.factored
+
+
 def tmsv_refusals() -> dict:
     """The pure TMSV family's refusals, its failed factors and its first
-    refused r, from one run of the decision ``stack_verdicts`` makes, whose
-    kernel witnesses say which members failed the factor."""
+    refused r."""
     rs = np.linspace(0.0, 15.0, 15001)
-    kernel, (_, flags, *_) = _decide_stack(validate_stack(GeneratorSpec("tmsv").build_stack("r", rs)), DEFAULT_TOL)
-    refused, unfactored = ~flags[0], ~kernel.factored
+    refused, unfactored = refusals(GeneratorSpec("tmsv").build_stack("r", rs))
     return {"members": len(rs), "refused": int(refused.sum()), "factor_failures": int(unfactored.sum()),
             "first_refused_r": float(rs[refused.argmax()]) if refused.any() else None}
+
+
+def passive(u: np.ndarray) -> np.ndarray:
+    """The symplectic of the passive unitary u in interleaved (q, p)
+    ordering: a_j -> sum_k u_jk a_k, mode block [[Re u, -Im u], [Im u, Re u]]."""
+    return np.kron(u.real, np.eye(2)) + np.kron(u.imag, [[0.0, -1.0], [1.0, 0.0]])
+
+
+def multimode_pure(n: int) -> np.ndarray:
+    """The 342 pure n-mode states of ``multimode_pure``."""
+    rng = np.random.default_rng(n)
+    cms = []
+    for r in np.arange(1.0, 8.0625, 0.125):
+        base = 0.5 * np.eye(2 * n)
+        base[-4:, -4:] = tmsv(float(r)).matrix
+        for _ in range(6):
+            # a Haar unitary on Alice's modes, from the QR of a complex Gaussian
+            q, upper = np.linalg.qr(rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1)))
+            mix = np.eye(2 * n)
+            mix[:-2, :-2] = passive(q * (upper.diagonal() / abs(upper.diagonal())))
+            s = local_direct_sum([one_mode_squeeze(z) for z in rng.uniform(-2.0, 2.0, n)]) @ mix
+            cms.append(s @ base @ s.T)
+    return np.stack(cms)
+
+
+def multimode_refusals() -> dict:
+    """The multimode pure family's members, refusals and failed factors per n."""
+    out = {}
+    for n in (2, 3, 5, 8):
+        refused, unfactored = refusals(multimode_pure(n))
+        out[f"n{n}"] = {"members": len(refused), "refused": int(refused.sum()),
+                        "factor_failures": int(unfactored.sum())}
+    return out
 
 
 def main() -> int:
@@ -137,6 +182,7 @@ def main() -> int:
     }
     line = {name: counts(*family) for name, family in families.items()}
     line["pure_tmsv"] = tmsv_refusals()
+    line["multimode_pure"] = multimode_refusals()
     print(json.dumps(line, sort_keys=True))
     return 0
 

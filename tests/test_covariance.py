@@ -9,6 +9,7 @@ from cvwitness import (
     StandardForm,
     TwoModeStandardParams,
     aitken_factorize,
+    certify,
     check_unsteerable_ab,
     check_unsteerable_ba,
     noisy_tmsv,
@@ -39,7 +40,7 @@ from cvwitness.covariance import (
     symplectic_eigenvalues,
     symplectic_form,
 )
-from conftest import product_cm, purity, rotated, rotated_and_squeezed
+from conftest import count_lapack, product_cm, purity, rotated, rotated_and_squeezed
 
 
 def to_block(cm):
@@ -406,17 +407,45 @@ class TestStackWitnesses:
     def test_lapack_calls_per_stack(self, monkeypatch, n):
         # one factorization of V and its Bob-first order together, and one
         # eigensolve, plus one of V/V_B's spectrum alone, a (k, 2n - 2,
-        # 2n - 2) stack, when it has more than one mode
-        calls = {"cholesky": [], "eigvalsh": []}
-        for name in calls:
-            def counted(a, _f=getattr(np.linalg, name), _name=name):
-                calls[_name].append(a.shape)
-                return _f(a)
-            monkeypatch.setattr(np.linalg, name, counted)
+        # 2n - 2) stack, when it has more than one mode; all through the
+        # LAPACK entry, none through a numpy.linalg wrapper
         k, dim = 3, 2 * n
-        _stack_witnesses(np.stack([random_standard(n, seed=s).matrix for s in range(k)]))
+        stack = np.stack([random_standard(n, seed=s).matrix for s in range(k)])
+        calls = count_lapack(monkeypatch)
+        _stack_witnesses(stack)
         schur = [] if n == 2 else [(k, dim - 2, dim - 2)]
         assert calls == {"cholesky": [(2 * k, dim, dim)], "eigvalsh": [(3 * k, dim, dim), *schur]}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lapack_calls_per_certify(self, monkeypatch, n):
+        # one CM runs the same stage on a stack of one
+        cm, dim = random_standard(n, seed=n), 2 * n
+        calls = count_lapack(monkeypatch)
+        certify(cm)
+        schur = [] if n == 2 else [(1, dim - 2, dim - 2)]
+        assert calls == {"cholesky": [(2, dim, dim)], "eigvalsh": [(3, dim, dim), *schur]}
+
+    def test_lapack_calls_per_failed_factor(self, monkeypatch):
+        # a CM whose factor fails gets one eigensolve of V + (i/2) J alone
+        cm = tmsv(11.0)
+        calls = count_lapack(monkeypatch)
+        assert not certify(cm).physical
+        assert calls == {"cholesky": [(2, 4, 4)], "eigvalsh": [(1, 4, 4)]}
+
+    def test_lapack_errors_under_caller_errstate(self):
+        # the entry's own errstate turns a failed factor into LinAlgError
+        # under any caller's error state, and restores that state
+        before = np.geterr()
+        with np.errstate(all="raise"):
+            raising = np.geterr()
+            w = _stack_witnesses(np.stack([tmsv(0.5).matrix, tmsv(11.0).matrix, tmsv(0.5).matrix]))
+            verdict = certify(tmsv(11.0))
+            assert np.geterr() == raising
+        assert np.geterr() == before
+        assert w.factored.tolist() == [True, False, True]
+        assert not verdict.physical
+        with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
+            covariance._lapack("cholesky", tmsv(11.0).matrix[None])
 
     def test_one_mode_closed_forms_match_on_floats(self):
         # the one-CM route runs the one-mode closed forms on Python floats;

@@ -50,8 +50,9 @@ from cvwitness.optimize import (
     _STOP_TOL,
     FUNCTIONALS,
     _alternate,
+    _starting_points,
 )
-from conftest import product_cm
+from conftest import count_lapack, product_cm
 
 VACUUM_PARAMS = TwoModeStandardParams(0.5, 0.5, 0.0, 0.0)
 
@@ -282,6 +283,35 @@ class TestStackedAlternation:
         sign = 1.0 if a[0].sum() >= 0 else -1.0
         np.testing.assert_array_equal(res.argmin_alpha, sign * a[0])
         np.testing.assert_array_equal(res.argmin_beta, sign * b[0])
+
+    @pytest.mark.parametrize("functional", ["sep_plus", "steer_ba"])
+    def test_lapack_calls_per_sweep(self, monkeypatch, functional):
+        # two solves per sweep, against Mq and then Mp, each over the
+        # (s, n, 1) right-hand sides of the s starts still in the stack; all
+        # through the LAPACK entry, none through a numpy.linalg wrapper
+        n = 4
+        sf = split_standard(random_standard(n, seed=3))
+        mq, mp, w, a0, b0 = _random_starts(sf, functional, 8, 5)
+        calls = count_lapack(monkeypatch)
+        *_, iters, conv = _alternate(mq, mp, w, a0, b0, _MAX_ITERS, _STOP_TOL)
+        assert conv.all()
+        live = [int((iters > k).sum()) for k in range(iters.max())]
+        assert live[0] == 8
+        assert calls == {"solve": [((n, n), (s, n, 1)) for s in live for _ in "qp"]}
+
+    def test_starting_points_cached_read_only(self):
+        # every solve reads one cached set of starts per mode count, and the
+        # sign flip onto a positive gauge works on a copy
+        a0, b0 = _starting_points(3)
+        assert _starting_points(3)[0] is a0
+        assert not (a0.flags.writeable or b0.flags.writeable)
+        draws = np.random.default_rng(0).standard_normal((7, 2, 3))
+        sf = split_standard(random_standard(3, seed=1))
+        _, _, w = functional_forms(sf, "steer_ba")
+        assert (np.einsum("ki,ij,kj->k", a0, w, b0) < 0).any()  # the flip runs
+        min_steering_sum_ba_numeric(sf)
+        np.testing.assert_array_equal(a0, np.vstack([np.ones(3), draws[:, 0]]))
+        np.testing.assert_array_equal(b0, np.vstack([np.ones(3), draws[:, 1]]))
 
 
 class TestSteeringAbClosedForm:
