@@ -484,9 +484,10 @@ def schur_complement(V: CovarianceMatrix, over: str = "B") -> np.ndarray:
 
 class _StackWitnesses(NamedTuple):
     """Per-member witnesses of a stack of k CMs, each a (k,) array, or of
-    one CM, each a Python scalar (``_float_witnesses``). A member whose
-    factorization failed has ``factored`` False and zeros everywhere but
-    ``min_rs_eig``."""
+    one CM, each a Python scalar (``_float_witnesses``). A member that the
+    LAPACK stage's mask marks unfactored, because its factor in either
+    order, a spectrum or its V/V_B eigensolve failed, has ``factored``
+    False and zeros everywhere but ``min_rs_eig``."""
 
     factored: np.ndarray
     min_rs_eig: np.ndarray  # smallest eigenvalue of V + (i/2) J
@@ -516,49 +517,13 @@ def _stack_constants(n_modes: int):
     return out
 
 
-def _raising(message: str):
-    """An errstate call handler that raises LinAlgError(message)."""
-
-    def handler(err, flag):
-        raise np.linalg.LinAlgError(message)
-
-    return handler
-
-
-# the gufunc, its signature and numpy.linalg's error of each LAPACK call
-# that ``_lapack`` makes
-_GUFUNCS = {
-    "cholesky": (_umath_linalg.cholesky_lo, "d->d", _raising("Matrix is not positive definite")),
-    "eigvalsh": (_umath_linalg.eigvalsh_lo, "D->d", _raising("Eigenvalues did not converge")),
-    "solve": (_umath_linalg.solve, "dd->d", _raising("Singular matrix")),
-}
-
-
-def _lapack(name: str, *operands) -> np.ndarray:
-    """numpy's LAPACK gufunc ``name`` on ``operands``, called directly:
-    "cholesky" (lower factor of a real stack), "eigvalsh" (ascending
-    eigenvalues of a complex Hermitian stack, read from its lower
-    triangle) or "solve" (real stacks a and b, a x = b). It gives the bits
-    of ``np.linalg.cholesky``, ``eigvalsh`` and ``solve`` and raises their
-    LinAlgError with their messages, because it runs the same gufunc with
-    the same explicit signature inside the same errstate: an invalid value
-    raises, and overflow, division and underflow inside LAPACK are ignored.
-    That errstate covers the gufunc call alone, so a warning from a ufunc
-    or matmul of the caller is not silenced.
-
-    It skips the wrapper's per-call array conversion, dtype resolution and
-    square check, about 2 us a call, which only the calls repeated per CM
-    or per sweep feel: the kernel's LAPACK stage (``_factor_stage``,
-    ``_unfactored``) and the alternating solver's solves
-    (``optimize._rowsolve``). One-shot calls keep ``numpy.linalg``, whose
-    checks they want on inputs of any shape and dtype: the two-mode
-    reduction's ``svd``, ``aitken_factorize``, ``_inv_sqrt_spd``, the
-    generators' ``cond`` and ``inv``, ``StandardForm``'s positivity check,
-    ``schur_complement``, ``symplectic_eigenvalues`` and
-    ``optimize.min_steering_sum_ab``."""
-    gufunc, signature, handler = _GUFUNCS[name]
-    with np.errstate(call=handler, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return gufunc(*operands, signature=signature)
+# numpy's LAPACK gufuncs, called directly with numpy.linalg's signatures
+# by the kernel's LAPACK stage (``_factor_stage``) and the alternating
+# solver (``optimize._rowsolve``), which skips numpy.linalg's per-call
+# checks, about 2 us a call; a member whose call fails comes back as NaN and
+# sets the invalid flag. One-shot calls keep numpy.linalg, whose checks they
+# want on inputs of any shape and dtype.
+_cholesky_lo, _eigvalsh_lo, _solve = _umath_linalg.cholesky_lo, _umath_linalg.eigvalsh_lo, _umath_linalg.solve
 
 
 def _float_hypot(x: float, y: float) -> float:
@@ -596,8 +561,7 @@ def _one_mode_schur(l11, l21, l22, hypot=np.hypot):
 def _factor_stage(v: np.ndarray):
     """The kernel's LAPACK stage on a validated stack v of shape (k, 2n,
     2n): one batched Cholesky factorization and one or two batched
-    Hermitian eigensolves. Raises LinAlgError when any member's factor
-    fails.
+    Hermitian eigensolves.
 
     Each V and its reordering with Bob's mode first are factored
     together, as one (2k, 2n, 2n) stack: member i's V = L L^T at 2i and
@@ -610,32 +574,49 @@ def _factor_stage(v: np.ndarray):
     spectrum of i L_kk^T J_A L_kk, with L_kk the trailing block of the
     Bob-first factor; for n <= 2 that is None.
 
-    Each LAPACK call goes to numpy's gufunc through ``_lapack``, with
-    numpy.linalg's signature and error state but without its per-call
-    wrapper, whose checks would cost about a tenth of one CM's certify.
+    The calls go to numpy's gufuncs directly, with numpy.linalg's
+    signatures, inside one errstate: overflow, division and underflow are
+    ignored, as numpy.linalg ignores them, and the call handler only
+    records an invalid flag, which a gufunc sets when it writes NaN for a
+    member whose LAPACK call failed. Only when it has fired are the NaN
+    factors zeroed, before the spectra matmul, and the mask built: a
+    member is unfactored when a factor in either order, a spectrum or its
+    V/V_B eigensolve is NaN. An overflow of the spectra matmul, on a CM
+    near the double range, is ignored too and shows as a NaN spectrum. A
+    NaN eigenvalue of V + (i/2) J raises numpy's LinAlgError, as
+    numpy.linalg.eigvalsh would. The tail and the verdict rules run outside
+    the errstate, under the caller's.
 
-    Returns (factors, eigenvalues, schur_nu_min)."""
+    Returns (factors, eigenvalues, schur_nu_min, factored), with the (k,)
+    bool mask ``factored`` None when no call failed."""
     k, dim, _ = v.shape
     n = dim // 2
     rs_shift, forms, j_a, pair = _stack_constants(n)
-    factors = _lapack("cholesky", v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim))
-    low = factors[0::2]
-    batch = np.empty((3 * k, dim, dim), dtype=complex)
-    np.add(v, rs_shift, batch[:k])
-    np.multiply(1j, low.transpose(0, 2, 1)[:, None] @ forms @ low[:, None], batch[k:].reshape(k, 2, dim, dim))
-    eig = _lapack("eigvalsh", batch)
-    schur_nu_min = None
-    if n > 2:
-        low_ba = factors[1::2, 2:, 2:]
-        schur_nu_min = _lapack("eigvalsh", 1j * (low_ba.transpose(0, 2, 1) @ j_a @ low_ba))[:, n - 1]
-    return factors, eig, schur_nu_min
-
-
-def _unfactored(v: np.ndarray) -> _StackWitnesses:
-    """The witnesses of a stack v of one CM whose factor fails: the
-    smallest eigenvalue of V + (i/2) J, and zeros."""
-    rs = _lapack("eigvalsh", v + _stack_constants(v.shape[-1] // 2)[0])[:, 0]
-    return _StackWitnesses(np.zeros(1, dtype=bool), rs, *[np.zeros(1)] * 6)
+    failed = {}  # the call handler's record of an invalid flag
+    with np.errstate(call=failed.__setitem__, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        factors = _cholesky_lo(v.reshape(k, dim * dim).take(pair, axis=1).reshape(2 * k, dim, dim), signature="d->d")
+        nan = False
+        if failed:
+            nan = np.isnan(factors[:, 0, 0])
+            factors[nan] = 0.0
+        low = factors[0::2]
+        batch = np.empty((3 * k, dim, dim), dtype=complex)
+        np.add(v, rs_shift, batch[:k])
+        np.multiply(1j, low.transpose(0, 2, 1)[:, None] @ forms @ low[:, None], batch[k:].reshape(k, 2, dim, dim))
+        eig = _eigvalsh_lo(batch, signature="D->d")
+        schur_nu_min = None
+        if n > 2:
+            low_ba = factors[1::2, 2:, 2:]
+            schur_nu_min = _eigvalsh_lo(1j * (low_ba.transpose(0, 2, 1) @ j_a @ low_ba), signature="D->d")[:, n - 1]
+    if not failed:
+        return factors, eig, schur_nu_min, None
+    rows = np.isnan(eig[:, 0])
+    if rows[:k].any():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    unfactored = (nan | rows[k:]).reshape(k, 2).any(axis=1)
+    if schur_nu_min is not None:
+        unfactored |= np.isnan(schur_nu_min)
+    return factors, eig, schur_nu_min, ~unfactored
 
 
 def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
@@ -655,10 +636,10 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     from the entries of V/V_A and never from ``nu_ab``, so that certify's
     A->B self-check compares two routes, not one number with itself.
 
-    When a batched factorization fails, the stack is split in halves
-    until each failing member stands alone as a stack of one, so a
-    failure marks only its own member and costs O(log k) extra batched
-    calls.
+    The whole stack takes the stage's calls once, whichever members fail:
+    when the stage's mask marks a member unfactored, its witnesses but
+    ``min_rs_eig`` are zeroed, and the other members keep the bits they
+    get alone.
 
     The stack must be validated and symmetric, as ``validate_stack``
     returns it: every caller checks its input first. A one-mode stack
@@ -667,28 +648,16 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     """
     k, dim, _ = v.shape
     n = dim // 2
-    try:
-        factors, eig, schur_nu_min = _factor_stage(v)
-    except np.linalg.LinAlgError:
-        if k > 1:
-            halves = (_stack_witnesses(v[: k // 2]), _stack_witnesses(v[k // 2 :]))
-            return _StackWitnesses(*map(np.concatenate, zip(*halves)))
-        return _unfactored(v)
+    factors, eig, schur_nu_min, factored = _factor_stage(v)
     low = factors[0::2, -2:, -2:]
     nus = eig[k:, n].reshape(k, 2)
     with np.errstate(over="ignore"):  # past the double range top or a product is inf, as on floats
         nu_ab, rs_ab = _one_mode_schur(low[:, 0, 0], low[:, 1, 0], low[:, 1, 1])
         nu_ba = math.prod(factors[1::2, 2:, 2:].diagonal(axis1=1, axis2=2).T, start=np.ones(k))
-    return _StackWitnesses(
-        factored=np.ones(k, dtype=bool),
-        min_rs_eig=eig[:k, 0],
-        nu_min=nus[:, 0],
-        nu_min_pt=nus[:, 1],
-        nu_ab=nu_ab,
-        rs_ab=rs_ab,
-        nu_ba=nu_ba,
-        schur_nu_min=nu_ba if schur_nu_min is None else schur_nu_min,
-    )
+    tail = (nus[:, 0], nus[:, 1], nu_ab, rs_ab, nu_ba, nu_ba if schur_nu_min is None else schur_nu_min)
+    if factored is None:
+        return _StackWitnesses(np.ones(k, dtype=bool), eig[:k, 0], *tail)
+    return _StackWitnesses(factored, eig[:k, 0], *(np.where(factored, x, 0.0) for x in tail))
 
 
 def _float_witnesses(m: np.ndarray) -> _StackWitnesses:
@@ -700,10 +669,9 @@ def _float_witnesses(m: np.ndarray) -> _StackWitnesses:
     warning."""
     dim = m.shape[0]
     n = dim // 2
-    try:
-        factors, eig, schur_nu_min = _factor_stage(m[None])
-    except np.linalg.LinAlgError:
-        return _StackWitnesses(*[a.item() for a in _unfactored(m[None])])
+    factors, eig, schur_nu_min, factored = _factor_stage(m[None])
+    if factored is not None and not factored[0]:
+        return _StackWitnesses(False, eig.item(0, 0), *[0.0] * 6)
     nu_ab, rs_ab = _one_mode_schur(factors.item(0, dim - 2, dim - 2), factors.item(0, dim - 1, dim - 2),
                                    factors.item(0, dim - 1, dim - 1), _float_hypot)
     nu_ba = math.prod(factors[1].diagonal().tolist()[2:], start=1.0)

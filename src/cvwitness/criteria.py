@@ -162,9 +162,8 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     floats (``covariance._decide``). So ``certify(V)`` equals
     ``certify_many([V])[0]`` bit for bit, with no numpy call after the
     LAPACK calls but the one-mode ``hypot``. The LAPACK calls reach
-    numpy's gufuncs through ``covariance._lapack``, which skips
-    numpy.linalg's per-call wrapper, about 2 us a call, and gives its bits
-    and its LinAlgError.
+    numpy's gufuncs directly, inside one errstate, which skips
+    numpy.linalg's per-call wrapper, about 2 us a call, and gives its bits.
 
     Args:
         V: covariance matrix, Bob = last mode, in standard form or not.
@@ -174,7 +173,9 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
             which reaches 6.5 eps max|V| on a pure TMSV whose exact
             ``min_rs_eig`` is 0, flips no flag.
 
-    A CM whose Cholesky factorization fails is refused as non-physical.
+    A CM whose Cholesky factorization fails, in V's order or with Bob's
+    mode first, or whose symplectic spectra fail, does not raise: the
+    stage's mask marks it unfactored, and it is refused as non-physical.
     """
     tol = resolve_tolerance(tol)
     V = _as_cm(V, bipartite=True)

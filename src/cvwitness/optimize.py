@@ -50,9 +50,9 @@ from .covariance import (
     _as_cm,
     _decide,
     _inv_sqrt_spd,
-    _lapack,
     _require_bipartite,
     _require_int,
+    _solve,
     resolve_tolerance,
 )
 from .observables import FUNCTIONALS, _check_sign, functional_forms
@@ -142,9 +142,17 @@ def _rowmul(x, m):
     return (x[:, None, :] @ m)[:, 0]
 
 
+def _singular(err, flag):
+    """The errstate call handler of ``_rowsolve``: numpy.linalg.solve's error."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _rowsolve(m, x):
-    """Each row of x solved against m."""
-    return _lapack("solve", m, x[:, :, None])[:, :, 0]
+    """Each row of x solved against m, by numpy's LAPACK gufunc called
+    directly in numpy.linalg.solve's errstate, so with its bits and its
+    LinAlgError."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _solve(m, x[:, :, None], signature="dd->d")[:, :, 0]
 
 
 def _alternate(mq, mp, w, a0, b0, max_iters, stop_tol):

@@ -46,24 +46,29 @@ _LINALG_WRAPPERS = ("cholesky", "eigvalsh", "eigh", "eigvals", "eig", "solve", "
                     "lstsq", "qr", "pinv", "norm", "cond", "matrix_rank")
 
 
+# the LAPACK gufuncs as the kernel and the solver bind them: (module, name, key)
+_GUFUNC_NAMES = ((covariance, "_cholesky_lo", "cholesky"), (covariance, "_eigvalsh_lo", "eigvalsh"),
+                 (optimize, "_solve", "solve"))
+
+
 def count_lapack(monkeypatch) -> dict:
-    """Count the calls of the LAPACK entry ``covariance._lapack``, as the
-    kernel and the solver bind it, and fail the test on any call of a
-    numpy.linalg wrapper; build the inputs first, as the generators call
-    numpy.linalg. Returns {name: [operand shapes of each call]}, filled as
-    the calls happen."""
+    """Count the calls of the LAPACK gufuncs that the kernel and the solver
+    bind at module level, and fail the test on any call of a numpy.linalg
+    wrapper; build the inputs first, as the generators call numpy.linalg.
+    Returns {"cholesky" | "eigvalsh" | "solve": [operand shapes of each
+    call]}, filled as the calls happen."""
     calls = {}
 
-    def counted(name, *operands, _lapack=covariance._lapack):
-        calls.setdefault(name, []).append(operands[0].shape if len(operands) == 1 else
+    def counted(*operands, _gufunc, _key, **kwargs):
+        calls.setdefault(_key, []).append(operands[0].shape if len(operands) == 1 else
                                           tuple(a.shape for a in operands))
-        return _lapack(name, *operands)
+        return _gufunc(*operands, **kwargs)
 
     def refused(*args, _name, **kwargs):
         pytest.fail(f"numpy.linalg.{_name} called")
 
-    for module in (covariance, optimize):
-        monkeypatch.setattr(module, "_lapack", counted)
+    for module, name, key in _GUFUNC_NAMES:
+        monkeypatch.setattr(module, name, functools.partial(counted, _gufunc=getattr(module, name), _key=key))
     for name in _LINALG_WRAPPERS:
         monkeypatch.setattr(np.linalg, name, functools.partial(refused, _name=name))
     return calls

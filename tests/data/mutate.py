@@ -2,8 +2,10 @@
 
 Each mutant is one textual edit of src/cvwitness/covariance.py: a test
 of ``_verdict_rules`` made strict, a marker made strict or moved off
-its centre, Alice's B->A threshold 4^-N read as 1/4, or the band
-narrowed or set to tol alone. Each is applied in a temporary copy of
+its centre, Alice's B->A threshold 4^-N read as 1/4, the band
+narrowed or set to tol alone, or the kernel's mask of failed members
+made to miss a failed factor order, spectrum or V/V_B eigensolve, a
+failed V + (i/2) J eigensolve, or the invalid flag, or left unapplied. Each is applied in a temporary copy of
 the repository, never in the checkout, and tests/test_criteria.py and
 tests/test_golden.py run against it. A mutant survives when both files
 still pass.
@@ -55,6 +57,15 @@ MUTANTS = (
         "band = np.maximum(tol, _BAND_PER_NORM * np.abs(v).max(axis=(1, 2)))",
         "band = tol",
     ),
+    # the kernel's mask of members whose LAPACK call failed
+    ("mask ignores the Bob-first factor", "factors[nan] = 0.0\n", "factors[nan] = 0.0\n            nan[1::2] = False\n"),
+    ("mask ignores V's factor", "factors[nan] = 0.0\n", "factors[nan] = 0.0\n            nan[0::2] = False\n"),
+    ("NaN spectra row not masked", "(nan | rows[k:])", "(nan | np.zeros(2 * k, dtype=bool))"),
+    ("NaN V/V_B row not masked", "unfactored |= np.isnan(schur_nu_min)", "unfactored |= False"),
+    ("NaN V + (i/2) J row not raised", "if rows[:k].any():", "if False:"),
+    ("stack witnesses not zeroed", "np.where(factored, x, 0.0) for x in tail", "x for x in tail"),
+    ("one-CM mask ignored", "if factored is not None and not factored[0]:", "if False:"),
+    ("failed call not recorded", 'invalid="call", over="ignore"', 'invalid="ignore", over="ignore"'),
 )
 
 

@@ -21,7 +21,10 @@ For each family the probe reports how many members are called physical
 (every member is), and for each of the flags ppt, steerable_ab and
 steerable_ba, among the members called physical: how many carry the flag's
 marginal marker, how many get the flag wrong, and how many of those wrong
-flags carry no marker.
+flags carry no marker. For ``product_grid`` it also reports, as
+``nonphysical_doubles``, how many members called physical are non-physical
+as doubles: their Bob block's exact determinant, taken with Fraction, is
+below 1/4 (Alice's block is the vacuum's, 0.5 I exactly).
 
 - ``pure_tmsv``: tmsv(r) on linspace(0, 15, 15001). Every member is
   physical. The probe reports how many members are refused as non-physical,
@@ -49,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +124,17 @@ def counts(cms: np.ndarray, truth: np.ndarray) -> dict:
     return out
 
 
+def nonphysical_doubles(cms: np.ndarray) -> int:
+    """How many members of the product grid ``stack_verdicts`` calls physical
+    although Bob's block, as doubles, has an exact determinant below 1/4."""
+    physical = stack_verdicts(cms).physical
+    below = 0
+    for m in cms[physical]:
+        (b11, b12), (b21, b22) = m[2:, 2:].tolist()
+        below += Fraction(b11) * Fraction(b22) - Fraction(b12) * Fraction(b21) < Fraction(1, 4)
+    return below
+
+
 def refusals(cms: np.ndarray):
     """The members of a stack refused as non-physical and those that fail
     the kernel's factor, from one run of the decision ``stack_verdicts``
@@ -181,6 +196,7 @@ def main() -> int:
         ),
     }
     line = {name: counts(*family) for name, family in families.items()}
+    line["product_grid"]["nonphysical_doubles"] = nonphysical_doubles(families["product_grid"][0])
     line["pure_tmsv"] = tmsv_refusals()
     line["multimode_pure"] = multimode_refusals()
     print(json.dumps(line, sort_keys=True))

@@ -426,15 +426,76 @@ class TestStackWitnesses:
         assert calls == {"cholesky": [(2, dim, dim)], "eigvalsh": [(3, dim, dim), *schur]}
 
     def test_lapack_calls_per_failed_factor(self, monkeypatch):
-        # a CM whose factor fails gets one eigensolve of V + (i/2) J alone
+        # a CM whose factor fails takes the calls of one that factors
         cm = tmsv(11.0)
         calls = count_lapack(monkeypatch)
         assert not certify(cm).physical
-        assert calls == {"cholesky": [(2, 4, 4)], "eigvalsh": [(1, 4, 4)]}
+        assert calls == {"cholesky": [(2, 4, 4)], "eigvalsh": [(3, 4, 4)]}
+
+    @staticmethod
+    def _hex(w):
+        """Each witness of one member as a bool or as its exact bits."""
+        return [x if type(x) is bool else float.hex(x) for x in w]
+
+    @staticmethod
+    def _factors(m):
+        """Whether numpy.linalg.cholesky factors m, and m reordered with
+        Bob's mode first."""
+        k = m.shape[0] - 2
+        order = np.r_[k : k + 2, :k]
+        out = []
+        for a in (m, m[np.ix_(order, order)]):
+            try:
+                np.linalg.cholesky(a)
+                out.append(True)
+            except np.linalg.LinAlgError:
+                out.append(False)
+        return tuple(out)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_failed_members_take_one_pass(self, monkeypatch, n):
+        # failed factors first, in the middle and last, among them one CM
+        # whose factor fails only in V's order and one only in the
+        # Bob-first order, each under n - 2 vacuum Alice modes: the stack
+        # takes the calls of one that factors, each member gets the bits it
+        # gets alone, and a member is factored iff both orders factor
+        def embedded(cm):
+            m = 0.5 * np.eye(2 * n)
+            m[-4:, -4:] = cm.matrix
+            return m
+
+        failing = [embedded(tmsv(11.0)), embedded(noisy_tmsv(11.52, 1e-6, "A")),
+                   embedded(noisy_tmsv(11.65, 1e-6, "A")), embedded(tmsv(12.0))]
+        assert [self._factors(m) for m in failing] == [(False, False), (False, True), (True, False), (False, False)]
+        good = [random_standard(n, seed=s).matrix for s in range(3)] + [embedded(tmsv(10.0))]
+        dim = 2 * n
+        for stack in (np.stack([failing[0], good[0], failing[1], good[1], failing[2], good[2], good[3], failing[3]]),
+                      np.stack(failing)):
+            k = len(stack)
+            alone = [self._hex(covariance._float_witnesses(m)) for m in stack]
+            factored = [all(self._factors(m)) for m in stack]
+            calls = count_lapack(monkeypatch)
+            w = _stack_witnesses(stack)
+            monkeypatch.undo()
+            schur = [] if n == 2 else [(k, dim - 2, dim - 2)]
+            assert calls == {"cholesky": [(2 * k, dim, dim)], "eigvalsh": [(3 * k, dim, dim), *schur]}
+            assert w.factored.tolist() == factored
+            assert [self._hex(a.item() for a in row) for row in zip(*w)] == alone
+
+    def test_overflowing_spectrum_is_masked(self):
+        # tmsv(1) scaled to max|V| = 1.79e308 factors, but i L^T (P J P) L
+        # overflows and its spectrum comes back NaN: the member is masked
+        # with its own min_rs_eig and no warning, and its neighbour keeps
+        # its bits (conftest raises on every floating-point error but underflow)
+        m = tmsv(1.0).matrix * (1.79e308 / tmsv(1.0).matrix.max())
+        w = _stack_witnesses(np.stack([m, tmsv(0.5).matrix]))
+        assert w.factored.tolist() == [False, True]
+        assert w.min_rs_eig[0] == np.linalg.eigvalsh(m + 0.5j * symplectic_form(2))[0]
+        assert [a[1] for a in w] == list(_stack_witnesses(tmsv(0.5).matrix[None]))
 
     def test_lapack_errors_under_caller_errstate(self):
-        # the entry's own errstate turns a failed factor into LinAlgError
-        # under any caller's error state, and restores that state
+        # the stage's one errstate turns a failed factor into a masked
+        # member under any caller's error state, and restores that state
         before = np.geterr()
         with np.errstate(all="raise"):
             raising = np.geterr()
@@ -444,8 +505,6 @@ class TestStackWitnesses:
         assert np.geterr() == before
         assert w.factored.tolist() == [True, False, True]
         assert not verdict.physical
-        with pytest.raises(np.linalg.LinAlgError, match="^Matrix is not positive definite$"):
-            covariance._lapack("cholesky", tmsv(11.0).matrix[None])
 
     def test_one_mode_closed_forms_match_on_floats(self):
         # the one-CM route runs the one-mode closed forms on Python floats;

@@ -458,8 +458,9 @@ class TestCertifyMany:
     def _branch_members(n):
         """A factor failure, an RS refusal, the vacuum's three markers, a PPT
         thermal state and both one-way noisy TMSVs, then tmsv(9), a two-mode
-        CM off standard form and four with huge entries, each under n - 2
-        vacuum Alice modes, then random_standard(n) members."""
+        CM off standard form, four with huge entries and two whose factor
+        fails in one order only (V's, then the Bob-first one), each under
+        n - 2 vacuum Alice modes, then random_standard(n) members."""
         r = 0.7
         one_way = (1.0 - 1 / (2 * np.cosh(2 * r))) / 2  # inside the analytic window
         local = local_direct_sum([one_mode_rotation(0.7) @ one_mode_squeeze(0.3), np.eye(2)])
@@ -470,7 +471,7 @@ class TestCertifyMany:
                  noisy_tmsv(r, one_way, "A"), noisy_tmsv(r, one_way, "B"), tmsv(9.0),
                  CovarianceMatrix(local @ tmsv(0.5).matrix @ local.T), CovarianceMatrix(np.diag([1, 1, 1e160, 1e160])),
                  CovarianceMatrix(np.diag([1e308, 1e308, 1, 1])), CovarianceMatrix(np.diag([1e308, 1, 1, 1])),
-                 CovarianceMatrix(huge_bob)]
+                 CovarianceMatrix(huge_bob), noisy_tmsv(11.52, 1e-6, "A"), noisy_tmsv(11.65, 1e-6, "A")]
         extra = 2 * (n - 2)
         members = []
         for cm in pairs:
@@ -495,7 +496,8 @@ class TestCertifyMany:
         many = certify_many(members)
         factor_fail, rs_refused, markers, ppt, ab_only, ba_only = single[:6]
         assert not covariance._stack_witnesses(members[0].matrix[None]).factored[0]
-        assert not factor_fail.physical and list(factor_fail.witnesses) == ["min_rs_eig"]
+        for refused in (factor_fail, *single[12:14]):
+            assert not refused.physical and list(refused.witnesses) == ["min_rs_eig"]
         assert not rs_refused.physical and rs_refused.witnesses["min_rs_eig"] < 0
         assert {"marginal_ppt", "marginal_ab", "marginal_ba"} <= set(markers.witnesses)
         assert ppt.ppt and ppt.gaussian_separable == "yes"
@@ -544,6 +546,48 @@ class TestCertifyMany:
         assert self._typed(w) == self._typed(a.item() for a in covariance._stack_witnesses(m[None]))
         report = validate_bona_fide(vacuum(1))
         assert self._typed([report.positive_definite, report.min_rs_eigenvalue]) == self._typed(w[:2])
+
+    @staticmethod
+    def _nan_row(monkeypatch, call, row):
+        """Replace the kernel's eigensolve gufunc by one that, on its
+        ``call``-th call (0 is the first), writes NaN over eigenvalue row
+        ``row`` and sets the invalid flag, as a member's failed LAPACK call
+        does."""
+        gufunc, count = covariance._eigvalsh_lo, [0]
+
+        def failing(*operands, **kwargs):
+            out = gufunc(*operands, **kwargs)
+            if count[0] == call:
+                out[row] = np.nan
+                np.sqrt(np.array(-1.0))
+            count[0] += 1
+            return out
+
+        monkeypatch.setattr(covariance, "_eigvalsh_lo", failing)
+
+    @pytest.mark.parametrize(("n", "call", "row"), [(2, 0, 3 + 2), (2, 0, 3 + 3), (3, 0, 3 + 2), (3, 1, 1)])
+    def test_failed_eigensolve_marks_only_its_member(self, monkeypatch, n, call, row):
+        # a NaN spectrum of member 1 (row k + 2 or k + 3 of the first call,
+        # with k = 3) or a NaN V/V_B eigensolve (the second call, n >= 3)
+        # leaves member 1 unfactored with its own min_rs_eig and zeros, and
+        # the other members with the bits they get alone
+        stack = np.stack([random_standard(n, seed=s).matrix for s in range(3)])
+        alone = [covariance._float_witnesses(m) for m in stack]
+        alone[1] = alone[1]._replace(factored=False, **dict.fromkeys(alone[1]._fields[2:], 0.0))
+        self._nan_row(monkeypatch, call, row)
+        kernel, (_, flags, *_) = covariance._decide_stack(stack, DEFAULT_TOL)
+        assert [self._typed(a.item() for a in member) for member in zip(*kernel)] == list(map(self._typed, alone))
+        assert flags[0].tolist() == [True, False, True]
+
+    def test_failed_rs_eigensolve_raises(self, monkeypatch):
+        # a NaN eigenvalue row of V + (i/2) J raises numpy's error, on both
+        # routes
+        self._nan_row(monkeypatch, 0, 1)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            stack_verdicts([random_standard(2, seed=s) for s in range(3)])
+        self._nan_row(monkeypatch, 0, 0)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            certify(random_standard(2, seed=0))
 
     def test_array_stack_input(self):
         cms = [random_standard(3, seed=s) for s in range(5)]
