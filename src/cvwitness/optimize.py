@@ -30,15 +30,16 @@ pair of half-steps is an inverse power iteration on the stationarity
 eigenproblem, and periodic Aitken extrapolation accelerates the
 near-degenerate cases. A scale rebalance after every sweep keeps the
 two variances equal, which any true extremum must satisfy. The solver
-has no settings: it runs 8 starts (all-ones, then 7 drawn from seed 0)
-of at most 500 sweeps each, stops a start when its value moves by less
-than 1e-13 times max(1, value), and flags a weight at or below 1e-10 as
-leaving the positive orthant.
+has no settings. Each minimum is exactly 2 / sigma_max of the whitened
+gauge G = Mq^(-1/2) W Mp^(-1/2), so it runs one start, at G's top
+singular pair (``_warm_start``), for at most 500 sweeps; it stops when
+the value moves by less than 1e-13 times max(1, value), which from that
+start is at its first test, after 5 sweeps, and flags a weight at or
+below 1e-10 as leaving the positive orthant.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,7 +81,9 @@ class MinimizationResult:
     ``boundary_flag`` is set when the minimizer is not strictly inside
     the positive weight orthant (a component at or below the positivity
     floor, or negative), i.e. when the infimum over strictly positive
-    weights may exceed the reported value.
+    weights may exceed the reported value. ``iterations`` counts the
+    solver's sweeps and ``restarts_used`` its starts, which is always 1:
+    the solver starts at the exact minimizer, and its sweeps confirm it.
     """
 
     value: float
@@ -236,49 +239,41 @@ def _alternate(mq, mp, w, a0, b0, max_iters, stop_tol):
 
 
 # the alternating solver's fixed settings: the relative change of the
-# value that stops a start, the sweeps one start may run, the number of
-# starts and the seed of the random ones, and the weight at or below
+# value that stops the solve, the sweeps it may run, the relative rounding
+# within which a singular value of the whitened gauge counts as sigma_max
+# and the start's projection as vanishing, and the weight at or below
 # which a minimizer counts as outside the positive orthant
 _STOP_TOL = 1e-13
 _MAX_ITERS = 500
-_STARTS = 8
-_START_SEED = 0
+_TOP_TOL = 16 * np.finfo(float).eps
 _POSITIVITY_FLOOR = 1e-10
 
 
-@functools.lru_cache(maxsize=None)
-def _starting_points(n_modes: int):
-    """The solver's starts (a0, b0) for n_modes modes, each (_STARTS,
-    n_modes) and read-only: all-ones first, then a0 and b0 drawn per
-    restart from seed _START_SEED."""
-    a0 = np.ones((_STARTS, n_modes))
-    b0 = np.ones((_STARTS, n_modes))
-    draws = np.random.default_rng(_START_SEED).standard_normal((_STARTS - 1, 2, n_modes))
-    a0[1:], b0[1:] = draws[:, 0], draws[:, 1]
-    for arr in (a0, b0):
-        arr.flags.writeable = False
-    return a0, b0
+def _warm_start(mq, mp, w):
+    """The solver's start (a0, b0): the exact minimizer of the gauge ratio,
+    from the top singular pair of the whitened gauge G = Mq^(-1/2) W
+    Mp^(-1/2). u0 is the whitened all-ones vector Mq^(1/2) 1 projected onto
+    G's top singular subspace, so a repeated sigma_max keeps equal weights
+    where they are a minimizer, or G's first singular vector when that
+    projection vanishes to rounding; a0 = Mq^(-1/2) u0, b0 = Mp^(-1/2) G' u0."""
+    iq, ip = _inv_sqrt_spd(mq), _inv_sqrt_spd(mp)
+    g = iq @ w @ ip
+    u, s, _ = np.linalg.svd(g)
+    top = u[:, s >= s[0] * (1.0 - _TOP_TOL)]
+    ones = mq @ iq.sum(axis=1)  # Mq^(1/2) 1
+    u0 = top @ (top.T @ ones)
+    if np.linalg.norm(u0) <= _TOP_TOL * np.linalg.norm(ones):
+        u0 = u[:, 0]
+    return iq @ u0, ip @ (g.T @ u0)
 
 
 def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
     mq, mp, w = functional_forms(sf, functional)
-    a0, b0 = (x.copy() for x in _starting_points(sf.n_modes))
-    b0[_rowdot(_rowmul(a0, w), b0) < 0] *= -1.0
-    vals, a_all, b_all, iters_all, conv_all = _alternate(
-        mq, mp, w, a0, b0, _MAX_ITERS, _STOP_TOL
+    (val,), (a,), (b,), (iters,), (conv,) = _alternate(
+        mq, mp, w, *_warm_start(mq, mp, w), _MAX_ITERS, _STOP_TOL
     )
-    best = 0
-    for s in range(1, _STARTS):
-        # a later start wins only by more than the stopping tolerance, or
-        # by converging where the incumbent did not: a tie in the last
-        # digits must not trade the incumbent's point for another one
-        if vals[s] + _STOP_TOL * max(1.0, abs(vals[s])) < vals[best] or (
-            conv_all[s] and not conv_all[best]
-        ):
-            best = s
-    val, a, b, iters, conv = vals[best], a_all[best], b_all[best], iters_all[best], conv_all[best]
     if not np.isfinite(val):
-        raise np.linalg.LinAlgError("minimization degenerated on every start")
+        raise np.linalg.LinAlgError("minimization degenerated")
     # canonical sign: overall negation of both vectors leaves the sum fixed
     if a.sum() < 0:
         a, b = -a, -b
@@ -289,7 +284,7 @@ def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResu
         converged=bool(conv),
         boundary_flag=bool(min(a.min(), b.min()) <= _POSITIVITY_FLOOR),
         iterations=int(iters),
-        restarts_used=_STARTS,
+        restarts_used=1,
     )
 
 

@@ -1,6 +1,7 @@
 """Correctness probes: how many flags ``stack_verdicts`` gets wrong on
 three families of CMs whose true verdicts are known in closed form, and how
-many pure TMSVs and multimode pure states it refuses.
+many pure TMSVs and multimode pure states it refuses, and how the numeric
+minimizer fares on pure TMSV.
 
 - ``product_grid``: vacuum (+) a pure Bob mode rotated by theta (41 values
   in [0, pi/2]) and squeezed by z (121 values in [0, 12]). Every member is
@@ -36,6 +37,10 @@ below 1/4 (Alice's block is the vacuum's, 0.5 I exactly).
   every mode squeezed by z uniform in [-2, 2], all drawn from seed n. Every
   member is physical; per n the probe reports how many are refused and how
   many fail the kernel's Cholesky factor.
+- ``solver_tmsv``: the numeric ``sep_minus`` minimum of
+  split_standard(tmsv(r)) for r on linspace(0, 9, 37), whose exact value
+  is 1 at every r. The probe reports how many solves do not converge and
+  the worst |value - 1|.
 
 The counts gate nothing.
 
@@ -59,7 +64,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from cvwitness import GeneratorSpec, noisy_tmsv, stack_verdicts, tmsv  # noqa: E402
+from cvwitness import (  # noqa: E402
+    GeneratorSpec,
+    min_separability_sum_numeric,
+    noisy_tmsv,
+    split_standard,
+    stack_verdicts,
+    tmsv,
+)
 from cvwitness.covariance import (  # noqa: E402
     DEFAULT_TOL,
     _decide_stack,
@@ -185,6 +197,15 @@ def multimode_refusals() -> dict:
     return out
 
 
+def solver_tmsv() -> dict:
+    """The numeric sep_minus minima of pure TMSV: the solves that do not
+    converge and the worst distance from the exact minimum 1."""
+    results = [min_separability_sum_numeric(split_standard(tmsv(float(r))), "minus")
+               for r in np.linspace(0.0, 9.0, 37)]
+    return {"solves": len(results), "not_converged": sum(not res.converged for res in results),
+            "worst_error": max(abs(res.value - 1.0) for res in results)}
+
+
 def main() -> int:
     families = {
         "product_grid": product_grid(),
@@ -199,6 +220,7 @@ def main() -> int:
     line["product_grid"]["nonphysical_doubles"] = nonphysical_doubles(families["product_grid"][0])
     line["pure_tmsv"] = tmsv_refusals()
     line["multimode_pure"] = multimode_refusals()
+    line["solver_tmsv"] = solver_tmsv()
     print(json.dumps(line, sort_keys=True))
     return 0
 

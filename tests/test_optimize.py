@@ -46,11 +46,10 @@ from cvwitness.optimize import (
     _BLOCK,
     _CHAINS,
     _MAX_ITERS,
-    _STARTS,
     _STOP_TOL,
     FUNCTIONALS,
     _alternate,
-    _starting_points,
+    _warm_start,
 )
 from conftest import count_lapack, product_cm
 
@@ -172,13 +171,25 @@ class TestSeparabilityNumeric:
             assert minus == pytest.approx(2 * nu, abs=1e-8)
 
     @pytest.mark.parametrize("sign", ["plus", "minus"])
-    def test_restart_tie_keeps_equal_weights(self, sign):
-        # a random restart once beat the all-ones start by one ulp and
-        # reported a point outside the positive orthant
+    def test_repeated_top_singular_value_keeps_equal_weights(self, sign):
+        # the whitened gauge of vacuum(3) is a multiple of the identity, so
+        # sigma_max repeats and any unit vector is a top singular vector: the
+        # start must project the all-ones weights onto that subspace, not
+        # take one singular vector, which leaves the positive orthant
         res = min_separability_sum_numeric(split_standard(vacuum(3)), sign)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert not res.boundary_flag
         np.testing.assert_allclose(res.argmin_alpha, np.full(3, 3 ** -0.5), rtol=1e-9)
+
+    def test_start_orthogonal_to_all_ones(self):
+        # sigma_max's singular vector (-1, 1)/sqrt(2) is orthogonal to the
+        # whitened all-ones vector, whose projection vanishes, so the start
+        # is the singular vector itself; from all-ones the solver converges
+        # to the other stationary point
+        sf = StandardForm(vq=np.eye(2), vp=[[1.0, 0.3], [0.3, 1.0]])
+        res = min_separability_sum_numeric(sf, "plus")
+        assert res.value == pytest.approx(1.6733200530681511, rel=1e-12)
+        assert (res.converged, res.iterations, res.restarts_used) == (True, 5, 1)
 
     def test_boundary_flag_reports_orthant_exit(self):
         # product state: the cross weights vanish at the minimum
@@ -209,9 +220,30 @@ def test_one_mode_form_refused(minimize):
         minimize(StandardForm(vq=[[1.0]], vp=[[0.7]]))
 
 
+def _inv_sqrt(m):
+    """m^(-1/2) of a symmetric positive definite m, from numpy's eigh."""
+    w, u = np.linalg.eigh(m)
+    return (u / np.sqrt(w)) @ u.T
+
+
+@pytest.mark.parametrize("functional", FUNCTIONALS)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_value_is_two_over_top_singular_value(n, seed, functional):
+    # each minimum is exactly 2 / sigma_max of the whitened gauge
+    # G = Mq^(-1/2) W Mp^(-1/2); the solver starts at its top singular pair,
+    # so it stops at its first stopping test, after 5 sweeps
+    sf = split_standard(random_standard(n, seed=seed))
+    mq, mp, w = functional_forms(sf, functional)
+    sigma_max = np.linalg.svd(_inv_sqrt(mq) @ w @ _inv_sqrt(mp), compute_uv=False)[0]
+    res = _ORACLE_FUNCTIONALS[functional][2](sf)
+    assert res.value == pytest.approx(2.0 / sigma_max, rel=1e-12)
+    assert (res.converged, res.iterations, res.restarts_used) == (True, 5, 1)
+
+
 def _random_starts(sf, functional, count, seed):
     """The forms of a functional and count random starts, each with a
-    positive gauge a0' W b0, as the minimizer's restarts have."""
+    positive gauge a0' W b0, as the stacked alternation takes them."""
     mq, mp, w = functional_forms(sf, functional)
     rng = np.random.default_rng(seed)
     a0 = rng.standard_normal((count, sf.n_modes))
@@ -270,15 +302,16 @@ class TestStackedAlternation:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_single_start_is_all_ones(self, seed):
-        # the first start is all-ones, and no random restart beats it here
-        # by more than the stopping tolerance, so it is what is reported
+        # the one start is the whitened all-ones vector projected onto the
+        # top singular subspace of the whitened gauge, and the reported
+        # result is the alternation's from it, up to the canonical sign
         sf = split_standard(random_standard(3, seed=seed))
         mq, mp, w = functional_forms(sf, "sep_minus")
         val, a, b, iters, conv = _alternate(
-            mq, mp, w, np.ones(3), np.ones(3), _MAX_ITERS, _STOP_TOL
+            mq, mp, w, *_warm_start(mq, mp, w), _MAX_ITERS, _STOP_TOL
         )
         res = min_separability_sum_numeric(sf, "minus")
-        assert res.restarts_used == _STARTS == 8
+        assert res.restarts_used == 1
         assert (res.value, res.iterations, res.converged) == (val[0], iters[0], conv[0])
         sign = 1.0 if a[0].sum() >= 0 else -1.0
         np.testing.assert_array_equal(res.argmin_alpha, sign * a[0])
@@ -298,20 +331,6 @@ class TestStackedAlternation:
         live = [int((iters > k).sum()) for k in range(iters.max())]
         assert live[0] == 8
         assert calls == {"solve": [((n, n), (s, n, 1)) for s in live for _ in "qp"]}
-
-    def test_starting_points_cached_read_only(self):
-        # every solve reads one cached set of starts per mode count, and the
-        # sign flip onto a positive gauge works on a copy
-        a0, b0 = _starting_points(3)
-        assert _starting_points(3)[0] is a0
-        assert not (a0.flags.writeable or b0.flags.writeable)
-        draws = np.random.default_rng(0).standard_normal((7, 2, 3))
-        sf = split_standard(random_standard(3, seed=1))
-        _, _, w = functional_forms(sf, "steer_ba")
-        assert (np.einsum("ki,ij,kj->k", a0, w, b0) < 0).any()  # the flip runs
-        min_steering_sum_ba_numeric(sf)
-        np.testing.assert_array_equal(a0, np.vstack([np.ones(3), draws[:, 0]]))
-        np.testing.assert_array_equal(b0, np.vstack([np.ones(3), draws[:, 1]]))
 
 
 class TestSteeringAbClosedForm:
