@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,26 @@ def test_value_is_two_over_top_singular_value(n, seed, functional):
     res = _ORACLE_FUNCTIONALS[functional][2](sf)
     assert res.value == pytest.approx(2.0 / sigma_max, rel=1e-12)
     assert (res.converged, res.iterations, res.restarts_used) == (True, 5, 1)
+
+
+def test_solver_pins():
+    """Every bit of the value and weights, the sweep count and both flags
+    that the numeric minimizers gave at the freeze
+    (``tests/data/freeze_solver.py``), among them ten TMSV solves that run
+    all 500 sweeps through the Aitken step. A speed-up of the alternation
+    must not move any of them."""
+    data = Path(__file__).parent / "data"
+    sys.path.insert(0, str(data))
+    try:
+        import freeze_solver as freeze
+    finally:
+        sys.path.remove(str(data))
+    pins = json.loads((data / "solver_pins.json").read_text())
+    cases = freeze.inputs()
+    assert [(label, f) for label, _, f in cases] == [(pin["label"], pin["functional"]) for pin in pins]
+    got = [{"label": label, "functional": f, **freeze.exact(freeze.solve(sf, f))} for label, sf, f in cases]
+    assert got == pins
+    assert sum(not pin["converged"] for pin in pins) == 10
 
 
 def _random_starts(sf, functional, count, seed):
