@@ -40,6 +40,7 @@ below 1e-10 as leaving the positive orthant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,115 +130,6 @@ class UnsteerabilityCheck(NamedTuple):
     min_rs_eigenvalue: float
 
 
-# row-wise kernels of the stacked alternation. Matmul over (s, 1, n) rows
-# and a solve batched over (s, n, 1) right-hand sides give each row the
-# bits of the one-vector product or solve; a (s, n) matmul or a solve with
-# s right-hand-side columns does not, and would let one start's iteration
-# count depend on the other starts in its stack.
-
-
-def _rowdot(x, y):
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
-
-
-def _rowmul(x, m):
-    """Each row of x times m."""
-    return (x[:, None, :] @ m)[:, 0]
-
-
-def _singular(err, flag):
-    """The errstate call handler of ``_rowsolve``: numpy.linalg.solve's error."""
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _rowsolve(m, x):
-    """Each row of x solved against m, by numpy's LAPACK gufunc called
-    directly in numpy.linalg.solve's errstate, so with its bits and its
-    LinAlgError."""
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _solve(m, x[:, :, None], signature="dd->d")[:, :, 0]
-
-
-def _alternate(mq, mp, w, a0, b0, max_iters, stop_tol):
-    """Accelerated alternating minimization of (a'Mq a + b'Mp b) on the
-    gauge surface a'Wb = 1, run on a (s, n) stack of starts at once.
-
-    Each half-step is one solve over every live start. A start leaves the
-    stack when it converges or degenerates (a vanishing gauge or
-    half-step denominator, reported as value inf and not converged) and
-    keeps what the one-start iteration would have returned. Returns
-    (value, a, b, iterations, converged), each with the stack's leading
-    axis.
-    """
-    a = np.array(a0, dtype=float, ndmin=2)
-    b = np.array(b0, dtype=float, ndmin=2)
-    value = np.full(len(a), np.inf)
-    iterations = np.zeros(len(a), dtype=int)
-    converged = np.zeros(len(a), dtype=bool)
-    den = _rowdot(_rowmul(a, w), b)
-    idx = np.flatnonzero(np.abs(den) >= 1e-300)
-    scale = np.sqrt(np.abs(den[idx]))
-    # the live starts, row j being start idx[j]
-    A = a[idx] / scale[:, None]
-    B = b[idx] * (np.sign(den[idx]) / scale)[:, None]
-    prev_b = B  # first read by the Aitken step at k = 11
-    val = np.full(idx.size, np.inf)
-    for k in range(max_iters):
-        if idx.size == 0:
-            break
-        U = _rowmul(B, w.T)
-        X = _rowsolve(mq, U)
-        du = _rowdot(U, X)
-        out = np.abs(du) < 1e-300
-        if out.any():
-            # a degenerate start keeps the point it has reached
-            gone = idx[out]
-            a[gone], b[gone], iterations[gone] = A[out], B[out], k
-            idx, A, B, prev_b, val, X, du = (x[~out] for x in (idx, A, B, prev_b, val, X, du))
-        A = X / du[:, None]
-        V = _rowmul(A, w)
-        Y = _rowsolve(mp, V)
-        dv = _rowdot(V, Y)
-        out = np.abs(dv) < 1e-300
-        if out.any():
-            gone = idx[out]
-            a[gone], b[gone], iterations[gone] = A[out], B[out], k
-            idx, A, B, prev_b, val, Y, dv = (x[~out] for x in (idx, A, B, prev_b, val, Y, dv))
-        bn = Y / dv[:, None]
-        if k % 12 == 11:
-            # Aitken vector extrapolation: the alternation converges like a
-            # power iteration, slowly when the spectrum is near-degenerate
-            d1 = bn - B
-            d0 = B - prev_b
-            nrm = _rowdot(d0, d0)
-            rows = np.flatnonzero(nrm > 0)
-            rho = _rowdot(d1[rows], d0[rows]) / nrm[rows]
-            fit = (0.0 < rho) & (rho < 0.9999)
-            rows, rho = rows[fit], rho[fit]
-            cand = bn[rows] + d1[rows] * (rho / (1.0 - rho))[:, None]
-            gauge = _rowdot(_rowmul(A[rows], w), cand)
-            take = np.abs(gauge) > 1e-12
-            bn[rows[take]] = cand[take] / gauge[take, None]
-        prev_b = B
-        q = _rowdot(_rowmul(A, mq), A)
-        p = _rowdot(_rowmul(bn, mp), bn)
-        # rebalance: equal variances, which any true extremum satisfies
-        r = ((p / q) ** 0.25)[:, None]
-        A, B = A * r, bn / r
-        new = 2.0 * np.sqrt(q * p)
-        if k > 3:
-            done = np.abs(val - new) < stop_tol * np.maximum(1.0, np.abs(new))
-            if done.any():
-                gone = idx[done]
-                a[gone], b[gone], value[gone] = A[done], B[done], new[done]
-                iterations[gone], converged[gone] = k + 1, True
-                idx, A, B, prev_b, new = (x[~done] for x in (idx, A, B, prev_b, new))
-        val = new
-    # the starts still in the stack ran out of iterations
-    a[idx], b[idx], value[idx], iterations[idx] = A, B, val, max_iters
-    return value, a, b, iterations, converged
-
-
 # the alternating solver's fixed settings: the relative change of the
 # value that stops the solve, the sweeps it may run, the relative rounding
 # within which a singular value of the whitened gauge counts as sigma_max
@@ -247,6 +139,75 @@ _STOP_TOL = 1e-13
 _MAX_ITERS = 500
 _TOP_TOL = 16 * np.finfo(float).eps
 _POSITIVITY_FLOOR = 1e-10
+
+
+def _singular(err, flag):
+    """The errstate call handler of ``_vecsolve``: numpy.linalg.solve's error."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _vecsolve(m, x):
+    """x solved against m, by numpy's LAPACK gufunc called directly in
+    numpy.linalg.solve's errstate, so with its bits and its LinAlgError."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _solve(m, x[None, :, None], signature="dd->d")[0, :, 0]
+
+
+def _alternate(mq, mp, w, a0, b0):
+    """Accelerated alternating minimization of (a'Mq a + b'Mp b) on the
+    gauge surface a'Wb = 1 from the start (a0, b0).
+
+    Returns (value, a, b, iterations, converged). A vanishing gauge or
+    half-step denominator degenerates the solve: value inf, not converged,
+    at the point reached. The scalars are Python floats; the rebalance
+    factor stays numpy's power on a one-element array, whose bits Python's
+    ``**`` does not always give.
+    """
+    a = np.array(a0, dtype=float)
+    b = np.array(b0, dtype=float)
+    den = float((a @ w) @ b)
+    if not abs(den) >= 1e-300:
+        return np.inf, a, b, 0, False
+    scale = math.sqrt(abs(den))
+    a, b = a / scale, b * ((1.0 if den > 0 else -1.0) / scale)
+    prev_b = b  # first read by the Aitken step at k = 11
+    val = np.inf
+    for k in range(_MAX_ITERS):
+        u = b @ w.T
+        x = _vecsolve(mq, u)
+        du = float(u @ x)
+        if abs(du) < 1e-300:
+            return np.inf, a, b, k, False
+        a = x / du
+        v = a @ w
+        y = _vecsolve(mp, v)
+        dv = float(v @ y)
+        if abs(dv) < 1e-300:
+            return np.inf, a, b, k, False
+        bn = y / dv
+        if k % 12 == 11:
+            # Aitken vector extrapolation: the alternation converges like a
+            # power iteration, slowly when the spectrum is near-degenerate
+            d1 = bn - b
+            d0 = b - prev_b
+            nrm = float(d0 @ d0)
+            rho = float(d1 @ d0) / nrm if nrm > 0 else 0.0
+            if 0.0 < rho < 0.9999:
+                cand = bn + d1 * (rho / (1.0 - rho))
+                gauge = float(v @ cand)
+                if abs(gauge) > 1e-12:
+                    bn = cand / gauge
+        prev_b = b
+        q = float((a @ mq) @ a)
+        p = float((bn @ mp) @ bn)
+        # rebalance: equal variances, which any true extremum satisfies
+        r = np.power(np.array([p / q]), 0.25).item()
+        a, b = a * r, bn / r
+        new = 2.0 * math.sqrt(q * p)
+        if k > 3 and abs(val - new) < _STOP_TOL * max(1.0, abs(new)):
+            return new, a, b, k + 1, True
+        val = new
+    return val, a, b, _MAX_ITERS, False
 
 
 def _warm_start(mq, mp, w):
@@ -269,21 +230,19 @@ def _warm_start(mq, mp, w):
 
 def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
     mq, mp, w = functional_forms(sf, functional)
-    (val,), (a,), (b,), (iters,), (conv,) = _alternate(
-        mq, mp, w, *_warm_start(mq, mp, w), _MAX_ITERS, _STOP_TOL
-    )
-    if not np.isfinite(val):
+    val, a, b, iters, conv = _alternate(mq, mp, w, *_warm_start(mq, mp, w))
+    if not math.isfinite(val):
         raise np.linalg.LinAlgError("minimization degenerated")
     # canonical sign: overall negation of both vectors leaves the sum fixed
     if a.sum() < 0:
         a, b = -a, -b
     return MinimizationResult(
-        value=float(val),
+        value=val,
         argmin_alpha=a,
         argmin_beta=b,
-        converged=bool(conv),
+        converged=conv,
         boundary_flag=bool(min(a.min(), b.min()) <= _POSITIVITY_FLOOR),
-        iterations=int(iters),
+        iterations=iters,
         restarts_used=1,
     )
 

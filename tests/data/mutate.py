@@ -11,7 +11,9 @@ eigensolve, or the invalid flag, or left unapplied. In
 src/cvwitness/optimize.py, killed by tests/test_optimize.py: the
 solver's start taken from the smallest singular pair of the whitened
 gauge, from its first singular vector alone where sigma_max repeats, or
-without the fallback for a projection that vanishes. Each is applied in
+without the fallback for a projection that vanishes; the alternation's
+Aitken step skipped or fed a previous iterate equal to the current one,
+or its stopping test made one sweep early. Each is applied in
 a temporary copy of the repository, never in the checkout, and its test
 files run against it. A mutant survives when they all still pass.
 
@@ -86,6 +88,10 @@ MUTANTS = (
         "if np.linalg.norm(u0) <= _TOP_TOL * np.linalg.norm(ones):",
         "if False:",
     ),
+    # the alternation's Aitken step and stopping test
+    ("Aitken step skipped", *SOLVER, "if k % 12 == 11:", "if False:"),
+    ("stop test one sweep early", *SOLVER, "if k > 3 and", "if k > 2 and"),
+    ("prev_b updated before the Aitken step", *SOLVER, "bn = y / dv\n", "bn = y / dv\n        prev_b = b\n"),
 )
 
 

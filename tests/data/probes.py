@@ -1,7 +1,8 @@
 """Correctness probes: how many flags ``stack_verdicts`` gets wrong on
 three families of CMs whose true verdicts are known in closed form, and how
-many pure TMSVs and multimode pure states it refuses, and how the numeric
-minimizer fares on pure TMSV.
+many pure TMSVs and multimode pure states it refuses, how the numeric
+minimizer fares on pure TMSV, and how far its local invariants drift under
+local symplectics.
 
 - ``product_grid``: vacuum (+) a pure Bob mode rotated by theta (41 values
   in [0, pi/2]) and squeezed by z (121 values in [0, 12]). Every member is
@@ -41,6 +42,15 @@ below 1/4 (Alice's block is the vacuum's, 0.5 I exactly).
   split_standard(tmsv(r)) for r on linspace(0, 9, 37), whose exact value
   is 1 at every r. The probe reports how many solves do not converge and
   the worst |value - 1|.
+- ``local_drift``: for n = 2, 3 and 5, ten random_standard(n, seed) CMs
+  each, every one under eight local symplectics (+)_j R(theta_j) S(z_j)
+  per squeeze cap Z in {0, 3, 5, 7}, with theta uniform in [0, pi) and z
+  uniform in [-Z, Z], all drawn from seed n. Local symplectics move no
+  local invariant, so min_symplectic_eig, min_symplectic_eig_pt,
+  det_ratio_ab, det_ratio_ba and schur_min_symplectic_eig should not move.
+  Per cap the probe reports each one's worst relative drift from the
+  untransformed CM's, over the members called physical, and how many
+  members are refused.
 
 The counts gate nothing.
 
@@ -68,6 +78,7 @@ from cvwitness import (  # noqa: E402
     GeneratorSpec,
     min_separability_sum_numeric,
     noisy_tmsv,
+    random_standard,
     split_standard,
     stack_verdicts,
     tmsv,
@@ -80,12 +91,17 @@ from cvwitness.covariance import (  # noqa: E402
     one_mode_squeeze,
     validate_stack,
 )
+from cvwitness.criteria import WITNESS_KEYS  # noqa: E402
 
 # (flag, its marker) as StackVerdicts names them
 FLAGS = (("ppt", "marginal_ppt"), ("steerable_ab", "marginal_ab"), ("steerable_ba", "marginal_ba"))
 RS = (0.3, 0.7, 1.5)
 DELTAS = (1e-4, 1e-5, 1e-6, -1e-6, -1e-5, -1e-4)
 ZS = np.linspace(0.0, 8.0, 33)
+# the local invariants local_drift follows, and its squeeze caps
+DRIFT_KEYS = ("min_symplectic_eig", "min_symplectic_eig_pt", "det_ratio_ab", "det_ratio_ba",
+              "schur_min_symplectic_eig")
+DRIFT_CAPS = (0, 3, 5, 7)
 
 
 def ba_threshold(r: float) -> float:
@@ -206,6 +222,36 @@ def solver_tmsv() -> dict:
             "worst_error": max(abs(res.value - 1.0) for res in results)}
 
 
+def local_drift() -> dict:
+    """Per squeeze cap, the worst relative drift of each local invariant in
+    DRIFT_KEYS under local symplectics, and the members refused."""
+    cols = [WITNESS_KEYS.index(key) for key in DRIFT_KEYS]
+    worst = np.zeros((len(DRIFT_CAPS), len(cols)))
+    refused = np.zeros(len(DRIFT_CAPS), dtype=int)
+    for n in (2, 3, 5):
+        rng = np.random.default_rng(n)
+        cms = []
+        for seed in range(10):
+            base = random_standard(n, seed=seed).matrix
+            cms.append(base)
+            for cap in DRIFT_CAPS:
+                for _ in range(8):
+                    s = local_direct_sum([one_mode_rotation(t) @ one_mode_squeeze(z)
+                                          for t, z in zip(rng.uniform(0.0, np.pi, n), rng.uniform(-cap, cap, n))])
+                    cms.append(s @ base @ s.T)
+        sv = stack_verdicts(np.stack(cms))
+        # per base CM: the untransformed member, then 8 per cap
+        physical = sv.physical.reshape(10, -1)
+        assert physical[:, 0].all()
+        w = sv.witnesses[:, cols].reshape(10, physical.shape[1], len(cols))
+        drift = np.abs(w[:, 1:] - w[:, :1]) / np.abs(w[:, :1])
+        drift = np.where(physical[:, 1:, None], drift, 0.0).reshape(10, len(DRIFT_CAPS), 8, len(cols))
+        worst = np.maximum(worst, drift.max(axis=(0, 2)))
+        refused += (~physical[:, 1:]).reshape(10, len(DRIFT_CAPS), 8).sum(axis=(0, 2))
+    return {f"z{cap}": {"refused": int(refused[i]), **dict(zip(DRIFT_KEYS, worst[i].tolist()))}
+            for i, cap in enumerate(DRIFT_CAPS)}
+
+
 def main() -> int:
     families = {
         "product_grid": product_grid(),
@@ -221,6 +267,7 @@ def main() -> int:
     line["pure_tmsv"] = tmsv_refusals()
     line["multimode_pure"] = multimode_refusals()
     line["solver_tmsv"] = solver_tmsv()
+    line["local_drift"] = local_drift()
     print(json.dumps(line, sort_keys=True))
     return 0
 

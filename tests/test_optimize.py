@@ -1,4 +1,3 @@
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -46,10 +45,9 @@ from cvwitness.optimize import (
     _BATCH,
     _BLOCK,
     _CHAINS,
-    _MAX_ITERS,
-    _STOP_TOL,
     FUNCTIONALS,
     _alternate,
+    _minimize_gauge_ratio,
     _warm_start,
 )
 from conftest import count_lapack, product_cm
@@ -262,41 +260,7 @@ def test_solver_pins():
     assert sum(not pin["converged"] for pin in pins) == 10
 
 
-def _random_starts(sf, functional, count, seed):
-    """The forms of a functional and count random starts, each with a
-    positive gauge a0' W b0, as the stacked alternation takes them."""
-    mq, mp, w = functional_forms(sf, functional)
-    rng = np.random.default_rng(seed)
-    a0 = rng.standard_normal((count, sf.n_modes))
-    b0 = rng.standard_normal((count, sf.n_modes))
-    b0[np.einsum("ki,ij,kj->k", a0, w, b0) < 0] *= -1.0
-    return mq, mp, w, a0, b0
-
-
-class TestStackedAlternation:
-    @pytest.mark.parametrize("max_iters", [500, 12])
-    def test_rows_match_stack_of_one(self, max_iters):
-        # at 12 iterations some starts converge and some run out, so rows
-        # leave the stack at different times
-        outcomes, exits = set(), set()
-        for n, functional, seed in itertools.product(
-            (2, 3, 5), ("sep_plus", "sep_minus", "steer_ba"), range(4)
-        ):
-            sf = split_standard(random_standard(n, seed=seed))
-            mq, mp, w, a0, b0 = _random_starts(sf, functional, 8, seed)
-            val, a, b, iters, conv = _alternate(mq, mp, w, a0, b0, max_iters, _STOP_TOL)
-            assert val.shape == iters.shape == conv.shape == (8,)
-            assert a.shape == b.shape == (8, n)
-            for i in range(8):
-                one = _alternate(mq, mp, w, a0[i], b0[i], max_iters, _STOP_TOL)
-                assert one[0][0] == pytest.approx(val[i], rel=1e-12)
-                assert (one[3][0], one[4][0]) == (iters[i], conv[i])
-            outcomes.update(conv.tolist())
-            exits.add(len(set(iters.tolist())))
-        assert max(exits) > 1
-        if max_iters == 12:
-            assert outcomes == {True, False}
-
+class TestAlternation:
     @pytest.mark.parametrize(
         "functional, a_bad, b_bad",
         [
@@ -304,22 +268,18 @@ class TestStackedAlternation:
             ("steer_ba", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]),
         ],
     )
-    def test_degenerate_start_leaves_others_unchanged(self, functional, a_bad, b_bad):
-        # a0' W b0 = 0: the start cannot be put on the gauge surface
+    def test_degenerate_gauge(self, monkeypatch, functional, a_bad, b_bad):
+        # a0' W b0 = 0: the start cannot be put on the gauge surface, so the
+        # solve ends before its first sweep, at the start as given
         sf = split_standard(random_standard(3, seed=2))
-        mq, mp, w, a0, b0 = _random_starts(sf, functional, 8, 1)
-        alone = _alternate(mq, mp, w, a0, b0, 500, _STOP_TOL)
-        a0x = np.insert(a0, 3, a_bad, axis=0)
-        b0x = np.insert(b0, 3, b_bad, axis=0)
-        got = _alternate(mq, mp, w, a0x, b0x, 500, _STOP_TOL)
-        val, a, b, iters, conv = got
-        assert val[3] == np.inf and not conv[3] and iters[3] == 0
-        np.testing.assert_array_equal(a[3], a_bad)
-        np.testing.assert_array_equal(b[3], b_bad)
-        others = np.arange(9) != 3
-        for column, want in zip(got, alone):
-            np.testing.assert_array_equal(column[others], want)
-        assert conv[others].all()
+        mq, mp, w = functional_forms(sf, functional)
+        val, a, b, iters, conv = _alternate(mq, mp, w, a_bad, b_bad)
+        assert (val, iters, conv) == (np.inf, 0, False)
+        np.testing.assert_array_equal(a, a_bad)
+        np.testing.assert_array_equal(b, b_bad)
+        monkeypatch.setattr("cvwitness.optimize._warm_start", lambda mq, mp, w: (a_bad, b_bad))
+        with pytest.raises(np.linalg.LinAlgError, match="minimization degenerated"):
+            _minimize_gauge_ratio(sf, functional)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_single_start_is_all_ones(self, seed):
@@ -328,30 +288,29 @@ class TestStackedAlternation:
         # result is the alternation's from it, up to the canonical sign
         sf = split_standard(random_standard(3, seed=seed))
         mq, mp, w = functional_forms(sf, "sep_minus")
-        val, a, b, iters, conv = _alternate(
-            mq, mp, w, *_warm_start(mq, mp, w), _MAX_ITERS, _STOP_TOL
-        )
+        val, a, b, iters, conv = _alternate(mq, mp, w, *_warm_start(mq, mp, w))
         res = min_separability_sum_numeric(sf, "minus")
         assert res.restarts_used == 1
-        assert (res.value, res.iterations, res.converged) == (val[0], iters[0], conv[0])
-        sign = 1.0 if a[0].sum() >= 0 else -1.0
-        np.testing.assert_array_equal(res.argmin_alpha, sign * a[0])
-        np.testing.assert_array_equal(res.argmin_beta, sign * b[0])
+        assert (res.value, res.iterations, res.converged) == (val, iters, conv)
+        sign = 1.0 if a.sum() >= 0 else -1.0
+        np.testing.assert_array_equal(res.argmin_alpha, sign * a)
+        np.testing.assert_array_equal(res.argmin_beta, sign * b)
 
     @pytest.mark.parametrize("functional", ["sep_plus", "steer_ba"])
     def test_lapack_calls_per_sweep(self, monkeypatch, functional):
-        # two solves per sweep, against Mq and then Mp, each over the
-        # (s, n, 1) right-hand sides of the s starts still in the stack; all
-        # through the LAPACK entry, none through a numpy.linalg wrapper
+        # two solves per sweep, against Mq and then Mp, each on the one
+        # start's (1, n, 1) right-hand side; all through the LAPACK entry,
+        # none through a numpy.linalg wrapper. From a random start the solve
+        # runs past the first Aitken step, at sweep 12
         n = 4
-        sf = split_standard(random_standard(n, seed=3))
-        mq, mp, w, a0, b0 = _random_starts(sf, functional, 8, 5)
+        sf = split_standard(random_standard(n, seed=2))
+        mq, mp, w = functional_forms(sf, functional)
+        a0, b0 = np.random.default_rng(5).standard_normal((2, n))
+        b0 *= np.sign(a0 @ w @ b0)  # a positive gauge
         calls = count_lapack(monkeypatch)
-        *_, iters, conv = _alternate(mq, mp, w, a0, b0, _MAX_ITERS, _STOP_TOL)
-        assert conv.all()
-        live = [int((iters > k).sum()) for k in range(iters.max())]
-        assert live[0] == 8
-        assert calls == {"solve": [((n, n), (s, n, 1)) for s in live for _ in "qp"]}
+        *_, iters, conv = _alternate(mq, mp, w, a0, b0)
+        assert conv and iters > 12
+        assert calls == {"solve": [((n, n), (1, n, 1))] * (2 * iters)}
 
 
 class TestSteeringAbClosedForm:

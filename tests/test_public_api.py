@@ -3,9 +3,14 @@ library example."""
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import numpy as np
 
 import cvwitness
 
@@ -47,6 +52,26 @@ def test_public_names_are_pinned():
     }
     assert len(PUBLIC_NAMES) == 48
     assert exported == PUBLIC_NAMES
+
+
+def test_missing_lapack_gufunc_fails_import_by_name():
+    # the kernel and the solver bind three gufuncs of numpy's private
+    # numpy.linalg._umath_linalg; a numpy without one of them must fail the
+    # import with a message that names it, not with a bare AttributeError
+    code = (
+        "import numpy.linalg._umath_linalg as m\n"
+        "del m.solve\n"
+        "try:\n"
+        "    import cvwitness\n"
+        "except ImportError as err:\n"
+        "    print(err)\n"
+    )
+    src = str(Path(cvwitness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    message = run.stdout.strip()
+    assert "numpy.linalg._umath_linalg.solve" in message
+    assert np.__version__ in message and "README" in message and "2.4.6" in message
 
 
 def test_readme_quick_start_runs():
