@@ -518,14 +518,14 @@ def _stack_constants(n_modes: int):
 
 
 # numpy's LAPACK gufuncs, called directly with numpy.linalg's signatures
-# by the kernel's LAPACK stage (``_factor_stage``) and the alternating
-# solver (``optimize._vecsolve``), which skips numpy.linalg's per-call
-# checks, about 2 us a call; a member whose call fails comes back as NaN and
-# sets the invalid flag. One-shot calls keep numpy.linalg, whose checks they
-# want on inputs of any shape and dtype. The module is private, so a numpy
-# that lacks one of them fails the import by name.
+# by the kernel's LAPACK stage (``_factor_stage``), which skips
+# numpy.linalg's per-call checks, about 2 us a call; a member whose call
+# fails comes back as NaN and sets the invalid flag. One-shot calls keep
+# numpy.linalg, whose checks they want on inputs of any shape and dtype. The
+# module is private, so a numpy that lacks one of them fails the import by
+# name.
 try:
-    _cholesky_lo, _eigvalsh_lo, _solve = _umath_linalg.cholesky_lo, _umath_linalg.eigvalsh_lo, _umath_linalg.solve
+    _cholesky_lo, _eigvalsh_lo = _umath_linalg.cholesky_lo, _umath_linalg.eigvalsh_lo
 except AttributeError as err:
     raise ImportError(
         f"cvwitness needs the LAPACK gufunc numpy.linalg._umath_linalg.{err.name}, which numpy "

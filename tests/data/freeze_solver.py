@@ -12,10 +12,11 @@ output is to be frozen:
 The inputs are the standard forms of ``random_standard(n, seed=s)`` for
 n = 2..8 and s = 0..2, each with all four functionals; the ``sep_minus``
 solves of ``split_standard(tmsv(r))`` for r on linspace(0, 9, 37), as
-``probes.py``'s ``solver_tmsv`` runs them, ten of which run all 500 sweeps;
-and, with all four functionals, ``vacuum(3)``, whose whitened gauge has a
-repeated top singular value, and ``StandardForm(I, [[1, .3], [.3, 1]])``,
-whose start falls back on the first singular vector.
+``probes.py``'s ``solver_tmsv`` runs them, eleven of which run all 500
+sweeps without converging; and, with all four functionals, ``vacuum(3)``,
+whose whitened gauge has a repeated top singular value, and
+``StandardForm(I, [[1, .3], [.3, 1]])``, whose start falls back on the
+first singular vector.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ src/cvwitness/optimize.py, killed by tests/test_optimize.py: the
 solver's start taken from the smallest singular pair of the whitened
 gauge, from its first singular vector alone where sigma_max repeats, or
 without the fallback for a projection that vanishes; the alternation's
-Aitken step skipped or fed a previous iterate equal to the current one,
-or its stopping test made one sweep early. Each is applied in
-a temporary copy of the repository, never in the checkout, and its test
+stopping test made never to pass, its rebalance factor fixed at 1, or its
+second half-step solved against Mq in place of Mp. Each is applied in a
+temporary copy of the repository, never in the checkout, and its test
 files run against it. A mutant survives when they all still pass.
 
 Usage, from anywhere:
@@ -88,10 +88,14 @@ MUTANTS = (
         "if np.linalg.norm(u0) <= _TOP_TOL * np.linalg.norm(ones):",
         "if False:",
     ),
-    # the alternation's Aitken step and stopping test
-    ("Aitken step skipped", *SOLVER, "if k % 12 == 11:", "if False:"),
-    ("stop test one sweep early", *SOLVER, "if k > 3 and", "if k > 2 and"),
-    ("prev_b updated before the Aitken step", *SOLVER, "bn = y / dv\n", "bn = y / dv\n        prev_b = b\n"),
+    # the alternation's stopping test, rebalance and second half-step
+    (
+        "stop test never passes", *SOLVER,
+        "if abs(val - new) < _STOP_TOL * max(1.0, new):",
+        "if False:",
+    ),
+    ("rebalance factor fixed at 1", *SOLVER, "r = np.power(np.array([p / q]), 0.25).item()", "r = 1.0"),
+    ("second half-step solved against Mq", *SOLVER, "y = np.linalg.solve(mp, v)", "y = np.linalg.solve(mq, v)"),
 )
 
 

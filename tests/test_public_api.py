@@ -55,12 +55,12 @@ def test_public_names_are_pinned():
 
 
 def test_missing_lapack_gufunc_fails_import_by_name():
-    # the kernel and the solver bind three gufuncs of numpy's private
-    # numpy.linalg._umath_linalg; a numpy without one of them must fail the
-    # import with a message that names it, not with a bare AttributeError
+    # the kernel binds two gufuncs of numpy's private numpy.linalg._umath_linalg;
+    # a numpy without one of them must fail the import with a message that
+    # names it, not with a bare AttributeError
     code = (
         "import numpy.linalg._umath_linalg as m\n"
-        "del m.solve\n"
+        "del m.eigvalsh_lo\n"
         "try:\n"
         "    import cvwitness\n"
         "except ImportError as err:\n"
@@ -70,7 +70,7 @@ def test_missing_lapack_gufunc_fails_import_by_name():
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     message = run.stdout.strip()
-    assert "numpy.linalg._umath_linalg.solve" in message
+    assert "numpy.linalg._umath_linalg.eigvalsh_lo" in message
     assert np.__version__ in message and "README" in message and "2.4.6" in message
 
 
