@@ -1,4 +1,6 @@
 import functools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,10 @@ from cvwitness.covariance import (
     one_mode_squeeze,
     symplectic_eigenvalues,
 )
+
+
+# the pin tests import tests/data/freeze.py, which renders each pinned file
+sys.path.insert(0, str(Path(__file__).resolve().parent / "data"))
 
 
 def pytest_configure(config):

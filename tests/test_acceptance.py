@@ -28,26 +28,15 @@ from cvwitness import (
     sign_rule_holds,
     split_standard,
     standard_form_reduce_two_mode,
-    thermal,
     tmsv,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
-    vacuum,
     validate_bona_fide,
     variance_p,
     variance_q,
 )
 from cvwitness.cli import main as cli_main
-
-
-def generated_corpus():
-    cms = [vacuum(2), vacuum(3), thermal([0.5, 0.2]), thermal([0.0, 1.3, 0.4])]
-    cms += [tmsv(r) for r in (0.1, 0.5, 1.0, 1.7)]
-    cms += [noisy_tmsv(0.7, nb, side) for nb in (0.1, 0.45, 0.8) for side in "AB"]
-    cms += [random_standard(2, seed=s) for s in range(12)]
-    cms += [random_standard(3, seed=s) for s in range(12)]
-    cms += [random_standard(4, seed=s) for s in range(12)]
-    return cms
+from freeze import generated_corpus
 
 
 def nvs1_corpus(count, seed0=0):

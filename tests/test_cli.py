@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +21,10 @@ from cvwitness import (
 from cvwitness import cli
 from cvwitness.cli import main, render_json
 from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze
+from cvwitness.criteria import WITNESS_KEYS
 from cvwitness.optimize import FUNCTIONALS
 from conftest import noisy_tmsv_phase_diagram, rotated, rotated_and_squeezed
-
-DATA = Path(__file__).parent / "data"
+import freeze
 
 
 def run(capsys, *argv):
@@ -149,6 +148,28 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", path)
         assert code == 2
         assert json.loads(out)["verdict"]["physical"] is False
+
+    @pytest.mark.parametrize(
+        "cm, want_code, want_keys",
+        [
+            # the Cholesky factor fails: min_rs_eig is the only witness
+            pytest.param(tmsv(11.0), 2, ["min_rs_eig"], id="factor-fail"),
+            # min_rs_eig rounds to -2.8e-9, past tol but inside the band
+            pytest.param(tmsv(8.5), 0, list(WITNESS_KEYS), id="tmsv-8.5"),
+            # an entry of 1e308 once overflowed to inf on reading, and a
+            # block determinant of 1e616 once gave a NaN V/V_B eigenvalue
+            pytest.param(CovarianceMatrix(np.diag([1e308, 1.0, 1.0, 1.0])), 0, None, id="huge"),
+            pytest.param(CovarianceMatrix(np.diag([1e308, 1e308, 1.0, 1.0])), 0, None, id="huge-alice"),
+            # a one-mode CM has no bipartition
+            pytest.param(vacuum(1), 1, None, id="one-mode"),
+        ],
+    )
+    def test_exit_code_and_witnesses(self, capsys, tmp_path, cm, want_code, want_keys):
+        code, out, _ = run(capsys, "certify", write_cm(tmp_path, cm))
+        assert code == want_code
+        if code != 1:
+            witnesses = json.loads(out)["verdict"]["witnesses"]
+            assert want_keys is None or list(witnesses) == want_keys
 
     def test_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "certify", str(tmp_path / "nope.json"))
@@ -369,6 +390,12 @@ class TestSweep:
         every = "ppt;steerable_a_to_b;steerable_b_to_a"
         assert [row["crossings"] for row in rows] == ["", every, every]
 
+    def test_one_mode_exit_1(self, capsys):
+        # the kernel takes one-mode stacks, so stack_verdicts is the sweep's
+        # only bipartition check
+        code, _, err = run(capsys, "sweep", "thermal", "--n", "1", "--param", "nbar", "--range", "0,1,3")
+        assert code == 1 and "error" in err
+
     def test_zero_steps_exit_1(self, capsys):
         code, out, err = run(capsys, "sweep", "tmsv", "--param", "r", "--range", "0,1,0")
         assert code == 1
@@ -471,15 +498,10 @@ class TestSweep:
         assert batched == "\n".join(lines) + "\n"
 
     def test_generator_sweeps_byte_identical(self, capsys):
-        # CSVs written by tests/data/freeze_sweeps.py when each row was
-        # built and validated alone; building the rows as one stack must
-        # not move a digit
-        frozen = json.loads((DATA / "generator_sweeps.json").read_text())
-        assert len(frozen) == 9
-        for case in frozen:
-            code, out, _ = run(capsys, "sweep", *case["argv"])
-            assert code == 0
-            assert out == case["csv"], case["argv"]
+        # CSVs written by tests/data/freeze.py when each row was built and
+        # validated alone; building the rows as one stack must not move a
+        # digit
+        assert freeze.render("sweeps") == (freeze.HERE / "generator_sweeps.json").read_text()
 
 
 class TestOracle:

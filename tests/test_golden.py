@@ -1,12 +1,10 @@
 """Verdicts on the frozen golden corpus (``tests/data/golden.json``, made
-by ``tests/data/freeze_golden.py``) must not change: identical flags,
+by ``tests/data/freeze.py``) must not change: identical flags,
 identical witness keys, and witnesses within max(1e-12, 64 eps cond(V))
 relative, the accuracy of a symplectic spectrum of an ill-conditioned CM.
 """
 
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +17,9 @@ from cvwitness import (
     check_unsteerable_ba,
 )
 from cvwitness.covariance import _stack_witnesses
+import freeze
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
+GOLDEN = json.loads((freeze.HERE / "golden.json").read_text())
 FLAGS = (
     "physical",
     "ppt",
@@ -64,27 +63,30 @@ def test_golden_unsteerability_checks(entry):
 
 def test_certify_pins():
     """Every flag, marker and witness bit that ``certify`` gave at the
-    freeze (``tests/data/freeze_certify.py``), one CM at a time and as
-    one ``certify_many`` stack per mode count. A speed-up of the kernel
-    must not move any of them; only a deliberate change of numerical
-    route, such as deciding each flag from a banded Hermitian form
-    (ROADMAP item 1), may re-freeze the file."""
-    data = Path(__file__).parent / "data"
-    sys.path.insert(0, str(data))
-    try:
-        import freeze_certify as freeze
-    finally:
-        sys.path.remove(str(data))
-    pins = json.loads((data / "certify_pins.json").read_text())
-    cases = freeze.inputs()
-    assert [label for label, _, _ in cases] == [pin["label"] for pin in pins]
-    want = [pin["verdict"] for pin in pins]
-    assert [freeze.exact(certify(cm, tol=tol)) for _, cm, tol in cases] == want
+    freeze (``tests/data/freeze.py``), one CM at a time and as one
+    ``certify_many`` stack per mode count. A speed-up of the kernel must
+    not move any of them; only a deliberate change of numerical route,
+    such as deciding each flag from a banded Hermitian form (ROADMAP
+    item 1), may re-freeze the file."""
+    pinned = (freeze.HERE / "certify_pins.json").read_text()
+    assert freeze.render("certify") == pinned
+    want = [pin["verdict"] for pin in json.loads(pinned)]
+    cases = freeze.certify_inputs()
     groups = {}
     for i, (_, cm, tol) in enumerate(cases):
         groups.setdefault((cm.n_modes, tol), []).append(i)
     stacked = {}
     for (_, tol), members in groups.items():
         verdicts = certify_many([cases[i][1] for i in members], tol=tol)
-        stacked.update(zip(members, map(freeze.exact, verdicts)))
+        stacked.update(zip(members, map(freeze.exact_verdict, verdicts)))
     assert [stacked[i] for i in range(len(cases))] == want
+
+
+def test_golden_corpus_rebuilds():
+    """``freeze.py`` rebuilds the corpus's 151 labels and CMs exactly. The
+    file's witnesses were frozen on an older kernel and have since moved
+    within the tolerance above, so the verdicts are not compared here."""
+    rebuilt = json.loads(freeze.render("golden"))
+    assert rebuilt["tol"] == GOLDEN["tol"]
+    assert [(e["label"], e["cm"]) for e in rebuilt["entries"]] == [(e["label"], e["cm"]) for e in GOLDEN["entries"]]
+    assert len(GOLDEN["entries"]) == 151

@@ -1,6 +1,4 @@
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +49,7 @@ from cvwitness.optimize import (
     _warm_start,
 )
 from conftest import count_lapack, product_cm
+import freeze
 
 VACUUM_PARAMS = TwoModeStandardParams(0.5, 0.5, 0.0, 0.0)
 
@@ -243,21 +242,12 @@ def test_value_is_two_over_top_singular_value(n, seed, functional):
 def test_solver_pins():
     """Every bit of the value and weights, the sweep count and both flags
     that the numeric minimizers gave at the freeze
-    (``tests/data/freeze_solver.py``), among them eleven heavily squeezed
-    TMSV solves that run all 500 sweeps without converging. A speed-up of
-    the alternation must not move any of them."""
-    data = Path(__file__).parent / "data"
-    sys.path.insert(0, str(data))
-    try:
-        import freeze_solver as freeze
-    finally:
-        sys.path.remove(str(data))
-    pins = json.loads((data / "solver_pins.json").read_text())
-    cases = freeze.inputs()
-    assert [(label, f) for label, _, f in cases] == [(pin["label"], pin["functional"]) for pin in pins]
-    got = [{"label": label, "functional": f, **freeze.exact(freeze.solve(sf, f))} for label, sf, f in cases]
-    assert got == pins
-    assert sum(not pin["converged"] for pin in pins) == 11
+    (``tests/data/freeze.py``), among them eleven heavily squeezed TMSV
+    solves that run all 500 sweeps without converging. A speed-up of the
+    alternation must not move any of them."""
+    pinned = (freeze.HERE / "solver_pins.json").read_text()
+    assert freeze.render("solver") == pinned
+    assert sum(not pin["converged"] for pin in json.loads(pinned)) == 11
 
 
 class TestAlternation:
@@ -493,15 +483,9 @@ class TestBruteForce:
         assert a == b
 
     def test_pinned_values(self):
-        # exact values frozen by tests/data/freeze_sampler.py: a change to
-        # the sampler's speed must not move a single draw or rounding
-        pins = json.loads((Path(__file__).parent / "data" / "sampler_pins.json").read_text())
-        forms = {n: split_standard(random_standard(n, seed=n)) for n in (2, 3, 5, 8)}
-        got = [
-            brute_force_min(forms[pin["n"]], pin["functional"], GridSpec(pin["samples"], seed=pin["seed"]))
-            for pin in pins
-        ]
-        assert got == [float.fromhex(pin["value"]) for pin in pins]
+        # exact values frozen by tests/data/freeze.py: a change to the
+        # sampler's speed must not move a single draw or rounding
+        assert freeze.render("sampler") == (freeze.HERE / "sampler_pins.json").read_text()
 
     def test_rejects_bad_inputs(self):
         sf = split_standard(vacuum(2))
