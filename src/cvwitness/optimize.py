@@ -25,16 +25,12 @@ orthant provably loses them on covariance matrices whose cross
 correlations have unfavorable signs (the reported minimizer makes this
 visible through ``boundary_flag``).
 
-Each half-step of the alternating scheme is an exact linear solve, and
-the pair of half-steps is an inverse power iteration on the
-stationarity eigenproblem. A scale rebalance after every sweep keeps the
-two variances equal, which any true extremum must satisfy. The solver
-has no settings. Each minimum is exactly 2 / sigma_max of the whitened
-gauge G = Mq^(-1/2) W Mp^(-1/2), so it runs one start, at G's top
-singular pair (``_warm_start``), for at most 500 sweeps; it stops as
-soon as a sweep moves the value by less than 1e-13 times max(1, value),
-which from that start is after 2 sweeps, and flags a weight at or below
-1e-10 as leaving the positive orthant.
+The solver has no settings. Each minimum is exactly 2 / sigma_max of the
+whitened gauge G = Mq^(-1/2) W Mp^(-1/2), attained at G's top singular
+pair mapped back to the weights (``_warm_start``). The solver scales that
+pair onto the gauge surface with the two variances equal, which any true
+extremum satisfies, and reports the functional there, with no sweeps; it
+flags a weight at or below 1e-10 as leaving the positive orthant.
 """
 
 from __future__ import annotations
@@ -80,10 +76,10 @@ class MinimizationResult:
     ``boundary_flag`` is set when the minimizer is not strictly inside
     the positive weight orthant (a component at or below the positivity
     floor, or negative), i.e. when the infimum over strictly positive
-    weights may exceed the reported value. ``iterations`` counts the
-    solver's sweeps and ``restarts_used`` its starts, which is always 1:
-    the solver starts at the exact minimizer, and its sweeps confirm it,
-    in 2 sweeps wherever the value repeats at once.
+    weights may exceed the reported value. The weights are the exact
+    minimizer, scaled onto the gauge surface: ``converged`` is always True,
+    ``iterations`` (the sweeps run) always 0 and ``restarts_used`` (the
+    starts) always 1.
     """
 
     value: float
@@ -129,58 +125,12 @@ class UnsteerabilityCheck(NamedTuple):
     min_rs_eigenvalue: float
 
 
-# the alternating solver's fixed settings: the relative change of the
-# value that stops the solve, the sweeps it may run, the relative rounding
-# within which a singular value of the whitened gauge counts as sigma_max
-# and the start's projection as vanishing, and the weight at or below
-# which a minimizer counts as outside the positive orthant
-_STOP_TOL = 1e-13
-_MAX_ITERS = 500
+# the solver's fixed settings: the relative rounding within which a
+# singular value of the whitened gauge counts as sigma_max and the start's
+# projection as vanishing, and the weight at or below which a minimizer
+# counts as outside the positive orthant
 _TOP_TOL = 16 * np.finfo(float).eps
 _POSITIVITY_FLOOR = 1e-10
-
-
-def _alternate(mq, mp, w, a0, b0):
-    """Alternating minimization of (a'Mq a + b'Mp b) on the gauge surface
-    a'Wb = 1 from the start (a0, b0).
-
-    Returns (value, a, b, iterations, converged). A gauge a0'Wb0 below
-    1e-300, negative ones among them, or a vanishing half-step denominator
-    degenerates the solve: value inf, not converged, at the point reached.
-    The scalars are Python floats; the rebalance factor stays numpy's power
-    on a one-element array, whose bits Python's ``**`` does not always give.
-    """
-    a = np.array(a0, dtype=float)
-    b = np.array(b0, dtype=float)
-    den = float((a @ w) @ b)
-    if not den >= 1e-300:
-        return np.inf, a, b, 0, False
-    scale = math.sqrt(den)
-    a, b = a / scale, b * (1.0 / scale)
-    val = np.inf
-    for k in range(_MAX_ITERS):
-        u = b @ w.T
-        x = np.linalg.solve(mq, u)
-        du = float(u @ x)
-        if abs(du) < 1e-300:
-            return np.inf, a, b, k, False
-        a = x / du
-        v = a @ w
-        y = np.linalg.solve(mp, v)
-        dv = float(v @ y)
-        if abs(dv) < 1e-300:
-            return np.inf, a, b, k, False
-        b = y / dv
-        q = float((a @ mq) @ a)
-        p = float((b @ mp) @ b)
-        # rebalance: equal variances, which any true extremum satisfies
-        r = np.power(np.array([p / q]), 0.25).item()
-        a, b = a * r, b / r
-        new = 2.0 * math.sqrt(q * p)
-        if abs(val - new) < _STOP_TOL * max(1.0, new):
-            return new, a, b, k + 1, True
-        val = new
-    return val, a, b, _MAX_ITERS, False
 
 
 def _warm_start(mq, mp, w):
@@ -203,19 +153,27 @@ def _warm_start(mq, mp, w):
 
 def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
     mq, mp, w = functional_forms(sf, functional)
-    val, a, b, iters, conv = _alternate(mq, mp, w, *_warm_start(mq, mp, w))
-    if not math.isfinite(val):
+    a0, b0 = _warm_start(mq, mp, w)
+    g = float((a0 @ w) @ b0)
+    if not g >= 1e-300:
         raise np.linalg.LinAlgError("minimization degenerated")
+    q0 = float((a0 @ mq) @ a0)
+    p0 = float((b0 @ mp) @ b0)
+    # onto the gauge surface a'Wb = 1, with the two variances balanced,
+    # as at any true extremum
+    t = (p0 / q0) ** 0.25
+    root = math.sqrt(g)
+    a, b = a0 * (t / root), b0 / (t * root)
     # canonical sign: overall negation of both vectors leaves the sum fixed
     if a.sum() < 0:
         a, b = -a, -b
     return MinimizationResult(
-        value=val,
+        value=2.0 * math.sqrt(q0 * p0) / g,
         argmin_alpha=a,
         argmin_beta=b,
-        converged=conv,
+        converged=True,
         boundary_flag=bool(min(a.min(), b.min()) <= _POSITIVITY_FLOOR),
-        iterations=iters,
+        iterations=0,
         restarts_used=1,
     )
 

@@ -114,8 +114,7 @@ def solver_inputs() -> list[tuple[str, StandardForm, str]]:
     singular value; and ``StandardForm(I, [[1, .3], [.3, 1]])``, whose start
     falls back on the first singular vector; each with every functional.
     Then the ``sep_minus`` solves of ``split_standard(tmsv(r))`` for r on
-    linspace(0, 9, 37), as ``probes.py``'s ``solver_tmsv`` runs them,
-    eleven of which run all 500 sweeps without converging."""
+    linspace(0, 9, 37), as ``probes.py``'s ``solver_tmsv`` runs them."""
     forms = [(f"random_standard-{n}-{seed}", split_standard(random_standard(n, seed=seed)))
              for n in range(2, 9) for seed in range(3)]
     forms += [("vacuum-3", split_standard(vacuum(3))),

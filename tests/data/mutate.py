@@ -11,11 +11,11 @@ eigensolve, or the invalid flag, or left unapplied. In
 src/cvwitness/optimize.py, killed by tests/test_optimize.py: the
 solver's start taken from the smallest singular pair of the whitened
 gauge, from its first singular vector alone where sigma_max repeats, or
-without the fallback for a projection that vanishes; the alternation's
-stopping test made never to pass, its rebalance factor fixed at 1, or its
-second half-step solved against Mq in place of Mp. Each is applied in a
-temporary copy of the repository, never in the checkout, and its test
-files run against it. A mutant survives when they all still pass.
+without the fallback for a projection that vanishes; the start scaled
+with the balance exponent 1/2 in place of 1/4 or without the square root
+of its gauge, or the value taken at the unbalanced start. Each is applied
+in a temporary copy of the repository, never in the checkout, and its
+test files run against it. A mutant survives when they all still pass.
 
 Usage, from anywhere:
 
@@ -88,14 +88,10 @@ MUTANTS = (
         "if np.linalg.norm(u0) <= _TOP_TOL * np.linalg.norm(ones):",
         "if False:",
     ),
-    # the alternation's stopping test, rebalance and second half-step
-    (
-        "stop test never passes", *SOLVER,
-        "if abs(val - new) < _STOP_TOL * max(1.0, new):",
-        "if False:",
-    ),
-    ("rebalance factor fixed at 1", *SOLVER, "r = np.power(np.array([p / q]), 0.25).item()", "r = 1.0"),
-    ("second half-step solved against Mq", *SOLVER, "y = np.linalg.solve(mp, v)", "y = np.linalg.solve(mq, v)"),
+    # the start's scaling onto the gauge surface with balanced variances
+    ("balance exponent 1/2", *SOLVER, "t = (p0 / q0) ** 0.25", "t = (p0 / q0) ** 0.5"),
+    ("gauge normalization dropped", *SOLVER, "root = math.sqrt(g)", "root = 1.0"),
+    ("value of the unbalanced start", *SOLVER, "value=2.0 * math.sqrt(q0 * p0) / g,", "value=(q0 + p0) / g,"),
 )
 
 

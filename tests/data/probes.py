@@ -40,8 +40,8 @@ below 1/4 (Alice's block is the vacuum's, 0.5 I exactly).
   many fail the kernel's Cholesky factor.
 - ``solver_tmsv``: the numeric ``sep_minus`` minimum of
   split_standard(tmsv(r)) for r on linspace(0, 9, 37), whose exact value
-  is 1 at every r. The probe reports how many solves do not converge and
-  the worst |value - 1|.
+  is 1 at every r. The probe reports the worst |value - 1| and the r where
+  it occurs.
 - ``local_drift``: for n = 2, 3 and 5, ten random_standard(n, seed) CMs
   each, every one under eight local symplectics (+)_j R(theta_j) S(z_j)
   per squeeze cap Z in {0, 3, 5, 7}, with theta uniform in [0, pi) and z
@@ -214,12 +214,12 @@ def multimode_refusals() -> dict:
 
 
 def solver_tmsv() -> dict:
-    """The numeric sep_minus minima of pure TMSV: the solves that do not
-    converge and the worst distance from the exact minimum 1."""
-    results = [min_separability_sum_numeric(split_standard(tmsv(float(r))), "minus")
-               for r in np.linspace(0.0, 9.0, 37)]
-    return {"solves": len(results), "not_converged": sum(not res.converged for res in results),
-            "worst_error": max(abs(res.value - 1.0) for res in results)}
+    """The numeric sep_minus minima of pure TMSV: the worst distance from
+    the exact minimum 1, and the r where it occurs."""
+    rs = np.linspace(0.0, 9.0, 37).tolist()
+    errors = [abs(min_separability_sum_numeric(split_standard(tmsv(r)), "minus").value - 1.0) for r in rs]
+    worst = max(range(len(rs)), key=errors.__getitem__)
+    return {"solves": len(rs), "worst_error": errors[worst], "worst_r": rs[worst]}
 
 
 def local_drift() -> dict:

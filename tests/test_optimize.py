@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -44,11 +45,10 @@ from cvwitness.optimize import (
     _BLOCK,
     _CHAINS,
     FUNCTIONALS,
-    _alternate,
     _minimize_gauge_ratio,
     _warm_start,
 )
-from conftest import count_lapack, product_cm
+from conftest import product_cm
 import freeze
 
 VACUUM_PARAMS = TwoModeStandardParams(0.5, 0.5, 0.0, 0.0)
@@ -147,8 +147,6 @@ class TestSeparabilityNumeric:
             sf = split_standard(random_standard(3, seed=seed))
             for sign in ("plus", "minus"):
                 res = min_separability_sum_numeric(sf, sign)
-                if not res.converged:
-                    continue
                 dq2 = variance_q(sf.vq, res.argmin_alpha)
                 dp2 = variance_p(sf.vp, res.argmin_beta, sign)
                 assert abs(dq2 - dp2) / (dq2 + dp2) < 1e-6
@@ -182,12 +180,11 @@ class TestSeparabilityNumeric:
     def test_start_orthogonal_to_all_ones(self):
         # sigma_max's singular vector (-1, 1)/sqrt(2) is orthogonal to the
         # whitened all-ones vector, whose projection vanishes, so the start
-        # is the singular vector itself; from all-ones the solver converges
-        # to the other stationary point
+        # is the singular vector itself, not the stationary point (1, 1)
         sf = StandardForm(vq=np.eye(2), vp=[[1.0, 0.3], [0.3, 1.0]])
         res = min_separability_sum_numeric(sf, "plus")
         assert res.value == pytest.approx(1.6733200530681511, rel=1e-12)
-        assert (res.converged, res.iterations, res.restarts_used) == (True, 2, 1)
+        assert (res.converged, res.iterations, res.restarts_used) == (True, 0, 1)
 
     def test_boundary_flag_reports_orthant_exit(self):
         # product state: the cross weights vanish at the minimum
@@ -229,28 +226,27 @@ def _inv_sqrt(m):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_value_is_two_over_top_singular_value(n, seed, functional):
     # each minimum is exactly 2 / sigma_max of the whitened gauge
-    # G = Mq^(-1/2) W Mp^(-1/2); the solver starts at its top singular pair,
-    # so its value repeats at once and it stops after 2 sweeps
+    # G = Mq^(-1/2) W Mp^(-1/2), which the solver reads at G's top singular
+    # pair, with no sweeps
     sf = split_standard(random_standard(n, seed=seed))
     mq, mp, w = functional_forms(sf, functional)
     sigma_max = np.linalg.svd(_inv_sqrt(mq) @ w @ _inv_sqrt(mp), compute_uv=False)[0]
     res = _ORACLE_FUNCTIONALS[functional][2](sf)
     assert res.value == pytest.approx(2.0 / sigma_max, rel=1e-12)
-    assert (res.converged, res.iterations, res.restarts_used) == (True, 2, 1)
+    assert (res.converged, res.iterations, res.restarts_used) == (True, 0, 1)
 
 
 def test_solver_pins():
     """Every bit of the value and weights, the sweep count and both flags
     that the numeric minimizers gave at the freeze
-    (``tests/data/freeze.py``), among them eleven heavily squeezed TMSV
-    solves that run all 500 sweeps without converging. A speed-up of the
-    alternation must not move any of them."""
+    (``tests/data/freeze.py``). A speed-up of the solve must not move any
+    of them, and every solve converges."""
     pinned = (freeze.HERE / "solver_pins.json").read_text()
     assert freeze.render("solver") == pinned
-    assert sum(not pin["converged"] for pin in json.loads(pinned)) == 11
+    assert sum(not pin["converged"] for pin in json.loads(pinned)) == 0
 
 
-class TestAlternation:
+class TestScaledStart:
     @pytest.mark.parametrize(
         "functional, a_bad, b_bad",
         [
@@ -261,57 +257,47 @@ class TestAlternation:
     )
     def test_degenerate_gauge(self, monkeypatch, functional, a_bad, b_bad):
         # a0' W b0 = 0, or negative as in the last case: no positive scale
-        # puts the start on the gauge surface a' W b = 1, so the solve ends
-        # before its first sweep, at the start as given
+        # puts the start on the gauge surface a' W b = 1
         sf = split_standard(random_standard(3, seed=2))
-        mq, mp, w = functional_forms(sf, functional)
-        val, a, b, iters, conv = _alternate(mq, mp, w, a_bad, b_bad)
-        assert (val, iters, conv) == (np.inf, 0, False)
-        np.testing.assert_array_equal(a, a_bad)
-        np.testing.assert_array_equal(b, b_bad)
-        monkeypatch.setattr("cvwitness.optimize._warm_start", lambda mq, mp, w: (a_bad, b_bad))
+        monkeypatch.setattr("cvwitness.optimize._warm_start",
+                            lambda mq, mp, w: (np.array(a_bad), np.array(b_bad)))
         with pytest.raises(np.linalg.LinAlgError, match="minimization degenerated"):
             _minimize_gauge_ratio(sf, functional)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_single_start_is_all_ones(self, seed):
-        # the one start is the whitened all-ones vector projected onto the
-        # top singular subspace of the whitened gauge, and the reported
-        # result is the alternation's from it, up to the canonical sign
+    def test_result_is_scaled_warm_start(self, seed):
+        # the reported weights are the start's, each scaled by a positive
+        # factor up to the canonical sign, on the gauge surface a' W b = 1
+        # with equal variances, and the value is the functional there
         sf = split_standard(random_standard(3, seed=seed))
         mq, mp, w = functional_forms(sf, "sep_minus")
-        val, a, b, iters, conv = _alternate(mq, mp, w, *_warm_start(mq, mp, w))
+        a0, b0 = _warm_start(mq, mp, w)
         res = min_separability_sum_numeric(sf, "minus")
-        assert res.restarts_used == 1
-        assert (res.value, res.iterations, res.converged) == (val, iters, conv)
-        sign = 1.0 if a.sum() >= 0 else -1.0
-        np.testing.assert_array_equal(res.argmin_alpha, sign * a)
-        np.testing.assert_array_equal(res.argmin_beta, sign * b)
+        a, b = res.argmin_alpha, res.argmin_beta
+        sign = 1.0 if a0.sum() >= 0 else -1.0
+        for x, x0 in ((a, a0), (b, b0)):
+            assert sign * (x @ x0) == pytest.approx(np.linalg.norm(x) * np.linalg.norm(x0), rel=1e-14)
+        q, p = a @ mq @ a, b @ mp @ b
+        assert a @ w @ b == pytest.approx(1.0, rel=1e-14)
+        assert q == pytest.approx(p, rel=1e-14)
+        assert res.value == pytest.approx(q + p, rel=1e-14)
 
     @pytest.mark.parametrize("functional", ["sep_plus", "steer_ba"])
-    def test_lapack_calls_per_sweep(self, monkeypatch, functional):
-        # two numpy.linalg.solve calls per sweep, against Mq and then Mp,
-        # each on the one start's length-n vector, and no other LAPACK call.
-        # From a random start the solve runs many sweeps (19 and 29 here)
+    def test_lapack_calls_per_solve(self, monkeypatch, functional):
+        # the whitened gauge's two inverse square roots and its SVD, each on
+        # an n x n matrix, and no linear solve
         n = 4
         sf = split_standard(random_standard(n, seed=2))
-        mq, mp, w = functional_forms(sf, functional)
-        a0, b0 = np.random.default_rng(5).standard_normal((2, n))
-        b0 *= np.sign(a0 @ w @ b0)  # a positive gauge
-        solves, order, solve = [], [], np.linalg.solve
-        calls = count_lapack(monkeypatch)
+        calls = []
 
-        def counted(m, x):
-            solves.append((m.shape, x.shape))
-            order.append("q" if m is mq else "p" if m is mp else "other")
-            return solve(m, x)
+        def counted(m, *args, _fn, _name, **kwargs):
+            calls.append((_name, m.shape))
+            return _fn(m, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        *_, iters, conv = _alternate(mq, mp, w, a0, b0)
-        assert conv and iters > 2
-        assert calls == {}
-        assert solves == [((n, n), (n,))] * (2 * iters)
-        assert order == ["q", "p"] * iters
+        for name in ("eigh", "svd", "solve", "inv", "cholesky", "eigvalsh", "eig", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name, functools.partial(counted, _fn=getattr(np.linalg, name), _name=name))
+        _minimize_gauge_ratio(sf, functional)
+        assert calls == [("eigh", (n, n))] * 2 + [("svd", (n, n))]
 
 
 class TestSteeringAbClosedForm:
