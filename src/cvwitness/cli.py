@@ -313,10 +313,7 @@ def _cmd_oracle(args) -> int:
         "input_descriptor": args.path,
         "functional": args.functional,
         "numeric_min": numeric.value,
-        "numeric_converged": numeric.converged,
         "numeric_boundary_flag": numeric.boundary_flag,
-        "numeric_iterations": numeric.iterations,
-        "numeric_restarts": numeric.restarts_used,
         "brute_force_min": brute,
         "closed_form": closed,
         "numeric_vs_brute": gap_brute,

@@ -137,9 +137,15 @@ def _require_2n(size: int) -> None:
 
 def _real_finite(m: np.ndarray, member: str) -> np.ndarray:
     """A stack m of shape (k, d, d) as floats, after checking that each
-    member is real and finite; a complex member whose imaginary parts are
-    all zero is read as its real part. Errors name the first failing
-    member i as ``member.format(i)``."""
+    member is numeric, real and finite; a complex member whose imaginary
+    parts are all zero is read as its real part. Errors name the first
+    failing member i as ``member.format(i)``."""
+    if m.dtype.kind in "OSU":
+        # float() would parse a string entry such as "0.5", and fails on
+        # an object entry such as a dict with a TypeError; None reads as NaN
+        numeric = [all(x is None or isinstance(x, numbers.Real) for x in mi.flat) for mi in m]
+        if not all(numeric):
+            raise ValueError(f"{member.format(numeric.index(False))} has non-numeric entries")
     if np.iscomplexobj(m):
         unreal = (m.imag != 0).any(axis=(1, 2))
         if unreal.any():
@@ -187,8 +193,8 @@ def validate_stack(stack) -> np.ndarray:
     """Validate a stack of candidate CMs of shape (k, 2n, 2n) in
     interleaved ordering, as ``CovarianceMatrix`` validates one, and
     return its symmetrized float copy. A ValueError names the expected
-    shape, or the index of the first member that is complex, not finite
-    or not symmetric."""
+    shape, or the index of the first member that is not numeric, complex,
+    not finite or not symmetric."""
     m = np.asarray(stack)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a stack of CMs of shape (k, 2n, 2n), got shape {m.shape}")

@@ -149,7 +149,7 @@ def exact_verdict(verdict) -> dict:
 
 def exact_result(result) -> dict:
     """A ``MinimizationResult``'s value and weights as ``float.hex``, and its
-    sweep count and flags."""
+    ``iterations`` (0: the solver runs no sweeps) and flags."""
     return {
         "value": result.value.hex(),
         "alpha": [x.hex() for x in result.argmin_alpha.tolist()],

@@ -81,6 +81,28 @@ class TestCovarianceMatrix:
         m[0, 2] = m[2, 0] = tmsv(0.5).matrix[0, 2]
         np.testing.assert_array_equal(CovarianceMatrix(m).matrix, tmsv(0.5).matrix)
 
+    @pytest.mark.parametrize("entry", ["string", "object"])
+    @pytest.mark.parametrize(
+        "read, name",
+        [
+            (CovarianceMatrix, "covariance matrix"),
+            (lambda m: validate_stack([m]), "member 0 of the stack"),
+            (lambda m: StandardForm(m[0::2, 0::2], np.eye(2)), "vq block"),
+            (validate_bona_fide, "matrix"),
+        ],
+        ids=["CovarianceMatrix", "validate_stack", "StandardForm", "validate_bona_fide"],
+    )
+    def test_rejects_non_numeric(self, read, name, entry):
+        # float() parsed string entries, so "0.5" read as 0.5, and an object
+        # entry escaped as a TypeError
+        if entry == "string":
+            m = vacuum(2).matrix.astype(str)
+        else:
+            m = vacuum(2).matrix.astype(object)
+            m[0, 2] = m[2, 0] = {}
+        with pytest.raises(ValueError, match=f"^{name} has non-numeric entries$"):
+            read(m)
+
     def test_rejects_bad_n_alice(self):
         # Bob holds the last mode; a record may say so, or say nothing
         record = random_standard(3, seed=2).to_dict()

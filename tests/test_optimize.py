@@ -237,10 +237,10 @@ def test_value_is_two_over_top_singular_value(n, seed, functional):
 
 
 def test_solver_pins():
-    """Every bit of the value and weights, the sweep count and both flags
-    that the numeric minimizers gave at the freeze
-    (``tests/data/freeze.py``). A speed-up of the solve must not move any
-    of them, and every solve converges."""
+    """Every bit of the value and weights, ``iterations`` (0: the solver
+    runs no sweeps) and both flags that the numeric minimizers gave at the
+    freeze (``tests/data/freeze.py``). A speed-up of the solve must not
+    move any of them, and every solve converges."""
     pinned = (freeze.HERE / "solver_pins.json").read_text()
     assert freeze.render("solver") == pinned
     assert sum(not pin["converged"] for pin in json.loads(pinned)) == 0
