@@ -140,10 +140,12 @@ def _real_finite(m: np.ndarray, member: str) -> np.ndarray:
     member is numeric, real and finite; a complex member whose imaginary
     parts are all zero is read as its real part. Errors name the first
     failing member i as ``member.format(i)``."""
-    if m.dtype.kind in "OSU":
-        # float() would parse a string entry such as "0.5", and fails on
-        # an object entry such as a dict with a TypeError; None reads as NaN
-        numeric = [all(x is None or isinstance(x, numbers.Real) for x in mi.flat) for mi in m]
+    if m.dtype.kind in "bOSU":
+        # float() would parse a string entry such as "0.5", read a bool as
+        # 1 or 0, and fails on an object entry such as a dict with a
+        # TypeError; None reads as NaN
+        numeric = [all(x is None or isinstance(x, numbers.Real) and not isinstance(x, bool) for x in mi.flat)
+                   for mi in m]
         if not all(numeric):
             raise ValueError(f"{member.format(numeric.index(False))} has non-numeric entries")
     if np.iscomplexobj(m):
@@ -238,7 +240,9 @@ class CovarianceMatrix:
             raise ValueError(f"malformed covariance-matrix record: {exc}") from exc
         _require_int("n_modes", n_modes, 1)
         n_modes = int(n_modes)
-        m = np.asarray(matrix)
+        # as objects, so that a JSON true or false keeps its type for the
+        # entry check: np.asarray reads it as 1.0 or 0.0 beside a number
+        m = np.asarray(matrix, dtype=object)
         if m.shape != (2 * n_modes, 2 * n_modes):
             raise ValueError(
                 f"matrix shape {m.shape} inconsistent with n_modes={n_modes}"

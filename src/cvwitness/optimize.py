@@ -27,10 +27,12 @@ visible through ``boundary_flag``).
 
 The solver has no settings. Each minimum is exactly 2 / sigma_max of the
 whitened gauge G = Mq^(-1/2) W Mp^(-1/2), attained at G's top singular
-pair mapped back to the weights (``_warm_start``). The solver scales that
-pair onto the gauge surface with the two variances equal, which any true
-extremum satisfies, and reports the functional there, with no sweeps; it
-flags a weight at or below 1e-10 as leaving the positive orthant.
+pair (u, v) mapped back to the weights: a = Mq^(-1/2) u / sqrt(sigma_max)
+and b = Mp^(-1/2) v / sqrt(sigma_max). These lie on the gauge surface
+with the two variances equal to 1 / sigma_max, as at any true extremum,
+at every scale of the forms. The solver reads them off in one step and
+reports the functional there; it flags a weight at or below 1e-10 as
+leaving the positive orthant.
 """
 
 from __future__ import annotations
@@ -77,18 +79,18 @@ class MinimizationResult:
     the positive weight orthant (a component at or below the positivity
     floor, or negative), i.e. when the infimum over strictly positive
     weights may exceed the reported value. The weights are the exact
-    minimizer, scaled onto the gauge surface: ``converged`` is always True,
-    ``iterations`` (the sweeps run) always 0 and ``restarts_used`` (the
-    starts) always 1.
+    minimizer on the gauge surface, read off in one step from one start,
+    so ``converged``, ``iterations`` and ``restarts_used`` are the class
+    constants True, 0 and 1.
     """
 
     value: float
     argmin_alpha: np.ndarray
     argmin_beta: np.ndarray
-    converged: bool
     boundary_flag: bool
-    iterations: int
-    restarts_used: int
+    converged = True
+    iterations = 0
+    restarts_used = 1
 
 
 @dataclass(frozen=True)
@@ -133,48 +135,40 @@ _TOP_TOL = 16 * np.finfo(float).eps
 _POSITIVITY_FLOOR = 1e-10
 
 
-def _warm_start(mq, mp, w):
-    """The solver's start (a0, b0): the exact minimizer of the gauge ratio,
-    from the top singular pair of the whitened gauge G = Mq^(-1/2) W
-    Mp^(-1/2). u0 is the whitened all-ones vector Mq^(1/2) 1 projected onto
-    G's top singular subspace, so a repeated sigma_max keeps equal weights
-    where they are a minimizer, or G's first singular vector when that
-    projection vanishes to rounding; a0 = Mq^(-1/2) u0, b0 = Mp^(-1/2) G' u0."""
+def _whitened_gauge(mq, mp, w):
+    """(Mq^(-1/2), Mp^(-1/2), G) with G = Mq^(-1/2) W Mp^(-1/2) the
+    whitened gauge, as the solver and the sampler both read it."""
     iq, ip = _inv_sqrt_spd(mq), _inv_sqrt_spd(mp)
-    g = iq @ w @ ip
-    u, s, _ = np.linalg.svd(g)
-    top = u[:, s >= s[0] * (1.0 - _TOP_TOL)]
-    ones = mq @ iq.sum(axis=1)  # Mq^(1/2) 1
-    u0 = top @ (top.T @ ones)
-    if np.linalg.norm(u0) <= _TOP_TOL * np.linalg.norm(ones):
-        u0 = u[:, 0]
-    return iq @ u0, ip @ (g.T @ u0)
+    return iq, ip, iq @ w @ ip
 
 
 def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
     mq, mp, w = functional_forms(sf, functional)
-    a0, b0 = _warm_start(mq, mp, w)
-    g = float((a0 @ w) @ b0)
-    if not g >= 1e-300:
-        raise np.linalg.LinAlgError("minimization degenerated")
-    q0 = float((a0 @ mq) @ a0)
-    p0 = float((b0 @ mp) @ b0)
-    # onto the gauge surface a'Wb = 1, with the two variances balanced,
-    # as at any true extremum
-    t = (p0 / q0) ** 0.25
-    root = math.sqrt(g)
-    a, b = a0 * (t / root), b0 / (t * root)
+    iq, ip, g = _whitened_gauge(mq, mp, w)
+    u, s, _ = np.linalg.svd(g)
+    # u0: the whitened all-ones vector Mq^(1/2) 1 projected onto G's top
+    # singular subspace, so a repeated sigma_max keeps equal weights where
+    # they are a minimizer, or G's first singular vector when that
+    # projection vanishes to rounding
+    top = u[:, s >= s[0] * (1.0 - _TOP_TOL)]
+    ones = mq @ iq.sum(axis=1)  # Mq^(1/2) 1
+    u0 = top @ (top.T @ ones)
+    norm = np.linalg.norm(u0)
+    u0 = u0 / norm if norm > _TOP_TOL * np.linalg.norm(ones) else u[:, 0]
+    # a' W b = 1 and a' Mq a = b' Mp b = 1 / sigma at any scale: G' u0 is
+    # divided by sigma before the root, whose product with sigma underflows
+    sigma = float(s[0])
+    root = math.sqrt(sigma)
+    a = (iq @ u0) / root
+    b = (ip @ ((g.T @ u0) / sigma)) / root
     # canonical sign: overall negation of both vectors leaves the sum fixed
     if a.sum() < 0:
         a, b = -a, -b
     return MinimizationResult(
-        value=2.0 * math.sqrt(q0 * p0) / g,
+        value=float((a @ mq @ a + b @ mp @ b) / (a @ w @ b)),
         argmin_alpha=a,
         argmin_beta=b,
-        converged=True,
         boundary_flag=bool(min(a.min(), b.min()) <= _POSITIVITY_FLOOR),
-        iterations=0,
-        restarts_used=1,
     )
 
 
@@ -299,7 +293,7 @@ def brute_force_min(
     mq, mp, w = functional_forms(sf, functional)
     spec = grid or GridSpec()
     n = sf.n_modes
-    gauge = _inv_sqrt_spd(mq) @ w @ _inv_sqrt_spd(mp)
+    *_, gauge = _whitened_gauge(mq, mp, w)
     rng = np.random.Generator(np.random.SFC64(spec.seed))
     rows = _CHAINS * _BATCH
     # two floats per chain cost less to update in a loop than in numpy calls

@@ -111,8 +111,9 @@ def solver_inputs() -> list[tuple[str, StandardForm, str]]:
     """(label, standard form, functional) of ``solver_pins.json``: the
     standard forms of ``random_standard(n, seed=s)`` for n = 2..8 and
     s = 0..2; ``vacuum(3)``, whose whitened gauge has a repeated top
-    singular value; and ``StandardForm(I, [[1, .3], [.3, 1]])``, whose start
-    falls back on the first singular vector; each with every functional.
+    singular value; and ``StandardForm(I, [[1, .3], [.3, 1]])``, whose
+    whitened all-ones vector is orthogonal to the top singular vector, so
+    the read-off falls back on that vector; each with every functional.
     Then the ``sep_minus`` solves of ``split_standard(tmsv(r))`` for r on
     linspace(0, 9, 37), as ``probes.py``'s ``solver_tmsv`` runs them."""
     forms = [(f"random_standard-{n}-{seed}", split_standard(random_standard(n, seed=seed)))

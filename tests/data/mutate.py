@@ -1,4 +1,4 @@
-"""Mutation check of the verdict rules, the dead band and the solver's start.
+"""Mutation check of the verdict rules, the dead band and the solver's read-off.
 
 Each mutant is one textual edit of one source file, and names the test
 files that must kill it. In src/cvwitness/covariance.py, killed by
@@ -11,11 +11,12 @@ eigensolve, or the invalid flag, or left unapplied. In
 src/cvwitness/optimize.py, killed by tests/test_optimize.py: the
 solver's start taken from the smallest singular pair of the whitened
 gauge, from its first singular vector alone where sigma_max repeats, or
-without the fallback for a projection that vanishes; the start scaled
-with the balance exponent 1/2 in place of 1/4 or without the square root
-of its gauge, or the value taken at the unbalanced start. Each is applied
-in a temporary copy of the repository, never in the checkout, and its
-test files run against it. A mutant survives when they all still pass.
+without the fallback for a projection that vanishes; the start left at
+its projected length instead of unit length, Alice's weights not divided
+by sqrt(sigma_max), or Bob's vector G' u not divided by sigma_max before
+the root. Each is applied in a temporary copy of the repository, never in
+the checkout, and its test files run against it. A mutant survives when
+they all still pass.
 
 Usage, from anywhere:
 
@@ -85,13 +86,13 @@ MUTANTS = (
     ("repeated sigma_max ignored", *SOLVER, "top = u[:, s >= s[0] * (1.0 - _TOP_TOL)]", "top = u[:, :1]"),
     (
         "no fallback for a vanishing projection", *SOLVER,
-        "if np.linalg.norm(u0) <= _TOP_TOL * np.linalg.norm(ones):",
-        "if False:",
+        "if norm > _TOP_TOL * np.linalg.norm(ones) else",
+        "if True else",
     ),
-    # the start's scaling onto the gauge surface with balanced variances
-    ("balance exponent 1/2", *SOLVER, "t = (p0 / q0) ** 0.25", "t = (p0 / q0) ** 0.5"),
-    ("gauge normalization dropped", *SOLVER, "root = math.sqrt(g)", "root = 1.0"),
-    ("value of the unbalanced start", *SOLVER, "value=2.0 * math.sqrt(q0 * p0) / g,", "value=(q0 + p0) / g,"),
+    # the read-off of the weights from that pair onto the gauge surface
+    ("start left unnormalized", *SOLVER, "u0 = u0 / norm if", "u0 = u0 if"),
+    ("Alice's weights not divided by the root", *SOLVER, "a = (iq @ u0) / root", "a = iq @ u0"),
+    ("Bob's vector not divided by sigma_max", *SOLVER, "(g.T @ u0) / sigma", "g.T @ u0"),
 )
 
 

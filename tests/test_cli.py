@@ -187,10 +187,10 @@ class TestCertify:
         code, _, _ = run(capsys, "certify", str(path))
         assert code == 1
 
-    @pytest.mark.parametrize("entry", ["0.5", {}], ids=["string", "object"])
+    @pytest.mark.parametrize("entry", ["0.5", {}, True], ids=["string", "object", "bool"])
     def test_non_numeric_entry_exit_1(self, capsys, tmp_path, entry):
-        # a "0.5" entry used to read as 0.5 and certify with exit 0, and an
-        # object entry escaped main as a TypeError
+        # a "0.5" entry used to read as 0.5 and a true as 1, each certifying
+        # with exit 0, and an object entry escaped main as a TypeError
         record = vacuum(2).to_dict()
         record["matrix"][0][0] = entry
         path = tmp_path / "non-numeric.json"

@@ -81,7 +81,7 @@ class TestCovarianceMatrix:
         m[0, 2] = m[2, 0] = tmsv(0.5).matrix[0, 2]
         np.testing.assert_array_equal(CovarianceMatrix(m).matrix, tmsv(0.5).matrix)
 
-    @pytest.mark.parametrize("entry", ["string", "object"])
+    @pytest.mark.parametrize("entry", ["string", "object", "bool", "bool-object"])
     @pytest.mark.parametrize(
         "read, name",
         [
@@ -93,13 +93,16 @@ class TestCovarianceMatrix:
         ids=["CovarianceMatrix", "validate_stack", "StandardForm", "validate_bona_fide"],
     )
     def test_rejects_non_numeric(self, read, name, entry):
-        # float() parsed string entries, so "0.5" read as 0.5, and an object
-        # entry escaped as a TypeError
+        # float() parsed string entries, so "0.5" read as 0.5, an object
+        # entry escaped as a TypeError, and a bool read as 1 or 0, even a
+        # False in place of a 0
         if entry == "string":
             m = vacuum(2).matrix.astype(str)
+        elif entry == "bool":
+            m = vacuum(2).matrix.astype(bool)
         else:
             m = vacuum(2).matrix.astype(object)
-            m[0, 2] = m[2, 0] = {}
+            m[0, 2] = m[2, 0] = {} if entry == "object" else False
         with pytest.raises(ValueError, match=f"^{name} has non-numeric entries$"):
             read(m)
 

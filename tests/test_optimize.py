@@ -23,6 +23,7 @@ from cvwitness import (
     separability_sum,
     split_standard,
     standard_form_reduce_two_mode,
+    thermal,
     tmsv,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
@@ -46,7 +47,6 @@ from cvwitness.optimize import (
     _CHAINS,
     FUNCTIONALS,
     _minimize_gauge_ratio,
-    _warm_start,
 )
 from conftest import product_cm
 import freeze
@@ -247,40 +247,51 @@ def test_solver_pins():
 
 
 class TestScaledStart:
-    @pytest.mark.parametrize(
-        "functional, a_bad, b_bad",
-        [
-            ("sep_minus", [1.0, -1.0, 0.0], [1.0, 1.0, 0.0]),
-            ("steer_ba", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]),
-            ("sep_plus", [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
-        ],
-    )
-    def test_degenerate_gauge(self, monkeypatch, functional, a_bad, b_bad):
-        # a0' W b0 = 0, or negative as in the last case: no positive scale
-        # puts the start on the gauge surface a' W b = 1
-        sf = split_standard(random_standard(3, seed=2))
-        monkeypatch.setattr("cvwitness.optimize._warm_start",
-                            lambda mq, mp, w: (np.array(a_bad), np.array(b_bad)))
-        with pytest.raises(np.linalg.LinAlgError, match="minimization degenerated"):
-            _minimize_gauge_ratio(sf, functional)
-
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_result_is_scaled_warm_start(self, seed):
-        # the reported weights are the start's, each scaled by a positive
-        # factor up to the canonical sign, on the gauge surface a' W b = 1
-        # with equal variances, and the value is the functional there
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_read_off_on_gauge_surface(self, functional, seed):
+        # a = Mq^(-1/2) u / sqrt(sigma) and b = Mp^(-1/2) G' u / sigma^(3/2)
+        # for the unit top singular vector u: on the gauge surface a' W b = 1
+        # with both variances 1 / sigma, and the value is the functional there
         sf = split_standard(random_standard(3, seed=seed))
-        mq, mp, w = functional_forms(sf, "sep_minus")
-        a0, b0 = _warm_start(mq, mp, w)
-        res = min_separability_sum_numeric(sf, "minus")
+        mq, mp, w = functional_forms(sf, functional)
+        iq, ip = _inv_sqrt(mq), _inv_sqrt(mp)
+        u, s, _ = np.linalg.svd(iq @ w @ ip)
+        res = _minimize_gauge_ratio(sf, functional)
         a, b = res.argmin_alpha, res.argmin_beta
-        sign = 1.0 if a0.sum() >= 0 else -1.0
-        for x, x0 in ((a, a0), (b, b0)):
-            assert sign * (x @ x0) == pytest.approx(np.linalg.norm(x) * np.linalg.norm(x0), rel=1e-14)
         q, p = a @ mq @ a, b @ mp @ b
         assert a @ w @ b == pytest.approx(1.0, rel=1e-14)
         assert q == pytest.approx(p, rel=1e-14)
-        assert res.value == pytest.approx(q + p, rel=1e-14)
+        assert q == pytest.approx(1.0 / s[0], rel=1e-12)
+        assert res.value == pytest.approx((q + p) / (a @ w @ b), rel=1e-14)
+        for x, x0 in ((a, iq @ u[:, 0]), (b, ip @ (u[:, 0] @ iq @ w @ ip))):
+            assert abs(x @ x0) == pytest.approx(np.linalg.norm(x) * np.linalg.norm(x0), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e300])
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_scale_equivariant(self, functional, scale):
+        # scaling both forms by c scales the minimum by c and leaves the
+        # weights alone; the rebalanced start underflowed past about 1e154
+        # (a divide-by-zero warning) and refused the form at 1e300. Past
+        # about 1e300 G's entries are subnormal and lose digits.
+        sf = split_standard(random_standard(3, seed=1))
+        base = _minimize_gauge_ratio(sf, functional)
+        res = _minimize_gauge_ratio(StandardForm(sf.vq * scale, sf.vp * scale), functional)
+        assert res.value / scale == pytest.approx(base.value, rel=1e-12)
+        np.testing.assert_allclose(res.argmin_alpha, base.argmin_alpha, rtol=1e-9)
+        np.testing.assert_allclose(res.argmin_beta, base.argmin_beta, rtol=1e-9)
+        assert res.boundary_flag == base.boundary_flag
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_thermal_noise(self):
+        # weights (0, 0) and (inf, inf), with a divide-by-zero warning, when
+        # the rebalance's p0 / q0 underflowed
+        res = min_separability_sum_numeric(split_standard(thermal([1e200, 1e200])), "minus")
+        assert res.value == pytest.approx(2e200, rel=1e-12)
+        np.testing.assert_allclose(res.argmin_alpha, np.full(2, 2 ** -0.5), rtol=1e-12)
+        np.testing.assert_allclose(res.argmin_beta, np.full(2, 2 ** -0.5), rtol=1e-12)
+        assert not res.boundary_flag
 
     @pytest.mark.parametrize("functional", ["sep_plus", "steer_ba"])
     def test_lapack_calls_per_solve(self, monkeypatch, functional):
