@@ -504,7 +504,7 @@ class _StackWitnesses(NamedTuple):
     nu_min: np.ndarray  # smallest symplectic eigenvalue of V
     nu_min_pt: np.ndarray  # ... and of its partial transpose
     nu_ab: np.ndarray  # pivot product of V/V_A, sqrt(det V / det V_A)
-    rs_ab: np.ndarray  # smallest eigenvalue of V/V_A + (i/2) J_B
+    h_ab: np.ndarray  # half trace of V/V_A
     nu_ba: np.ndarray  # pivot product of V/V_B, sqrt(det V / det V_B)
     schur_nu_min: np.ndarray  # smallest symplectic eigenvalue of V/V_B
 
@@ -543,36 +543,14 @@ except AttributeError as err:
     ) from err
 
 
-def _float_hypot(x: float, y: float) -> float:
-    """``np.hypot`` of two Python floats, as a Python float: the libm
-    hypot of the stack route, which ``math.hypot`` does not always match
-    in the last bit."""
-    return np.hypot(x, y).item()
-
-
-def _one_mode_schur(l11, l21, l22, hypot=np.hypot):
+def _one_mode_schur(l11, l21, l22):
     """The pivot product l11 l22 of a one-mode block g = L_kk L_kk^T with
     lower factor L_kk = [[l11, 0], [l21, l22]], which is sqrt(det g) and
-    g's symplectic eigenvalue, and the smallest eigenvalue (g11 + g22)/2 -
-    sqrt(((g11 - g22)/2)^2 + g12^2 + 1/4) of g + (i/2) J_1. Written once
-    over the entries of one factor as Python floats, with ``hypot``
-    ``_float_hypot``, or of a stack's factors as (k,) arrays, with
-    ``np.hypot``: both give the same bits.
-
-    The eigenvalue is read from the entries of g, not from the pivots, so
-    it stays an independent check on them. It is evaluated as LAPACK's 2x2
-    solver (dlae2) does, as det(g + (i/2) J_1) = g11 g22 - g12^2 - 1/4 over
-    the larger eigenvalue ``top``: the difference above cancels, and on a
-    squeezed Bob mode with ||g|| ~ 1e7 its error passes the 1e-9 dead band.
-    With top's terms halved, and each product divided by top >= max(g11,
-    g22) >= |g12| before the sum, no term but top overflows: top is inf
-    when g's larger eigenvalue passes the double range, and the eigenvalue
-    then reads 0.0, inside the band."""
-    g11, g12, g22 = l11 * l11, l11 * l21, l21 * l21 + l22 * l22
-    h11, h22 = 0.5 * g11, 0.5 * g22
-    top = h11 + h22 + hypot(h11 - h22, hypot(g12, 0.5))
-    rs = g11 / top * g22 - g12 / top * g12 - 0.25 / top
-    return l11 * l22, rs
+    g's symplectic eigenvalue, and g's half trace (g11 + g22)/2, halved
+    term by term so that no finite factor overflows it. Written once over
+    the entries of one factor as Python floats, or of a stack's factors as
+    (k,) arrays: both give the same bits."""
+    return l11 * l22, 0.5 * (l11 * l11) + (0.5 * (l21 * l21) + 0.5 * (l22 * l22))
 
 
 def _factor_stage(v: np.ndarray):
@@ -649,9 +627,7 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     of the Bob-first factor is the factor of V/V_B, and the product of
     its pivots, taken in order by ``math.prod``, is ``nu_ba`` = sqrt(det
     V / det V_B) for every n; with n = 2 that is also V/V_B's symplectic
-    eigenvalue ``schur_nu_min``. The A->B eigenvalue ``rs_ab`` is read
-    from the entries of V/V_A and never from ``nu_ab``, so that certify's
-    A->B self-check compares two routes, not one number with itself.
+    eigenvalue ``schur_nu_min``.
 
     The whole stack takes the stage's calls once, whichever members fail:
     when the stage's mask marks a member unfactored, its witnesses but
@@ -668,10 +644,10 @@ def _stack_witnesses(v: np.ndarray) -> _StackWitnesses:
     factors, eig, schur_nu_min, factored = _factor_stage(v)
     low = factors[0::2, -2:, -2:]
     nus = eig[k:, n].reshape(k, 2)
-    with np.errstate(over="ignore"):  # past the double range top or a product is inf, as on floats
-        nu_ab, rs_ab = _one_mode_schur(low[:, 0, 0], low[:, 1, 0], low[:, 1, 1])
+    with np.errstate(over="ignore"):  # a product past the double range is inf, as on floats
+        nu_ab, h_ab = _one_mode_schur(low[:, 0, 0], low[:, 1, 0], low[:, 1, 1])
         nu_ba = math.prod(factors[1::2, 2:, 2:].diagonal(axis1=1, axis2=2).T, start=np.ones(k))
-    tail = (nus[:, 0], nus[:, 1], nu_ab, rs_ab, nu_ba, nu_ba if schur_nu_min is None else schur_nu_min)
+    tail = (nus[:, 0], nus[:, 1], nu_ab, h_ab, nu_ba, nu_ba if schur_nu_min is None else schur_nu_min)
     if factored is None:
         return _StackWitnesses(np.ones(k, dtype=bool), eig[:k, 0], *tail)
     return _StackWitnesses(factored, eig[:k, 0], *(np.where(factored, x, 0.0) for x in tail))
@@ -689,10 +665,10 @@ def _float_witnesses(m: np.ndarray) -> _StackWitnesses:
     factors, eig, schur_nu_min, factored = _factor_stage(m[None])
     if factored is not None and not factored[0]:
         return _StackWitnesses(False, eig.item(0, 0), *[0.0] * 6)
-    nu_ab, rs_ab = _one_mode_schur(factors.item(0, dim - 2, dim - 2), factors.item(0, dim - 1, dim - 2),
-                                   factors.item(0, dim - 1, dim - 1), _float_hypot)
+    nu_ab, h_ab = _one_mode_schur(factors.item(0, dim - 2, dim - 2), factors.item(0, dim - 1, dim - 2),
+                                  factors.item(0, dim - 1, dim - 1))
     nu_ba = math.prod(factors[1].diagonal().tolist()[2:], start=1.0)
-    return _StackWitnesses(True, eig.item(0, 0), eig.item(1, n), eig.item(2, n), nu_ab, rs_ab, nu_ba,
+    return _StackWitnesses(True, eig.item(0, 0), eig.item(1, n), eig.item(2, n), nu_ab, h_ab, nu_ba,
                            nu_ba if schur_nu_min is None else schur_nu_min.item())
 
 
@@ -706,13 +682,20 @@ def _verdict_rules(w: _StackWitnesses, band, n_alice: int):
     a witness with ``centre - band`` (``-band`` for the centre 0), a marker
     takes ``|w - centre| <= band``. Only here are pivot products squared.
 
+    A->B is decided by the pivot product alone: with Bob holding one mode,
+    det V / det V_A >= 1/4 is exactly V/V_A + (i/2) J_B >= 0. Its marker
+    also holds within the band of that matrix form's smallest eigenvalue,
+    det(V/V_A + (i/2) J_B) / top = (nu_ab^2 - 1/4) / top, where the larger
+    eigenvalue top is about 2 h_ab: |nu_ab - 1/2| <= band h_ab / (nu_ab/2 +
+    1/4), which a squeezed Bob mode, h_ab >> nu_ab, widens.
+
     Returns the ``criteria.WITNESS_KEYS`` values; the flags (physical, ppt,
     separable_ok, steerable_ab, steerable_ba) and the three markers; the
-    two self-check failures (the A->B tests disagree outside the dead band;
-    a PPT, hence separable and unsteerable (Wiseman, Jones and Doherty
-    2007), member steers); the RS test; and the (matrix, determinant)
-    unsteerability tests of A->B and of B->A, the latter against 1/2 for
-    nu_min(V/V_B), the Williamson form of V/V_B + (i/2) J_A >= 0, and 4^-N.
+    self-check failure (a PPT, hence separable and unsteerable (Wiseman,
+    Jones and Doherty 2007), member steers); the RS test; the A->B
+    determinant test; and the (matrix, determinant) unsteerability tests
+    of B->A, against 1/2 for nu_min(V/V_B), the Williamson form of V/V_B +
+    (i/2) J_A >= 0, and 4^-N.
     """
     # 2 nu~, 2 nu and 2 nu_ab = 2 sqrt(det V / det V_A) are local invariants;
     # whenever V has a standard form they are the minima of the sums
@@ -721,17 +704,17 @@ def _verdict_rules(w: _StackWitnesses, band, n_alice: int):
     values = (w.min_rs_eig, w.nu_min, w.nu_min_pt, sep_plus, sep_minus, 2.0 * w.nu_ab, det_ab, det_ba,
               w.schur_nu_min)
     rs_ok = w.min_rs_eig >= -band
-    ab = (w.rs_ab >= -band, w.nu_ab >= 0.5 - band)
+    ab_ok = w.nu_ab >= 0.5 - band
     ba = (w.schur_nu_min >= 0.5 - band, det_ba >= 0.25**n_alice - band)
     physical = w.factored & rs_ok
     ppt = w.nu_min_pt >= 0.5 - band
-    steerable_ab, steerable_ba = ab[1] ^ True, ba[0] ^ True
-    marginal_ab = (abs(w.nu_ab - 0.5) <= band) | (abs(w.rs_ab) <= band)
+    steerable_ab, steerable_ba = ab_ok ^ True, ba[0] ^ True
+    off_ab = abs(w.nu_ab - 0.5)
+    marginal_ab = (off_ab <= band) | (off_ab <= band * (w.h_ab / (0.5 * w.nu_ab + 0.25)))
     flags = (physical, ppt, (sep_plus >= 1.0 - band) & (sep_minus >= 1.0 - band), steerable_ab, steerable_ba,
              abs(w.nu_min_pt - 0.5) <= band, marginal_ab, abs(w.schur_nu_min - 0.5) <= band)
-    ab_disagree = physical & (marginal_ab ^ True) & (ab[0] != ab[1])
     ppt_steers = physical & ppt & (steerable_ab | steerable_ba)
-    return values, flags, ab_disagree, ppt_steers, rs_ok, ab, ba
+    return values, flags, ppt_steers, rs_ok, ab_ok, ba
 
 
 def _decide(m: np.ndarray, tol: float):

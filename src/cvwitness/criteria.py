@@ -15,8 +15,9 @@ decides one CM on Python floats (``covariance._decide``), and
 ``validate_bona_fide``, ``split_standard`` and ``check_unsteerable_*``
 use the same band. The A->B steering call uses the determinant ratio
 det V / det V_A against 1/4, which is exactly equivalent to the matrix
-condition when Bob holds one mode; both are computed and any
-disagreement outside the dead band raises, as an internal self-check.
+condition when Bob holds one mode; ``check_unsteerable_ab`` evaluates the
+matrix form from the entries of V/V_A, and acceptance criterion 7
+compares the two.
 The B->A call uses the Schur-complement matrix condition, which is
 strictly stronger than its determinant counterpart when N > 1, in
 Williamson normal form: nu_min(V/V_B) >= 1/2, a local invariant.
@@ -37,7 +38,6 @@ from .covariance import (
     _decide,
     _decide_stack,
     _require_bipartite,
-    _StackWitnesses,
     resolve_tolerance,
     two_mode_symplectic_pair,
     two_mode_symplectic_pair_pt,
@@ -59,8 +59,8 @@ __all__ = [
 
 
 class VerdictConsistencyError(RuntimeError):
-    """The determinant and matrix forms of a criterion disagreed outside
-    the tolerance dead band; indicates a numerical problem."""
+    """A PPT (hence separable) member was flagged steerable; indicates a
+    numerical problem."""
 
 
 @dataclass(frozen=True)
@@ -113,22 +113,8 @@ WITNESS_KEYS = (
 )
 _MARGINAL_KEYS = ("marginal_ppt", "marginal_ab", "marginal_ba")
 _GAUSSIAN_SEPARABLE = {True: "yes", False: "no", None: "undecided"}  # by ppt
-
-
-def _raise_inconsistent(kernel: _StackWitnesses, ab_disagree, ppt_steers):
-    """Raise ``VerdictConsistencyError`` for the first failed self-check
-    of ``_verdict_rules``, naming the first disagreeing member by its
-    index in the kernel's arrays; one CM's scalars are member 0."""
-    if np.count_nonzero(ab_disagree):
-        i = int(np.argmax(ab_disagree))
-        nu_ab, rs_ab = np.atleast_1d(kernel.nu_ab, kernel.rs_ab)
-        raise VerdictConsistencyError(
-            f"A->B determinant and matrix forms disagree on member {i} of the stack: "
-            f"pivot product {nu_ab[i]!r} vs min eigenvalue {rs_ab[i]!r}"
-        )
-    raise VerdictConsistencyError(
-        "steering flag raised on a PPT (hence separable) Gaussian state"
-    )
+# the message of the self-check of ``_verdict_rules``
+_PPT_STEERS = "steering flag raised on a PPT (hence separable) Gaussian state"
 
 
 def _verdict(values, physical, ppt, separable_ok, steerable_ab, steerable_ba, *marginals):
@@ -158,10 +144,10 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     Only the kernel's LAPACK stage (``covariance._factor_stage``) runs on
     a stack of one; its outputs are read back as Python floats, and the
     kernel's closed forms and the verdict rules that ``stack_verdicts``
-    applies to a stack's arrays, with both self-checks, run on those
+    applies to a stack's arrays, with their self-check, run on those
     floats (``covariance._decide``). So ``certify(V)`` equals
     ``certify_many([V])[0]`` bit for bit, with no numpy call after the
-    LAPACK calls but the one-mode ``hypot``. The LAPACK calls reach
+    LAPACK calls. The LAPACK calls reach
     numpy's gufuncs directly, inside one errstate, which skips
     numpy.linalg's per-call wrapper, about 2 us a call, and gives its bits.
 
@@ -179,9 +165,9 @@ def certify(V: CovarianceMatrix, tol: float | None = None) -> CorrelationVerdict
     """
     tol = resolve_tolerance(tol)
     V = _as_cm(V, bipartite=True)
-    kernel, (values, flags, ab_disagree, ppt_steers, *_) = _decide(V.matrix, tol)
-    if ab_disagree | ppt_steers:
-        _raise_inconsistent(kernel, ab_disagree, ppt_steers)
+    _, (values, flags, ppt_steers, *_) = _decide(V.matrix, tol)
+    if ppt_steers:
+        raise VerdictConsistencyError(_PPT_STEERS)
     return _verdict(values, *flags)
 
 
@@ -226,9 +212,8 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
     verdict rules ``certify`` applies to one CM's floats run once on its
     (k,) arrays, each member within the dead band it gets alone. A member
     whose factorization fails is refused as non-physical without
-    affecting the others. Both self-checks look at physical members only
-    and raise ``VerdictConsistencyError``, naming the first member whose
-    A->B forms disagree.
+    affecting the others. The self-check looks at physical members only
+    and raises ``VerdictConsistencyError`` when a PPT member steers.
     """
     tol = resolve_tolerance(tol)
     if not isinstance(cms, np.ndarray):
@@ -239,9 +224,9 @@ def stack_verdicts(cms, tol: float | None = None) -> StackVerdicts:
         cms = np.array(cms) if cms else np.zeros((0, 4, 4))
     v = validate_stack(cms)
     _require_bipartite(v.shape[1] // 2)
-    kernel, (values, flags, ab_disagree, ppt_steers, *_) = _decide_stack(v, tol)
-    if np.count_nonzero(ab_disagree | ppt_steers):
-        _raise_inconsistent(kernel, ab_disagree, ppt_steers)
+    _, (values, flags, ppt_steers, *_) = _decide_stack(v, tol)
+    if np.count_nonzero(ppt_steers):
+        raise VerdictConsistencyError(_PPT_STEERS)
     return StackVerdicts(np.array(flags).T, np.array(values).T)
 
 

@@ -58,6 +58,8 @@ MIN_WEIGHT = 1e-12
 
 # slack on the uncertainty-sum bound and on Reid's 1/2 threshold
 _RELATION_TOL = 1e-12
+# the rounding of a quadratic form a' M a per unit of |a|^2 max|M|
+_FORM_ROUNDING = 8 * np.finfo(float).eps
 
 
 def _check_sign(sign: str) -> str:
@@ -153,14 +155,18 @@ def uncertainty_sum_check(
 
     The right-hand side is the commutator scale |[Q, P+-]| =
     |sum_{j<=N} alpha_j beta_j -+ alpha_{N+1} beta_{N+1}|. Holds for every
-    physical state and any positive weights.
+    physical state and any positive weights. It is tested within the
+    larger of 1e-12 and the rounding of the two quadratic forms,
+    8 eps (|alpha|^2 max|V_q| + |beta|^2 max|V_p|): a pure state saturates
+    it, and the forms' rounding grows with their entries.
     """
     a, b = weights.alpha, weights.beta
     lhs = variance_q(sf.vq, a) + variance_p(sf.vp, b, sign)
     inner = a[:-1] @ b[:-1]
     tail = a[-1] * b[-1]
     rhs = float(abs(inner - tail if sign == "plus" else inner + tail))
-    return UncertaintySumCheck(lhs=lhs, rhs=rhs, satisfied=bool(lhs >= rhs - _RELATION_TOL))
+    rounding = _FORM_ROUNDING * (a @ a * np.abs(sf.vq).max() + b @ b * np.abs(sf.vp).max())
+    return UncertaintySumCheck(lhs=lhs, rhs=rhs, satisfied=bool(lhs >= rhs - max(_RELATION_TOL, rounding)))
 
 
 def reid_product(sf: StandardForm, lam: float, mu: float) -> ReidProduct:

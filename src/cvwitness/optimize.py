@@ -47,11 +47,13 @@ from .covariance import (
     CovarianceMatrix,
     StandardForm,
     _as_cm,
+    _band,
     _decide,
     _inv_sqrt_spd,
     _require_bipartite,
     _require_int,
     resolve_tolerance,
+    schur_complement,
 )
 from .observables import FUNCTIONALS, _check_sign, functional_forms
 
@@ -113,12 +115,14 @@ class UnsteerabilityCheck(NamedTuple):
     condition implies but which is strictly weaker for a multimode
     Alice. ``min_rs_eigenvalue`` is the matrix test's margin: the least
     eigenvalue of V/V_X + (i/2) J_X, for B->A in Williamson normal form,
-    nu_min(V/V_B) - 1/2, which no local symplectic moves. Tests
-    and witnesses are ``certify``'s, its kernel's witnesses as Python
+    nu_min(V/V_B) - 1/2, which no local symplectic moves. Every test but
+    A->B's ``matrix_ok`` is ``certify``'s, its kernel's witnesses as Python
     floats and its verdict rules with the same band (``covariance._decide``):
     A->B ``det_ok`` and B->A ``matrix_ok`` are its steering flags negated,
-    ``det_ratio`` its ``det_ratio_ab`` or ``det_ratio_ba``. LinAlgError if
-    ``certify`` cannot factor V; ``schur_complement`` gives V/V_X itself.
+    ``det_ratio`` its ``det_ratio_ab`` or ``det_ratio_ba``; A->B's
+    ``matrix_ok`` reads V/V_A's entries (``_ab_rs_eigenvalue``) within the
+    same band. LinAlgError if ``certify`` cannot factor V;
+    ``schur_complement`` gives V/V_X itself.
     """
 
     matrix_ok: bool
@@ -207,6 +211,20 @@ def min_steering_sum_ba_numeric(sf: StandardForm) -> MinimizationResult:
     return _minimize_gauge_ratio(sf, "steer_ba")
 
 
+def _ab_rs_eigenvalue(V: CovarianceMatrix) -> float:
+    """The smallest eigenvalue of V/V_A + (i/2) J_B from the entries of g =
+    ``schur_complement(V, "A")``, a second route to A->B beside certify's
+    pivot product. As LAPACK's 2x2 solver (dlae2) does, it takes g11 g22 -
+    g12^2 - 1/4 over the larger eigenvalue ``top``: (g11 + g22)/2 - sqrt(...)
+    cancels past the 1e-9 band on a squeezed Bob mode with ||g|| ~ 1e7.
+    With top's terms halved and each product divided by top before the
+    sum, only top overflows, and the eigenvalue then reads 0.0."""
+    (g11, g12), (_, g22) = schur_complement(V, "A").tolist()
+    h11, h22 = 0.5 * g11, 0.5 * g22
+    top = h11 + h22 + math.hypot(h11 - h22, g12, 0.5)
+    return g11 / top * g22 - g12 / top * g12 - 0.25 / top
+
+
 def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> UnsteerabilityCheck:
     """Both tests of one direction with the dead band tol, read by
     ``covariance.resolve_tolerance`` (None is DEFAULT_TOL)."""
@@ -214,11 +232,12 @@ def _direction_check(V: CovarianceMatrix, over: str, tol: float | None) -> Unste
     V = _as_cm(V, bipartite=True)
     # certify's decision: its witnesses as Python floats, which mark a CM
     # that does not factor with either party first, and its rules
-    w, (values, *_, ab, ba) = _decide(V.matrix, tol)
+    w, (values, *_, ab_ok, ba) = _decide(V.matrix, tol)
     if not w.factored:
         raise np.linalg.LinAlgError("covariance matrix does not factor; certify refuses it")
     if over == "A":  # values[6:9] are det_ratio_ab, det_ratio_ba and schur_nu_min
-        return UnsteerabilityCheck(*ab, values[6], w.rs_ab)
+        rs = _ab_rs_eigenvalue(V)
+        return UnsteerabilityCheck(rs >= -_band(tol, V.matrix), ab_ok, values[6], rs)
     return UnsteerabilityCheck(*ba, values[7], values[8] - 0.5)
 
 

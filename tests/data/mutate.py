@@ -3,13 +3,16 @@
 Each mutant is one textual edit of one source file, and names the test
 files that must kill it. In src/cvwitness/covariance.py, killed by
 tests/test_criteria.py or tests/test_golden.py: a test of
-``_verdict_rules`` made strict, a marker made strict or moved off its
-centre, Alice's B->A threshold 4^-N read as 1/4, the band narrowed or set
-to tol alone, or the kernel's mask of failed members made to miss a
-failed factor order, spectrum or V/V_B eigensolve, a failed V + (i/2) J
+``_verdict_rules`` made strict, a marker, or the A->B marker's term
+scaled by V/V_A's half trace, made strict or moved off its centre,
+Alice's B->A threshold 4^-N read as 1/4, the band narrowed or set to tol
+alone, or the kernel's mask of failed members made to miss a failed
+factor order, spectrum or V/V_B eigensolve, a failed V + (i/2) J
 eigensolve, or the invalid flag, or left unapplied. In
-src/cvwitness/optimize.py, killed by tests/test_optimize.py: the
-solver's start taken from the smallest singular pair of the whitened
+src/cvwitness/optimize.py, killed by tests/test_criteria.py:
+``check_unsteerable_ab``'s matrix test, the one reader of V/V_A + (i/2)
+J_B, made strict. In src/cvwitness/optimize.py, killed by
+tests/test_optimize.py: the solver's start taken from the smallest singular pair of the whitened
 gauge, from its first singular vector alone where sigma_max repeats, or
 without the fallback for a projection that vanishes; the start left at
 its projected length instead of unit length, Alice's weights not divided
@@ -43,21 +46,23 @@ ROOT = Path(__file__).resolve().parents[2]
 # (target file, the test files that must kill its mutants)
 KERNEL = ("src/cvwitness/covariance.py", ("tests/test_criteria.py", "tests/test_golden.py"))
 SOLVER = ("src/cvwitness/optimize.py", ("tests/test_optimize.py",))
+CHECK = ("src/cvwitness/optimize.py", ("tests/test_criteria.py",))
 
 # (name, target, tests, text, replacement): each text must occur exactly
 # once in its target
 MUTANTS = (
     ("rs test strict", *KERNEL, "rs_ok = w.min_rs_eig >= -band", "rs_ok = w.min_rs_eig > -band"),
-    ("A->B matrix test strict", *KERNEL, "ab = (w.rs_ab >= -band,", "ab = (w.rs_ab > -band,"),
-    ("A->B det test strict", *KERNEL, "w.nu_ab >= 0.5 - band)", "w.nu_ab > 0.5 - band)"),
+    ("A->B matrix test strict", *CHECK, "rs >= -_band(tol, V.matrix)", "rs > -_band(tol, V.matrix)"),
+    ("A->B det test strict", *KERNEL, "ab_ok = w.nu_ab >= 0.5 - band", "ab_ok = w.nu_ab > 0.5 - band"),
     ("B->A matrix test strict", *KERNEL, "ba = (w.schur_nu_min >= 0.5 - band,", "ba = (w.schur_nu_min > 0.5 - band,"),
     ("B->A det test strict", *KERNEL, "det_ba >= 0.25**n_alice - band", "det_ba > 0.25**n_alice - band"),
     ("PPT test strict", *KERNEL, "ppt = w.nu_min_pt >= 0.5 - band", "ppt = w.nu_min_pt > 0.5 - band"),
     ("sep_plus test strict", *KERNEL, "(sep_plus >= 1.0 - band)", "(sep_plus > 1.0 - band)"),
     ("sep_minus test strict", *KERNEL, "(sep_minus >= 1.0 - band)", "(sep_minus > 1.0 - band)"),
     ("B->A det threshold 1/4", *KERNEL, "0.25**n_alice - band", "0.25 - band"),
-    ("A->B det marker strict", *KERNEL, "abs(w.nu_ab - 0.5) <= band", "abs(w.nu_ab - 0.5) < band"),
-    ("A->B matrix marker strict", *KERNEL, "abs(w.rs_ab) <= band", "abs(w.rs_ab) < band"),
+    ("A->B det marker strict", *KERNEL, "(off_ab <= band) |", "(off_ab < band) |"),
+    ("A->B matrix marker strict", *KERNEL, "(off_ab <= band * (", "(off_ab < band * ("),
+    ("A->B marker centre 1/4", *KERNEL, "off_ab = abs(w.nu_ab - 0.5)", "off_ab = abs(w.nu_ab - 0.25)"),
     ("PPT marker strict", *KERNEL, "abs(w.nu_min_pt - 0.5) <= band", "abs(w.nu_min_pt - 0.5) < band"),
     ("B->A marker strict", *KERNEL, "abs(w.schur_nu_min - 0.5) <= band", "abs(w.schur_nu_min - 0.5) < band"),
     ("B->A marker centre 1/4", *KERNEL, "schur_nu_min - 0.5", "schur_nu_min - 0.25"),

@@ -415,12 +415,15 @@ class TestStackWitnesses:
         + [pytest.param(tmsv(r), id=f"tmsv-{r}") for r in (0.0, 0.25, 1.0, 3.0, 6.0, 9.0)],
     )
     def test_one_mode_closed_forms(self, cm):
-        # the kernel's closed forms for one-mode Schur complements against
-        # the eigensolver, within 8 eps ||g|| of g = V/V_X
+        # the one-mode closed forms for Schur complements against numpy,
+        # within 8 eps ||g|| of g = V/V_X: the kernel's half trace of V/V_A
+        # and, for two modes, V/V_B's symplectic eigenvalue, and
+        # check_unsteerable_ab's smallest eigenvalue of V/V_A + (i/2) J_B
         w = _stack_witnesses(cm.matrix[None])
         assert w.factored[0]
         j1 = symplectic_form(1)
-        checks = [(w.rs_ab[0], "A", lambda g: np.linalg.eigvalsh(g + 0.5j * j1)[0])]
+        checks = [(w.h_ab[0], "A", lambda g: 0.5 * np.trace(g)),
+                  (check_unsteerable_ab(cm).min_rs_eigenvalue, "A", lambda g: np.linalg.eigvalsh(g + 0.5j * j1)[0])]
         if cm.n_modes == 2:
             checks.append((w.schur_nu_min[0], "B", lambda g: symplectic_eigenvalues(g)[0]))
         for got, over, reference in checks:
@@ -534,13 +537,12 @@ class TestStackWitnesses:
     def test_one_mode_closed_forms_match_on_floats(self):
         # the one-CM route runs the one-mode closed forms on Python floats;
         # on factor entries over 40 decades they must give the stack route's
-        # bits (math.hypot, which rounds differently from numpy's in about
-        # 1 of 2300 random calls, would fail here)
+        # bits
         rng = np.random.default_rng(7)
         l11, l22 = np.exp(rng.uniform(-46.0, 46.0, (2, 20000)))
         l21 = rng.standard_normal(20000) * np.exp(rng.uniform(-46.0, 46.0, 20000))
         arrays = covariance._one_mode_schur(l11, l21, l22)
-        floats = [covariance._one_mode_schur(*x, covariance._float_hypot) for x in zip(l11.tolist(), l21.tolist(), l22.tolist())]
+        floats = [covariance._one_mode_schur(*x) for x in zip(l11.tolist(), l21.tolist(), l22.tolist())]
         assert all(type(x) is float for pair in floats for x in pair)
         assert [list(map(float.hex, pair)) for pair in floats] == [list(map(float.hex, x)) for x in zip(*arrays)]
 

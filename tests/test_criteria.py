@@ -31,7 +31,7 @@ from cvwitness import (
     vacuum,
     validate_bona_fide,
 )
-from cvwitness import GeneratorSpec, covariance
+from cvwitness import GeneratorSpec, covariance, optimize
 from cvwitness.covariance import DEFAULT_TOL, local_direct_sum, one_mode_rotation, one_mode_squeeze
 from cvwitness.criteria import WITNESS_KEYS, resolve_tolerance
 from conftest import noisy_tmsv_phase_diagram, product_cm, rotated, rotated_and_squeezed
@@ -137,20 +137,6 @@ class TestCertifyReferenceStates:
         with pytest.raises(VerdictConsistencyError, match="PPT"):
             route(vacuum(2))
 
-    @pytest.mark.parametrize("k, route", SELF_CHECK_ROUTES)
-    @pytest.mark.parametrize("det_ratio_ab, rs_ab", [(0.1, 0.1), (0.4, -0.1)])
-    def test_ab_forms_self_check(self, monkeypatch, det_ratio_ab, rs_ab, k, route):
-        # with Bob holding one mode the A->B determinant and matrix forms are
-        # equivalent; a physical member on which they disagree outside the
-        # dead band means the witnesses are wrong, and certify raises. The
-        # kernel carries the determinant ratio as its pivot product
-        w = covariance._stack_witnesses(np.stack([vacuum(2).matrix] * k))
-        pivots, rs = w.nu_ab.copy(), w.rs_ab.copy()
-        pivots[k // 2], rs[k // 2] = math.sqrt(det_ratio_ab), rs_ab
-        _inject_witnesses(monkeypatch, lambda v: w._replace(nu_ab=pivots, rs_ab=rs))
-        with pytest.raises(VerdictConsistencyError, match=f"A->B .* member {k // 2} of the stack"):
-            route(vacuum(2))
-
     @pytest.mark.parametrize("excess", [1e-8, 1e-7])
     def test_squeezed_bob_ab_self_check(self, excess):
         # vacuum and a slightly noisy squeezed vacuum, uncorrelated: V/V_A is
@@ -195,8 +181,10 @@ class TestCertifyReferenceStates:
     def test_rotated_squeezed_bob_product_state_marked_ab(self, theta, z):
         # vacuum and a pure Bob mode rotated by theta and squeezed by z sit
         # exactly on the A->B threshold, det V / det V_A = 1/4, so the flag
-        # is marked marginal. Only rs_ab marks all six: nu_ab, the A->B
-        # pivot product, lies within the band of 1/2 only at (7 pi/40, 4.5)
+        # is marked marginal. nu_ab, the A->B pivot product, lies within the
+        # band of 1/2 only at (7 pi/40, 4.5); the marker's band scaled by
+        # h_ab / (nu_ab/2 + 1/4), V/V_A's half trace over about its
+        # symplectic eigenvalue, marks all six
         s = one_mode_rotation(theta) @ one_mode_squeeze(z)
         m = 0.5 * np.eye(4)
         m[2:, 2:] = 0.5 * s @ s.T
@@ -324,17 +312,28 @@ class TestCertifyInvariances:
         assert v.ppt == sv.ppt[0] == (delta < 0)
         assert "marginal_ppt" not in v.witnesses and not sv.marginal_ppt[0]
 
+    # the (r, delta, z) of test_ab_threshold_under_bob_squeeze whose flag
+    # is marked, at n = 2 and 3 alike: the 24 of its 60 that the matrix
+    # form's marker |min eig(V/V_A + (i/2) J_B)| <= band set before the
+    # marker was scaled from the pivot product
+    MARKED_AB = {(0.3, 1e-5, 4.0), (0.3, 1e-6, 4.0), (0.3, 1e-7, 2.0), (0.3, 1e-7, 4.0), (0.3, -1e-6, 4.0),
+                 (0.3, -1e-5, 4.0), (0.7, 1e-6, 4.0), (0.7, 1e-7, 4.0), (0.7, -1e-6, 4.0), (1.5, 1e-6, 4.0),
+                 (1.5, 1e-7, 4.0), (1.5, -1e-6, 4.0)}
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("z", [2.0, 4.0])
     @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7, -1e-6, -1e-5])
     @pytest.mark.parametrize("r", [0.3, 0.7, 1.5])
     def test_ab_threshold_under_bob_squeeze(self, r, delta, z, n):
         # noisy_tmsv(r, nbar, "A") steers A->B iff nbar < 1/2, whatever r.
-        # No assertion on marginal_ab: rs_ab, the second A->B route, sets it
-        # on 24 of these 60, its margin shrunk by Bob's squeeze
+        # nu_ab sits about delta from 1/2, outside the plain band, and
+        # Bob's squeeze raises V/V_A's half trace h_ab, which widens the
+        # marker's scaled term: only that term sets marginal_ab here
         m = _squeezed_noisy_tmsv(r, 0.5 - delta, "B", z, n)
         v, sv = certify(m), stack_verdicts([m])
         assert v.steerable_a_to_b == sv.steerable_ab[0] == (delta > 0)
+        marked = (r, delta, z) in self.MARKED_AB
+        assert ("marginal_ab" in v.witnesses) == sv.marginal_ab[0] == marked
 
     @pytest.mark.xfail(
         strict=True,
@@ -453,6 +452,28 @@ class TestCertifyMany:
         for cm, verdict in zip(cms, many):
             assert verdict.to_dict() == certify(cm).to_dict()
 
+    def test_bob_block_past_the_double_range(self):
+        # vacuum beside a Bob block whose larger eigenvalue, 3.4e308, passes
+        # the double range (``_branch_members``' huge_bob).
+        # V/V_A is Bob's block, nu_ab = 7.6e306, far from 1/2; its
+        # marginal_ab used to come from the smallest eigenvalue of V/V_A +
+        # (i/2) J_B alone, which read 0.0 once the larger one overflowed to
+        # inf. The pivot product's marker leaves it unmarked, and every other
+        # flag, marker and witness keeps its bits
+        m = np.diag([0.5, 0.5, 0.0, 0.0])
+        m[2:, 2:] = [[1.7e308, 0.999 * 1.7e308], [0.999 * 1.7e308, 1.7e308]]
+        nu = 0.5000000000000001
+        want = {"min_rs_eig": 0.0, "min_symplectic_eig": nu, "min_symplectic_eig_pt": nu,
+                "sep_sum_plus_min": 2 * nu, "sep_sum_minus_min": 2 * nu, "steer_sum_ab_min": 1.5201460456152998e+307,
+                "det_ratio_ab": math.inf, "det_ratio_ba": 0.2500000000000001, "schur_min_symplectic_eig": nu}
+        v = certify(m)
+        assert (v.physical, v.ppt, v.separable_necessary_met, v.steerable_a_to_b, v.steerable_b_to_a) \
+            == (True, True, True, False, False)
+        assert v.witnesses == {**want, "marginal_ppt": 1.0, "marginal_ba": 1.0}
+        sv = stack_verdicts([m])
+        assert sv.flags.tolist() == [[True, True, True, False, False, True, False, True]]
+        assert sv.witnesses.tolist() == [[want[key] for key in WITNESS_KEYS]]
+
     @staticmethod
     def _branch_members(n):
         """A factor failure, an RS refusal, the vacuum's three markers, a PPT
@@ -517,7 +538,7 @@ class TestCertifyMany:
 
         # every witness of the kernel, and the one-CM checks, against the
         # stack route's arrays and rules, member by member
-        kernel, (values, *_, rs_ok, ab, ba) = covariance._decide_stack(
+        kernel, (values, *_, rs_ok, ab_ok, ba) = covariance._decide_stack(
             np.stack([cm.matrix for cm in members]), DEFAULT_TOL)
         for i, cm in enumerate(members):
             row = [a[i].item() for a in kernel]
@@ -530,9 +551,11 @@ class TestCertifyMany:
                     with pytest.raises(np.linalg.LinAlgError):
                         check(cm)
                 continue
-            stack_ab = [ab[0][i], ab[1][i], values[6][i], kernel.rs_ab[i]]
+            # A->B's matrix test alone is read from V/V_A's entries
+            rs = optimize._ab_rs_eigenvalue(cm)
+            stack_ab = [rs >= -covariance._band(DEFAULT_TOL, cm.matrix), ab_ok[i].item(), values[6][i].item(), rs]
             stack_ba = [ba[0][i], ba[1][i], values[7][i], values[8][i] - 0.5]
-            assert self._typed(check_unsteerable_ab(cm)) == self._typed(x.item() for x in stack_ab)
+            assert self._typed(check_unsteerable_ab(cm)) == self._typed(stack_ab)
             assert self._typed(check_unsteerable_ba(cm)) == self._typed(x.item() for x in stack_ba)
 
     @pytest.mark.filterwarnings("error")
@@ -838,14 +861,17 @@ class TestRuleBoundaries:
     exact. The kernel carries each Schur complement as its pivot product:
     the A->B determinant test and marker compare ``nu_ab`` with 1/2, and
     the B->A determinant test squares ``nu_ba``, so its edge is the
-    smallest ``nu_ba`` whose square reaches 4^-N - band. The B->A matrix
-    test and marker compare ``schur_nu_min`` with 1/2.
+    smallest ``nu_ba`` whose square reaches 4^-N - band. The A->B
+    marker's scaled term is pinned by ``h_ab`` with ``nu_ab`` = 3/2, where
+    the scale is h_ab itself. The B->A matrix test and marker compare
+    ``schur_nu_min`` with 1/2. ``check_unsteerable_ab``'s matrix test reads
+    V/V_A's entries, not the kernel: its margin is patched as ``ab_rs``.
     """
 
     _MARK = 2.0**-40  # member i carries i * _MARK in its (0, 2) entry
     # far from every threshold: physical, PPT, separable, unsteerable
     _BASE = dict(factored=True, min_rs_eig=1.0, nu_min=1.5, nu_min_pt=1.5, nu_ab=1.5,
-                 rs_ab=1.0, nu_ba=1.5, schur_nu_min=1.5)
+                 h_ab=1.5, nu_ba=1.5, schur_nu_min=1.5, ab_rs=1.0)
     # (tol, the CM's entries): the band is tol, 8 eps * 0.5 and 8 eps * 2^20
     BANDS = [(2.0**-30, 0.5), (0.0, 0.5), (2.0**-30, 2.0**20)]
     T, F = True, False
@@ -857,15 +883,18 @@ class TestRuleBoundaries:
         "marginal_ppt": ("nu_min_pt", lambda b, na: 0.5 + b, {}, {"ppt": (T, T, T), "marginal_ppt": (T, T, F)}),
         "sep_plus": ("nu_min_pt", lambda b, na: (1.0 - b) / 2, {}, {"separable": (T, F, T), "ppt": (T, T, T)}),
         "sep_minus": ("nu_min", lambda b, na: (1.0 - b) / 2, {}, {"separable": (T, F, T)}),
-        # non-PPT, so that steering is no self-check failure; rs_ab < 0
-        # agrees with the determinant test wherever the marker is off
-        "steerable_ab": ("nu_ab", lambda b, na: 0.5 - b, {"nu_min_pt": 0.1, "rs_ab": -1.0},
+        # non-PPT, so that steering is no self-check failure; h_ab = 0
+        # leaves the A->B marker its plain term alone
+        "steerable_ab": ("nu_ab", lambda b, na: 0.5 - b, {"nu_min_pt": 0.1, "h_ab": 0.0},
                          {"steerable_ab": (F, T, F), "marginal_ab": (T, F, T), "ab_det": (T, F, T)}),
-        "marginal_ab_det": ("nu_ab", lambda b, na: 0.5 + b, {"nu_min_pt": 0.1},
+        "marginal_ab_det": ("nu_ab", lambda b, na: 0.5 + b, {"nu_min_pt": 0.1, "h_ab": 0.0},
                             {"steerable_ab": (F, F, F), "marginal_ab": (T, T, F), "ab_det": (T, T, T)}),
-        "rs_ab_low": ("rs_ab", lambda b, na: -b, {"nu_min_pt": 0.1, "nu_ab": 0.25},
-                      {"steerable_ab": (T, T, T), "marginal_ab": (T, F, T), "ab_matrix": (T, F, T)}),
-        "rs_ab_high": ("rs_ab", lambda b, na: b, {}, {"marginal_ab": (T, T, F), "ab_matrix": (T, T, T)}),
+        # |nu_ab - 1/2| = 1 <= band h_ab / (nu_ab/2 + 1/4) = band h_ab
+        "marginal_ab_scaled": ("h_ab", lambda b, na: 1.0 / b, {},
+                               {"steerable_ab": (F, F, F), "marginal_ab": (T, F, T), "ab_det": (T, T, T)}),
+        # moves check_unsteerable_ab's matrix test and nothing of certify's
+        "ab_matrix": ("ab_rs", lambda b, na: -b, {},
+                      {"steerable_ab": (F, F, F), "marginal_ab": (F, F, F), "ab_matrix": (T, F, T)}),
         "steerable_ba": ("schur_nu_min", lambda b, na: 0.5 - b, {"nu_min_pt": 0.1},
                          {"steerable_ba": (F, T, F), "marginal_ba": (T, F, T), "ba_matrix": (T, F, T)}),
         "marginal_ba": ("schur_nu_min", lambda b, na: 0.5 + b, {},
@@ -897,9 +926,12 @@ class TestRuleBoundaries:
     def _patch(self, monkeypatch, witnesses):
         def kernel(v):
             i = np.rint(v[:, 0, 2] / self._MARK).astype(int)
-            return covariance._StackWitnesses(**{key: np.asarray(x)[i] for key, x in witnesses.items()})
+            return covariance._StackWitnesses(**{key: np.asarray(witnesses[key])[i]
+                                                 for key in covariance._StackWitnesses._fields})
 
         _inject_witnesses(monkeypatch, kernel)
+        monkeypatch.setattr(optimize, "_ab_rs_eigenvalue",
+                            lambda cm: witnesses["ab_rs"][round(cm.matrix[0, 2] / self._MARK)])
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("tol, scale", BANDS)
@@ -923,23 +955,6 @@ class TestRuleBoundaries:
                     got = [getattr(sv, self.STACK[output])[i]]
                     got.append(getattr(v, self.VERDICT[output]) if output in self.VERDICT else output in v.witnesses)
                 assert got == [expected[i]] * len(got), (output, i)
-
-    @pytest.mark.parametrize("tol, scale", BANDS)
-    def test_ab_self_check_edge(self, monkeypatch, tol, scale):
-        # the determinant test passes far from 1/4; the matrix test fails
-        # one ulp below -band, where the marker is off too, and only there
-        band = max(tol, covariance._BAND_PER_NORM * scale)
-        witnesses = {key: [value] * 3 for key, value in self._BASE.items()}
-        witnesses["rs_ab"] = [-band, math.nextafter(-band, -math.inf), math.nextafter(-band, math.inf)]
-        self._patch(monkeypatch, witnesses)
-        members = self._members(2, scale)
-        with pytest.raises(VerdictConsistencyError, match="member 1 of the stack"):
-            stack_verdicts(members, tol=tol)
-        with pytest.raises(VerdictConsistencyError, match="A->B"):
-            certify(members[1], tol=tol)
-        for cm in members[0::2]:
-            v = certify(cm, tol=tol)
-            assert "marginal_ab" in v.witnesses and v.steerable_a_to_b is False
 
 
 class TestNoisyTmsvPhaseDiagram:

@@ -16,7 +16,7 @@ from cvwitness import (
     check_unsteerable_ab,
     check_unsteerable_ba,
 )
-from cvwitness.covariance import _stack_witnesses
+from cvwitness.covariance import _stack_witnesses, schur_complement, symplectic_form
 import freeze
 
 GOLDEN = json.loads((freeze.HERE / "golden.json").read_text())
@@ -58,7 +58,15 @@ def test_golden_unsteerability_checks(entry):
     assert (ab.det_ratio, ba.det_ratio) == (witnesses["det_ratio_ab"], witnesses["det_ratio_ba"])
     w = _stack_witnesses(cm.matrix[None])
     # B->A's margin is nu_min(V/V_B) - 1/2, the RS eigenvalue in Williamson form
-    assert (ab.min_rs_eigenvalue, ba.min_rs_eigenvalue) == (w.rs_ab[0], w.schur_nu_min[0] - 0.5)
+    assert ba.min_rs_eigenvalue == w.schur_nu_min[0] - 0.5
+    # A->B's is the smallest eigenvalue of V/V_A + (i/2) J_B from V/V_A's
+    # entries, a second route that agrees with certify's pivot product
+    # wherever the flag is not marked
+    g = schur_complement(cm, "A")
+    reference = np.linalg.eigvalsh(g + 0.5j * symplectic_form(1))[0]
+    assert abs(ab.min_rs_eigenvalue - reference) <= 8 * np.finfo(float).eps * np.linalg.norm(g, 2)
+    if "marginal_ab" not in witnesses:
+        assert ab.matrix_ok == ab.det_ok
 
 
 def test_certify_pins():

@@ -139,6 +139,19 @@ class TestUncertaintySum:
         assert got.rhs == pytest.approx(2.0)
         assert not got.satisfied
 
+    def test_pure_tmsv_saturates(self):
+        # alpha = beta = (1, tanh r) saturate the relation on tmsv(r); lhs
+        # rounds like eps |alpha|^2 max|V_q|, up to 3.9e-9 below rhs at
+        # r = 8.95, and an absolute 1e-12 called 81 of these violated, the
+        # first at r = 4.875
+        for r in np.linspace(0.5, 9, 341):
+            t = np.tanh(r)
+            chk = uncertainty_sum_check(sf_of(tmsv(r)), EprWeights([1, t], [1, t]), "plus")
+            assert chk.satisfied, r
+            assert chk.lhs == pytest.approx(chk.rhs, abs=1e-8)
+        sf = StandardForm(0.2 * np.eye(2), 0.2 * np.eye(2))
+        assert not uncertainty_sum_check(sf, EprWeights([1, 1], [1, 1]), "minus").satisfied
+
     def test_physicality_invariant(self, rng, assorted_cms):
         # physical states satisfy the sum and product forms for any weights
         for cm in assorted_cms:
