@@ -892,9 +892,13 @@ class TestRuleBoundaries:
         # |nu_ab - 1/2| = 1 <= band h_ab / (nu_ab/2 + 1/4) = band h_ab
         "marginal_ab_scaled": ("h_ab", lambda b, na: 1.0 / b, {},
                                {"steerable_ab": (F, F, F), "marginal_ab": (T, F, T), "ab_det": (T, T, T)}),
-        # moves check_unsteerable_ab's matrix test and nothing of certify's
-        "ab_matrix": ("ab_rs", lambda b, na: -b, {},
+        # the A->B RS eigenvalue moves check_unsteerable_ab's matrix test at
+        # -band and nothing of certify's: A->B is decided and marked from
+        # the pivot product alone, so +band marks nothing either
+        "rs_ab_low": ("ab_rs", lambda b, na: -b, {},
                       {"steerable_ab": (F, F, F), "marginal_ab": (F, F, F), "ab_matrix": (T, F, T)}),
+        "rs_ab_high": ("ab_rs", lambda b, na: b, {},
+                       {"steerable_ab": (F, F, F), "marginal_ab": (F, F, F), "ab_matrix": (T, T, T)}),
         "steerable_ba": ("schur_nu_min", lambda b, na: 0.5 - b, {"nu_min_pt": 0.1},
                          {"steerable_ba": (F, T, F), "marginal_ba": (T, F, T), "ba_matrix": (T, F, T)}),
         "marginal_ba": ("schur_nu_min", lambda b, na: 0.5 + b, {},
