@@ -256,12 +256,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _standardize(cm: CovarianceMatrix, tol: float):
-    """The standard form the oracle's functionals are defined on: every
-    two-mode CM is first reduced by local symplectics, in standard form or
-    not, and a CM of three or more modes must already be in it."""
+    """The standard form the oracle's functionals are defined on: for two
+    modes, the one built from the parameters of the CM's reduction by local
+    symplectics, in standard form or not; a CM of three or more modes must
+    already be in it, and is split as given."""
     if cm.n_modes == 2:
-        _, s = standard_form_reduce_two_mode(cm, tol=tol)
-        cm = CovarianceMatrix(s @ cm.matrix @ s.T)
+        return standard_form_reduce_two_mode(cm, tol=tol)[0].to_standard_form()
     return split_standard(cm, tol=tol)
 
 

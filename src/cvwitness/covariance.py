@@ -336,8 +336,8 @@ class Partition(NamedTuple):
 @dataclass(frozen=True)
 class TwoModeStandardParams:
     """The quadruple (b1, b2, c, d) of a two-mode standard-form CM with
-    local blocks b1*I, b2*I and cross block diag(c, d), normalized so
-    b1 >= b2 >= 1/2 and c >= |d|."""
+    Alice's local block b1*I, Bob's b2*I and cross block diag(c, d), in
+    party order, with b1, b2 >= 1/2 and c >= |d|."""
 
     b1: float
     b2: float
@@ -346,10 +346,9 @@ class TwoModeStandardParams:
 
     def __post_init__(self):
         slack = 1e-9
-        if not self.b1 >= self.b2 - slack:
-            raise ValueError(f"need b1 >= b2, got b1={self.b1}, b2={self.b2}")
-        if not self.b2 >= 0.5 - slack:
-            raise ValueError(f"need b2 >= 1/2, got b2={self.b2}")
+        for name, b in (("b1", self.b1), ("b2", self.b2)):
+            if not b >= 0.5 - slack:
+                raise ValueError(f"need {name} >= 1/2, got {name}={b}")
         if not self.c >= abs(self.d) - slack:
             raise ValueError(f"need c >= |d|, got c={self.c}, d={self.d}")
 
@@ -797,16 +796,17 @@ def standard_form_reduce_two_mode(
 
     Returns (params, S) where S = S_A (+) S_B is local symplectic,
     S V S^T has scalar diagonal blocks and diagonal cross block with
-    c >= |d|, and params is the (b1, b2, c, d) tuple ordered so that
-    b1 >= b2 (the tuple convention; S V S^T itself keeps the true
-    Alice/Bob order, which may have b_A < b_B).
+    c >= |d|, and params is its (b1, b2, c, d) in party order: b1 is
+    Alice's local variance and b2 Bob's, so b1 < b2 is possible.
 
     Procedure: (1) a one-mode symplectic per party brings each local
     2x2 block to sqrt(det) * I, (2) local rotations diagonalize the
     cross block via its SVD. Both rotations have determinant +1, so the
     cross block becomes diag(s1, +-s2) with s1 >= s2 >= 0, which is
-    c >= |d|. Where s1 and s2 tie (as for every TMSV), rounding can
-    leave |d| above c by an ulp or two; params clamps d into [-c, c].
+    c >= |d|. Rounding can leave |d| above c by an ulp or two where s1
+    and s2 tie (as for every TMSV), and a local variance below 1/2 where
+    a heavily squeezed local block's determinant is lost in the doubles;
+    params clamps d into [-c, c] and each local variance to at least 1/2.
     Local symplectics preserve the symplectic spectrum. The bona fide
     check is certify's: ``validate_bona_fide`` with tol (read by
     ``resolve_tolerance``), within the dead band max(tol, 8 eps max|V|).
@@ -844,11 +844,10 @@ def standard_form_reduce_two_mode(
     S = R @ S
     w = R @ w @ R.T
 
-    # c >= |d| but for rounding where the singular values tie
+    # c >= |d| and each b >= 1/2 but for rounding, V being bona fide
     c, d = w[0, 2], w[1, 3]
-    ba, bb = w[0, 0], w[2, 2]
     params = TwoModeStandardParams(
-        b1=max(ba, bb), b2=min(ba, bb), c=c, d=min(max(d, -c), c)
+        b1=max(w[0, 0], 0.5), b2=max(w[2, 2], 0.5), c=c, d=min(max(d, -c), c)
     )
     return params, S
 

@@ -1,4 +1,5 @@
-"""Mutation check of the verdict rules, the dead band and the solver's read-off.
+"""Mutation check of the verdict rules, the dead band, the solver's read-off
+and the two-mode reduction.
 
 Each mutant is one textual edit of one source file, and names the test
 files that must kill it. In src/cvwitness/covariance.py, killed by
@@ -17,9 +18,11 @@ gauge, from its first singular vector alone where sigma_max repeats, or
 without the fallback for a projection that vanishes; the start left at
 its projected length instead of unit length, Alice's weights not divided
 by sqrt(sigma_max), or Bob's vector G' u not divided by sigma_max before
-the root. Each is applied in a temporary copy of the repository, never in
-the checkout, and its test files run against it. A mutant survives when
-they all still pass.
+the root. In src/cvwitness/covariance.py, killed by tests/test_cli.py or
+tests/test_covariance.py: the two-mode reduction's parties swapped, or
+its local variances left unclamped at 1/2. Each is applied in a
+temporary copy of the repository, never in the checkout, and its test
+files run against it. A mutant survives when they all still pass.
 
 Usage, from anywhere:
 
@@ -47,6 +50,7 @@ ROOT = Path(__file__).resolve().parents[2]
 KERNEL = ("src/cvwitness/covariance.py", ("tests/test_criteria.py", "tests/test_golden.py"))
 SOLVER = ("src/cvwitness/optimize.py", ("tests/test_optimize.py",))
 CHECK = ("src/cvwitness/optimize.py", ("tests/test_criteria.py",))
+REDUCTION = ("src/cvwitness/covariance.py", ("tests/test_cli.py", "tests/test_covariance.py"))
 
 # (name, target, tests, text, replacement): each text must occur exactly
 # once in its target
@@ -98,6 +102,17 @@ MUTANTS = (
     ("start left unnormalized", *SOLVER, "u0 = u0 / norm if", "u0 = u0 if"),
     ("Alice's weights not divided by the root", *SOLVER, "a = (iq @ u0) / root", "a = iq @ u0"),
     ("Bob's vector not divided by sigma_max", *SOLVER, "(g.T @ u0) / sigma", "g.T @ u0"),
+    # the two-mode reduction's parameters, the oracle's standard form
+    (
+        "parties swapped in the reduction", *REDUCTION,
+        "b1=max(w[0, 0], 0.5), b2=max(w[2, 2], 0.5)",
+        "b1=max(w[2, 2], 0.5), b2=max(w[0, 0], 0.5)",
+    ),
+    (
+        "local variance not clamped", *REDUCTION,
+        "b1=max(w[0, 0], 0.5), b2=max(w[2, 2], 0.5)",
+        "b1=w[0, 0], b2=w[2, 2]",
+    ),
 )
 
 

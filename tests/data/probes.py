@@ -42,6 +42,10 @@ below 1/4 (Alice's block is the vacuum's, 0.5 I exactly).
   split_standard(tmsv(r)) for r on linspace(0, 9, 37), whose exact value
   is 1 at every r. The probe reports the worst |value - 1| and the r where
   it occurs.
+- ``oracle_standard_form``: for each of the three families above, how
+  many members are called physical, and how many of those the oracle's
+  standard form (``cli._standardize``) refuses, grouped by the error's
+  type and message up to its first comma, colon or parenthesis.
 - ``local_drift``: for n = 2, 3 and 5, ten random_standard(n, seed) CMs
   each, every one under eight local symplectics (+)_j R(theta_j) S(z_j)
   per squeeze cap Z in {0, 3, 5, 7}, with theta uniform in [0, pi) and z
@@ -66,7 +70,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -75,6 +81,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
 from cvwitness import (  # noqa: E402
+    CovarianceMatrix,
     GeneratorSpec,
     min_separability_sum_numeric,
     noisy_tmsv,
@@ -91,6 +98,7 @@ from cvwitness.covariance import (  # noqa: E402
     one_mode_squeeze,
     validate_stack,
 )
+from cvwitness.cli import _standardize  # noqa: E402
 from cvwitness.criteria import WITNESS_KEYS  # noqa: E402
 
 # (flag, its marker) as StackVerdicts names them
@@ -222,6 +230,19 @@ def solver_tmsv() -> dict:
     return {"solves": len(rs), "worst_error": errors[worst], "worst_r": rs[worst]}
 
 
+def oracle_standard_form(cms: np.ndarray) -> dict:
+    """One family's members called physical, and those of them that the
+    oracle's standard form refuses, counted per error."""
+    physical = stack_verdicts(cms).physical
+    errors = Counter()
+    for m in cms[physical]:
+        try:
+            _standardize(CovarianceMatrix(m), DEFAULT_TOL)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            errors[f"{type(exc).__name__}: {re.split(r'[,:(]', str(exc))[0].strip()}"] += 1
+    return {"physical": int(physical.sum()), "refused": sum(errors.values()), "errors": dict(errors)}
+
+
 def local_drift() -> dict:
     """Per squeeze cap, the worst relative drift of each local invariant in
     DRIFT_KEYS under local symplectics, and the members refused."""
@@ -267,6 +288,7 @@ def main() -> int:
     line["pure_tmsv"] = tmsv_refusals()
     line["multimode_pure"] = multimode_refusals()
     line["solver_tmsv"] = solver_tmsv()
+    line["oracle_standard_form"] = {name: oracle_standard_form(cms) for name, (cms, _) in families.items()}
     line["local_drift"] = local_drift()
     print(json.dumps(line, sort_keys=True))
     return 0

@@ -714,8 +714,10 @@ class TestAitkenFactorize:
 
 class TestTwoModeParams:
     def test_ordering_invariants(self):
-        with pytest.raises(ValueError, match="b1 >= b2"):
-            TwoModeStandardParams(0.7, 1.0, 0.0, 0.0)
+        # party order: Alice's variance may be the smaller one
+        assert TwoModeStandardParams(0.7, 1.0, 0.0, 0.0).b1 == 0.7
+        with pytest.raises(ValueError, match="b1 >= 1/2"):
+            TwoModeStandardParams(0.4, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="b2 >= 1/2"):
             TwoModeStandardParams(1.0, 0.4, 0.0, 0.0)
         with pytest.raises(ValueError, match=r"c >= \|d\|"):
@@ -814,6 +816,17 @@ class TestStandardFormReduce:
             assert params.b2 == pytest.approx(ref.b2, abs=1e-9)
             assert params.c == pytest.approx(ref.c, abs=1e-9)
             assert params.d == pytest.approx(ref.d, abs=1e-9)
+
+    def test_party_order_kept(self):
+        # Bob's noise makes his variance the larger one, under local moves too
+        for r, nbar in ((0.3, 0.2), (0.7, 0.3), (1.5, 1.0)):
+            cm = noisy_tmsv(r, nbar, "B")
+            want = np.diag(cm.matrix)[[0, 2]]
+            for moved in (cm, rotated_and_squeezed(cm, np.random.default_rng(5), max_z=3.0)):
+                params, _ = standard_form_reduce_two_mode(moved)
+                assert isinstance(params.b1, float) and isinstance(params.b2, float)
+                assert params.b1 < params.b2
+                np.testing.assert_allclose((params.b1, params.b2), want, rtol=1e-9)
 
     def test_rejects_non_physical(self):
         with pytest.raises(ValueError, match="bona fide"):
