@@ -263,13 +263,12 @@ def check_unsteerable_ab(V: CovarianceMatrix, tol: float | None = None) -> Unste
 
 # brute-force search tuning: draws per chain and round, chain count,
 # rounds per block of random numbers, success-driven step adaptation
-# bounds, the share of always-global exploration draws and the share of
-# those that get stretched
+# bounds (relative to the unit-norm incumbents) and the share of
+# always-global exploration draws
 _BATCH = 128
 _CHAINS = 4
 _BLOCK = 4
 _GLOBAL_FRACTION = 0.2
-_STRETCH_FRACTION = 0.3
 _STEP_GROW = 1.2
 _STEP_SHRINK = 0.82
 _STEP_MIN = 1e-7
@@ -281,57 +280,57 @@ def brute_force_min(
 ) -> float:
     """Randomized search oracle for the normalized-sum minima.
 
-    Derivative-free seeded sampling of the gauge surface (signs free;
-    draws with non-positive gauge denominators are rejected), in
-    coordinates z = (z_a, z_b) whitened by the two quadratic forms, where
-    a draw's value is (|z_a|^2 + |z_b|^2) / (z_a' G z_b) with
-    G = Mq^(-1/2) W Mp^(-1/2). Each round scores 128 points for each of
-    4 identical chains; a chain perturbs its incumbent by a
-    success-adapted step times Gaussian noise and keeps a share of
-    global draws. Incumbents start at 0, so a chain with no incumbent yet
-    scores its local rows as fresh (unstretched) points scaled by its
-    step, which is 1 in the first round.
+    Derivative-free seeded sampling of Alice's whitened weights z_a
+    (a = Mq^(-1/2) z_a, signs free), with Bob's weights profiled out
+    (variable projection): for a fixed z_a the best whitened Bob vector
+    z_b is parallel to G' z_a, with G = Mq^(-1/2) W Mp^(-1/2), and the
+    value there is 2 |z_a| / |G' z_a|, attained at b proportional to
+    Mp^(-1/2) G' z_a. A draw is scored as |z_a|^2 / |G' z_a|^2 and
+    rejected only where |G' z_a|^2 is 0, a test that holds at any scale
+    of the forms; the result is 2 sqrt of the least score. Each round
+    scores 128 points for each of 4 identical chains; a chain perturbs
+    its incumbent by a success-adapted step times Gaussian noise and
+    keeps a share of global draws. The score does not depend on the
+    scale of z_a, so incumbents are kept at unit norm and the steps are
+    relative. Incumbents start at 0, so a chain with no incumbent yet
+    scores its local rows as fresh points scaled by its step, which is 1
+    in the first round.
 
-    The four chains' best values and step sizes are Python floats, updated
+    The four chains' best scores and step sizes are Python floats, updated
     in one loop over the per-chain argmins; a round reuses one buffer for
-    its values. Only the draws, the move and the scoring run as numpy calls
-    on the 512 rows.
-    This runs about 3.6e6 samples/s at 2 to 4 modes (one core of a 2-vCPU
+    its scores. Only the draws, the move and the scoring run as numpy
+    calls on the 512 rows.
+    This runs about 1.0e7 samples/s at 2 to 4 modes (one core of a 2-vCPU
     x86-64 host, numpy 2.4.6 with OpenBLAS).
 
-    The random numbers come from SFC64 in blocks of _BLOCK rounds, three
-    calls per block: the normals for the chains, one uniform per row that
-    decides both global-or-local and stretched-or-not, and the stretch
-    factors. The result upper-bounds the true minimum, is deterministic
-    per seed, and never increases when the budget grows with the same
-    seed: blocks are drawn at full size, the round that crosses the
-    budget masks out the draws past it (chain-major) and the block's
-    later rounds go unscored, so a larger budget replays the smaller run
-    and scores a superset of its draws.
+    The random numbers come from SFC64 in blocks of _BLOCK rounds, two
+    calls per block: the normals for the chains and one uniform per row
+    that decides global or local. The result upper-bounds the true
+    minimum, is deterministic per seed, and never increases when the
+    budget grows with the same seed: blocks are drawn at full size, the
+    round that crosses the budget masks out the draws past it
+    (chain-major) and the block's later rounds go unscored, so a larger
+    budget replays the smaller run and scores a superset of its draws.
     """
     mq, mp, w = functional_forms(sf, functional)
     spec = grid or GridSpec()
     n = sf.n_modes
     *_, gauge = _whitened_gauge(mq, mp, w)
+    # scoring against G / 2^e, with 2^e the binade of its largest entry,
+    # keeps |G' z_a|^2 and the scores inside the doubles' range at any
+    # scale of the forms; a power of two scales every score exactly
+    _, e = math.frexp(float(np.abs(gauge).max()))
+    gauge = np.ldexp(gauge, -e)
     rng = np.random.Generator(np.random.SFC64(spec.seed))
     rows = _CHAINS * _BATCH
     # two floats per chain cost less to update in a loop than in numpy calls
     best = [np.inf] * _CHAINS
     step = [1.0] * _CHAINS
-    incumbent = np.zeros((_CHAINS, 2 * n))  # gauge-normalized
+    incumbent = np.zeros((_CHAINS, n))  # unit norm once a chain has one
     vals = np.empty(rows)
     for block in range(0, spec.samples, _BLOCK * rows):
-        draws = rng.standard_normal((_BLOCK, _CHAINS, _BATCH, 2 * n))
-        # one uniform per row decides both: global below the global share,
-        # and stretched below the stretched share of that
-        u = rng.random((_BLOCK, _CHAINS, _BATCH))
-        local = u >= _GLOBAL_FRACTION
-        # a stretched draw gets a per-component log-uniform factor so
-        # lopsided weight vectors stay reachable
-        stretched = np.flatnonzero(u < _GLOBAL_FRACTION * _STRETCH_FRACTION)
-        draws.reshape(-1, 2 * n)[stretched] *= np.exp(
-            rng.uniform(-1.5, 1.5, size=(stretched.size, 2 * n))
-        )
+        draws = rng.standard_normal((_BLOCK, _CHAINS, _BATCH, n))
+        local = rng.random((_BLOCK, _CHAINS, _BATCH)) >= _GLOBAL_FRACTION
         for r in range(_BLOCK):
             start = block + r * rows
             if start >= spec.samples:
@@ -340,19 +339,21 @@ def brute_force_min(
             # draw; a global row is scored as a fresh point
             zr = draws[r]
             np.copyto(zr, incumbent[:, None, :] + np.array(step)[:, None, None] * zr, where=local[r][..., None])
-            flat = zr.reshape(-1, 2 * n)
-            den = np.einsum("ki,ki->k", flat[:, :n] @ gauge, flat[:, n:])
-            ok = den > 1e-12
+            flat = zr.reshape(-1, n)
+            gz = flat @ gauge  # the rows (G' z_a)'
+            den = np.einsum("ki,ki->k", gz, gz)
+            ok = den > 0.0
             ok[spec.samples - start :] = False  # draws past the budget
+            norms = np.einsum("ki,ki->k", flat, flat)
             vals.fill(np.inf)
-            np.divide(np.einsum("ki,ki->k", flat, flat), den, out=vals, where=ok)
+            np.divide(norms, den, out=vals, where=ok)
             picks = vals.reshape(_CHAINS, _BATCH).argmin(axis=1).tolist()
             for c, j in enumerate(picks):
                 k = c * _BATCH + j
                 if vals[k] < best[c]:
                     best[c] = float(vals[k])
-                    incumbent[c] = flat[k] / np.sqrt(den[k])
+                    incumbent[c] = flat[k] / math.sqrt(norms[k])
                     step[c] = min(step[c] * _STEP_GROW, _STEP_MAX)
                 else:
                     step[c] = max(step[c] * _STEP_SHRINK, _STEP_MIN)
-    return min(best)
+    return math.ldexp(2.0 * math.sqrt(min(best)), -e)

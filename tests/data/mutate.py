@@ -1,5 +1,5 @@
-"""Mutation check of the verdict rules, the dead band, the solver's read-off
-and the two-mode reduction.
+"""Mutation check of the verdict rules, the dead band, the solver's read-off,
+the sampler's score and the two-mode reduction.
 
 Each mutant is one textual edit of one source file, and names the test
 files that must kill it. In src/cvwitness/covariance.py, killed by
@@ -18,7 +18,9 @@ gauge, from its first singular vector alone where sigma_max repeats, or
 without the fallback for a projection that vanishes; the start left at
 its projected length instead of unit length, Alice's weights not divided
 by sqrt(sigma_max), or Bob's vector G' u not divided by sigma_max before
-the root. In src/cvwitness/covariance.py, killed by tests/test_cli.py or
+the root; the sampler's final square root dropped, or its score taken
+with z_a in place of Bob's profiled vector G' z_a. In
+src/cvwitness/covariance.py, killed by tests/test_cli.py or
 tests/test_covariance.py: the two-mode reduction's parties swapped, or
 its local variances left unclamped at 1/2. Each is applied in a
 temporary copy of the repository, never in the checkout, and its test
@@ -102,6 +104,13 @@ MUTANTS = (
     ("start left unnormalized", *SOLVER, "u0 = u0 / norm if", "u0 = u0 if"),
     ("Alice's weights not divided by the root", *SOLVER, "a = (iq @ u0) / root", "a = iq @ u0"),
     ("Bob's vector not divided by sigma_max", *SOLVER, "(g.T @ u0) / sigma", "g.T @ u0"),
+    # the sampler's score with Bob's weights profiled out
+    ("sampler's square root dropped", *SOLVER, "2.0 * math.sqrt(min(best))", "2.0 * min(best)"),
+    (
+        "sampler's Bob vector taken as z_a", *SOLVER,
+        'den = np.einsum("ki,ki->k", gz, gz)',
+        'den = np.einsum("ki,ki->k", gz, flat)',
+    ),
     # the two-mode reduction's parameters, the oracle's standard form
     (
         "parties swapped in the reduction", *REDUCTION,

@@ -1,7 +1,8 @@
 """Correctness probes: how many flags ``stack_verdicts`` gets wrong on
 three families of CMs whose true verdicts are known in closed form, and how
 many pure TMSVs and multimode pure states it refuses, how the numeric
-minimizer fares on pure TMSV, and how far its local invariants drift under
+minimizer fares on pure TMSV, how far the sampling oracle lands above
+it, and how far its local invariants drift under
 local symplectics.
 
 - ``product_grid``: vacuum (+) a pure Bob mode rotated by theta (41 values
@@ -42,6 +43,12 @@ below 1/4 (Alice's block is the vacuum's, 0.5 I exactly).
   split_standard(tmsv(r)) for r on linspace(0, 9, 37), whose exact value
   is 1 at every r. The probe reports the worst |value - 1| and the r where
   it occurs.
+- ``sampler_gap``: ``brute_force_min`` at its default budget and seed on
+  the standard forms of random_standard(n, seed=0) for n = 2..8 and of
+  the five CMs where the earlier 2n-dimensional sampler landed furthest
+  above the sep_minus minimum (n = 6, 7, 6, 8, 7 with seeds 74, 91, 99,
+  91, 92), each with every functional. The probe reports the worst gap
+  above the numeric minimum, relative to it, and the call where it occurs.
 - ``oracle_standard_form``: for each of the three families above, how
   many members are called physical, and how many of those the oracle's
   standard form (``cli._standardize``) refuses, grouped by the error's
@@ -83,6 +90,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 from cvwitness import (  # noqa: E402
     CovarianceMatrix,
     GeneratorSpec,
+    brute_force_min,
     min_separability_sum_numeric,
     noisy_tmsv,
     random_standard,
@@ -100,6 +108,7 @@ from cvwitness.covariance import (  # noqa: E402
 )
 from cvwitness.cli import _standardize  # noqa: E402
 from cvwitness.criteria import WITNESS_KEYS  # noqa: E402
+from cvwitness.optimize import FUNCTIONALS, _minimize_gauge_ratio  # noqa: E402
 
 # (flag, its marker) as StackVerdicts names them
 FLAGS = (("ppt", "marginal_ppt"), ("steerable_ab", "marginal_ab"), ("steerable_ba", "marginal_ba"))
@@ -110,6 +119,8 @@ ZS = np.linspace(0.0, 8.0, 33)
 DRIFT_KEYS = ("min_symplectic_eig", "min_symplectic_eig_pt", "det_ratio_ab", "det_ratio_ba",
               "schur_min_symplectic_eig")
 DRIFT_CAPS = (0, 3, 5, 7)
+# (n, seed) of sampler_gap's random_standard CMs
+SAMPLER_CMS = [(n, 0) for n in range(2, 9)] + [(6, 74), (7, 91), (6, 99), (8, 91), (7, 92)]
 
 
 def ba_threshold(r: float) -> float:
@@ -230,6 +241,19 @@ def solver_tmsv() -> dict:
     return {"solves": len(rs), "worst_error": errors[worst], "worst_r": rs[worst]}
 
 
+def sampler_gap() -> dict:
+    """The sampling oracle's worst relative gap above the numeric minimum
+    on SAMPLER_CMS with every functional, and where it occurs."""
+    gaps = {}
+    for n, seed in SAMPLER_CMS:
+        sf = split_standard(random_standard(n, seed=seed))
+        for functional in FUNCTIONALS:
+            numeric = _minimize_gauge_ratio(sf, functional).value
+            gaps[f"random_standard-{n}-{seed}-{functional}"] = (brute_force_min(sf, functional) - numeric) / numeric
+    worst = max(gaps, key=gaps.__getitem__)
+    return {"calls": len(gaps), "worst_gap": gaps[worst], "worst_call": worst}
+
+
 def oracle_standard_form(cms: np.ndarray) -> dict:
     """One family's members called physical, and those of them that the
     oracle's standard form refuses, counted per error."""
@@ -288,6 +312,7 @@ def main() -> int:
     line["pure_tmsv"] = tmsv_refusals()
     line["multimode_pure"] = multimode_refusals()
     line["solver_tmsv"] = solver_tmsv()
+    line["sampler_gap"] = sampler_gap()
     line["oracle_standard_form"] = {name: oracle_standard_form(cms) for name, (cms, _) in families.items()}
     line["local_drift"] = local_drift()
     print(json.dumps(line, sort_keys=True))

@@ -484,6 +484,30 @@ class TestBruteForce:
         # sampler's speed must not move a single draw or rounding
         assert freeze.render("sampler") == (freeze.HERE / "sampler_pins.json").read_text()
 
+    @pytest.mark.parametrize("n, seed", [(6, 74), (7, 91), (6, 99), (8, 91)])
+    def test_sep_minus_lands_on_minimum(self, n, seed):
+        # sampling both parties' weights in 2n dimensions, the default
+        # budget landed 4.1e-4 to 1.1e-3 relative above these sep_minus
+        # minima; with Bob's weights profiled out it lands within 1e-6
+        sf = split_standard(random_standard(n, seed=seed))
+        numeric = min_separability_sum_numeric(sf, "minus").value
+        brute = brute_force_min(sf, "sep_minus")
+        assert numeric * (1.0 - 1e-12) <= brute <= numeric * (1.0 + 1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-200, 1e10, 1e200, 1e300])
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_scale_equivariant(self, functional, scale):
+        # scaling both forms by c scales the bound by c: the score does not
+        # depend on the scale of z_a, and it is taken against G divided by
+        # a power of two, so |G' z_a|^2 neither underflows to a rejected 0
+        # nor overflows the score (inf, with a warning, from about 1e154)
+        sf = split_standard(random_standard(3, seed=1))
+        grid = GridSpec(samples=5000, seed=3)
+        base = brute_force_min(sf, functional, grid)
+        got = brute_force_min(StandardForm(sf.vq * scale, sf.vp * scale), functional, grid)
+        assert got / scale == pytest.approx(base, rel=1e-12)
+
     def test_rejects_bad_inputs(self):
         sf = split_standard(vacuum(2))
         with pytest.raises(ValueError, match="samples"):
