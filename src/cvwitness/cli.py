@@ -157,7 +157,7 @@ def _build_parser() -> _Parser:
     orc = sub.add_parser("oracle", help="compare minimizer, sampler and closed form")
     orc.add_argument("path")
     orc.add_argument("--functional", required=True, choices=FUNCTIONALS)
-    orc.add_argument("--samples", type=int, default=100_000)
+    orc.add_argument("--samples", type=int, default=GridSpec.samples)
     orc.add_argument("--oracle-tol", type=float, default=1e-3)
     orc.add_argument("--tol", type=float, default=None)
     orc.add_argument("--seed", type=int, default=0)

@@ -781,14 +781,6 @@ def _det2(m: np.ndarray) -> float:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
-    """The inverse square root of a symmetric positive definite matrix."""
-    w, u = np.linalg.eigh(m)
-    if w.min() <= 0:
-        raise np.linalg.LinAlgError("quadratic form is not positive definite")
-    return (u / np.sqrt(w)) @ u.T
-
-
 def standard_form_reduce_two_mode(
     V: CovarianceMatrix, tol: float | None = None
 ) -> tuple[TwoModeStandardParams, np.ndarray]:
@@ -799,16 +791,15 @@ def standard_form_reduce_two_mode(
     c >= |d|, and params is its (b1, b2, c, d) in party order: b1 is
     Alice's local variance and b2 Bob's, so b1 < b2 is possible.
 
-    Procedure: (1) a one-mode symplectic per party brings each local
-    2x2 block to sqrt(det) * I, (2) local rotations diagonalize the
-    cross block via its SVD. Both rotations have determinant +1, so the
-    cross block becomes diag(s1, +-s2) with s1 >= s2 >= 0, which is
-    c >= |d|. Rounding can leave |d| above c by an ulp or two where s1
-    and s2 tie (as for every TMSV), and a local variance below 1/2 where
-    a heavily squeezed local block's determinant is lost in the doubles;
-    params clamps d into [-c, c] and each local variance to at least 1/2.
-    Local symplectics preserve the symplectic spectrum. The bona fide
-    check is certify's: ``validate_bona_fide`` with tol (read by
+    Procedure: (1) the symmetric unit-determinant reducer N^(-1/2), with
+    N = A / sqrt(det A), brings each local 2x2 block A to sqrt(det A) * I,
+    so b = sqrt(det A), clamped at 1/2 where a heavily squeezed block's
+    determinant is lost in the doubles; (2) local rotations diagonalize
+    the reduced cross block via its SVD, so (c, d) are its singular values
+    s1 >= s2 >= 0, with d = -s2 wherever a reflection of the SVD is made a
+    rotation, and c >= |d| by the SVD's order. No product with V is
+    rebuilt. Local symplectics preserve the symplectic spectrum. The bona
+    fide check is certify's: ``validate_bona_fide`` with tol (read by
     ``resolve_tolerance``), within the dead band max(tol, 8 eps max|V|).
     """
     tol = resolve_tolerance(tol)
@@ -822,32 +813,31 @@ def standard_form_reduce_two_mode(
         )
 
     m = V.matrix
-    locals_ = []
+    reducers, b = [], []
     for k in (0, 1):
         blk = m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
         det_blk = _det2(blk)
         if det_blk <= 0:
             raise ValueError("local block with non-positive determinant")
-        # symmetric unit-determinant (hence symplectic) Williamson reducer
-        locals_.append(_inv_sqrt_spd(blk / np.sqrt(det_blk)))
-    S = local_direct_sum(locals_)
-    w = S @ m @ S.T
+        root = np.sqrt(det_blk)
+        # det N = 1, so by Cayley-Hamilton N^(-1/2) = (N^-1 + I) / sqrt(tr N + 2)
+        # with N^-1 = adj(A) / sqrt(det A): symmetric with unit determinant,
+        # hence symplectic. V is bona fide, so tr A >= 1 - 2 band and the
+        # root's argument is positive
+        adj = np.array([[blk[1, 1], -blk[0, 1]], [-blk[1, 0], blk[0, 0]]])
+        reducers.append((adj / root + np.eye(2)) / np.sqrt((blk[0, 0] + blk[1, 1]) / root + 2.0))
+        b.append(root)
 
-    # local rotations diagonalize the cross block; scalar blocks are untouched
-    cross = w[0:2, 2:4]
-    u, _, vt = np.linalg.svd(cross)
+    # local rotations diagonalize the reduced cross block; each reflection
+    # of the SVD made a rotation flips the sign of its second row or column
+    u, (c, d), vt = np.linalg.svd(reducers[0] @ m[0:2, 2:4] @ reducers[1].T)
     if _det2(u) < 0:
         u[:, 1] *= -1.0
+        d = -d
     if _det2(vt) < 0:
         vt[1, :] *= -1.0
-    R = local_direct_sum([u.T, vt])
-    S = R @ S
-    w = R @ w @ R.T
-
-    # c >= |d| and each b >= 1/2 but for rounding, V being bona fide
-    c, d = w[0, 2], w[1, 3]
-    params = TwoModeStandardParams(
-        b1=max(w[0, 0], 0.5), b2=max(w[2, 2], 0.5), c=c, d=min(max(d, -c), c)
-    )
+        d = -d
+    S = local_direct_sum([u.T @ reducers[0], vt @ reducers[1]])
+    params = TwoModeStandardParams(b1=max(b[0], 0.5), b2=max(b[1], 0.5), c=c, d=d)
     return params, S
 

@@ -49,7 +49,6 @@ from .covariance import (
     _as_cm,
     _band,
     _decide,
-    _inv_sqrt_spd,
     _require_bipartite,
     _require_int,
     resolve_tolerance,
@@ -137,6 +136,14 @@ class UnsteerabilityCheck(NamedTuple):
 # counts as outside the positive orthant
 _TOP_TOL = 16 * np.finfo(float).eps
 _POSITIVITY_FLOOR = 1e-10
+
+
+def _inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
+    """The inverse square root of a symmetric positive definite matrix."""
+    w, u = np.linalg.eigh(m)
+    if w.min() <= 0:
+        raise np.linalg.LinAlgError("quadratic form is not positive definite")
+    return (u / np.sqrt(w)) @ u.T
 
 
 def _whitened_gauge(mq, mp, w):

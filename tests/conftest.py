@@ -96,6 +96,16 @@ def rotated(cm: CovarianceMatrix, thetas) -> CovarianceMatrix:
     return CovarianceMatrix(s @ cm.matrix @ s.T)
 
 
+def product_grid_member(i: int, j: int) -> CovarianceMatrix:
+    """Vacuum (+) Bob's vacuum mode squeezed by z and rotated by theta, at
+    theta = linspace(0, pi/2, 41)[i] and z = linspace(0, 12, 121)[j], built
+    as tests/data/probes.py's product grid builds it."""
+    s = one_mode_rotation(np.linspace(0.0, np.pi / 2, 41)[i]) @ one_mode_squeeze(np.linspace(0.0, 12.0, 121)[j])
+    m = 0.5 * np.eye(4)
+    m[2:, 2:] = 0.5 * s @ s.T
+    return CovarianceMatrix(m)
+
+
 def rotated_and_squeezed(cm: CovarianceMatrix, rng, max_z: float = 1.0) -> CovarianceMatrix:
     """Conjugate a CM by a random phase rotation times a squeeze
     (|z| <= max_z) on each mode, which moves it off standard form."""

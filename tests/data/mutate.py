@@ -21,8 +21,10 @@ by sqrt(sigma_max), or Bob's vector G' u not divided by sigma_max before
 the root; the sampler's final square root dropped, or its score taken
 with z_a in place of Bob's profiled vector G' z_a. In
 src/cvwitness/covariance.py, killed by tests/test_cli.py or
-tests/test_covariance.py: the two-mode reduction's parties swapped, or
-its local variances left unclamped at 1/2. Each is applied in a
+tests/test_covariance.py: the two-mode reduction's parties swapped, its
+local variances left unclamped at 1/2, d's sign kept where Bob's
+reflection from the SVD is made a rotation, or the identity term dropped
+from the closed-form local reducer. Each is applied in a
 temporary copy of the repository, never in the checkout, and its test
 files run against it. A mutant survives when they all still pass.
 
@@ -114,14 +116,12 @@ MUTANTS = (
     # the two-mode reduction's parameters, the oracle's standard form
     (
         "parties swapped in the reduction", *REDUCTION,
-        "b1=max(w[0, 0], 0.5), b2=max(w[2, 2], 0.5)",
-        "b1=max(w[2, 2], 0.5), b2=max(w[0, 0], 0.5)",
+        "b1=max(b[0], 0.5), b2=max(b[1], 0.5)",
+        "b1=max(b[1], 0.5), b2=max(b[0], 0.5)",
     ),
-    (
-        "local variance not clamped", *REDUCTION,
-        "b1=max(w[0, 0], 0.5), b2=max(w[2, 2], 0.5)",
-        "b1=w[0, 0], b2=w[2, 2]",
-    ),
+    ("local variance not clamped", *REDUCTION, "b1=max(b[0], 0.5), b2=max(b[1], 0.5)", "b1=b[0], b2=b[1]"),
+    ("d's sign kept through Bob's reflection", *REDUCTION, "vt[1, :] *= -1.0\n        d = -d\n", "vt[1, :] *= -1.0\n"),
+    ("reducer's identity term dropped", *REDUCTION, "(adj / root + np.eye(2))", "(adj / root)"),
 )
 
 

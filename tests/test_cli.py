@@ -22,7 +22,7 @@ from cvwitness.cli import main, render_json
 from cvwitness.covariance import local_direct_sum, one_mode_rotation, one_mode_squeeze
 from cvwitness.criteria import WITNESS_KEYS
 from cvwitness.optimize import FUNCTIONALS
-from conftest import noisy_tmsv_phase_diagram, rotated, rotated_and_squeezed
+from conftest import noisy_tmsv_phase_diagram, product_grid_member, rotated, rotated_and_squeezed
 import freeze
 
 
@@ -48,7 +48,7 @@ def locally_squeezed(cm, party="A", theta=0.7, z=0.3):
 
 # two-mode CMs and the (party, theta, z) of the local squeeze that takes
 # each off standard form. Squeezed by 6, the vacuum's Bob variance
-# reduces to 0.4999999927 in doubles, which the reduction clamps to 1/2;
+# reduces to 0.4999999925 in doubles, which the reduction clamps to 1/2;
 # noisy_tmsv(0.7, 0.3, "B") has b_A < b_B, which pins the party order of
 # the reduced form
 OFF_STANDARD = {
@@ -638,6 +638,16 @@ class TestOracle:
         rec, rec_std = json.loads(out), json.loads(out_std)
         assert rec["agreement_closed_form"] is rec["agreement_numeric_brute"] is True
         assert rec["closed_form"] == pytest.approx(rec_std["closed_form"], abs=1e-8)
+
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_heavily_squeezed_product_state_reduced(self, capsys, tmp_path, functional):
+        # Bob's vacuum mode rotated by 0.668 and squeezed by 9.3 was refused
+        # with exit 1. The closed form drifts at this squeeze (exit 3 on
+        # three functionals), so only the minimum is pinned
+        path = write_cm(tmp_path, product_grid_member(17, 93))
+        code, out, err = run(capsys, "oracle", path, "--functional", functional)
+        assert code != 1, err
+        assert json.loads(out)["numeric_min"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("functional", FUNCTIONALS)
     @pytest.mark.parametrize("nu", [(0.3, 1.0), (1.4, 0.3, 1.0)])

@@ -40,7 +40,7 @@ from cvwitness.covariance import (
     symplectic_eigenvalues,
     symplectic_form,
 )
-from conftest import count_lapack, product_cm, purity, rotated, rotated_and_squeezed
+from conftest import count_lapack, product_cm, product_grid_member, purity, rotated, rotated_and_squeezed
 
 
 def to_block(cm):
@@ -827,6 +827,22 @@ class TestStandardFormReduce:
                 assert isinstance(params.b1, float) and isinstance(params.b2, float)
                 assert params.b1 < params.b2
                 np.testing.assert_allclose((params.b1, params.b2), want, rtol=1e-9)
+
+    def test_squeezed_bob_block_reduced(self):
+        # Bob's vacuum mode rotated by 0.668 and squeezed by 9.3: an
+        # eigensolver whitening his block found it not positive definite.
+        # The doubles keep half its determinant, so b2 = sqrt(det) is
+        # clamped to 1/2
+        params, _ = standard_form_reduce_two_mode(product_grid_member(17, 93))
+        assert (params.b1, params.b2, params.c, params.d) == (0.5, 0.5, 0.0, 0.0)
+
+    def test_lost_local_determinant_refused(self):
+        # rotated by 1.100 instead, the doubles lose Bob's determinant
+        # altogether, while certify still calls the CM physical
+        cm = product_grid_member(28, 93)
+        assert certify(cm).physical
+        with pytest.raises(ValueError, match="local block with non-positive determinant"):
+            standard_form_reduce_two_mode(cm)
 
     def test_rejects_non_physical(self):
         with pytest.raises(ValueError, match="bona fide"):
