@@ -526,15 +526,16 @@ def _stack_constants(n_modes: int):
     return out
 
 
-# numpy's LAPACK gufuncs, called directly with numpy.linalg's signatures
-# by the kernel's LAPACK stage (``_factor_stage``), which skips
-# numpy.linalg's per-call checks, about 2 us a call; a member whose call
-# fails comes back as NaN and sets the invalid flag. One-shot calls keep
+# numpy's LAPACK gufuncs, called directly with numpy.linalg's signatures,
+# which skips its per-call checks, about 2 us a call: by the kernel's LAPACK
+# stage (``_factor_stage``) and by optimize's gauge solver and sampler
+# (``_whitened_gauge``, ``_minimize_gauge_ratio``). A member whose call fails
+# comes back as NaN and sets the invalid flag. One-shot calls keep
 # numpy.linalg, whose checks they want on inputs of any shape and dtype. The
-# module is private, so a numpy that lacks one of them fails the import by
-# name.
+# module is private, so a numpy that lacks one of them fails the import by name.
 try:
     _cholesky_lo, _eigvalsh_lo = _umath_linalg.cholesky_lo, _umath_linalg.eigvalsh_lo
+    _eigh_lo, _svd_f = _umath_linalg.eigh_lo, _umath_linalg.svd_f
 except AttributeError as err:
     raise ImportError(
         f"cvwitness needs the LAPACK gufunc numpy.linalg._umath_linalg.{err.name}, which numpy "
@@ -786,10 +787,12 @@ def standard_form_reduce_two_mode(
 ) -> tuple[TwoModeStandardParams, np.ndarray]:
     """Reduce a two-mode bona fide CM to standard form by local symplectics.
 
-    Returns (params, S) where S = S_A (+) S_B is local symplectic,
-    S V S^T has scalar diagonal blocks and diagonal cross block with
-    c >= |d|, and params is its (b1, b2, c, d) in party order: b1 is
-    Alice's local variance and b2 Bob's, so b1 < b2 is possible.
+    Returns (params, S) where S = S_A (+) S_B is local symplectic and
+    params is (b1, b2, c, d) in party order: b1 is Alice's local variance
+    and b2 Bob's, so b1 < b2 is possible. S V S^T has scalar diagonal
+    blocks and diagonal cross block with c >= |d| unless a b is clamped at
+    1/2 as the doubles lost its block's determinant (Bob's vacuum mode
+    squeezed by 9.3): S V S^T then departs from that form; read only params.
 
     Procedure: (1) the symmetric unit-determinant reducer N^(-1/2), with
     N = A / sqrt(det A), brings each local 2x2 block A to sqrt(det A) * I,

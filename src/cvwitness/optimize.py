@@ -32,7 +32,8 @@ and b = Mp^(-1/2) v / sqrt(sigma_max). These lie on the gauge surface
 with the two variances equal to 1 / sigma_max, as at any true extremum,
 at every scale of the forms. The solver reads them off in one step and
 reports the functional there; it flags a weight at or below 1e-10 as
-leaving the positive orthant.
+leaving the positive orthant. Its LAPACK work is one eigensolve of the
+stack [Mq, Mp] and one SVD of G, through the gufuncs covariance.py binds.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .covariance import (
     _as_cm,
     _band,
     _decide,
+    _eigh_lo,
     _require_bipartite,
     _require_int,
+    _svd_f,
     resolve_tolerance,
     schur_complement,
 )
@@ -138,25 +141,29 @@ _TOP_TOL = 16 * np.finfo(float).eps
 _POSITIVITY_FLOOR = 1e-10
 
 
-def _inv_sqrt_spd(m: np.ndarray) -> np.ndarray:
-    """The inverse square root of a symmetric positive definite matrix."""
-    w, u = np.linalg.eigh(m)
-    if w.min() <= 0:
-        raise np.linalg.LinAlgError("quadratic form is not positive definite")
-    return (u / np.sqrt(w)) @ u.T
+def _lapack(gufunc, a, signature, message):
+    """gufunc(a) under numpy.linalg's errstate, raising its LinAlgError(message)."""
+    def fail(*_):
+        raise np.linalg.LinAlgError(message)
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(a, signature=signature)
 
 
 def _whitened_gauge(mq, mp, w):
-    """(Mq^(-1/2), Mp^(-1/2), G) with G = Mq^(-1/2) W Mp^(-1/2) the
-    whitened gauge, as the solver and the sampler both read it."""
-    iq, ip = _inv_sqrt_spd(mq), _inv_sqrt_spd(mp)
+    """(Mq^(-1/2), Mp^(-1/2), G) with G = Mq^(-1/2) W Mp^(-1/2) the whitened
+    gauge, as the solver and the sampler both read it, from one eigensolve of
+    the (2, n, n) stack [Mq, Mp], refused unless every eigenvalue is positive."""
+    ev, u = _lapack(_eigh_lo, np.stack([mq, mp]), "d->dd", "Eigenvalues did not converge")
+    if ev.min() <= 0:
+        raise np.linalg.LinAlgError("quadratic form is not positive definite")
+    iq, ip = (u / np.sqrt(ev)[:, None, :]) @ u.transpose(0, 2, 1)
     return iq, ip, iq @ w @ ip
 
 
 def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResult:
     mq, mp, w = functional_forms(sf, functional)
     iq, ip, g = _whitened_gauge(mq, mp, w)
-    u, s, _ = np.linalg.svd(g)
+    u, s, _ = _lapack(_svd_f, g, "d->ddd", "SVD did not converge")
     # u0: the whitened all-ones vector Mq^(1/2) 1 projected onto G's top
     # singular subspace, so a repeated sigma_max keeps equal weights where
     # they are a minimizer, or G's first singular vector when that
@@ -164,8 +171,8 @@ def _minimize_gauge_ratio(sf: StandardForm, functional: str) -> MinimizationResu
     top = u[:, s >= s[0] * (1.0 - _TOP_TOL)]
     ones = mq @ iq.sum(axis=1)  # Mq^(1/2) 1
     u0 = top @ (top.T @ ones)
-    norm = np.linalg.norm(u0)
-    u0 = u0 / norm if norm > _TOP_TOL * np.linalg.norm(ones) else u[:, 0]
+    norm = math.sqrt(u0 @ u0)
+    u0 = u0 / norm if norm > _TOP_TOL * math.sqrt(ones @ ones) else u[:, 0]
     # a' W b = 1 and a' Mq a = b' Mp b = 1 / sigma at any scale: G' u0 is
     # divided by sigma before the root, whose product with sigma underflows
     sigma = float(s[0])

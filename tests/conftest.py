@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvwitness import CovarianceMatrix, covariance, random_standard, thermal, tmsv
+from cvwitness import CovarianceMatrix, covariance, optimize, random_standard, thermal, tmsv
 from cvwitness.covariance import (
     local_direct_sum,
     one_mode_rotation,
@@ -52,16 +52,18 @@ _LINALG_WRAPPERS = ("cholesky", "eigvalsh", "eigh", "eigvals", "eig", "solve", "
                     "lstsq", "qr", "pinv", "norm", "cond", "matrix_rank")
 
 
-# the LAPACK gufuncs as the kernel binds them: (module, name, key)
-_GUFUNC_NAMES = ((covariance, "_cholesky_lo", "cholesky"), (covariance, "_eigvalsh_lo", "eigvalsh"))
+# the LAPACK gufuncs that covariance.py binds, where their callers read
+# them: (module, name, key)
+_GUFUNC_NAMES = ((covariance, "_cholesky_lo", "cholesky"), (covariance, "_eigvalsh_lo", "eigvalsh"),
+                 (optimize, "_eigh_lo", "eigh"), (optimize, "_svd_f", "svd"))
 
 
 def count_lapack(monkeypatch) -> dict:
-    """Count the calls of the LAPACK gufuncs that the kernel binds at
+    """Count the calls of the LAPACK gufuncs that covariance.py binds at
     module level, and fail the test on any call of a numpy.linalg wrapper;
     build the inputs first, as the generators call numpy.linalg. Returns
-    {"cholesky" | "eigvalsh": [operand shapes of each call]}, filled as the
-    calls happen."""
+    {"cholesky" | "eigvalsh" | "eigh" | "svd": [operand shapes of each
+    call]}, filled as the calls happen."""
     calls = {}
 
     def counted(*operands, _gufunc, _key, **kwargs):

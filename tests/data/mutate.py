@@ -1,5 +1,5 @@
-"""Mutation check of the verdict rules, the dead band, the solver's read-off,
-the sampler's score and the two-mode reduction.
+"""Mutation check of the verdict rules, the dead band, the whitening, the
+solver's read-off, the sampler's score and the two-mode reduction.
 
 Each mutant is one textual edit of one source file, and names the test
 files that must kill it. In src/cvwitness/covariance.py, killed by
@@ -13,13 +13,15 @@ eigensolve, or the invalid flag, or left unapplied. In
 src/cvwitness/optimize.py, killed by tests/test_criteria.py:
 ``check_unsteerable_ab``'s matrix test, the one reader of V/V_A + (i/2)
 J_B, made strict. In src/cvwitness/optimize.py, killed by
-tests/test_optimize.py: the solver's start taken from the smallest singular pair of the whitened
-gauge, from its first singular vector alone where sigma_max repeats, or
-without the fallback for a projection that vanishes; the start left at
-its projected length instead of unit length, Alice's weights not divided
-by sqrt(sigma_max), or Bob's vector G' u not divided by sigma_max before
-the root; the sampler's final square root dropped, or its score taken
-with z_a in place of Bob's profiled vector G' z_a. In
+tests/test_optimize.py: the forms whitened by their square roots in
+place of their inverse square roots; the solver's start taken from the
+smallest singular pair of the whitened gauge, from its first singular
+vector alone where sigma_max repeats, or without the fallback for a
+projection that vanishes; the start left at its projected length instead
+of unit length, Alice's weights not divided by sqrt(sigma_max), or Bob's
+vector G' u not divided by sigma_max before the root; the sampler's
+final square root dropped, or its score taken with z_a in place of Bob's
+profiled vector G' z_a. In
 src/cvwitness/covariance.py, killed by tests/test_cli.py or
 tests/test_covariance.py: the two-mode reduction's parties swapped, its
 local variances left unclamped at 1/2, d's sign kept where Bob's
@@ -99,9 +101,11 @@ MUTANTS = (
     ("repeated sigma_max ignored", *SOLVER, "top = u[:, s >= s[0] * (1.0 - _TOP_TOL)]", "top = u[:, :1]"),
     (
         "no fallback for a vanishing projection", *SOLVER,
-        "if norm > _TOP_TOL * np.linalg.norm(ones) else",
+        "if norm > _TOP_TOL * math.sqrt(ones @ ones) else",
         "if True else",
     ),
+    # the whitening of Mq and Mp, which the solver and the sampler share
+    ("whitening by the square root", *SOLVER, "u / np.sqrt(ev)[:, None, :]", "u * np.sqrt(ev)[:, None, :]"),
     # the read-off of the weights from that pair onto the gauge surface
     ("start left unnormalized", *SOLVER, "u0 = u0 / norm if", "u0 = u0 if"),
     ("Alice's weights not divided by the root", *SOLVER, "a = (iq @ u0) / root", "a = iq @ u0"),

@@ -1,4 +1,3 @@
-import functools
 import json
 
 import numpy as np
@@ -46,9 +45,12 @@ from cvwitness.optimize import (
     _BLOCK,
     _CHAINS,
     FUNCTIONALS,
+    _lapack,
     _minimize_gauge_ratio,
+    _svd_f,
+    _whitened_gauge,
 )
-from conftest import product_cm
+from conftest import count_lapack, product_cm
 import freeze
 
 VACUUM_PARAMS = TwoModeStandardParams(0.5, 0.5, 0.0, 0.0)
@@ -293,22 +295,45 @@ class TestScaledStart:
         np.testing.assert_allclose(res.argmin_beta, np.full(2, 2 ** -0.5), rtol=1e-12)
         assert not res.boundary_flag
 
-    @pytest.mark.parametrize("functional", ["sep_plus", "steer_ba"])
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
     def test_lapack_calls_per_solve(self, monkeypatch, functional):
-        # the whitened gauge's two inverse square roots and its SVD, each on
-        # an n x n matrix, and no linear solve
-        n = 4
-        sf = split_standard(random_standard(n, seed=2))
-        calls = []
+        # Mq and Mp whitened by one eigensolve of their (2, n, n) stack and
+        # the whitened gauge's one SVD, all through the LAPACK gufuncs and
+        # none through a numpy.linalg wrapper (norms included)
+        for n in (2, 4, 8):
+            sf = split_standard(random_standard(n, seed=2))
+            calls = count_lapack(monkeypatch)
+            _minimize_gauge_ratio(sf, functional)
+            monkeypatch.undo()
+            assert calls == {"eigh": [(2, n, n)], "svd": [(n, n)]}
 
-        def counted(m, *args, _fn, _name, **kwargs):
-            calls.append((_name, m.shape))
-            return _fn(m, *args, **kwargs)
+    @pytest.mark.parametrize("functional", FUNCTIONALS)
+    def test_lapack_calls_per_sampler(self, monkeypatch, functional):
+        # the sampler reads the same whitening and no SVD
+        for n in (2, 4, 8):
+            sf = split_standard(random_standard(n, seed=2))
+            calls = count_lapack(monkeypatch)
+            brute_force_min(sf, functional, GridSpec(samples=1000))
+            monkeypatch.undo()
+            assert calls == {"eigh": [(2, n, n)]}
 
-        for name in ("eigh", "svd", "solve", "inv", "cholesky", "eigvalsh", "eig", "lstsq", "pinv"):
-            monkeypatch.setattr(np.linalg, name, functools.partial(counted, _fn=getattr(np.linalg, name), _name=name))
-        _minimize_gauge_ratio(sf, functional)
-        assert calls == [("eigh", (n, n))] * 2 + [("svd", (n, n))]
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mq", [[1.0, -1.0], [1.0, 0.0]])
+    def test_form_not_positive_definite(self, mq):
+        # a non-positive whitening eigenvalue is refused before its root is
+        # taken, with no warning; StandardForm's own Cholesky check refuses
+        # such a block, so only rounding reaches this from a CM
+        with pytest.raises(np.linalg.LinAlgError, match="^quadratic form is not positive definite$"):
+            _whitened_gauge(np.diag(mq), np.eye(2), np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_lapack_call_raises(self):
+        # a NaN entry fails the SVD: the gufunc's invalid flag raises
+        # numpy.linalg.svd's own error, where a warning or NaNs would pass
+        m = np.diag([1.0, np.nan])
+        for svd in (np.linalg.svd, lambda a: _lapack(_svd_f, a, "d->ddd", "SVD did not converge")):
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                svd(m)
 
 
 class TestSteeringAbClosedForm:
